@@ -14,7 +14,6 @@ from .base import (
     ShiftedParams,
     backward_shift_apply,
     casoratian_gauge,
-    casoratian_gauge_plus,
     eigen_at_infinity,
     eigen_leading,
     eigenpoly,
@@ -44,6 +43,7 @@ from .darboux import (
     denominator_poly,
     denominator_poly_y,
     infinity_values,
+    level_poly,
     lowest_matches_denominator,
     multi_indexed_leading,
     multi_indexed_poly,
@@ -52,7 +52,6 @@ from .darboux import (
     typeI_eigen_numerator,
     typeI_potentials,
     typeI_single_poly,
-    typeI_xi_casoratian,
     typeII_single_poly,
     xi_casoratian,
 )
@@ -74,14 +73,12 @@ from .exact import (
 )
 from .virtual import (
     VirtualData,
-    VirtualPoly,
     groundstate_ratio,
     nu_ratio_poly,
     virtual_data,
     virtual_energy,
     virtual_energy_prime,
     virtual_groundstate_sq,
-    virtual_poly,
     virtual_poly_y,
     xi_at_infinity,
     xi_diffeq_residual,

@@ -9,7 +9,6 @@ forward/backward shift operators, all exact.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -357,8 +356,3 @@ def casoratian_gauge(m: int, q: ScalarLike) -> LaurentPoly:
     assert e % 6 == 0
     return LaurentPoly.monomial(q, qbinom2(m), q ** (-(e // 6)))
 
-
-def casoratian_gauge_plus(m: int, q: ScalarLike) -> LaurentPoly:
-    """Forward-shift analogue: q^{C(m,3)} * y^{C(m,2)}."""
-    q = scalar(q)
-    return LaurentPoly.monomial(q, qbinom2(m), q ** math.comb(m, 3))

@@ -21,17 +21,11 @@ from fractions import Fraction
 import mpmath
 
 from .base import CType, Family, Params
-from .darboux import (
-    IndexSet,
-    denominator_poly,
-    multi_indexed_poly,
-    typeI_eigen_numerator,
-)
+from .darboux import IndexSet, denominator_poly, level_poly
 from .exact import (
     DegenerateCasoratianError,
     EtaPoly,
     InvalidParamsError,
-    LaurentPoly,
     LittleQError,
     NonExactDivisionError,
 )
@@ -173,21 +167,12 @@ def _coeff_pairs(poly: EtaPoly) -> list[list[str]]:
     ]
 
 
-def _eta_for_output(cfg: RunConfig, d: IndexSet, n: int, p: Params) -> EtaPoly:
-    if cfg.ctype == CType.TYPE_II:
-        return multi_indexed_poly(d, n, p)
-    qn = typeI_eigen_numerator(d, n, p)
-    if not qn.is_zero and qn.min_deg > 0:  # drop the monomial unit
-        qn = qn.divide_exact(LaurentPoly.monomial(p.q, qn.min_deg))
-    return qn.to_eta()
-
-
 def cmd_construct(cfg: RunConfig) -> tuple[str, int]:
     p = cfg.params()
     d = cfg.index_set()
     polys = []
     for n in range(cfg.nmax + 1):
-        poly = _eta_for_output(cfg, d, n, p)
+        poly = level_poly(d, n, p)
         poly_y = poly.to_laurent()
         polys.append(
             {
@@ -271,8 +256,7 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     p = cfg.params()
     d = cfg.index_set()
     data = OrthogonalityData(d, p, cfg.nmax, cfg.eps)
-    diag = {n: data.pair_sum(n, n) for n in range(cfg.nmax + 1)}
-    s00 = diag[0]
+    diag = [data.pair_sum(n, n) for n in range(cfg.nmax + 1)]
     dps = 30
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -283,14 +267,7 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     code = EXIT_OK
     with mpmath.workprec(128):
         for n in range(cfg.nmax + 1):
-            snn = diag[n]
-            got = snn.partial_sum / s00.partial_sum
-            target = data.exact_diag_ratio(n)
-            rel = 2 * (
-                snn.tail_estimate / snn.partial_sum
-                + s00.tail_estimate / s00.partial_sum
-            )
-            ok = abs(got - target) <= rel * abs(target)
+            got, target, bound, ok = data.diag_ratio(n, diag)
             if not ok:
                 code = EXIT_VERIFY_FAIL
             writer.writerow(
@@ -299,9 +276,8 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
                     _mpf_str(mpmath.mpf(got.numerator) / got.denominator, dps),
                     str(target.numerator),
                     str(target.denominator),
-                    _mpf_str(mpmath.mpf((rel * abs(target)).numerator)
-                             / (rel * abs(target)).denominator, 3),
-                    snn.truncation_x,
+                    _mpf_str(mpmath.mpf(bound.numerator) / bound.denominator, 3),
+                    diag[n].truncation_x,
                     "pass" if ok else "fail",
                     dps,
                 ]

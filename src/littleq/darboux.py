@@ -9,9 +9,12 @@ stays in the exact Laurent ring; divisions by the gauge monomials and the
 normalization constants are asserted exact, which turns polynomiality
 theorems into runtime checks.
 
-The type II construction is fully normalized (denominator value 1 at x = -1,
-eigenpolynomial value 1 at x = 0).  The type I construction is exposed at
-Casoratian level only, normalized single-index closed forms excepted.
+Both construction types share one Casoratian builder: the shift runs
+backward for type II and forward for type I, and the border carries the
+type-dependent ground-state-ratio quotient.  The type II construction is
+fully normalized (denominator value 1 at x = -1, eigenpolynomial value 1 at
+x = 0).  The type I construction is exposed at Casoratian level only,
+normalized single-index closed forms excepted.
 """
 from __future__ import annotations
 
@@ -117,6 +120,45 @@ def casoratian_plus(fs: Sequence[LaurentPoly], q: Scalar) -> LaurentPoly:
     return det_laurent(rows, q=q)
 
 
+def _casoratian(d: IndexSet, p: ParamsLike, n: int | None = None) -> LaurentPoly:
+    """Casoratian of the virtual-state polynomials of D, bordered at level n.
+
+    Row j holds the virtual-state polynomials at x + s j, with s = -1
+    (backward) for type II and s = +1 (forward) for type I.  Without a level
+    the matrix is M x M; with level n it has M + 1 rows and row j gains the
+    border nu_ratio_poly(j + 1, M, p) * P_n(x + s j).  The bordered
+    determinant is zero for n < 0 and P_n itself for empty D; any other zero
+    result is degenerate.
+    """
+    m = d.size
+    if n is not None:
+        if n < 0:
+            return LaurentPoly.zero(p.q)
+        if m == 0:
+            return eigenpoly_y(n, p)
+    s = -1 if p.ctype == CType.TYPE_II else 1
+    fs = [virtual_poly_y(v, p) for v in d.indices]
+    rows = [[f.shift(s * j) for f in fs] for j in range(m if n is None else m + 1)]
+    if n is not None:
+        pn = eigenpoly_y(n, p)
+        for j, row in enumerate(rows):
+            row.append(nu_ratio_poly(j + 1, m, p) * pn.shift(s * j))
+    w = det_laurent(rows, q=p.q)
+    if m > 0 and w.is_zero:
+        raise DegenerateCasoratianError(
+            "%s Casoratian is identically zero"
+            % ("virtual-state" if n is None else "bordered")
+        )
+    return w
+
+
+@lru_cache(maxsize=None)
+def xi_casoratian(d: IndexSet, p: ParamsLike) -> LaurentPoly:
+    """Raw Casoratian of the virtual-state polynomials of D: backward for
+    type II, forward for type I."""
+    return _casoratian(d, p)
+
+
 # ---------------------------------------------------------------------------
 # type II construction
 # ---------------------------------------------------------------------------
@@ -145,17 +187,6 @@ def denominator_norm_const(d: IndexSet, p: ParamsLike) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def xi_casoratian(d: IndexSet, p: ParamsLike) -> LaurentPoly:
-    """Raw backward Casoratian of the virtual-state polynomials of D."""
-    _check_type_ii(p)
-    fs = [virtual_poly_y(v, p) for v in d.indices]
-    w = casoratian_minus(fs, p.q)
-    if d.size > 0 and w.is_zero:
-        raise DegenerateCasoratianError("virtual-state Casoratian is identically zero")
-    return w
-
-
-@lru_cache(maxsize=None)
 def denominator_poly_y(d: IndexSet, p: ParamsLike) -> LaurentPoly:
     """Denominator polynomial in y: gauged, normalized Casoratian of D."""
     _check_type_ii(p)
@@ -180,30 +211,17 @@ def denominator_poly(d: IndexSet, p: ParamsLike) -> EtaPoly:
 def multi_indexed_poly_y(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     """Multi-indexed eigenpolynomial of level n in y (zero for n < 0).
 
-    Constructive definition: the (M+1) x (M+1) determinant whose first M
-    columns hold the virtual-state polynomials at x, x-1, ..., x-M and whose
-    last column holds the ground-state-ratio quotient times the level-n
-    eigenpolynomial at the same shifted arguments, divided by the gauge
-    monomial and the normalization constant.  Both divisions must be exact.
+    Constructive definition: the bordered backward Casoratian (virtual-state
+    polynomials at x, x-1, ..., x-M, border the ground-state-ratio quotient
+    times the level-n eigenpolynomial) divided by the gauge monomial and the
+    normalization constant.  Both divisions must be exact.
     """
     _check_type_ii(p)
     q = p.q
-    if n < 0:
-        return LaurentPoly.zero(q)
     m = d.size
-    if m == 0:
-        return eigenpoly_y(n, p)
-    fs = [virtual_poly_y(v, p) for v in d.indices]
-    pn = eigenpoly_y(n, p)
-    rows = []
-    for j in range(1, m + 2):
-        sh = -(j - 1)
-        row = [f.shift(sh) for f in fs]
-        row.append(nu_ratio_poly(j, m, p) * pn.shift(sh))
-        rows.append(row)
-    det = det_laurent(rows, q=q)
-    if det.is_zero:
-        raise DegenerateCasoratianError("bordered Casoratian is identically zero")
+    det = _casoratian(d, p, n)
+    if det.is_zero:  # n < 0
+        return det
     cdn = (-1) ** m * q ** (qbinom2(m + 1)) * denominator_norm_const(d, p)
     out = det.divide_exact(casoratian_gauge(m + 1, q))
     if out.min_deg < 0:
@@ -433,17 +451,6 @@ def _check_type_i(p: ParamsLike) -> None:
 
 
 @lru_cache(maxsize=None)
-def typeI_xi_casoratian(d: IndexSet, p: ParamsLike) -> LaurentPoly:
-    """Forward Casoratian of the type I virtual-state polynomials of D."""
-    _check_type_i(p)
-    fs = [virtual_poly_y(v, p) for v in d.indices]
-    w = casoratian_plus(fs, p.q)
-    if d.size > 0 and w.is_zero:
-        raise DegenerateCasoratianError("virtual-state Casoratian is identically zero")
-    return w
-
-
-@lru_cache(maxsize=None)
 def typeI_eigen_numerator(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     """Bordered forward Casoratian with the ground-state ratio factored out.
 
@@ -453,19 +460,22 @@ def typeI_eigen_numerator(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     positive prefactors; no normalization is applied.
     """
     _check_type_i(p)
-    q = p.q
-    if n < 0:
-        return LaurentPoly.zero(q)
-    m = d.size
-    fs = [virtual_poly_y(v, p) for v in d.indices]
-    pn = eigenpoly_y(n, p)
-    rows = []
-    for j in range(1, m + 2):
-        sh = j - 1
-        row = [f.shift(sh) for f in fs]
-        row.append(pn.shift(sh).scale((p.a / q) ** sh))
-        rows.append(row)
-    return det_laurent(rows, q=q)
+    return _casoratian(d, p, n)
+
+
+def level_poly(d: IndexSet, n: int, p: ParamsLike) -> EtaPoly:
+    """The level-n polynomial in eta for either construction type.
+
+    Type II: the normalized multi-indexed polynomial.  Type I: the raw
+    numerator with its monomial unit y^s stripped, since the roots of y^s sit
+    at the basis point eta = 1 and are not zeros of the eigenvector.
+    """
+    if p.ctype == CType.TYPE_II:
+        return multi_indexed_poly(d, n, p)
+    qn = typeI_eigen_numerator(d, n, p)
+    if not qn.is_zero and qn.min_deg > 0:
+        qn = qn.divide_exact(LaurentPoly.monomial(p.q, qn.min_deg))
+    return qn.to_eta()
 
 
 def typeI_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
@@ -474,7 +484,7 @@ def typeI_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
     q, a = p.q, p.a
     m = d.size
     vd = virtual_data(p)
-    w = typeI_xi_casoratian(d, p)
+    w = xi_casoratian(d, p)
     qn = typeI_eigen_numerator(d, 0, p)
     return DeformedPotentials(
         b_num=vd.bprime_new.shift(m) * w * qn.shift(1).scale(a / q),

@@ -11,7 +11,7 @@ eta = 1 - y.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int]
@@ -191,9 +191,6 @@ class LaurentPoly:
     def coeff_dict(self) -> dict[int, Fraction]:
         return dict(self.coeffs)
 
-    def terms(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self.coeffs.items()))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self.q == other.q and self.coeffs == other.coeffs
@@ -316,16 +313,6 @@ class LaurentPoly:
             total += c * yx ** d
         return total
 
-    def eval_at(self, y: ScalarLike) -> Fraction:
-        """Exact value at an arbitrary rational y (must be nonzero if Laurent)."""
-        y = scalar(y)
-        if y == 0 and not self.is_zero and self.min_deg < 0:
-            raise ZeroDivisionError("Laurent polynomial at y = 0")
-        total = Fraction(0)
-        for d, c in self.coeffs.items():
-            total += c * y ** d
-        return total
-
     def at_infinity(self) -> Fraction:
         """Limit x -> infinity (y -> 0): the degree-0 coefficient."""
         if not self.is_zero and self.min_deg < 0:
@@ -398,14 +385,6 @@ class EtaPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls, q: ScalarLike) -> "EtaPoly":
-        return cls(q, ())
-
-    @classmethod
-    def one(cls, q: ScalarLike) -> "EtaPoly":
-        return cls(q, (1,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -439,28 +418,6 @@ class EtaPoly:
             return "EtaPoly(0)"
         return "EtaPoly(%s)" % ", ".join(str(c) for c in self.coeffs)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = EtaPoly(self.q, (other,))
-        if not isinstance(other, EtaPoly):
-            return NotImplemented
-        if self.q != other.q:
-            raise ValueError("mixed base q")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return EtaPoly(self.q, [self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __neg__(self):
-        return EtaPoly(self.q, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = EtaPoly(self.q, (other,))
-        return self.__add__(other.__neg__())
-
-    def scale(self, c: ScalarLike) -> "EtaPoly":
-        c = scalar(c)
-        return EtaPoly(self.q, [c * v for v in self.coeffs])
-
     def eval_eta(self, eta: ScalarLike) -> Fraction:
         eta = scalar(eta)
         total = Fraction(0)
@@ -471,10 +428,6 @@ class EtaPoly:
     def eval_int(self, x: int) -> Fraction:
         """Exact value at integer lattice point x, i.e. at eta = 1 - q^x."""
         return self.eval_eta(1 - self.q ** x)
-
-    def at_infinity(self) -> Fraction:
-        """Limit x -> infinity, i.e. the value at eta = 1."""
-        return self.eval_eta(1)
 
     def to_laurent(self) -> LaurentPoly:
         """Exact change of basis eta = 1 - y."""

@@ -44,15 +44,6 @@ class VirtualData:
     family: Family
 
 
-@dataclass(frozen=True)
-class VirtualPoly:
-    """Virtual-state polynomial of degree v with its construction type."""
-
-    v: int
-    poly: LaurentPoly
-    ctype: CType
-
-
 def _require_b(p: ParamsLike) -> Fraction:
     if p.family == Family.LQ_JACOBI and p.b == 0:
         raise InvalidParamsError(
@@ -131,15 +122,22 @@ def virtual_poly_y(v: int, p: ParamsLike) -> LaurentPoly:
     q, a = p.q, p.a
     if p.ctype == CType.TYPE_I:
         return eigenpoly_y(v, twist(p))
+    jac = p.family == Family.LQ_JACOBI
+    b = _require_b(p)
     coeffs = {0: Fraction(1)}
     term = Fraction(1)
-    if p.family == Family.LQ_JACOBI:
-        b = _require_b(p)
-        for k in range(1, v + 1):
-            num = (1 - q ** (k - 1 - v)) * (1 - (a / b) * q ** (v + k))
-            den = (1 - a * q ** (k - 1)) * (1 - q ** k)
-            term = term * num / den * b
-            coeffs[k] = term
+    for k in range(1, v + 1):
+        den = (1 - a * q ** (k - 1)) * (1 - q ** k)
+        if den == 0:
+            # a = q^{1-k}, e.g. a = 1 at the tilde-shifted point of a = q
+            raise InvalidParamsError("Pochhammer denominator vanished at k=%d" % k)
+        num = 1 - q ** (k - 1 - v)
+        if jac:
+            term = term * num * (1 - (a / b) * q ** (v + k)) / den * b
+        else:
+            term = term * num / den * (-(q ** (k - 1))) * a * q ** (v + 1)
+        coeffs[k] = term
+    if jac:
         den0 = qpoch(b * q ** (-v - 1), q, v)
         if den0 == 0:
             raise InvalidParamsError(
@@ -147,17 +145,8 @@ def virtual_poly_y(v: int, p: ParamsLike) -> LaurentPoly:
             )
         lead = qpoch(a, q, v) / den0
     else:
-        for k in range(1, v + 1):
-            num = 1 - q ** (k - 1 - v)
-            den = (1 - a * q ** (k - 1)) * (1 - q ** k)
-            term = term * num / den * (-(q ** (k - 1))) * a * q ** (v + 1)
-            coeffs[k] = term
         lead = qpoch(a, q, v)
     return LaurentPoly(q, {d: lead * c for d, c in coeffs.items()})
-
-
-def virtual_poly(v: int, p: ParamsLike) -> VirtualPoly:
-    return VirtualPoly(v, virtual_poly_y(v, p), p.ctype)
 
 
 def xi_at_infinity(v: int, p: ParamsLike) -> Fraction:

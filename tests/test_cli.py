@@ -140,6 +140,17 @@ def test_verify_reflection_suite():
     assert statuses["reflection_n2_differs"] == "pass"
 
 
+def test_verify_type_ii_a_equals_q(capsys):
+    # the tilde-shifted point of the type I/II relation sits on a pole there
+    argv = ["verify", "--family", "lqLaguerre", "--type", "2", "--q", "1/2",
+            "--a", "1/2", "--indices", "1,2"]
+    assert main(argv) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["overall"] == "pass"
+    statuses = {c["name"]: c["status"] for c in obj["checks"]}
+    assert statuses["structural_type_i_ii_single_index"] == "warn"
+
+
 def test_main_exit_codes(capsys):
     assert main(["verify", "--indices", "2", "--suite", "positivity"]) == EXIT_OK
     capsys.readouterr()

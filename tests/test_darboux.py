@@ -32,8 +32,8 @@ from littleq import (
     typeI_eigen_numerator,
     typeI_potentials,
     typeI_single_poly,
-    typeI_xi_casoratian,
     typeII_single_poly,
+    virtual_poly_y,
     xi_casoratian,
 )
 from littleq.verify import _random_valid_params
@@ -153,6 +153,15 @@ def test_denominator_positive_on_window():
     for d, p in battery_points():
         xi = denominator_poly_y(d, p)
         assert all(xi.eval_int(x) > 0 for x in range(-1, 61))
+
+
+def test_xi_casoratian_shift_direction(pj, pl, pji, pli):
+    # one engine: backward Casoratian for type II, forward for type I
+    for p in (pj, pl, pji, pli):
+        for d in (IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2)):
+            fs = [virtual_poly_y(v, p) for v in d.indices]
+            ref = casoratian_minus if p.ctype == CType.TYPE_II else casoratian_plus
+            assert xi_casoratian(d, p) == ref(fs, p.q)
 
 
 def test_casoratian_definite_sign():
@@ -403,7 +412,7 @@ def test_type_i_potentials_positive(pji, pli):
 
 def test_type_i_casoratian_sign(pji, pli):
     for p in (pji, pli):
-        w = typeI_xi_casoratian(IndexSet.of(1, 2), p)
+        w = xi_casoratian(IndexSet.of(1, 2), p)
         vals = [w.eval_int(x) for x in range(0, 61)]
         assert all(v != 0 for v in vals)
         assert len({v > 0 for v in vals}) == 1

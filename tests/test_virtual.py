@@ -20,7 +20,6 @@ from littleq import (
     virtual_energy,
     virtual_energy_prime,
     virtual_groundstate_sq,
-    virtual_poly,
     virtual_poly_y,
     xi_at_infinity,
     xi_diffeq_residual,
@@ -94,14 +93,23 @@ def test_type_i_down_potential_boundary(pji, pli):
 def test_xi_degree_and_normalization(pj_deep, pl, pji, pli):
     for p, vtop in ((pj_deep, 6), (pl, 6), (pji, 3), (pli, 3)):
         for v in range(vtop + 1):
-            vp = virtual_poly(v, p)
-            assert vp.v == v and vp.ctype == p.ctype
-            e = vp.poly.to_eta()
-            assert e.degree == v
+            xi = virtual_poly_y(v, p)
+            assert xi.to_eta().degree == v
             if p.ctype == CType.TYPE_II:
-                assert vp.poly.eval_int(-1) == 1
+                assert xi.eval_int(-1) == 1
             else:
-                assert vp.poly.eval_int(0) == 1
+                assert xi.eval_int(0) == 1
+
+
+def test_xi_pochhammer_pole_raises():
+    # a = q puts the tilde-shifted type II point at a' = 1, a pole at k = 1
+    p = Params(Family.LQ_LAGUERRE, Q, Q, 0, CType.TYPE_II, dmax=2)
+    virtual_poly_y(1, p)
+    with pytest.raises(InvalidParamsError):
+        virtual_poly_y(1, p.shift(tilde=-1))
+    pjq = Params(Family.LQ_JACOBI, Q, Q, B, CType.TYPE_II, dmax=2)
+    with pytest.raises(InvalidParamsError):
+        virtual_poly_y(2, pjq.shift(tilde=-1))
 
 
 def test_xi_constant_for_v_zero(pj, pl):
