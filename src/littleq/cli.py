@@ -135,12 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", choices=("json", "csv"), default=None,
                         help="output format (default: json for construct/verify, csv otherwise)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--suite", default="all",
-                        choices=("all",) + SUITES, help="verification subset")
+        sp.add_argument("--suite", default="all", choices=("all",) + SUITES,
+                        help="verification subset; 'shifts' is an alias of 'deformed'")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    if args.nmax < 0:
+        raise InvalidParamsError("nmax must be >= 0")
     default_out = "json" if args.command in ("construct", "verify") else "csv"
     return RunConfig(
         command=args.command,

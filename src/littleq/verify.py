@@ -60,6 +60,7 @@ from .darboux import (
     xi_casoratian,
 )
 from .exact import (
+    EtaPoly,
     InvalidParamsError,
     LaurentPoly,
     LittleQError,
@@ -90,6 +91,8 @@ SUITES = (
     "zeros",
     "positivity",
 )
+# a suite name that runs another suite's checks
+_SUITE_ALIASES = {"shifts": "deformed"}
 
 
 @dataclass
@@ -137,22 +140,32 @@ def _fmt(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _residual_check(name: str, residual) -> CheckResult:
-    zero = residual.is_zero if hasattr(residual, "is_zero") else residual == 0
-    terms = 0 if zero else (
-        len(residual.coeffs) if hasattr(residual, "coeffs") else 1
-    )
-    return CheckResult(
+def _check(
+    name: str, ok: bool, witness: str, bound: str | None = None, soft: bool = False
+) -> CheckResult:
+    """The one place an outcome becomes a status: ``pass`` when ok, otherwise
+    ``warn`` when the failure is only evidence (soft), else ``fail``."""
+    return CheckResult(name, "pass" if ok else "warn" if soft else "fail", witness, bound)
+
+
+def _positivity_check(name: str, ok: bool, witness: str, p: Params) -> CheckResult:
+    """Positivity is proved only in the strict range; outside it (type II
+    little q-Jacobi with b <= 0) a failed scan is evidence, not a defect."""
+    return _check(name, ok, witness, soft=not p.strict_range)
+
+
+def _residual_check(name: str, residual: LaurentPoly | EtaPoly) -> CheckResult:
+    zero = residual.is_zero
+    return _check(
         name,
-        "pass" if zero else "fail",
-        "residual identically zero" if zero else "residual has %d terms" % terms,
+        zero,
+        "residual identically zero" if zero else "residual has %d terms" % len(residual.coeffs),
     )
 
 
 def _equal_check(name: str, lhs, rhs, witness: str = "") -> CheckResult:
     ok = lhs == rhs
-    w = witness or ("%s == %s" % (lhs, rhs) if ok else "%s != %s" % (lhs, rhs))
-    return CheckResult(name, "pass" if ok else "fail", w)
+    return _check(name, ok, witness or "%s %s %s" % (lhs, "==" if ok else "!=", rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +209,6 @@ def _certified_sum(
     )
 
 
-@dataclass
-class OrthoRow:
-    """Diagonal orthogonality data for one level."""
-
-    n: int
-    partial: Fraction
-    tail: Fraction
-    truncation_x: int
-    exact_ratio: Fraction  # S_nn / S_00 target
-
-
 class OrthogonalityData:
     """Exact partial sums of the deformed orthogonality relation.
 
@@ -215,6 +217,8 @@ class OrthogonalityData:
     (Xi(x) Xi(x-1)); for type I it is the Casoratian-level equivalent with
     the ground-state ratio squared absorbed.  Diagonal terms are positive, so
     partial sums are lower bounds and the certified tail gives an interval.
+    The weight and every P_n are evaluated once per lattice point, in rows
+    that all pair sums share.
     """
 
     def __init__(self, d: IndexSet, p: Params, nmax: int, eps: Fraction):
@@ -222,6 +226,8 @@ class OrthogonalityData:
         self.p = p
         self.nmax = nmax
         self.eps = Fraction(eps)
+        if self.eps <= 0:
+            raise InvalidParamsError("eps must be positive")
         m = d.size
         q = p.q
         if p.ctype == CType.TYPE_II:
@@ -249,14 +255,20 @@ class OrthogonalityData:
         self.weight = weight
         self.polys = polys
         self.rho = rho
+        self._rows: list[tuple[Fraction, ...]] = []  # x -> (w(x), P_0(x)..P_N(x))
+
+    def _row(self, x: int) -> tuple[Fraction, ...]:
+        while len(self._rows) <= x:
+            t = len(self._rows)
+            self._rows.append((self.weight(t), *(pn.eval_int(t) for pn in self.polys)))
+        return self._rows[x]
 
     def pair_sum(self, n: int, m: int) -> TailBound:
-        pn, pm = self.polys[n], self.polys[m]
-        return _certified_sum(
-            lambda x: self.weight(x) * pn.eval_int(x) * pm.eval_int(x),
-            self.rho,
-            self.eps,
-        )
+        def term(x: int) -> Fraction:
+            row = self._row(x)
+            return row[0] * row[n + 1] * row[m + 1]
+
+        return _certified_sum(term, self.rho, self.eps)
 
     def exact_diag_ratio(self, n: int) -> Fraction:
         """Target value of S_nn / S_00 from the closed-form norm constants."""
@@ -309,16 +321,15 @@ def orthogonality_check(
     try:
         data = OrthogonalityData(d, p, nmax, eps)
     except LittleQError as exc:
-        return [CheckResult("ortho_setup", "fail", "%s: %s" % (type(exc).__name__, exc))]
+        return [_check("ortho_setup", False, "%s: %s" % (type(exc).__name__, exc))]
     diag = [data.pair_sum(n, n) for n in range(nmax + 1)]
     for n in range(nmax + 1):
         for m in range(n + 1, nmax + 1):
             tb = data.pair_sum(n, m)
-            ok = abs(tb.partial_sum) <= tb.tail_estimate
             checks.append(
-                CheckResult(
+                _check(
                     "ortho_offdiag_n%d_m%d" % (n, m),
-                    "pass" if ok else "fail",
+                    abs(tb.partial_sum) <= tb.tail_estimate,
                     "|partial|=%s at x<=%d" % (float(abs(tb.partial_sum)), tb.truncation_x),
                     bound=str(float(tb.tail_estimate)),
                 )
@@ -326,20 +337,19 @@ def orthogonality_check(
     for n in range(1, nmax + 1):
         got, target, bound, ok = data.diag_ratio(n, diag)
         checks.append(
-            CheckResult(
+            _check(
                 "ortho_diag_ratio_n%d" % n,
-                "pass" if ok else "fail",
+                ok,
                 "S_nn/S_00 %s target %s" % (float(got), float(target)),
                 bound=str(float(bound)),
             )
         )
     s00 = diag[0]
     target0 = data.absolute_target()
-    ok = abs(float(s00.partial_sum) / float(target0) - 1) <= 1e-12
     checks.append(
-        CheckResult(
+        _check(
             "ortho_absolute_s00",
-            "pass" if ok else "fail",
+            abs(float(s00.partial_sum) / float(target0) - 1) <= 1e-12,
             "S_00=%s vs %s (256-factor products)" % (float(s00.partial_sum), float(target0)),
             bound="1e-12",
         )
@@ -398,25 +408,33 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
         return out
 
 
-def zeros_report(d: IndexSet, n: int, p: Params, prec_bits: int = 256) -> dict:
-    """Counts of physical ([0,1)) vs unphysical zeros and the interlacing
-    verdict against level n+1."""
+def _level_zeros(
+    d: IndexSet, n: int, p: Params, prec_bits: int
+) -> tuple[list[float], int]:
+    """Sorted physical zeros of level n and its count of unphysical ones."""
     roots = polynomial_roots(d, n, p, prec_bits)
     phys = sorted(float(r.real) for r, ok in roots if ok)
-    unphys = sum(1 for _, ok in roots if not ok)
-    roots_next = polynomial_roots(d, n + 1, p, prec_bits)
-    phys_next = sorted(float(r.real) for r, ok in roots_next if ok)
-    interlaced = len(phys_next) == len(phys) + 1
-    if interlaced:
-        for i, z in enumerate(phys):
-            if not (phys_next[i] < z < phys_next[i + 1]):
-                interlaced = False
-                break
+    return phys, len(roots) - len(phys)
+
+
+def _zeros_summary(level: tuple[list[float], int], phys_next: list[float]) -> dict:
+    phys, unphys = level
+    interlaced = len(phys_next) == len(phys) + 1 and all(
+        phys_next[i] < z < phys_next[i + 1] for i, z in enumerate(phys)
+    )
     return {
         "physical": len(phys),
         "unphysical": unphys,
         "interlaced_with_next": interlaced,
     }
+
+
+def zeros_report(d: IndexSet, n: int, p: Params, prec_bits: int = 256) -> dict:
+    """Counts of physical ([0,1)) vs unphysical zeros and the interlacing
+    verdict against level n+1."""
+    return _zeros_summary(
+        _level_zeros(d, n, p, prec_bits), _level_zeros(d, n + 1, p, prec_bits)[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +452,17 @@ def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
     """
     if xmax < 10:
         raise InvalidParamsError("xmax must be >= 10")
-    soft = "warn" if not p.strict_range else "fail"
     checks: list[CheckResult] = []
     pots = deformed_potentials(d, p)
     if p.ctype == CType.TYPE_II:
         xi = denominator_poly_y(d, p)
         bad = [x for x in range(-1, xmax + 1) if xi.eval_int(x) <= 0]
         checks.append(
-            CheckResult(
+            _positivity_check(
                 "positivity_denominator",
-                "pass" if not bad else soft,
+                not bad,
                 "positive on [-1,%d]" % xmax if not bad else "sign failure at x=%s" % bad[:3],
+                p,
             )
         )
     # type II starts at x = -1: Xi(x-1) enters the weight at x = 0
@@ -453,27 +471,30 @@ def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
     signs = {(v > 0) - (v < 0) for v in map(w.eval_int, range(lo, xmax + 1))}
     ok = len(signs) == 1 and 0 not in signs
     checks.append(
-        CheckResult(
+        _positivity_check(
             "positivity_casoratian_sign",
-            "pass" if ok else soft,
+            ok,
             "definite sign on [%d,%d]" % (lo, xmax) if ok else "signs %s" % sorted(signs),
+            p,
         )
     )
     bad_b = [x for x in range(0, xmax + 1) if pots.b_value(x) <= 0]
     bad_d = [x for x in range(1, xmax + 1) if pots.d_value(x) <= 0]
     d0 = pots.d_value(0)
     checks.append(
-        CheckResult(
+        _positivity_check(
             "positivity_potential_up",
-            "pass" if not bad_b else soft,
+            not bad_b,
             "positive on [0,%d]" % xmax if not bad_b else "failure at x=%s" % bad_b[:3],
+            p,
         )
     )
     checks.append(
-        CheckResult(
+        _positivity_check(
             "positivity_potential_down",
-            "pass" if not bad_d else soft,
+            not bad_d,
             "positive on [1,%d]" % xmax if not bad_d else "failure at x=%s" % bad_d[:3],
+            p,
         )
     )
     checks.append(_equal_check("positivity_down_at_origin", d0, Fraction(0)))
@@ -537,9 +558,9 @@ def structural_checks(
         ok_b = (pa.b_num * pb.b_den - pb.b_num * pa.b_den).is_zero
         ok_d = (pa.d_num * pb.d_den - pb.d_num * pa.d_den).is_zero
         checks.append(
-            CheckResult(
+            _check(
                 "structural_permutation_potentials",
-                "pass" if ok_b and ok_d else "fail",
+                ok_b and ok_d,
                 "order %s vs %s" % (list(d.indices), perm),
             )
         )
@@ -551,9 +572,9 @@ def structural_checks(
             x2 = xi_casoratian(dp, p)
         ok = (x1 - x2).is_zero or (x1 + x2).is_zero
         checks.append(
-            CheckResult(
+            _check(
                 "structural_permutation_denominator",
-                "pass" if ok else "fail",
+                ok,
                 "equal up to sign" if ok else "differs beyond sign",
             )
         )
@@ -561,28 +582,17 @@ def structural_checks(
     if p.ctype == CType.TYPE_II:
         dbig = IndexSet.raw(tuple(d.indices) + (0,))
         dred = IndexSet.raw(tuple(dj - 1 for dj in d.indices))
+        ok, wit = True, "index set %s reduces to %s" % (dbig, dred)
         try:
             for n in range(min(nmax, 2) + 1):
                 lhs = multi_indexed_poly_y(dbig, n, p)
                 rhs = multi_indexed_poly_y(dred, n, p.shift(tilde=1))
                 if not (lhs - rhs).is_zero:
-                    checks.append(
-                        CheckResult("structural_reduction", "fail",
-                                    "mismatch at n=%d" % n)
-                    )
+                    ok, wit = False, "mismatch at n=%d" % n
                     break
-            else:
-                checks.append(
-                    CheckResult(
-                        "structural_reduction",
-                        "pass",
-                        "index set %s reduces to %s" % (dbig, dred),
-                    )
-                )
         except LittleQError as exc:
-            checks.append(
-                CheckResult("structural_reduction", "fail", "%s" % exc)
-            )
+            ok, wit = False, str(exc)
+        checks.append(_check("structural_reduction", ok, wit))
     # deformed ground-state product identity
     if p.ctype == CType.TYPE_II:
         pots = deformed_potentials(d, p)
@@ -595,11 +605,7 @@ def structural_checks(
                 ok = False
                 break
         checks.append(
-            CheckResult(
-                "structural_groundstate_product",
-                "pass" if ok else "fail",
-                "hop-ratio product matches on x <= 20",
-            )
+            _check("structural_groundstate_product", ok, "hop-ratio product matches on x <= 20")
         )
     # b -> 0 limit (little q-Jacobi only): linear coefficientwise convergence
     if (
@@ -623,11 +629,10 @@ def structural_checks(
                 )
             devs.append(dev)
         ratios = [float(devs[1] / devs[0]), float(devs[2] / devs[1])]
-        ok = all(2 ** -4.5 <= r <= 2 ** -3.5 for r in ratios)
         checks.append(
-            CheckResult(
+            _check(
                 "structural_blimit_linear",
-                "pass" if ok else "fail",
+                all(2 ** -4.5 <= r <= 2 ** -3.5 for r in ratios),
                 "deviation ratios %s per 4 halvings" % ratios,
                 bound="[2^-4.5, 2^-3.5]",
             )
@@ -644,7 +649,7 @@ def structural_checks(
     except InvalidParamsError:
         twin = None  # the type II side is out of range at this point
     if twin is not None:
-        status, wit = "pass", "equal for n <= %d" % min(nmax, 4)
+        ok, soft, wit = True, False, "equal for n <= %d" % min(nmax, 4)
         pm = twin.shift(tilde=-1)
         try:
             for n in range(min(nmax, 4) + 1):
@@ -652,7 +657,7 @@ def structural_checks(
                     rhs = multi_indexed_poly_y(IndexSet.of(1), n, pm)
                 except InvalidParamsError as exc:
                     # a coincidence such as a = q puts the shifted point on a pole
-                    status, wit = "warn", "degenerate shifted point (%s)" % exc
+                    ok, soft, wit = False, True, "degenerate shifted point (%s)" % exc
                     break
                 lhs = typeI_single_poly(
                     1,
@@ -663,11 +668,11 @@ def structural_checks(
                     p.b * q ** (-sb1) if fam == Family.LQ_JACOBI else Fraction(0),
                 )
                 if not (lhs - rhs).is_zero:
-                    status, wit = "fail", "mismatch at n=%d" % n
+                    ok, wit = False, "mismatch at n=%d" % n
                     break
         except LittleQError as exc:
-            status, wit = "fail", str(exc)
-        checks.append(CheckResult("structural_type_i_ii_single_index", status, wit))
+            ok, wit = False, str(exc)
+        checks.append(_check("structural_type_i_ii_single_index", ok, wit, soft=soft))
     return checks
 
 
@@ -691,9 +696,9 @@ def reflection_checks(p: Params, nmax: int = 2) -> list[CheckResult]:
             wit = "degenerate reversal (%s)" % exc
         expected = n <= 1
         checks.append(
-            CheckResult(
+            _check(
                 "reflection_n%d_%s" % (n, "matches" if expected else "differs"),
-                "pass" if same == expected else "fail",
+                same == expected,
                 wit,
             )
         )
@@ -718,14 +723,10 @@ def _base_checks(p: Params, nmax: int, rng: random.Random) -> list[CheckResult]:
         ok_norm &= e.eval_int(0) == 1
         ok_lead &= e.is_zero or e.leading == eigen_leading(n, p)
         ok_inf &= f.at_infinity() == eigen_at_infinity(n, p)
+    checks.append(_check("base_eigen_equation", ok_eig, "zero residual for n <= %d" % ntop))
     checks.append(
-        CheckResult("base_eigen_equation", "pass" if ok_eig else "fail",
-                    "zero residual for n <= %d" % ntop)
-    )
-    checks.append(
-        CheckResult("base_degree_norm_leading_infinity",
-                    "pass" if ok_deg and ok_norm and ok_lead and ok_inf else "fail",
-                    "n <= %d" % ntop)
+        _check("base_degree_norm_leading_infinity",
+               ok_deg and ok_norm and ok_lead and ok_inf, "n <= %d" % ntop)
     )
     ok_f = ok_b = True
     p_up = p.shift(delta=1)
@@ -737,17 +738,15 @@ def _base_checks(p: Params, nmax: int, rng: random.Random) -> list[CheckResult]:
         if n >= 1:
             lhs2 = backward_shift_apply(eigenpoly_y(n - 1, p_up), p)
             ok_b &= (lhs2 - f).is_zero
-    checks.append(CheckResult("base_forward_shift", "pass" if ok_f else "fail",
-                              "n <= %d" % ntop))
-    checks.append(CheckResult("base_backward_shift", "pass" if ok_b else "fail",
-                              "n <= %d" % ntop))
+    checks.append(_check("base_forward_shift", ok_f, "n <= %d" % ntop))
+    checks.append(_check("base_backward_shift", ok_b, "n <= %d" % ntop))
     ok_series = all(
         eigenpoly_y(n, p).eval_int(x) == eigen_series_value(n, p, x)
         for n in range(5)
         for x in range(5)
     )
-    checks.append(CheckResult("base_series_oracle", "pass" if ok_series else "fail",
-                              "alternative hypergeometric route, n,x <= 4"))
+    checks.append(_check("base_series_oracle", ok_series,
+                         "alternative hypergeometric route, n,x <= 4"))
     # random-parameter eigen identity
     ok_rand = True
     for _ in range(3):
@@ -756,13 +755,12 @@ def _base_checks(p: Params, nmax: int, rng: random.Random) -> list[CheckResult]:
             f = eigenpoly_y(n, pr)
             if not (hamiltonian_apply(f, pr) - f.scale(energy(n, pr))).is_zero:
                 ok_rand = False
-    checks.append(CheckResult("base_eigen_random_params",
-                              "pass" if ok_rand else "fail",
-                              "3 random parameter points, n <= 3"))
+    checks.append(_check("base_eigen_random_params", ok_rand,
+                         "3 random parameter points, n <= 3"))
     return checks
 
 
-def _virtual_checks(p: Params, rng: random.Random) -> list[CheckResult]:
+def _virtual_checks(p: Params) -> list[CheckResult]:
     checks = []
     vd = virtual_data(p)
     bpol, dpol = potential_b(p), potential_d(p)
@@ -794,17 +792,12 @@ def _virtual_checks(p: Params, rng: random.Random) -> list[CheckResult]:
         ok_energy &= virtual_energy(v, p) == virtual_energy_prime(v, p) + vd.alpha_prime
         if v <= p.dmax:
             ok_neg &= virtual_energy(v, p) < 0
-    checks.append(CheckResult("virtual_poly_degree_norm",
-                              "pass" if ok_deg and ok_norm else "fail",
-                              "v <= %d" % vtop))
-    checks.append(CheckResult("virtual_difference_equation",
-                              "pass" if ok_diffeq else "fail", "v <= %d" % vtop))
-    checks.append(CheckResult("virtual_energy_two_routes",
-                              "pass" if ok_energy and ok_neg else "fail",
-                              "additive split holds; energies negative for v <= dmax"))
+    checks.append(_check("virtual_poly_degree_norm", ok_deg and ok_norm, "v <= %d" % vtop))
+    checks.append(_check("virtual_difference_equation", ok_diffeq, "v <= %d" % vtop))
+    checks.append(_check("virtual_energy_two_routes", ok_energy and ok_neg,
+                         "additive split holds; energies negative for v <= dmax"))
     # positivity window of the virtual-state polynomials
     lo = -1 if p.ctype == CType.TYPE_II else 0
-    soft = "fail" if p.strict_range else "warn"
     ok_pos = True
     for v in range(min(p.dmax, 5) + 1):
         try:
@@ -812,17 +805,15 @@ def _virtual_checks(p: Params, rng: random.Random) -> list[CheckResult]:
         except InvalidParamsError:
             continue
         ok_pos &= all(xi.eval_int(x) > 0 for x in range(lo, 61))
-    checks.append(CheckResult("virtual_poly_positive",
-                              "pass" if ok_pos else soft,
-                              "x in [%d, 60], v <= min(dmax,5)" % lo))
+    checks.append(_positivity_check("virtual_poly_positive", ok_pos,
+                                    "x in [%d, 60], v <= min(dmax,5)" % lo, p))
     # ground-state ratio identities
     ok_nu = all(
         groundstate_ratio(x, p) ** 2 * virtual_groundstate_sq(x, p)
         == groundstate_sq(x, p)
         for x in range(0, 11)
     )
-    checks.append(CheckResult("virtual_groundstate_ratio",
-                              "pass" if ok_nu else "fail", "x <= 10"))
+    checks.append(_check("virtual_groundstate_ratio", ok_nu, "x <= 10"))
     if p.ctype == CType.TYPE_II:
         ok_r = True
         for m in (1, 2):
@@ -834,17 +825,15 @@ def _virtual_checks(p: Params, rng: random.Random) -> list[CheckResult]:
                         x, p.shift(tilde=m)
                     )
                     ok_r &= lhs == rhs
-        checks.append(CheckResult("virtual_ratio_poly_two_routes",
-                                  "pass" if ok_r else "fail", "m <= 2"))
+        checks.append(_check("virtual_ratio_poly_two_routes", ok_r, "m <= 2"))
         if p.family == Family.LQ_JACOBI and p.b != 0:
             ok_s = all(
                 virtual_poly_y(v, p).eval_int(x) == xi_series_value(v, p, x)
                 for v in range(min(p.dmax, 4) + 1)
                 for x in range(0, 13)
             )
-            checks.append(CheckResult("virtual_series_rewriting",
-                                      "pass" if ok_s else "fail",
-                                      "x in [0,12], v <= min(dmax,4)"))
+            checks.append(_check("virtual_series_rewriting", ok_s,
+                                 "x in [0,12], v <= min(dmax,4)"))
     return checks
 
 
@@ -862,9 +851,8 @@ def _deformed_checks(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
                 lc_r = raw.coeff(raw.max_deg)
                 ok &= (clos.scale(lc_r) - raw.scale(lc_c)).is_zero
                 ok &= clos.eval_int(0) == 1
-            checks.append(CheckResult("deformed_single_index_closed_form",
-                                      "pass" if ok else "fail",
-                                      "raw Casoratian proportional to closed form"))
+            checks.append(_check("deformed_single_index_closed_form", ok,
+                                 "raw Casoratian proportional to closed form"))
         return checks
     xi = denominator_poly(d, p)
     checks.append(_equal_check("deformed_denominator_value_at_minus1",
@@ -888,20 +876,14 @@ def _deformed_checks(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
         ok_f &= deformed_forward_check(d, n, p).is_zero
         if n >= 1:
             ok_b &= deformed_backward_check(d, n, p).is_zero
-    checks.append(CheckResult("deformed_value_at_zero", "pass" if ok_norm else "fail",
-                              "n <= %d" % nmax))
-    checks.append(CheckResult("deformed_degree_law", "pass" if ok_deg else "fail",
-                              "degree = offset + n"))
-    checks.append(CheckResult("deformed_leading_coefficients",
-                              "pass" if ok_lead else "fail", "n <= %d" % nmax))
-    checks.append(CheckResult("deformed_infinity_values",
-                              "pass" if ok_inf else "fail", "two routes agree"))
-    checks.append(CheckResult("deformed_eigen_equation", "pass" if ok_eig else "fail",
-                              "zero residual, n <= %d" % nmax))
-    checks.append(CheckResult("deformed_forward_shift", "pass" if ok_f else "fail",
-                              "zero residual, n <= %d" % nmax))
-    checks.append(CheckResult("deformed_backward_shift", "pass" if ok_b else "fail",
-                              "zero residual, 1 <= n <= %d" % nmax))
+    checks.append(_check("deformed_value_at_zero", ok_norm, "n <= %d" % nmax))
+    checks.append(_check("deformed_degree_law", ok_deg, "degree = offset + n"))
+    checks.append(_check("deformed_leading_coefficients", ok_lead, "n <= %d" % nmax))
+    checks.append(_check("deformed_infinity_values", ok_inf, "two routes agree"))
+    checks.append(_check("deformed_eigen_equation", ok_eig, "zero residual, n <= %d" % nmax))
+    checks.append(_check("deformed_forward_shift", ok_f, "zero residual, n <= %d" % nmax))
+    checks.append(_check("deformed_backward_shift", ok_b,
+                         "zero residual, 1 <= n <= %d" % nmax))
     checks.append(_residual_check("deformed_lowest_matches_denominator",
                                   lowest_matches_denominator(d, p)))
     if d.size == 1:
@@ -910,33 +892,37 @@ def _deformed_checks(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
             (multi_indexed_poly_y(d, n, p) - typeII_single_poly(dd, n, p)).is_zero
             for n in range(nmax + 1)
         )
-        checks.append(CheckResult("deformed_single_index_closed_form",
-                                  "pass" if ok else "fail",
-                                  "determinant route equals closed form"))
+        checks.append(_check("deformed_single_index_closed_form", ok,
+                             "determinant route equals closed form"))
     return checks
 
 
 def _zeros_checks(d: IndexSet, p: Params, nmax: int, prec_bits: int) -> list[CheckResult]:
+    """One check per level n <= nmax; each level is root-found once, and its
+    zeros serve as level n's report and as level n-1's interlacing partner."""
     checks = []
     offset = d.degree_offset if p.ctype == CType.TYPE_II else None
     try:
+        level = _level_zeros(d, 0, p, prec_bits)
         for n in range(nmax + 1):
-            rep = zeros_report(d, n, p, prec_bits)
+            next_level = _level_zeros(d, n + 1, p, prec_bits)
+            rep = _zeros_summary(level, next_level[0])
             ok = rep["physical"] == n
             if offset is not None:
                 ok &= rep["unphysical"] == offset
             if n < nmax:
                 ok &= rep["interlaced_with_next"]
             checks.append(
-                CheckResult(
+                _check(
                     "zeros_n%d" % n,
-                    "pass" if ok else "fail",
+                    ok,
                     "%d physical, %d unphysical, interlaced=%s"
                     % (rep["physical"], rep["unphysical"], rep["interlaced_with_next"]),
                 )
             )
+            level = next_level
     except RootFindingFailureError as exc:
-        checks.append(CheckResult("zeros_rootfinding", "fail", str(exc)))
+        checks.append(_check("zeros_rootfinding", False, str(exc)))
     return checks
 
 
@@ -955,69 +941,65 @@ def run_suite(
     Checks run per selected suite; report order is fixed by check name.
     Exact-identity failures and exceeded numeric tolerances mark the report
     as failed; module errors surface as failed checks with witnesses.
+    Invalid options (an index above dmax, nmax < 0, eps <= 0, xmax < 10,
+    prec_bits < 128, an unknown suite) raise InvalidParamsError before any
+    check runs.
     """
     if d.size > 0 and max(d.indices) > p.dmax:
         raise InvalidParamsError(
             "index set %s exceeds dmax=%d of the parameter point" % (d, p.dmax)
         )
+    for bad, what in (
+        (nmax < 0, "nmax must be >= 0"),
+        (Fraction(eps) <= 0, "eps must be positive"),
+        (xmax < 10, "xmax must be >= 10"),
+        (prec_bits < 128, "prec_bits must be >= 128"),
+    ):
+        if bad:
+            raise InvalidParamsError(what)
     unknown = set(suites) - set(SUITES)
     if unknown:
         raise InvalidParamsError("unknown suites: %s" % sorted(unknown))
     rng = random.Random(seed)
-    checks: list[CheckResult] = []
-
-    def guarded(name: str, fn: Callable[[], list[CheckResult]]):
-        try:
-            checks.extend(fn())
-        except LittleQError as exc:
-            checks.append(
-                CheckResult(name, "fail", "%s: %s" % (type(exc).__name__, exc))
-            )
-
     # virtual-state machinery needs a negative additive constant (and b != 0
     # for type II little q-Jacobi); base-only parameter points outside that
-    # range skip the dependent fragments with a warning note
-    applicable = True
-    if p.family == Family.LQ_JACOBI and p.ctype == CType.TYPE_II and p.b == 0:
-        applicable = False
-    elif virtual_data(p).alpha_prime >= 0:
-        applicable = False
-
-    def note(name: str):
-        checks.append(
-            CheckResult(
-                name,
-                "warn",
-                "virtual-state range does not cover this base parameter point",
+    # range skip the dependent suites with a warning
+    in_virtual_range = not (
+        p.family == Family.LQ_JACOBI and p.ctype == CType.TYPE_II and p.b == 0
+    ) and virtual_data(p).alpha_prime < 0
+    # suite -> (needs the virtual-state range, checks), in run order; base
+    # runs before structural because both draw from the seeded rng
+    table = {
+        "base": (False, lambda: _base_checks(p, nmax, rng)),
+        "virtual": (True, lambda: _virtual_checks(p)),
+        "deformed": (False, lambda: _deformed_checks(d, p, nmax)),
+        "structural": (True, lambda: structural_checks(d, p, nmax, rng)),
+        "reflection": (True, lambda: reflection_checks(p)),
+        "ortho": (False, lambda: orthogonality_check(d, p, nmax, eps)),
+        "zeros": (False, lambda: _zeros_checks(d, p, min(nmax, 4), prec_bits)),
+        "positivity": (False, lambda: positivity_scan(d, p, xmax)),
+    }
+    wanted = {_SUITE_ALIASES.get(s, s) for s in suites}
+    checks: list[CheckResult] = []
+    for name, (needs_virtual, run) in table.items():
+        if name not in wanted:
+            continue
+        if needs_virtual and not in_virtual_range:
+            checks.append(
+                _check(
+                    name + "_suite_skipped",
+                    False,
+                    "virtual-state range does not cover this base parameter point",
+                    soft=True,
+                )
             )
-        )
-
-    if "base" in suites:
-        guarded("base_suite_error", lambda: _base_checks(p, nmax, rng))
-    if "virtual" in suites:
-        if applicable:
-            guarded("virtual_suite_error", lambda: _virtual_checks(p, rng))
-        else:
-            note("virtual_suite_skipped")
-    if "deformed" in suites or "shifts" in suites:
-        guarded("deformed_suite_error", lambda: _deformed_checks(d, p, nmax))
-    if "structural" in suites:
-        if applicable:
-            guarded("structural_suite_error",
-                    lambda: structural_checks(d, p, nmax, rng))
-        else:
-            note("structural_suite_skipped")
-    if "reflection" in suites:
-        if applicable:
-            guarded("reflection_suite_error", lambda: reflection_checks(p))
-        else:
-            note("reflection_suite_skipped")
-    if "ortho" in suites:
-        guarded("ortho_suite_error", lambda: orthogonality_check(d, p, nmax, eps))
-    if "zeros" in suites:
-        guarded("zeros_suite_error", lambda: _zeros_checks(d, p, min(nmax, 4), prec_bits))
-    if "positivity" in suites:
-        guarded("positivity_suite_error", lambda: positivity_scan(d, p, xmax))
+            continue
+        try:
+            checks.extend(run())
+        except LittleQError as exc:
+            checks.append(
+                _check(name + "_suite_error", False, "%s: %s" % (type(exc).__name__, exc))
+            )
     params_echo = {
         "family": p.family.value,
         "type": int(p.ctype),

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -165,6 +166,25 @@ def test_main_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--eps", "0"],
+        ["verify", "--xmax", "5"],
+        ["verify", "--prec-bits", "64"],
+        ["table", "--eps", "0"],
+        ["construct", "--nmax", "-1"],
+        ["verify", "--nmax", "-1"],
+        ["table", "--nmax", "-1"],
+        ["zeros", "--nmax", "-1"],
+    ],
+)
+def test_main_rejects_invalid_numeric_options(capsys, argv):
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid input" in err
+
+
 def test_main_rejects_unknown_flag(capsys):
     assert main(["verify", "--bogus", "1"]) == EXIT_INVALID
     capsys.readouterr()
@@ -181,6 +201,30 @@ def test_negative_b_equals_syntax():
     # argparse needs the --b=-1/4 form for negative rationals
     cfg = make_cfg(["verify", "--indices", "2", "--b=-1/4", "--nmax", "2"])
     assert cfg.b == F(-1, 4)
+
+
+# sha256 of the full stdout; witness and bound strings are part of the pin
+GOLDEN_STDOUT = [
+    (["verify", "--indices", "1,2", "--nmax", "3", "--seed", "3"],
+     "209cdba8d5fcaabc9a1513a0e603c952d6e2b819a370485dfdfdf55970eb71e3"),
+    (["verify", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "2"],
+     "628209ccd51ba3d5c495533581d15c82cec91e1af2496445fcbce85a6603b7f8"),
+    # base-only point: the virtual-range suites are skipped with warnings
+    (["verify", "--indices", "", "--b", "3/4", "--nmax", "2"],
+     "8946f0283132af435c7e6ae8af552f8f41fc08513d45adc22e85122ce1b05de6"),
+    (["table", "--indices", "1,2", "--nmax", "3"],
+     "f76589b3244c2748ca8021df25d39246fcaa01563845dca004d24f6b3d4243f3"),
+    (["zeros", "--indices", "1,2", "--nmax", "3"],
+     "1a32ffb03f5f6c0077fc9a9c08d0df5ec3326ccfd4c206b56d032c6421caf7f3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, argv, digest):
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_byte_identical():

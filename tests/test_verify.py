@@ -10,7 +10,9 @@ from littleq import (
     InvalidParamsError,
     NonConvergenceError,
     Params,
+    RootFindingFailureError,
 )
+from littleq import verify
 from littleq.verify import (
     OrthogonalityData,
     _certified_sum,
@@ -67,6 +69,29 @@ def test_certified_sum_monotone_under_refinement(pj, pl):
                 for x in range(tb.truncation_x + 1, 2 * tb.truncation_x + 1)
             )
             assert abs(extended) <= tb.tail_estimate
+
+
+def test_pair_sums_weigh_each_lattice_point_once(pj):
+    data = OrthogonalityData(IndexSet.of(1, 2), pj, 3, EPS)
+    weight, seen = data.weight, []
+
+    def counted(x):
+        seen.append(x)
+        return weight(x)
+
+    data.weight = counted
+    sums = {(n, m): data.pair_sum(n, m) for n in range(4) for m in range(n, 4)}
+    assert seen == list(range(max(tb.truncation_x for tb in sums.values()) + 1))
+    for (n, m), tb in sums.items():
+        pn, pm = data.polys[n], data.polys[m]
+        assert tb == _certified_sum(
+            lambda x: weight(x) * pn.eval_int(x) * pm.eval_int(x), data.rho, EPS
+        )
+
+
+def test_orthogonality_data_rejects_bad_eps(pj):
+    with pytest.raises(InvalidParamsError):
+        OrthogonalityData(IndexSet.of(2), pj, 2, F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +154,37 @@ def test_zeros_lowest_level_all_unphysical(pj):
 def test_zeros_requires_precision(pj):
     with pytest.raises(InvalidParamsError):
         zeros_report(IndexSet.of(2), 1, pj, prec_bits=64)
+
+
+def _counting_roots(monkeypatch, fail_at=None):
+    roots, levels = verify.polynomial_roots, []
+
+    def counted(d, n, p, prec_bits=256):
+        levels.append(n)
+        if n == fail_at:
+            raise RootFindingFailureError("forced at level %d" % n)
+        return roots(d, n, p, prec_bits)
+
+    monkeypatch.setattr(verify, "polynomial_roots", counted)
+    return levels
+
+
+def test_zeros_suite_root_finds_each_level_once(pj, monkeypatch):
+    levels = _counting_roots(monkeypatch)
+    rep = run_suite(IndexSet.of(1, 2), pj, nmax=3, suites=("zeros",))
+    assert levels == [0, 1, 2, 3, 4]  # nmax + 2 levels, each once
+    assert [c.name for c in rep.checks] == ["zeros_n%d" % n for n in range(4)]
+    assert rep.overall == "pass"
+
+
+def test_zeros_suite_keeps_levels_below_a_root_finding_failure(pj, monkeypatch):
+    _counting_roots(monkeypatch, fail_at=3)
+    rep = run_suite(IndexSet.of(1, 2), pj, nmax=4, suites=("zeros",))
+    assert [(c.name, c.status) for c in rep.checks] == [
+        ("zeros_n0", "pass"),
+        ("zeros_n1", "pass"),
+        ("zeros_rootfinding", "fail"),
+    ]
 
 
 def test_zeros_deterministic(pj):
@@ -227,6 +283,19 @@ def test_run_suite_rejects_mismatched_dmax(pj):
 def test_run_suite_rejects_unknown_suite(pj):
     with pytest.raises(InvalidParamsError):
         run_suite(IndexSet.of(2), pj, suites=("nonsense",))
+
+
+def test_run_suite_shifts_is_deformed(pj):
+    def report(suite):
+        return run_suite(IndexSet.of(1, 2), pj, nmax=2, suites=(suite,)).to_dict()
+
+    assert report("shifts") == report("deformed")
+
+
+def test_run_suite_rejects_bad_numeric_options(pj):
+    for kwargs in ({"nmax": -1}, {"eps": F(0)}, {"xmax": 5}, {"prec_bits": 64}):
+        with pytest.raises(InvalidParamsError):
+            run_suite(IndexSet.of(2), pj, suites=("positivity",), **kwargs)
 
 
 def test_run_suite_subset(pj):
