@@ -175,7 +175,6 @@ def cmd_construct(cfg: RunConfig) -> tuple[str, int]:
     polys = []
     for n in range(cfg.nmax + 1):
         poly = level_poly(d, n, p)
-        poly_y = poly.to_laurent()
         polys.append(
             {
                 "n": n,
@@ -184,7 +183,7 @@ def cmd_construct(cfg: RunConfig) -> tuple[str, int]:
                 "ell_D": d.degree_offset,
                 "leading": fmt_rational(poly.leading),
                 "value_at_0": fmt_rational(poly.eval_int(0)),
-                "value_at_inf": fmt_rational(poly_y.at_infinity()),
+                "value_at_inf": fmt_rational(poly.eval_eta(1)),  # y -> 0 is eta -> 1
             }
         )
     obj = {
@@ -205,7 +204,7 @@ def cmd_construct(cfg: RunConfig) -> tuple[str, int]:
             "ell_D": d.degree_offset,
             "leading": fmt_rational(xi.leading),
             "value_at_minus1": fmt_rational(xi.eval_int(-1)),
-            "value_at_inf": fmt_rational(xi.to_laurent().at_infinity()),
+            "value_at_inf": fmt_rational(xi.eval_eta(1)),
         }
     return json.dumps(obj, indent=2) + "\n", EXIT_OK
 

@@ -7,10 +7,18 @@ carried as finite Laurent polynomials in the formal variable y = q^x: the
 shift x -> x+s then becomes the exact substitution y -> q^s * y, and the
 sinusoidal coordinate eta(x) = 1 - q^x is the linear change of basis
 eta = 1 - y.
+
+A LaurentPoly is stored as y^val * (num[0] + num[1] y + ...) / den with a
+tuple of Python ints ``num`` (first and last entries nonzero), den > 0 and
+gcd(den, *num) == 1.  This form is unique, so equality is equality of storage,
+and multiplication, addition, shifts (q = r/t), evaluation and exact division
+all run on integers; Fractions appear only at the public boundary (``coeff``,
+``coeff_dict``/``coeffs``, ``eval_int``, ``to_eta``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Fraction
@@ -128,23 +136,52 @@ def qhyper_terminating(
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in y = q^x over Fraction coefficients.
+    """Laurent polynomial in y = q^x with rational coefficients.
 
-    Immutable by convention: no method mutates ``coeffs`` after construction.
-    The base q is carried so that shifts in x are self-contained.
+    Stored as ``y^val * (num[0] + num[1]*y + ... ) / den`` with ``num`` a
+    tuple of ints whose first and last entries are nonzero, ``den > 0`` and
+    ``gcd(den, *num) == 1``; the zero polynomial is ``num == ()``, ``val == 0``,
+    ``den == 1``.  The representation is canonical, so equal polynomials have
+    equal storage, and every ring operation runs on integers.  Immutable by
+    convention.  The base q is carried so that shifts in x are self-contained.
     """
 
-    __slots__ = ("q", "coeffs")
+    __slots__ = ("q", "val", "num", "den")
 
     def __init__(self, q: ScalarLike, coeffs: Mapping[int, ScalarLike] | None = None):
         self.q = scalar(q)
-        cs = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                c = scalar(c)
-                if c != 0:
-                    cs[int(d)] = c
-        self.coeffs = cs
+        terms = {int(d): scalar(c) for d, c in coeffs.items() if c} if coeffs else {}
+        if not terms:
+            self.val, self.num, self.den = 0, (), 1
+            return
+        # over the lcm of the reduced denominators the content is already coprime to it
+        lo = min(terms)
+        den = lcm(*(c.denominator for c in terms.values()))
+        num = [0] * (max(terms) - lo + 1)
+        for d, c in terms.items():
+            num[d - lo] = c.numerator * (den // c.denominator)
+        self.val, self.num, self.den = lo, tuple(num), den
+
+    def _new(self, val: int, num: Sequence[int], den: int) -> "LaurentPoly":
+        """Normalized y^val * num / den over this polynomial's q."""
+        hi = len(num)
+        while hi and not num[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not num[lo]:
+            lo += 1
+        if lo == hi:
+            return LaurentPoly.zero(self.q)
+        num = num[lo:hi]
+        if den < 0:
+            den, num = -den, [-c for c in num]
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [c // g for c in num]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.q, out.val, out.num, out.den = self.q, val + lo, tuple(num), den
+        return out
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -171,31 +208,41 @@ class LaurentPoly:
     # -- inspection ---------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def min_deg(self) -> int:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no degree")
-        return min(self.coeffs)
+        return self.val
 
     @property
     def max_deg(self) -> int:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
+        return self.val + len(self.num) - 1
 
     def coeff(self, d: int) -> Fraction:
-        return self.coeffs.get(d, Fraction(0))
+        i = d - self.val
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
+        return Fraction(0)
 
     def coeff_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
+        """The nonzero terms as {degree: coefficient}."""
+        den, val = self.den, self.val
+        return {val + i: Fraction(c, den) for i, c in enumerate(self.num) if c}
+
+    coeffs = property(coeff_dict)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.q == other.q and self.coeffs == other.coeffs
+            return (self.q == other.q and self.val == other.val
+                    and self.den == other.den and self.num == other.num)
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == ({0: scalar(other)} if other != 0 else {})
+            if not other:
+                return not self.num
+            return self.val == 0 and len(self.num) == 1 and self.coeff(0) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -220,22 +267,28 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        cs = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = cs.get(d, Fraction(0)) + c
-            if s:
-                cs[d] = s
-            else:
-                cs.pop(d, None)
-        out = LaurentPoly.zero(self.q)
-        out.coeffs = cs
-        return out
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        # both over lcm(den1, den2), aligned at the lower valuation
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        val = min(self.val, other.val)
+        oa, ob = self.val - val, other.val - val
+        out = [0] * max(oa + len(self.num), ob + len(other.num))
+        for i, c in enumerate(self.num, oa):
+            out[i] = c * fa
+        for i, c in enumerate(other.num, ob):
+            out[i] += c * fb
+        return self._new(val, out, self.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.zero(self.q)
-        out.coeffs = {d: -c for d, c in self.coeffs.items()}
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.q, out.val, out.den = self.q, self.val, self.den
+        out.num = tuple(-c for c in self.num)
         return out
 
     def __sub__(self, other):
@@ -252,18 +305,15 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        cs: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                s = cs.get(d, Fraction(0)) + c1 * c2
-                if s:
-                    cs[d] = s
-                else:
-                    cs.pop(d, None)
-        out = LaurentPoly.zero(self.q)
-        out.coeffs = cs
-        return out
+        a, b = self.num, other.num
+        if not a or not b:
+            return LaurentPoly.zero(self.q)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return self._new(self.val + other.val, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -281,10 +331,8 @@ class LaurentPoly:
 
     def scale(self, c: ScalarLike) -> "LaurentPoly":
         c = scalar(c)
-        out = LaurentPoly.zero(self.q)
-        if c != 0:
-            out.coeffs = {d: c * v for d, v in self.coeffs.items()}
-        return out
+        n, d = c.numerator, c.denominator
+        return self._new(self.val, [v * n for v in self.num], self.den * d)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -296,22 +344,35 @@ class LaurentPoly:
         return NotImplemented
 
     # -- the operations that make y mean q^x ---------------------------
+    def _ratio(self, x: int) -> tuple[int, int]:
+        """q^x as a pair of integers (R, T) with q^x = R/T."""
+        r, t = self.q.numerator, self.q.denominator
+        return (r ** x, t ** x) if x >= 0 else (t ** -x, r ** -x)
+
     def shift(self, s: int) -> "LaurentPoly":
         """The polynomial representing x -> x+s; coefficient of y^d gains q^{d*s}."""
         if s == 0 or self.is_zero:
             return self
-        q = self.q
-        out = LaurentPoly.zero(q)
-        out.coeffs = {d: c * q ** (d * s) for d, c in self.coeffs.items()}
-        return out
+        # q^{(val+i)s} = (A/B) * R^i T^{n-i} / T^n with R/T = q^s, A/B = q^{val*s}
+        R, T = self._ratio(s)
+        A, B = self._ratio(self.val * s)
+        n = len(self.num) - 1
+        out = [c * A * R ** i * T ** (n - i) for i, c in enumerate(self.num)]
+        return self._new(self.val, out, self.den * B * T ** n)
 
     def eval_int(self, x: int) -> Fraction:
         """Exact value at integer x, i.e. at y = q^x."""
-        yx = self.q ** x
-        total = Fraction(0)
-        for d, c in self.coeffs.items():
-            total += c * yx ** d
-        return total
+        if not self.num:
+            return Fraction(0)
+        # integer Horner for sum_i num_i R^i T^{n-1-i} = T^{n-1} * sum_i num_i q^{xi}
+        R, T = self._ratio(x)
+        num = self.num
+        acc, tp = num[-1], 1
+        for c in num[-2::-1]:
+            tp *= T
+            acc = acc * R + c * tp
+        A, B = self._ratio(x * self.val)  # q^{x*val} = A/B
+        return Fraction(acc * A, self.den * tp * B)
 
     def at_infinity(self) -> Fraction:
         """Limit x -> infinity (y -> 0): the degree-0 coefficient."""
@@ -326,7 +387,10 @@ class LaurentPoly:
         """Exact quotient self/other; NonExactDivisionError on any remainder.
 
         In the Laurent ring monomials are units, so only the polynomial parts
-        (after stripping valuations) need to divide.
+        (after stripping valuations) need to divide.  The divisor's numerator
+        is made primitive first; by Gauss's lemma an exact quotient of an
+        integer polynomial by a primitive one has integer coefficients, so
+        every step of the integer long division must divide exactly.
         """
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(self.q, other)
@@ -335,42 +399,45 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return LaurentPoly.zero(self.q)
-        amin, amax = self.min_deg, self.max_deg
-        bmin, bmax = other.min_deg, other.max_deg
-        la, lb = amax - amin + 1, bmax - bmin + 1
+        la, lb = len(self.num), len(other.num)
         if la < lb:
             raise NonExactDivisionError("degree of dividend below divisor")
-        A = [self.coeff(amin + i) for i in range(la)]
-        B = [other.coeff(bmin + i) for i in range(lb)]
+        content = gcd(*other.num)
+        B = [c // content for c in other.num]
+        A = list(self.num)
         lead = B[-1]
         qlen = la - lb + 1
-        Q = [Fraction(0)] * qlen
+        Q = [0] * qlen
         for i in range(qlen - 1, -1, -1):
-            c = A[i + lb - 1] / lead
+            c, rem = divmod(A[i + lb - 1], lead)
+            if rem:
+                raise NonExactDivisionError("nonzero remainder in exact division")
             Q[i] = c
             if c:
-                for j, bj in enumerate(B):
-                    A[i + j] -= c * bj
+                for j, bj in enumerate(B, i):
+                    A[j] -= c * bj
         if any(A):
             raise NonExactDivisionError("nonzero remainder in exact division")
-        return LaurentPoly(self.q, {amin - bmin + i: Q[i] for i in range(qlen)})
+        # self/other = y^(va-vb) * Q * den_b / (den_a * content)
+        return self._new(self.val - other.val, [c * other.den for c in Q],
+                         self.den * content)
 
     def to_eta(self) -> "EtaPoly":
         """Exact change of basis y = 1 - eta; requires a genuine polynomial."""
         if self.is_zero:
             return EtaPoly(self.q, ())
-        if self.min_deg < 0:
+        if self.val < 0:
             raise NegativePowersError("cannot express negative powers of y in eta")
-        # Horner in (1 - eta)
-        res = [self.coeff(self.max_deg)]
-        for d in range(self.max_deg - 1, -1, -1):
-            nxt = [Fraction(0)] * (len(res) + 1)
-            for i, c in enumerate(res):
-                nxt[i] += c
-                nxt[i + 1] -= c
-            nxt[0] += self.coeff(d)
+        # integer Horner in (1 - eta) over the coefficients of y^0 .. y^max_deg
+        ys = [0] * self.val + list(self.num)
+        res = [ys[-1]]
+        for c in ys[-2::-1]:
+            nxt = res + [0]
+            for i in range(len(res)):
+                nxt[i + 1] -= res[i]
+            nxt[0] += c
             res = nxt
-        return EtaPoly(self.q, res)
+        return EtaPoly(self.q, [Fraction(c, self.den) for c in res])
 
 
 class EtaPoly:

@@ -216,6 +216,16 @@ GOLDEN_STDOUT = [
      "f76589b3244c2748ca8021df25d39246fcaa01563845dca004d24f6b3d4243f3"),
     (["zeros", "--indices", "1,2", "--nmax", "3"],
      "1a32ffb03f5f6c0077fc9a9c08d0df5ec3326ccfd4c206b56d032c6421caf7f3"),
+    # q numerators other than 1, so every power of r in the exact ring shows
+    (["construct", "--q", "3/5", "--a", "1/3", "--b", "1/50", "--indices", "1,2",
+      "--nmax", "4"],
+     "2b3c4d9e0d71d7a38655914d0be35224e9ec3b92a9e3a105376035e49f417dc7"),
+    (["verify", "--q", "3/5", "--a", "1/3", "--b", "1/50", "--indices", "1,2",
+      "--nmax", "4"],
+     "b833ced3773c376a9796f93939e4f54cfce1b0170da707cfe5b065a4c42e30e1"),
+    (["construct", "--type", "1", "--q", "2/3", "--a", "1/20", "--b", "1/5",
+      "--indices", "1,2", "--nmax", "3"],
+     "ffc8c96c85bad01689c381097aadc808055b10881d80a654438c32158eb3ead5"),
 ]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -264,3 +265,226 @@ def test_det_matches_oracle_small(n, data):
         [data.draw(laurent(-2, 2)) for _ in range(n)] for _ in range(n)
     ]
     assert det_laurent(rows) == _det_oracle(rows, Q)
+
+
+# ---------------------------------------------------------------------------
+# integer storage against a Fraction-dict reference, q numerators other than 1
+# ---------------------------------------------------------------------------
+
+QS = (F(1, 2), F(2, 3), F(3, 5), F(5, 7))
+
+
+def ref_of(p):
+    """Reference {degree: Fraction} of a polynomial (nonzero terms only)."""
+    return {d: p.coeff(d) for d in range(p.min_deg, p.max_deg + 1)
+            if p.coeff(d)} if not p.is_zero else {}
+
+
+def ref_clean(d):
+    return {k: v for k, v in d.items() if v}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, F(0)) + v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for i, u in a.items():
+        for j, v in b.items():
+            out[i + j] = out.get(i + j, F(0)) + u * v
+    return ref_clean(out)
+
+
+def ref_divide(a, b):
+    """Quotient a/b in the Laurent ring by Fraction long division, or None."""
+    if not a:
+        return {}
+    amin, bmin = min(a), min(b)
+    A = [a.get(amin + i, F(0)) for i in range(max(a) - amin + 1)]
+    B = [b.get(bmin + i, F(0)) for i in range(max(b) - bmin + 1)]
+    if len(A) < len(B):
+        return None
+    quot = {}
+    for i in range(len(A) - len(B), -1, -1):
+        c = A[i + len(B) - 1] / B[-1]
+        quot[amin - bmin + i] = c
+        for j, bj in enumerate(B):
+            A[i + j] -= c * bj
+    return ref_clean(quot) if not any(A) else None
+
+
+def ref_to_eta(a):
+    """Coefficients in eta of sum_d c_d (1 - eta)^d."""
+    top = max(a, default=-1)
+    return [sum(c * math.comb(d, k) * (-1) ** k for d, c in a.items() if d >= k)
+            for k in range(top + 1)]
+
+
+def ref_det(rows):
+    n = len(rows)
+    total = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = {0: F(1)}
+        for i in range(n):
+            term = ref_mul(term, rows[i][perm[i]])
+        if inversions % 2:
+            term = {k: -v for k, v in term.items()}
+        total = ref_add(total, term)
+    return total
+
+
+def assert_canonical(p):
+    """The storage invariant: trimmed integer numerator, den > 0, coprime."""
+    if p.is_zero:
+        assert (p.val, p.num, p.den) == (0, (), 1)
+        return
+    assert all(isinstance(c, int) for c in p.num)
+    assert p.num[0] and p.num[-1] and p.den > 0
+    assert math.gcd(p.den, *p.num) == 1
+
+
+def coeff_maps(min_deg=-4, max_deg=4):
+    return st.dictionaries(
+        st.integers(min_value=min_deg, max_value=max_deg), fractions, max_size=5
+    )
+
+
+@st.composite
+def q_and_maps(draw, count, min_deg=-4, max_deg=4):
+    return draw(st.sampled_from(QS)), [draw(coeff_maps(min_deg, max_deg))
+                                       for _ in range(count)]
+
+
+@given(q_and_maps(2))
+def test_ring_ops_match_reference(qm):
+    q, (a, b) = qm
+    pa, pb = LaurentPoly(q, a), LaurentPoly(q, b)
+    ra, rb = ref_clean(a), ref_clean(b)
+    for got, want in (
+        (pa * pb, ref_mul(ra, rb)),
+        (pa + pb, ref_add(ra, rb)),
+        (pa - pb, ref_add(ra, {k: -v for k, v in rb.items()})),
+        (-pa, {k: -v for k, v in ra.items()}),
+    ):
+        assert_canonical(got)
+        assert got.coeff_dict() == want
+
+
+@given(q_and_maps(1), fractions)
+def test_scale_matches_reference(qm, c):
+    q, (a,) = qm
+    got = LaurentPoly(q, a).scale(c)
+    assert_canonical(got)
+    assert got.coeff_dict() == ref_clean({k: v * c for k, v in a.items()})
+    assert (LaurentPoly(q, a) * c) == got
+
+
+@given(q_and_maps(1), st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=-4, max_value=4))
+def test_shift_and_eval_match_reference(qm, s, x):
+    q, (a,) = qm
+    p = LaurentPoly(q, a)
+    shifted = p.shift(s)
+    assert_canonical(shifted)
+    assert shifted.coeff_dict() == ref_clean({d: c * q ** (d * s) for d, c in a.items()})
+    value = p.eval_int(x)
+    assert isinstance(value, F)
+    assert value == sum((c * q ** (x * d) for d, c in a.items()), F(0))
+
+
+@given(q_and_maps(2))
+@settings(deadline=None)
+def test_divide_exact_roundtrip_any_q(qm):
+    q, (a, b) = qm
+    pa, pb = LaurentPoly(q, a), LaurentPoly(q, b)
+    if pb.is_zero:
+        return
+    got = (pa * pb).divide_exact(pb)
+    assert_canonical(got)
+    assert got == pa
+    assert got.coeff_dict() == ref_divide(ref_mul(ref_of(pa), ref_of(pb)), ref_of(pb))
+
+
+@given(q_and_maps(3), st.data())
+def test_divide_exact_remainder_raises_any_q(qm, data):
+    q, (quot, div, rem) = qm
+    pd = LaurentPoly(q, div)
+    if pd.is_zero or pd.max_deg == pd.min_deg:
+        return  # monomials are units: every division by them is exact
+    # a nonzero remainder of shorter span than the divisor is never divisible by it
+    span = pd.max_deg - pd.min_deg
+    lo = data.draw(st.integers(min_value=-4, max_value=4))
+    pr = LaurentPoly(q, {d: c for d, c in rem.items() if d - min(rem) < span})
+    if pr.is_zero:
+        return
+    pr = pr * LaurentPoly.monomial(q, lo - pr.min_deg)
+    dividend = LaurentPoly(q, quot) * pd + pr
+    assert ref_divide(ref_of(dividend), ref_of(pd)) is None
+    with pytest.raises(NonExactDivisionError):
+        dividend.divide_exact(pd)
+
+
+def test_divide_exact_non_primitive_divisor():
+    q = F(3, 5)
+    div = LaurentPoly(q, {-1: 6, 0: -4, 2: 10})  # content 2, lead 10
+    quot = LaurentPoly(q, {0: F(1, 3), 1: F(-7, 9), 3: 5})
+    assert (quot * div).divide_exact(div) == quot
+    assert (quot * div).divide_exact(div.scale(F(-5, 3))) == quot.scale(F(-3, 5))
+
+
+@given(q_and_maps(1, 0, 7))
+def test_to_eta_matches_reference(qm):
+    q, (a,) = qm
+    e = LaurentPoly(q, a).to_eta()
+    want = ref_to_eta(ref_clean(a))
+    while want and want[-1] == 0:
+        want.pop()
+    assert e.q == q and list(e.coeffs) == want
+
+
+@given(st.sampled_from(QS), st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=30, deadline=None)
+def test_det_matches_reference_any_q(q, n, data):
+    maps = [[data.draw(coeff_maps(-2, 2)) for _ in range(n)] for _ in range(n)]
+    got = det_laurent([[LaurentPoly(q, m) for m in row] for row in maps])
+    assert_canonical(got)
+    assert got.coeff_dict() == ref_det([[ref_clean(m) for m in row] for row in maps])
+
+
+@given(q_and_maps(1))
+def test_eq_hash_repr_match_reference(qm):
+    q, (a,) = qm
+    p = LaurentPoly(q, a)
+    ref = ref_clean(a)
+    assert hash(p) == hash((q, tuple(sorted(ref.items()))))
+    body = " + ".join("%s*y^%d" % (c, d) if d else str(c) for d, c in sorted(ref.items()))
+    assert repr(p) == ("LaurentPoly(%s)" % body if ref else "LaurentPoly(0)")
+    other = LaurentPoly(q, dict(reversed(list(a.items()))))
+    assert p == other and hash(p) == hash(other)
+    assert (p == ref.get(0, 0)) == (set(ref) <= {0})
+    assert p != LaurentPoly(q, ref_add(ref, {5: F(1)}))
+
+
+@given(q_and_maps(2))
+def test_coeffs_is_a_dict_of_nonzero_fractions(qm):
+    q, (a, b) = qm
+    p, r = LaurentPoly(q, a), LaurentPoly(q, b)
+    cs = p.coeffs
+    assert isinstance(cs, dict) and cs == p.coeff_dict() == ref_clean(a)
+    assert all(isinstance(d, int) and isinstance(c, F) and c for d, c in cs.items())
+    if not r.is_zero:
+        again = (p * r).divide_exact(r)
+        assert again.coeffs == cs and again.coeff_dict() == p.coeff_dict()
+
+
+def test_zero_polynomial_coeffs_empty():
+    for q in QS:
+        z = LaurentPoly.zero(q)
+        assert z.coeffs == {} and z.coeff_dict() == {}
+        assert LaurentPoly(q, {2: F(1, 3)}) - LaurentPoly(q, {2: F(1, 3)}) == z
+        assert (LaurentPoly(q, {-1: 3}) * z).coeffs == {}
