@@ -496,17 +496,6 @@ class EtaPoly:
         """Exact value at integer lattice point x, i.e. at eta = 1 - q^x."""
         return self.eval_eta(1 - self.q ** x)
 
-    def to_laurent(self) -> LaurentPoly:
-        """Exact change of basis eta = 1 - y."""
-        q = self.q
-        if self.is_zero:
-            return LaurentPoly.zero(q)
-        res = LaurentPoly.const(q, self.coeffs[-1])
-        one_minus_y = LaurentPoly(q, {0: 1, 1: -1})
-        for k in range(len(self.coeffs) - 2, -1, -1):
-            res = res * one_minus_y + self.coeffs[k]
-        return res
-
 
 def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]], q: Fraction) -> LaurentPoly:
     n = len(rows)

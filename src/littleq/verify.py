@@ -1,15 +1,19 @@
 """Verification suite: exact identity checks, certified orthogonality sums,
-numeric zero location and interlacing, positivity scans.
+exact zero counts and interlacing, positivity scans.
 
 Exact checks pass only when a residual object is identically zero.  The
 infinite orthogonality sums are handled with exact partial sums plus a
 certified geometric tail: the term ratio is computed exactly and must stay
 below rho < 1 for eight consecutive lattice points before the bound
-last_term * rho / (1 - rho) is trusted.  Zero location is the only place
-floating point enters, at a caller-chosen precision with residual control.
+last_term * rho / (1 - rho) is trusted.  Zero counts and interlacing are
+proved on integer numerators (Descartes' rule of signs with
+Vincent-Collins-Akritas bisection, exact sign evaluations).  Floating point
+enters only in polynomial_roots, for the root values the zeros command
+prints, at a caller-chosen precision with residual control.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -362,18 +366,146 @@ def orthogonality_check(
 # ---------------------------------------------------------------------------
 
 
+def _sign_at(a: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial a (lowest degree first) at x."""
+    acc, pw = 0, 1
+    for c in reversed(a):  # den^deg * a(num/den), by Horner
+        acc, pw = acc * x.numerator + c * pw, pw * x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _taylor_shift(a: Sequence[int], c: int) -> list[int]:
+    """Coefficients of a(x + c)."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
+
+
+def _descartes(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + t)^deg a((lo + hi t) / (1 + t)).
+
+    By Descartes' rule this bounds the number of zeros of a in (lo, hi), with
+    the same parity, so a count of 0 or 1 is exact.
+    """
+    den = math.lcm(lo.denominator, hi.denominator)
+    u, v, deg = int(lo * den), int((hi - lo) * den), len(a) - 1
+    b = _taylor_shift([c * den ** (deg - i) for i, c in enumerate(a)], u)
+    b = _taylor_shift([c * v ** i for i, c in enumerate(b)][::-1], 1)
+    signs = [c > 0 for c in b if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _isolate(a: Sequence[int], lo: Fraction, hi: Fraction) -> list[list[Fraction]]:
+    """Vincent-Collins-Akritas bisection: isolating intervals [lo, hi] of the
+    zeros of the squarefree polynomial a in the open interval (lo, hi), in
+    increasing order; lo == hi marks an exact zero, otherwise the one zero
+    lies strictly inside."""
+    count = _descartes(a, lo, hi)
+    if count < 2:
+        return [[lo, hi]] * count
+    mid = (lo + hi) / 2
+    exact = [[mid, mid]] if _sign_at(a, mid) == 0 else []
+    return _isolate(a, lo, mid) + exact + _isolate(a, mid, hi)
+
+
+def _bisect(a: Sequence[int], iv: list[Fraction]) -> None:
+    """Halve, in place, the isolating interval iv of a simple zero of a."""
+    lo, hi = iv
+    mid = (lo + hi) / 2
+    s = _sign_at(a, mid)
+    # just above lo, a has the sign of a(lo), or of a'(lo) where a(lo) = 0
+    below = _sign_at(a, lo) or _sign_at([i * c for i, c in enumerate(a)][1:], lo)
+    if s == 0:
+        iv[:] = mid, mid
+    elif s == below:  # the zero lies above mid
+        iv[0] = mid
+    else:
+        iv[1] = mid
+
+
+def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True proves the integer polynomials a and b coprime over the rationals:
+    they are coprime modulo the prime m = 2^61 - 1, which keeps the degree of
+    a.  False means they may share a factor."""
+    m = (1 << 61) - 1
+    x, y = [c % m for c in a], [c % m for c in b]
+    if not x[-1]:
+        return False
+    while y and not y[-1]:
+        y.pop()
+    while y:
+        inv = pow(y[-1], -1, m)
+        while len(x) >= len(y):
+            f, k = x.pop() * inv % m, len(x) + 1 - len(y)
+            for i, c in enumerate(y[:-1]):
+                x[k + i] = (x[k + i] - f * c) % m
+            while x and not x[-1]:
+                x.pop()
+        x, y = y, x
+    return len(x) == 1
+
+
+def _level_zeros(poly: EtaPoly, n: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Integer numerator of the level-n polynomial (lowest degree first) and
+    the isolating intervals of its zeros in the physical range [0, 1), found
+    exactly (see _isolate).  Bisection cannot separate a repeated zero, so a
+    level whose zeros are not proved simple raises RootFindingFailureError."""
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    a = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    if not _coprime(a, [i * c for i, c in enumerate(a)][1:]):
+        raise RootFindingFailureError(
+            "level %d: no proof that its zeros are simple (P and P' share a "
+            "factor modulo 2^61 - 1)" % n
+        )
+    zero, one = Fraction(0), Fraction(1)
+    return a, ([[zero, zero]] if a[0] == 0 else []) + _isolate(a, zero, one)
+
+
+def _interlaced(level, upper) -> bool:
+    """Whether the zeros in [0, 1) of this level and of the next (upper)
+    strictly alternate, with a zero of the next level first and last.
+
+    Overlapping isolating intervals of the two levels are bisected until all
+    are disjoint, which ends because the levels are proved coprime first;
+    levels not proved coprime count as not interlaced.
+    """
+    (a, ra), (b, rb) = level, upper
+    if len(rb) != len(ra) + 1:
+        return False
+    if not _coprime(a, b):
+        return False  # the levels may share a zero
+    tagged = [(iv, a, 0) for iv in ra] + [(iv, b, 1) for iv in rb]
+    while True:
+        tagged.sort(key=lambda t: t[0])
+        crowded = [
+            u for s, t in zip(tagged, tagged[1:]) if s[0][1] > t[0][0] for u in (s, t)
+        ]
+        if not crowded:
+            return [tag for _, _, tag in tagged] == [1, 0] * len(ra) + [1]
+        for iv, poly, _ in crowded:
+            if iv[0] < iv[1]:
+                _bisect(poly, iv)
+
+
 def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     """High-precision roots in eta of the level-n polynomial, Newton-polished.
 
     Returns a list of (root: mpc, physical: bool) sorted by real part; the
     residual at every root must stay below 1e-30 on the scale of the leading
-    coefficient or RootFindingFailureError is raised.
+    coefficient or RootFindingFailureError is raised.  The physical flags come
+    from the exact isolation of the zeros in [0, 1): each isolating interval
+    flags the root of least imaginary part among those whose real part lies
+    in it (an exact zero, the nearest root), and an interval with no root of
+    its own raises RootFindingFailureError.
     """
     if prec_bits < 128:
         raise InvalidParamsError("prec_bits must be >= 128")
     poly = level_poly(d, n, p)
     if poly.degree < 1:
         return []
+    zeros = _level_zeros(poly, n)[1]
     with mpmath.workprec(prec_bits):
         coeffs = [
             mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
@@ -395,45 +527,49 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
                 r = r - val(r, coeffs) / der
             polished.append(r)
         lc = abs(coeffs[0])
-        out = []
         for r in polished:
             scale = lc * max(1, abs(r)) ** poly.degree
             if abs(val(r, coeffs)) > mpmath.mpf("1e-30") * scale:
                 raise RootFindingFailureError(
                     "root residual above tolerance at %s" % r
                 )
-            physical = abs(r.imag) < mpmath.mpf("1e-20") and 0 <= r.real < 1
-            out.append((r, physical))
+        physical: list[int] = []
+        for lo, hi in zeros:
+            # the endpoints are dyadic, so exact in binary floating point
+            lo_f, hi_f = (mpmath.mpf(e.numerator) / e.denominator for e in (lo, hi))
+            if lo == hi:
+                near = [(abs(r - lo_f), i) for i, r in enumerate(polished)]
+            else:
+                near = [(abs(r.imag), i) for i, r in enumerate(polished) if lo_f < r.real < hi_f]
+            if not near or min(near)[1] in physical:
+                raise RootFindingFailureError(
+                    "no computed root of its own in the isolating interval [%s, %s]"
+                    % (lo, hi)
+                )
+            physical.append(min(near)[1])
+        out = [(r, i in physical) for i, r in enumerate(polished)]
         out.sort(key=lambda t: (mpmath.mpf(t[0].real), mpmath.mpf(t[0].imag)))
         return out
 
 
-def _level_zeros(
-    d: IndexSet, n: int, p: Params, prec_bits: int
-) -> tuple[list[float], int]:
-    """Sorted physical zeros of level n and its count of unphysical ones."""
-    roots = polynomial_roots(d, n, p, prec_bits)
-    phys = sorted(float(r.real) for r, ok in roots if ok)
-    return phys, len(roots) - len(phys)
-
-
-def _zeros_summary(level: tuple[list[float], int], phys_next: list[float]) -> dict:
-    phys, unphys = level
-    interlaced = len(phys_next) == len(phys) + 1 and all(
-        phys_next[i] < z < phys_next[i + 1] for i, z in enumerate(phys)
-    )
+def _zeros_summary(level, upper) -> dict:
+    a, roots = level
     return {
-        "physical": len(phys),
-        "unphysical": unphys,
-        "interlaced_with_next": interlaced,
+        "physical": len(roots),
+        "unphysical": len(a) - 1 - len(roots),
+        "interlaced_with_next": _interlaced(level, upper),
     }
 
 
 def zeros_report(d: IndexSet, n: int, p: Params, prec_bits: int = 256) -> dict:
     """Counts of physical ([0,1)) vs unphysical zeros and the interlacing
-    verdict against level n+1."""
+    verdict against level n+1, all proved in exact arithmetic; prec_bits is
+    only validated (>= 128), as by run_suite."""
+    if prec_bits < 128:
+        raise InvalidParamsError("prec_bits must be >= 128")
     return _zeros_summary(
-        _level_zeros(d, n, p, prec_bits), _level_zeros(d, n + 1, p, prec_bits)[0]
+        _level_zeros(level_poly(d, n, p), n),
+        _level_zeros(level_poly(d, n + 1, p), n + 1),
     )
 
 
@@ -897,16 +1033,16 @@ def _deformed_checks(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
     return checks
 
 
-def _zeros_checks(d: IndexSet, p: Params, nmax: int, prec_bits: int) -> list[CheckResult]:
-    """One check per level n <= nmax; each level is root-found once, and its
+def _zeros_checks(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
+    """One check per level n <= nmax; each level is isolated once, and its
     zeros serve as level n's report and as level n-1's interlacing partner."""
     checks = []
     offset = d.degree_offset if p.ctype == CType.TYPE_II else None
     try:
-        level = _level_zeros(d, 0, p, prec_bits)
+        level = _level_zeros(level_poly(d, 0, p), 0)
         for n in range(nmax + 1):
-            next_level = _level_zeros(d, n + 1, p, prec_bits)
-            rep = _zeros_summary(level, next_level[0])
+            next_level = _level_zeros(level_poly(d, n + 1, p), n + 1)
+            rep = _zeros_summary(level, next_level)
             ok = rep["physical"] == n
             if offset is not None:
                 ok &= rep["unphysical"] == offset
@@ -976,7 +1112,7 @@ def run_suite(
         "structural": (True, lambda: structural_checks(d, p, nmax, rng)),
         "reflection": (True, lambda: reflection_checks(p)),
         "ortho": (False, lambda: orthogonality_check(d, p, nmax, eps)),
-        "zeros": (False, lambda: _zeros_checks(d, p, min(nmax, 4), prec_bits)),
+        "zeros": (False, lambda: _zeros_checks(d, p, min(nmax, 4))),
         "positivity": (False, lambda: positivity_scan(d, p, xmax)),
     }
     wanted = {_SUITE_ALIASES.get(s, s) for s in suites}

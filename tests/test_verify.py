@@ -1,18 +1,24 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from littleq import (
     CType,
+    EtaPoly,
     Family,
     IndexSet,
     InvalidParamsError,
     NonConvergenceError,
     Params,
     RootFindingFailureError,
+    level_poly,
 )
 from littleq import verify
+from littleq.exact import LittleQError
 from littleq.verify import (
     OrthogonalityData,
     _certified_sum,
@@ -156,34 +162,123 @@ def test_zeros_requires_precision(pj):
         zeros_report(IndexSet.of(2), 1, pj, prec_bits=64)
 
 
-def _counting_roots(monkeypatch, fail_at=None):
-    roots, levels = verify.polynomial_roots, []
+def _counting_levels(monkeypatch, fail_at=None):
+    isolate, levels = verify._level_zeros, []
 
-    def counted(d, n, p, prec_bits=256):
+    def counted(poly, n):
         levels.append(n)
         if n == fail_at:
             raise RootFindingFailureError("forced at level %d" % n)
-        return roots(d, n, p, prec_bits)
+        return isolate(poly, n)
 
-    monkeypatch.setattr(verify, "polynomial_roots", counted)
+    monkeypatch.setattr(verify, "_level_zeros", counted)
     return levels
 
 
 def test_zeros_suite_root_finds_each_level_once(pj, monkeypatch):
-    levels = _counting_roots(monkeypatch)
+    levels = _counting_levels(monkeypatch)
+    polyroots_calls = []
+    monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: polyroots_calls.append(a))
     rep = run_suite(IndexSet.of(1, 2), pj, nmax=3, suites=("zeros",))
     assert levels == [0, 1, 2, 3, 4]  # nmax + 2 levels, each once
+    assert polyroots_calls == []  # counts and interlacing are exact
     assert [c.name for c in rep.checks] == ["zeros_n%d" % n for n in range(4)]
     assert rep.overall == "pass"
 
 
 def test_zeros_suite_keeps_levels_below_a_root_finding_failure(pj, monkeypatch):
-    _counting_roots(monkeypatch, fail_at=3)
+    _counting_levels(monkeypatch, fail_at=3)
     rep = run_suite(IndexSet.of(1, 2), pj, nmax=4, suites=("zeros",))
     assert [(c.name, c.status) for c in rep.checks] == [
         ("zeros_n0", "pass"),
         ("zeros_n1", "pass"),
         ("zeros_rootfinding", "fail"),
+    ]
+
+
+def _float_report(d, n, p):
+    """The float route the exact one replaced: polyroots values, a zero is
+    physical when |imag| < 1e-20 and 0 <= real < 1, strict < interlacing."""
+    def level(k):
+        roots = polynomial_roots(d, k, p)
+        phys = sorted(float(r.real) for r, _ in roots if abs(r.imag) < 1e-20 and 0 <= r.real < 1)
+        return phys, len(roots) - len(phys), [int(ok) for _, ok in roots]
+    (phys, unphys, flags), (nxt, _, _) = level(n), level(n + 1)
+    interlaced = len(nxt) == len(phys) + 1 and all(
+        nxt[i] < z < nxt[i + 1] for i, z in enumerate(phys)
+    )
+    return {"physical": len(phys), "unphysical": unphys, "interlaced_with_next": interlaced}, flags
+
+
+@st.composite
+def zero_points(draw):
+    """A random valid point of either family and type with an index set, its
+    b optionally moved next to a coincidence b = q^j or b = a q^m."""
+    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(CType))
+    p = _random_valid_params(random.Random(draw(st.integers(0, 10 ** 6))), family, ctype, 2)
+    near = draw(st.sampled_from(("none", "q^j", "a q^m")))
+    if family == Family.LQ_JACOBI and near != "none":
+        j = draw(st.integers(0, 3)) + (3 if ctype == CType.TYPE_II else 1)
+        delta = F(draw(st.sampled_from((-1, 1))), draw(st.integers(10, 10 ** 6)))
+        b = (p.q ** j if near == "q^j" else p.a * p.q ** j) * (1 + delta)
+        try:
+            p = Params(family, p.q, p.a, b, ctype, 2)
+        except InvalidParamsError:
+            assume(False)
+    return p, draw(st.sampled_from((IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2))))
+
+
+@given(zero_points())
+@settings(max_examples=40, deadline=None)
+def test_exact_zeros_match_float_route(point):
+    p, d = point
+    for n in range(4):
+        try:
+            exact = zeros_report(d, n, p)
+            expected, flags = _float_report(d, n, p)
+        except LittleQError:
+            assume(False)
+        assert exact == expected
+        assert sum(flags) == exact["physical"]
+        assert exact["physical"] + exact["unphysical"] == level_poly(d, n, p).degree
+
+
+@pytest.mark.parametrize("dset, p, n", [
+    ((1, 3, 5, 7), Params(Family.LQ_JACOBI, Q, A, F(1, 4096), CType.TYPE_II, dmax=7), 7),
+    ((1, 3, 5, 7), Params(Family.LQ_JACOBI, Q, A, F(1, 4096), CType.TYPE_II, dmax=7), 8),
+    ((2, 3, 4), Params(Family.LQ_JACOBI, Q, F(1, 64), F(1, 3), CType.TYPE_I, dmax=4), 8),
+])
+def test_zeros_interlace_where_floats_collide(dset, p, n):
+    # zeros of levels n and n+1 differ by < 1e-18 near eta = 1/2 and 3/4,
+    # which a float comparison cannot tell apart
+    rep = zeros_report(IndexSet.of(*dset), n, p)
+    assert rep["physical"] == n and rep["interlaced_with_next"]
+
+
+def test_repeated_zero_is_reported_not_bisected_forever():
+    with pytest.raises(RootFindingFailureError, match="no proof that its zeros are simple"):
+        verify._level_zeros(EtaPoly(Q, (-1, 4, -4)), 5)  # -(2 eta - 1)^2
+
+
+@pytest.mark.parametrize("lower, upper, interlaced", [
+    ((3, -16, 16), (0, 7, -22, 16), True),  # 1/4, 3/4 | 0, 1/2, 7/8: exact zeros
+    ((2, -9, 9), (0, 5, -16, 12), True),  # 1/3, 2/3 | 0, 1/2, 5/6
+    ((2, -9, 9), (0, 4, -25, 25), False),  # 1/3, 2/3 | 0, 1/5, 4/5
+    ((1, -6, 8), (0, 3, -10, 8), False),  # 1/4, 1/2 | 0, 1/2, 3/4: 1/2 shared
+    ((2, -9, 9), (0, 5, -21, 18), False),  # 1/3, 2/3 | 0, 1/3, 5/6: 1/3 shared
+])
+def test_exact_interlacing_verdict(lower, upper, interlaced):
+    level = verify._level_zeros(EtaPoly(Q, lower), 1)
+    assert verify._interlaced(level, verify._level_zeros(EtaPoly(Q, upper), 2)) is interlaced
+
+
+def test_physical_flag_goes_to_the_real_root(pj, monkeypatch):
+    # (3 eta - 1)(100 eta^2 - 60 eta + 10): the real zero 1/3 and the pair
+    # 0.3 +- 0.1i, whose real part lies in the isolating interval of 1/3
+    monkeypatch.setattr(verify, "level_poly", lambda d, n, p: EtaPoly(Q, (-10, 90, -280, 300)))
+    roots = polynomial_roots(IndexSet.of(2), 1, pj)
+    assert [(abs(r.imag) < 1e-60, ok) for r, ok in roots] == [
+        (False, False), (False, False), (True, True)
     ]
 
 
