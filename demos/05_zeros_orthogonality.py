@@ -8,26 +8,29 @@ geometric tails.
 from fractions import Fraction as F
 
 from littleq import CType, Family, IndexSet, Params, multi_indexed_poly
-from littleq.verify import OrthogonalityData, polynomial_roots, zeros_report
+from littleq.verify import OrthogonalityData, polynomial_roots, run_suite
 
 q, a, b = F(1, 2), F(1, 3), F(1, 16)
 p = Params(Family.LQ_JACOBI, q, a, b, CType.TYPE_II, dmax=2)
 d = IndexSet.of(2)
 
+# the zeros suite proves the counts and the interlacing in exact arithmetic;
+# its check witnesses carry them
+report = run_suite(d, p, nmax=3, suites=("zeros",))
+witness = {c.name: c.witness for c in report.checks}
+
+
+def show(r, phys):
+    flag = "" if phys else "*"
+    if abs(float(r.imag)) > 1e-20:
+        return "%.4f%+.4fi%s" % (float(r.real), float(r.imag), flag)
+    return "%.6f%s" % (float(r.real), flag)
+
+
 print("zeros of the D={2} polynomials in eta (physical region is [0,1)):")
 for n in range(4):
-    roots = polynomial_roots(d, n, p)
-    rep = zeros_report(d, n, p)
-    def show(r, phys):
-        flag = "" if phys else "*"
-        if abs(float(r.imag)) > 1e-20:
-            return "%.4f%+.4fi%s" % (float(r.real), float(r.imag), flag)
-        return "%.6f%s" % (float(r.real), flag)
-
-    line = ", ".join(show(r, phys) for r, phys in roots)
-    print("  n=%d: %s   -> %d physical, %d unphysical, interlaced=%s"
-          % (n, line, rep["physical"], rep["unphysical"],
-             rep["interlaced_with_next"]))
+    line = ", ".join(show(r, phys) for r, phys in polynomial_roots(d, n, p))
+    print("  n=%d: %s   -> %s" % (n, line, witness["zeros_n%d" % n]))
 
 print("\n(degree always equals %d + n; starred zeros are unphysical)"
       % d.degree_offset)

@@ -11,7 +11,6 @@ from .base import (
     Params,
     ParamsLike,
     RawParams,
-    ShiftedParams,
     backward_shift_apply,
     casoratian_gauge,
     eigen_at_infinity,
@@ -32,8 +31,6 @@ from .base import (
 from .darboux import (
     DeformedPotentials,
     IndexSet,
-    casoratian_minus,
-    casoratian_plus,
     deformed_backward_check,
     deformed_eigencheck,
     deformed_forward_check,

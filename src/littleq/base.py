@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from .exact import (
     EtaPoly,
@@ -45,13 +44,12 @@ def tilde_delta(family: Family, ctype: CType) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class Params:
-    """Validated parameter point (q, a, b) of one family and construction type.
+class RawParams:
+    """Parameter point (q, a, b) of one family and construction type, unvalidated.
 
-    ``dmax`` is the largest virtual-state index the caller intends to use;
-    the admissible range of a and b depends on it.  For the type II little
-    q-Jacobi system the extended range b < q^{1+dmax} is accepted and
-    ``strict_range`` distinguishes the fully positive sub-range 0 < b.
+    ``dmax`` is the largest virtual-state index the caller intends to use.
+    Shifted, twisted and formally inverted points are intermediate algebraic
+    data, not user input, so no range is checked here; see Params.
     """
 
     family: Family
@@ -60,6 +58,23 @@ class Params:
     b: Fraction = Fraction(0)
     ctype: CType = CType.TYPE_II
     dmax: int = 0
+
+    def shift(self, tilde: int = 0, delta: int = 0) -> "RawParams":
+        """The point displaced by ``tilde`` auxiliary-direction and ``delta``
+        shape-invariance shifts; composition is additive."""
+        sa, sb = tilde_delta(self.family, self.ctype)
+        q = self.q
+        return RawParams(self.family, q, self.a * q ** (tilde * sa + delta),
+                         self.b * q ** (tilde * sb + delta), self.ctype, self.dmax)
+
+
+@dataclass(frozen=True)
+class Params(RawParams):
+    """Validated parameter point: the admissible range of a and b depends on
+    ``dmax``.  For the type II little q-Jacobi system the extended range
+    b < q^{1+dmax} is accepted and ``strict_range`` distinguishes the fully
+    positive sub-range 0 < b.
+    """
 
     def __post_init__(self):
         object.__setattr__(self, "q", scalar(self.q))
@@ -111,69 +126,8 @@ class Params:
             return self.b > 0
         return True
 
-    def shift(self, tilde: int = 0, delta: int = 0) -> "ShiftedParams":
-        return ShiftedParams(self, tilde, delta)
 
-
-@dataclass(frozen=True)
-class ShiftedParams:
-    """A parameter point displaced by integer multiples of the two shifts.
-
-    ``tilde_steps`` counts auxiliary-direction shifts, ``delta_steps``
-    counts shape-invariance shifts; composition is additive.  Range
-    validation is *not* re-applied: shifted points are intermediate
-    algebraic data, not user input.
-    """
-
-    base: Params
-    tilde_steps: int = 0
-    delta_steps: int = 0
-
-    @property
-    def family(self) -> Family:
-        return self.base.family
-
-    @property
-    def ctype(self) -> CType:
-        return self.base.ctype
-
-    @property
-    def dmax(self) -> int:
-        return self.base.dmax
-
-    @property
-    def q(self) -> Fraction:
-        return self.base.q
-
-    @property
-    def a(self) -> Fraction:
-        sa, _ = tilde_delta(self.family, self.ctype)
-        return self.base.a * self.q ** (self.tilde_steps * sa + self.delta_steps)
-
-    @property
-    def b(self) -> Fraction:
-        if self.family == Family.LQ_LAGUERRE:
-            return Fraction(0)
-        _, sb = tilde_delta(self.family, self.ctype)
-        return self.base.b * self.q ** (self.tilde_steps * sb + self.delta_steps)
-
-    def shift(self, tilde: int = 0, delta: int = 0) -> "ShiftedParams":
-        return ShiftedParams(
-            self.base, self.tilde_steps + tilde, self.delta_steps + delta
-        )
-
-
-@dataclass(frozen=True)
-class RawParams:
-    """Bare (family, q, a, b) tuple for twisted or otherwise unvalidated use."""
-
-    family: Family
-    q: Fraction
-    a: Fraction
-    b: Fraction = Fraction(0)
-
-
-ParamsLike = Union[Params, ShiftedParams, RawParams]
+ParamsLike = RawParams
 
 
 def twist(p: ParamsLike) -> RawParams:
@@ -202,7 +156,7 @@ def potential_d(p: ParamsLike) -> LaurentPoly:
     return LaurentPoly(p.q, {-1: 1, 0: -1})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def eigenpoly_y(n: int, p: ParamsLike) -> LaurentPoly:
     """Eigenpolynomial of level n in the variable y = q^x (zero for n < 0).
 

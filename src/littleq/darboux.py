@@ -26,10 +26,8 @@ from typing import Sequence
 from .base import (
     CType,
     Family,
-    Params,
     ParamsLike,
     RawParams,
-    ShiftedParams,
     casoratian_gauge,
     eigen_at_infinity,
     eigen_leading,
@@ -108,18 +106,6 @@ class IndexSet:
         return "{%s}" % ",".join(str(d) for d in self.indices)
 
 
-def casoratian_minus(fs: Sequence[LaurentPoly], q: Scalar) -> LaurentPoly:
-    """Backward Casoratian: det of f_k(x - j + 1) over rows j, columns k."""
-    rows = [[f.shift(-j) for f in fs] for j in range(len(fs))]
-    return det_laurent(rows, q=q)
-
-
-def casoratian_plus(fs: Sequence[LaurentPoly], q: Scalar) -> LaurentPoly:
-    """Forward Casoratian: det of f_k(x + j - 1) over rows j, columns k."""
-    rows = [[f.shift(j) for f in fs] for j in range(len(fs))]
-    return det_laurent(rows, q=q)
-
-
 def _casoratian(d: IndexSet, p: ParamsLike, n: int | None = None) -> LaurentPoly:
     """Casoratian of the virtual-state polynomials of D, bordered at level n.
 
@@ -152,7 +138,7 @@ def _casoratian(d: IndexSet, p: ParamsLike, n: int | None = None) -> LaurentPoly
     return w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def xi_casoratian(d: IndexSet, p: ParamsLike) -> LaurentPoly:
     """Raw Casoratian of the virtual-state polynomials of D: backward for
     type II, forward for type I."""
@@ -169,7 +155,7 @@ def _check_type_ii(p: ParamsLike) -> None:
         raise InvalidParamsError("this operation is defined for the type II construction")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def denominator_norm_const(d: IndexSet, p: ParamsLike) -> Fraction:
     """Normalization constant of the denominator polynomial."""
     m = d.size
@@ -186,7 +172,7 @@ def denominator_norm_const(d: IndexSet, p: ParamsLike) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def denominator_poly_y(d: IndexSet, p: ParamsLike) -> LaurentPoly:
     """Denominator polynomial in y: gauged, normalized Casoratian of D."""
     _check_type_ii(p)
@@ -207,7 +193,7 @@ def denominator_poly(d: IndexSet, p: ParamsLike) -> EtaPoly:
     return denominator_poly_y(d, p).to_eta()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def multi_indexed_poly_y(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     """Multi-indexed eigenpolynomial of level n in y (zero for n < 0).
 
@@ -241,14 +227,8 @@ def lowest_matches_denominator(d: IndexSet, p: ParamsLike) -> EtaPoly:
     denominator polynomial at x-1, lambda+delta.  Zero iff the identity holds."""
     _check_type_ii(p)
     lhs = multi_indexed_poly_y(d, 0, p)
-    rhs = denominator_poly_y(d, _shift(p, delta=1)).shift(-1)
+    rhs = denominator_poly_y(d, p.shift(delta=1)).shift(-1)
     return (lhs - rhs).to_eta()
-
-
-def _shift(p: ParamsLike, tilde: int = 0, delta: int = 0):
-    if isinstance(p, (Params, ShiftedParams)):
-        return p.shift(tilde=tilde, delta=delta)
-    raise TypeError("cannot shift raw parameters")
 
 
 @dataclass(frozen=True)
@@ -280,8 +260,8 @@ def deformed_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
         return typeI_potentials(d, p)
     m = d.size
     xi0 = denominator_poly_y(d, p)
-    xi1 = denominator_poly_y(d, _shift(p, delta=1))
-    bshift = potential_b(_shift(p, tilde=m))
+    xi1 = denominator_poly_y(d, p.shift(delta=1))
+    bshift = potential_b(p.shift(tilde=m))
     return DeformedPotentials(
         b_num=bshift * xi0.shift(-1) * xi1,
         b_den=xi0 * xi1.shift(-1),
@@ -301,9 +281,9 @@ def deformed_eigencheck(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     _check_type_ii(p)
     m = d.size
     xi0 = denominator_poly_y(d, p)
-    xi1 = denominator_poly_y(d, _shift(p, delta=1))
+    xi1 = denominator_poly_y(d, p.shift(delta=1))
     f = multi_indexed_poly_y(d, n, p)
-    bshift = potential_b(_shift(p, tilde=m))
+    bshift = potential_b(p.shift(tilde=m))
     term1 = bshift * xi0.shift(-1) ** 2 * (xi1 * f - xi1.shift(-1) * f.shift(1))
     term2 = (
         potential_d(p)
@@ -322,12 +302,12 @@ def deformed_forward_check(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
         raise ValueError("need n >= 0")
     m = d.size
     q = p.q
-    p_up = _shift(p, delta=1)
+    p_up = p.shift(delta=1)
     xi0 = denominator_poly_y(d, p)
     xi1 = denominator_poly_y(d, p_up)
     f = multi_indexed_poly_y(d, n, p)
     g = multi_indexed_poly_y(d, n - 1, p_up)
-    b0 = potential_b(_shift(p, tilde=m)).eval_int(0)
+    b0 = potential_b(p.shift(tilde=m)).eval_int(0)
     lhs = (xi1 * f - xi1.shift(-1) * f.shift(1)).scale(b0)
     rhs = (LaurentPoly.var(q) * xi0 * g).scale(energy(n, p))
     return lhs - rhs
@@ -341,12 +321,12 @@ def deformed_backward_check(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
         raise ValueError("need n >= 1")
     m = d.size
     q = p.q
-    p_up = _shift(p, delta=1)
+    p_up = p.shift(delta=1)
     xi0 = denominator_poly_y(d, p)
     xi1 = denominator_poly_y(d, p_up)
     f = multi_indexed_poly_y(d, n - 1, p_up)
     target = multi_indexed_poly_y(d, n, p)
-    bshift = potential_b(_shift(p, tilde=m))
+    bshift = potential_b(p.shift(tilde=m))
     b0 = bshift.eval_int(0)
     y = LaurentPoly.var(q)
     lhs = bshift * xi0.shift(-1) * y * f - potential_d(p) * xi0 * (
@@ -365,7 +345,7 @@ def psi_deformed_sq(x: int, d: IndexSet, p: ParamsLike) -> Fraction:
     den = xi.eval_int(x) * xi.eval_int(x - 1)
     if den == 0:
         raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % x)
-    return xi.eval_int(0) * groundstate_sq(x, _shift(p, tilde=d.size)) / den
+    return xi.eval_int(0) * groundstate_sq(x, p.shift(tilde=d.size)) / den
 
 
 def deformed_norm_sq(d: IndexSet, n: int, p: ParamsLike) -> Fraction:
@@ -450,7 +430,7 @@ def _check_type_i(p: ParamsLike) -> None:
         raise InvalidParamsError("this operation is defined for the type I construction")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def typeI_eigen_numerator(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     """Bordered forward Casoratian with the ground-state ratio factored out.
 
@@ -511,7 +491,7 @@ def typeI_single_poly(
     inverted q for the reflection identity.
     """
     q, a, b = scalar(q), scalar(a), scalar(b)
-    raw = RawParams(family, q, a, b)
+    raw = RawParams(family, q, a, b, CType.TYPE_I)
     xi = eigenpoly_y(dd, twist(raw))
     pn = eigenpoly_y(n, raw)
     den = (1 - a * q ** (n - dd - 1)) * (1 - b * q ** (n + dd))

@@ -10,10 +10,12 @@ eta = 1 - y.
 
 A LaurentPoly is stored as y^val * (num[0] + num[1] y + ...) / den with a
 tuple of Python ints ``num`` (first and last entries nonzero), den > 0 and
-gcd(den, *num) == 1.  This form is unique, so equality is equality of storage,
-and multiplication, addition, shifts (q = r/t), evaluation and exact division
-all run on integers; Fractions appear only at the public boundary (``coeff``,
-``coeff_dict``/``coeffs``, ``eval_int``, ``to_eta``).
+gcd(den, *num) == 1; an EtaPoly is stored the same way in powers of eta, from
+eta^0 (last entry nonzero).  This form is unique, so equality is equality of
+storage, and multiplication, addition, shifts (q = r/t), evaluation, exact
+division and the change to eta all run on integers; Fractions appear only at
+the public boundary (``coeff``, ``coeff_dict``/``coeffs``, ``eval_int``,
+``eval_eta``).
 """
 from __future__ import annotations
 
@@ -85,6 +87,16 @@ def qpoch(z: ScalarLike, q: ScalarLike, n: int) -> Fraction:
 def qbinom2(n: int) -> int:
     """Binomial coefficient C(n, 2) for any integer n (0 for n < 2)."""
     return n * (n - 1) // 2
+
+
+def horner(num: Sequence[int], r: int, t: int) -> tuple[int, int]:
+    """The integer polynomial num (lowest degree first, nonempty) at r/t, as
+    the pair (sum_i num[i] r^i t^(k-i), t^k) with k = len(num) - 1."""
+    acc, tp = num[-1], 1
+    for c in num[-2::-1]:
+        tp *= t
+        acc = acc * r + c * tp
+    return acc, tp
 
 
 def qhyper_terminating(
@@ -364,13 +376,7 @@ class LaurentPoly:
         """Exact value at integer x, i.e. at y = q^x."""
         if not self.num:
             return Fraction(0)
-        # integer Horner for sum_i num_i R^i T^{n-1-i} = T^{n-1} * sum_i num_i q^{xi}
-        R, T = self._ratio(x)
-        num = self.num
-        acc, tp = num[-1], 1
-        for c in num[-2::-1]:
-            tp *= T
-            acc = acc * R + c * tp
+        acc, tp = horner(self.num, *self._ratio(x))
         A, B = self._ratio(x * self.val)  # q^{x*val} = A/B
         return Fraction(acc * A, self.den * tp * B)
 
@@ -428,7 +434,8 @@ class LaurentPoly:
             return EtaPoly(self.q, ())
         if self.val < 0:
             raise NegativePowersError("cannot express negative powers of y in eta")
-        # integer Horner in (1 - eta) over the coefficients of y^0 .. y^max_deg
+        # integer Horner in (1 - eta) over the coefficients of y^0 .. y^max_deg;
+        # the change of basis is unimodular, so the content stays coprime to den
         ys = [0] * self.val + list(self.num)
         res = [ys[-1]]
         for c in ys[-2::-1]:
@@ -437,44 +444,60 @@ class LaurentPoly:
                 nxt[i + 1] -= res[i]
             nxt[0] += c
             res = nxt
-        return EtaPoly(self.q, [Fraction(c, self.den) for c in res])
+        out = EtaPoly.__new__(EtaPoly)
+        out.q, out.num, out.den = self.q, tuple(res), self.den
+        return out
 
 
 class EtaPoly:
-    """Dense polynomial in the sinusoidal coordinate eta = 1 - q^x."""
+    """Dense polynomial in the sinusoidal coordinate eta = 1 - q^x.
 
-    __slots__ = ("q", "coeffs")
+    Stored like LaurentPoly: ``(num[0] + num[1]*eta + ...) / den`` with ``num``
+    a tuple of ints whose last entry is nonzero, ``den > 0`` and
+    ``gcd(den, *num) == 1``; the zero polynomial is ``num == ()``, ``den == 1``.
+    """
+
+    __slots__ = ("q", "num", "den")
 
     def __init__(self, q: ScalarLike, coeffs: Iterable[ScalarLike] = ()):
         self.q = scalar(q)
         cs = [scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # over the lcm of the reduced denominators the content is already coprime to it
+        self.den = lcm(*(c.denominator for c in cs))
+        self.num = tuple(c.numerator * (self.den // c.denominator) for c in cs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of eta^0 .. eta^degree."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EtaPoly):
-            return self.q == other.q and self.coeffs == other.coeffs
+            return self.q == other.q and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == ((scalar(other),) if other != 0 else ())
+            if not other:
+                return not self.num
+            return len(self.num) == 1 and self.coeff(0) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -486,33 +509,15 @@ class EtaPoly:
         return "EtaPoly(%s)" % ", ".join(str(c) for c in self.coeffs)
 
     def eval_eta(self, eta: ScalarLike) -> Fraction:
+        if not self.num:
+            return Fraction(0)
         eta = scalar(eta)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * eta + c
-        return total
+        acc, tp = horner(self.num, eta.numerator, eta.denominator)
+        return Fraction(acc, self.den * tp)
 
     def eval_int(self, x: int) -> Fraction:
         """Exact value at integer lattice point x, i.e. at eta = 1 - q^x."""
         return self.eval_eta(1 - self.q ** x)
-
-
-def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]], q: Fraction) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one(q)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = LaurentPoly.zero(q)
-    for k in range(n):
-        if rows[0][k].is_zero:
-            continue
-        minor = [[r[j] for j in range(n) if j != k] for r in rows[1:]]
-        term = rows[0][k] * _det_cofactor(minor, q)
-        total = total + (term if k % 2 == 0 else -term)
-    return total
 
 
 def det_laurent(
@@ -520,9 +525,9 @@ def det_laurent(
 ) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials.
 
-    Size 0 gives 1 (then ``q`` must be passed).  Sizes up to 3 use cofactor
-    expansion; larger sizes use fraction-free Bareiss elimination, whose
-    intermediate divisions are exact in the Laurent ring.
+    Size 0 gives 1 (then ``q`` must be passed); other sizes use fraction-free
+    Bareiss elimination, whose intermediate divisions are exact in the
+    Laurent ring.
     """
     n = len(rows)
     if n == 0:
@@ -533,8 +538,6 @@ def det_laurent(
     for r in rows:
         if len(r) != n:
             raise ValueError("determinant of a non-square matrix")
-    if n <= 3:
-        return _det_cofactor(rows, base_q)
     m = [list(r) for r in rows]
     sign = 1
     prev: LaurentPoly | None = None

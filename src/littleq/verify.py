@@ -70,6 +70,7 @@ from .exact import (
     LittleQError,
     NonConvergenceError,
     RootFindingFailureError,
+    horner,
 )
 from .virtual import (
     groundstate_ratio,
@@ -237,9 +238,10 @@ class OrthogonalityData:
         if p.ctype == CType.TYPE_II:
             xi = denominator_poly_y(d, p)
             polys = [multi_indexed_poly_y(d, n, p) for n in range(nmax + 1)]
+            p_tilde = p.shift(tilde=m)
 
             def weight(x: int) -> Fraction:
-                return groundstate_sq(x, p.shift(tilde=m)) / (
+                return groundstate_sq(x, p_tilde) / (
                     xi.eval_int(x) * xi.eval_int(x - 1)
                 )
 
@@ -368,9 +370,7 @@ def orthogonality_check(
 
 def _sign_at(a: Sequence[int], x: Fraction) -> int:
     """Sign of the integer polynomial a (lowest degree first) at x."""
-    acc, pw = 0, 1
-    for c in reversed(a):  # den^deg * a(num/den), by Horner
-        acc, pw = acc * x.numerator + c * pw, pw * x.denominator
+    acc, _ = horner(a, x.numerator, x.denominator)  # den^deg * a(x)
     return (acc > 0) - (acc < 0)
 
 
@@ -452,8 +452,7 @@ def _level_zeros(poly: EtaPoly, n: int) -> tuple[list[int], list[list[Fraction]]
     the isolating intervals of its zeros in the physical range [0, 1), found
     exactly (see _isolate).  Bisection cannot separate a repeated zero, so a
     level whose zeros are not proved simple raises RootFindingFailureError."""
-    den = math.lcm(*(c.denominator for c in poly.coeffs))
-    a = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    a = poly.num
     if not _coprime(a, [i * c for i, c in enumerate(a)][1:]):
         raise RootFindingFailureError(
             "level %d: no proof that its zeros are simple (P and P' share a "
@@ -559,18 +558,6 @@ def _zeros_summary(level, upper) -> dict:
         "unphysical": len(a) - 1 - len(roots),
         "interlaced_with_next": _interlaced(level, upper),
     }
-
-
-def zeros_report(d: IndexSet, n: int, p: Params, prec_bits: int = 256) -> dict:
-    """Counts of physical ([0,1)) vs unphysical zeros and the interlacing
-    verdict against level n+1, all proved in exact arithmetic; prec_bits is
-    only validated (>= 128), as by run_suite."""
-    if prec_bits < 128:
-        raise InvalidParamsError("prec_bits must be >= 128")
-    return _zeros_summary(
-        _level_zeros(level_poly(d, n, p), n),
-        _level_zeros(level_poly(d, n + 1, p), n + 1),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def _require_b(p: ParamsLike) -> Fraction:
     return p.b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def virtual_data(p: ParamsLike) -> VirtualData:
     """Auxiliary potentials satisfying the two factorization identities.
 
@@ -107,7 +107,7 @@ def virtual_energy_prime(v: int, p: ParamsLike) -> Fraction:
     return (q ** (-v) - 1) * (a / q - b * q ** v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def virtual_poly_y(v: int, p: ParamsLike) -> LaurentPoly:
     """Virtual-state polynomial of degree v as a Laurent polynomial in y.
 

@@ -25,6 +25,7 @@ from littleq import (
     energy,
     hamiltonian_apply,
     infinity_values,
+    level_poly,
     lowest_matches_denominator,
     multi_indexed_leading,
     multi_indexed_poly,
@@ -33,14 +34,24 @@ from littleq import (
     typeI_single_poly,
     xi_casoratian,
 )
+from littleq import verify
 from littleq.verify import (
     _random_valid_params,
     orthogonality_check,
-    zeros_report,
 )
 
 Q, A, B = F(1, 2), F(1, 3), F(1, 16)
 EPS = F(1, 10 ** 24)
+
+
+def zeros_report(d, n, p):
+    """Zero counts of level n and its interlacing with level n + 1, from the
+    exact isolation the zeros suite runs."""
+    return verify._zeros_summary(
+        verify._level_zeros(level_poly(d, n, p), n),
+        verify._level_zeros(level_poly(d, n + 1, p), n + 1),
+    )
+
 
 # the index-set battery with per-set parameters: b < q^(1+d_M), away from
 # the q^j poles and the a q^m degree degeneracies

@@ -177,6 +177,7 @@ def test_main_exit_codes(capsys):
         ["verify", "--nmax", "-1"],
         ["table", "--nmax", "-1"],
         ["zeros", "--nmax", "-1"],
+        ["zeros", "--prec-bits", "64"],
     ],
 )
 def test_main_rejects_invalid_numeric_options(capsys, argv):

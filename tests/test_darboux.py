@@ -11,8 +11,6 @@ from littleq import (
     InvalidParamsError,
     LaurentPoly,
     Params,
-    casoratian_minus,
-    casoratian_plus,
     deformed_backward_check,
     deformed_eigencheck,
     deformed_forward_check,
@@ -21,6 +19,7 @@ from littleq import (
     denominator_leading,
     denominator_poly,
     denominator_poly_y,
+    det_laurent,
     eigenpoly_y,
     infinity_values,
     lowest_matches_denominator,
@@ -94,6 +93,16 @@ def test_empty_index_set():
 # ---------------------------------------------------------------------------
 # Casoratians
 # ---------------------------------------------------------------------------
+
+
+def casoratian_minus(fs, q):
+    """Backward Casoratian oracle: det of f_k(x - j + 1) over rows j, columns k."""
+    return det_laurent([[f.shift(-j) for f in fs] for j in range(len(fs))], q=q)
+
+
+def casoratian_plus(fs, q):
+    """Forward Casoratian oracle: det of f_k(x + j - 1) over rows j, columns k."""
+    return det_laurent([[f.shift(j) for f in fs] for j in range(len(fs))], q=q)
 
 
 def test_casoratian_conventions():

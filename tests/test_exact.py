@@ -454,6 +454,13 @@ def test_to_eta_matches_reference(qm):
     while want and want[-1] == 0:
         want.pop()
     assert e.q == q and list(e.coeffs) == want
+    # integer storage: last entry nonzero, den > 0, content coprime to den
+    assert all(isinstance(c, int) for c in e.num)
+    assert (e.num[-1] if e.num else e.den == 1) and e.den > 0
+    assert math.gcd(e.den, *e.num) == 1
+    built = EtaPoly(q, want)  # from Fractions
+    assert built == e and hash(built) == hash(e)
+    assert (built.num, built.den) == (e.num, e.den)
 
 
 @given(st.sampled_from(QS), st.integers(min_value=1, max_value=4), st.data())

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -255,3 +256,25 @@ def test_nu_ratio_poly_type_i_constant(pji, pli):
         for j in (1, 2, 3):
             r = nu_ratio_poly(j, 2, p)
             assert r == LaurentPoly.const(p.q, (p.a / p.q) ** (j - 1))
+
+
+# ---------------------------------------------------------------------------
+# parameter-keyed caches stay bounded
+# ---------------------------------------------------------------------------
+
+
+def test_parameter_caches_are_bounded():
+    import littleq.cli  # noqa: F401  (loads every littleq module)
+
+    caches = [
+        value
+        for name, module in list(sys.modules.items())
+        if name == "littleq" or name.startswith("littleq.")
+        for value in vars(module).values()
+        if hasattr(value, "cache_info")
+    ]
+    assert caches and all(c.cache_info().maxsize is not None for c in caches)
+    virtual_data.cache_clear()
+    for k in range(2, 302):
+        virtual_data(Params(Family.LQ_LAGUERRE, Q, F(1, k), 0, CType.TYPE_II))
+    assert virtual_data.cache_info().currsize == 256
