@@ -9,10 +9,12 @@ last_term * rho / (1 - rho) is trusted.  Zero counts and interlacing are
 proved on integer numerators (Descartes' rule of signs with
 Vincent-Collins-Akritas bisection, exact sign evaluations).  Floating point
 enters only in polynomial_roots, for the root values the zeros command
-prints, at a caller-chosen precision with residual control.
+prints: Durand-Kerner on doubles gives a start, from which mpmath iterates
+to a caller-chosen precision, with residual control.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ from .base import (
     CType,
     Family,
     Params,
+    ParamsLike,
     backward_shift_apply,
     eigen_at_infinity,
     eigen_leading,
@@ -214,6 +217,21 @@ def _certified_sum(
     )
 
 
+def _groundstate_sq_by_ratio(p: ParamsLike) -> Callable[[int], Fraction]:
+    """groundstate_sq(x, p) at any x >= 0, each value grown once from the
+    previous one by w(x+1)/w(x) = a(1 - b q^x)/(1 - q^{x+1}) (b = 0 for
+    little q-Laguerre) instead of an O(x) q-Pochhammer per lattice point."""
+    vals = [Fraction(1)]
+
+    def gs(x: int) -> Fraction:
+        while len(vals) <= x:
+            qt = p.q ** (len(vals) - 1)
+            vals.append(vals[-1] * p.a * (1 - p.b * qt) / (1 - qt * p.q))
+        return vals[x]
+
+    return gs
+
+
 class OrthogonalityData:
     """Exact partial sums of the deformed orthogonality relation.
 
@@ -235,15 +253,13 @@ class OrthogonalityData:
             raise InvalidParamsError("eps must be positive")
         m = d.size
         q = p.q
+        gs = _groundstate_sq_by_ratio(p.shift(tilde=m) if p.ctype == CType.TYPE_II else p)
         if p.ctype == CType.TYPE_II:
             xi = denominator_poly_y(d, p)
             polys = [multi_indexed_poly_y(d, n, p) for n in range(nmax + 1)]
-            p_tilde = p.shift(tilde=m)
 
             def weight(x: int) -> Fraction:
-                return groundstate_sq(x, p_tilde) / (
-                    xi.eval_int(x) * xi.eval_int(x - 1)
-                )
+                return gs(x) / (xi.eval_int(x) * xi.eval_int(x - 1))
 
             rho = (1 + p.a) / 2
         else:
@@ -252,7 +268,7 @@ class OrthogonalityData:
             bp = virtual_data(p).bprime_new
 
             def weight(x: int) -> Fraction:
-                out = groundstate_sq(x, p)
+                out = gs(x)
                 for j in range(1, m + 1):
                     out *= bp.eval_int(x + j - 1)
                 return out / (w_cas.eval_int(x) * w_cas.eval_int(x + 1))
@@ -488,9 +504,41 @@ def _interlaced(level, upper) -> bool:
                 _bisect(poly, iv)
 
 
+def _float_roots(poly: EtaPoly) -> list[complex] | None:
+    """Durand-Kerner on doubles for the roots of poly, as the start of the
+    high-precision iteration: from mpmath's own start until the largest
+    correction over max(1, |root|) is below 1e-6 and stops halving (at most
+    100 steps).  None when a monic coefficient (int / int, rounded once)
+    overflows a double or a root comes out non-finite."""
+    roots = [(0.4 + 0.9j) ** k for k in range(poly.degree)]
+    prev = math.inf
+    try:
+        monic = [c / poly.num[-1] for c in reversed(poly.num)]
+        for _ in range(100):
+            big = 0.0
+            for i, z in enumerate(roots):
+                acc = 0j
+                for c in monic:
+                    acc = acc * z + c
+                for j, w in enumerate(roots):
+                    if j != i:
+                        acc /= z - w
+                roots[i] = z - acc
+                big = max(big, abs(acc) / max(1.0, abs(z)))
+            if big < 1e-6 and big >= prev / 2:
+                break
+            prev = big
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return roots if all(map(cmath.isfinite, roots)) else None
+
+
 def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     """High-precision roots in eta of the level-n polynomial, Newton-polished.
 
+    Two stages: a start from _float_roots (doubles; mpmath's own start when it
+    gives None), then mpmath's Durand-Kerner until every correction is below
+    2^-prec_bits at twice that precision, whichever the start.
     Returns a list of (root: mpc, physical: bool) sorted by real part; the
     residual at every root must stay below 1e-30 on the scale of the leading
     coefficient or RootFindingFailureError is raised.  The physical flags come
@@ -510,7 +558,8 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
             mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
             for c in reversed(poly.coeffs)
         ]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec_bits)
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec_bits,
+                                 roots_init=_float_roots(poly))
 
         def val(z, cs):
             acc = mpmath.mpc(0)

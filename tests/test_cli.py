@@ -2,11 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 import closed_forms
+import littleq
 from littleq.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -300,3 +304,11 @@ def test_table_byte_identical():
     t1, _ = cmd_table(make_cfg(argv))
     t2, _ = cmd_table(make_cfg(argv))
     assert t1 == t2
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy would cost import time and memory on every command
+    code = "import sys, littleq.cli; sys.exit('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(littleq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -15,6 +15,7 @@ from littleq import (
     NonConvergenceError,
     Params,
     RootFindingFailureError,
+    groundstate_sq,
     level_poly,
 )
 from littleq import verify
@@ -101,6 +102,13 @@ def test_pair_sums_weigh_each_lattice_point_once(pj):
         assert tb == _certified_sum(
             lambda x: weight(x) * pn.eval_int(x) * pm.eval_int(x), data.rho, EPS
         )
+
+
+def test_weight_ground_state_grown_by_ratio(pj, pl):
+    xs = (7, 0, 3, 12, 12)
+    for p in (pj, pl, pj.shift(tilde=2)):
+        gs = verify._groundstate_sq_by_ratio(p)
+        assert [gs(x) for x in xs] == [groundstate_sq(x, p) for x in xs]
 
 
 def test_orthogonality_data_rejects_bad_eps(pj):
@@ -289,6 +297,69 @@ def test_zeros_deterministic(pj):
     r1 = polynomial_roots(IndexSet.of(2), 3, pj)
     r2 = polynomial_roots(IndexSet.of(2), 3, pj)
     assert [(str(a), b) for a, b in r1] == [(str(a), b) for a, b in r2]
+
+
+def _root_strings(roots):
+    return [(mpmath.nstr(r.real, 77), mpmath.nstr(r.imag, 77), ok) for r, ok in roots]
+
+
+@given(zero_points(), st.integers(0, 6))
+@settings(max_examples=30, deadline=None)
+def test_float_start_leaves_roots_unchanged(point, n):
+    # the same 77-digit values and physical flags (or the same error) as
+    # from mpmath's own start
+    p, d = point
+    outcomes = []
+    for start in (verify._float_roots, lambda poly: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_float_roots", start)
+            try:
+                outcomes.append(_root_strings(polynomial_roots(d, n, p)))
+            except LittleQError as exc:
+                outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_float_start_gives_up_on_overflow():
+    assert verify._float_roots(EtaPoly(Q, (10 ** 400, 3, 1))) is None
+    # zeros near +-1e150 i: the float iteration runs into nan
+    assert verify._float_roots(EtaPoly(Q, (10 ** 300, 3, 1))) is None
+    roots = sorted(verify._float_roots(EtaPoly(Q, (2 * 10 ** 20, -3 * 10 ** 20, 10 ** 20))), key=abs)
+    assert max(abs(roots[0] - 1), abs(roots[1] - 2)) < 1e-12
+
+
+def test_float_start_separates_a_close_pair():
+    # (2 eta - 1)(2^61 eta - 2^60 - 1)(eta + 3)(eta^2 + 1): zeros 1/2 and
+    # 1/2 + 2^-61, closer than doubles can tell apart
+    num = [1]
+    for factor in ((-1, 2), (-(2 ** 60) - 1, 2 ** 61), (3, 1), (1, 0, 1)):
+        num = [sum(num[i] * factor[k - i] for i in range(len(num)) if 0 <= k - i < len(factor))
+               for k in range(len(num) + len(factor) - 1)]
+    poly = EtaPoly(Q, num)
+    init = verify._float_roots(poly)
+    assert init is not None and len(init) == 5
+    with mpmath.workprec(256):
+        coeffs = [mpmath.mpf(c) for c in reversed(num)]
+        runs = [mpmath.polyroots(coeffs, maxsteps=200, extraprec=256, roots_init=r)
+                for r in (init, None)]
+        seeded, unseeded = (sorted((mpmath.nstr(z.real, 77), mpmath.nstr(z.imag, 77))
+                                   for z in roots) for roots in runs)
+        assert seeded == unseeded
+        pair = sorted(z.real for z in runs[0] if abs(z - 0.5) < 1e-10)
+        assert len(pair) == 2 and abs(pair[1] - pair[0] - mpmath.mpf(2) ** -61) < mpmath.mpf(2) ** -200
+
+
+def test_polynomial_roots_calls_polyroots_once_with_a_start(pj, monkeypatch):
+    calls, polyroots = [], mpmath.polyroots
+
+    def counted(coeffs, **kwargs):
+        calls.append(kwargs)
+        return polyroots(coeffs, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", counted)
+    roots = polynomial_roots(IndexSet.of(2), 3, pj)
+    assert len(calls) == 1 and len(calls[0]["roots_init"]) == len(roots)
+    assert (calls[0]["maxsteps"], calls[0]["extraprec"]) == (200, 256)
 
 
 # ---------------------------------------------------------------------------
