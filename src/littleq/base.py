@@ -18,6 +18,7 @@ from .exact import (
     EtaPoly,
     InvalidParamsError,
     LaurentPoly,
+    NonConvergenceError,
     ScalarLike,
     qbinom2,
     qhyper_terminating,
@@ -256,11 +257,10 @@ def qpoch_infinite(z: ScalarLike, q: ScalarLike, factors: int = 256) -> tuple[Fr
     estimate, valid while |z| q^factors / (1-q) <= 1/2.
     """
     z, q = scalar(z), scalar(q)
-    approx = qpoch(z, q, factors)
     t = abs(z) * q ** factors / (1 - q)
     if t > Fraction(1, 2):
-        raise ValueError("truncation too short for a geometric bound")
-    return approx, 2 * t
+        raise NonConvergenceError("truncation too short for a geometric bound")
+    return qpoch(z, q, factors), 2 * t
 
 
 def norm_abs_approx(n: int, p: ParamsLike, factors: int = 256) -> tuple[Fraction, Fraction]:

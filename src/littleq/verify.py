@@ -10,7 +10,8 @@ proved on integer numerators (Descartes' rule of signs with
 Vincent-Collins-Akritas bisection, exact sign evaluations).  Floating point
 enters only in polynomial_roots, for the root values the zeros command
 prints: Durand-Kerner on doubles gives a start, from which mpmath iterates
-to a caller-chosen precision, with residual control.
+on the exact integer numerator to a caller-chosen precision, with a
+backward-error test on the same integers.
 """
 from __future__ import annotations
 
@@ -534,18 +535,18 @@ def _float_roots(poly: EtaPoly) -> list[complex] | None:
 
 
 def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
-    """High-precision roots in eta of the level-n polynomial, Newton-polished.
+    """Roots in eta of the level-n polynomial, to 2^-prec_bits * max(1, |root|).
 
-    Two stages: a start from _float_roots (doubles; mpmath's own start when it
-    gives None), then mpmath's Durand-Kerner until every correction is below
-    2^-prec_bits at twice that precision, whichever the start.
-    Returns a list of (root: mpc, physical: bool) sorted by real part; the
-    residual at every root must stay below 1e-30 on the scale of the leading
-    coefficient or RootFindingFailureError is raised.  The physical flags come
-    from the exact isolation of the zeros in [0, 1): each isolating interval
-    flags the root of least imaginary part among those whose real part lies
-    in it (an exact zero, the nearest root), and an interval with no root of
-    its own raises RootFindingFailureError.
+    mpmath's Durand-Kerner runs on the exact integer numerator, converted at
+    twice prec_bits, from the start of _float_roots (mpmath's own start when
+    it gives None) until every correction is below 2^-prec_bits.  Returns a
+    list of (root: mpc, physical: bool) sorted by real part.  A root must pass
+    the backward-error test |P(r)| <= 2^(8 - prec_bits) * sum |c_i| |r|^i on
+    the same integers, or RootFindingFailureError is raised.  The physical
+    flags come from the exact isolation of the zeros in [0, 1): each
+    isolating interval flags the root of least imaginary part among those
+    whose real part lies in it (an exact zero, the nearest root), and an
+    interval with no root of its own raises RootFindingFailureError.
     """
     if prec_bits < 128:
         raise InvalidParamsError("prec_bits must be >= 128")
@@ -553,50 +554,31 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     if poly.degree < 1:
         return []
     zeros = _level_zeros(poly, n)[1]
+    coeffs = poly.num[::-1]
     with mpmath.workprec(prec_bits):
-        coeffs = [
-            mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            for c in reversed(poly.coeffs)
-        ]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec_bits,
+        found = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec_bits,
                                  roots_init=_float_roots(poly))
-
-        def val(z, cs):
-            acc = mpmath.mpc(0)
-            for c in cs:
-                acc = acc * z + c
-            return acc
-
-        dcoeffs = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
-        polished = []
+        roots = [mpmath.mpc(r) for r in found]
         for r in roots:
-            der = val(r, dcoeffs)
-            if der != 0:
-                r = r - val(r, coeffs) / der
-            polished.append(r)
-        lc = abs(coeffs[0])
-        for r in polished:
-            scale = lc * max(1, abs(r)) ** poly.degree
-            if abs(val(r, coeffs)) > mpmath.mpf("1e-30") * scale:
-                raise RootFindingFailureError(
-                    "root residual above tolerance at %s" % r
-                )
+            scale = mpmath.polyval([abs(c) for c in coeffs], abs(r))
+            if abs(mpmath.polyval(coeffs, r)) > mpmath.ldexp(scale, 8 - prec_bits):
+                raise RootFindingFailureError("root residual above tolerance at %s" % r)
         physical: list[int] = []
         for lo, hi in zeros:
             # the endpoints are dyadic, so exact in binary floating point
             lo_f, hi_f = (mpmath.mpf(e.numerator) / e.denominator for e in (lo, hi))
             if lo == hi:
-                near = [(abs(r - lo_f), i) for i, r in enumerate(polished)]
+                near = [(abs(r - lo_f), i) for i, r in enumerate(roots)]
             else:
-                near = [(abs(r.imag), i) for i, r in enumerate(polished) if lo_f < r.real < hi_f]
+                near = [(abs(r.imag), i) for i, r in enumerate(roots) if lo_f < r.real < hi_f]
             if not near or min(near)[1] in physical:
                 raise RootFindingFailureError(
                     "no computed root of its own in the isolating interval [%s, %s]"
                     % (lo, hi)
                 )
             physical.append(min(near)[1])
-        out = [(r, i in physical) for i, r in enumerate(polished)]
-        out.sort(key=lambda t: (mpmath.mpf(t[0].real), mpmath.mpf(t[0].imag)))
+        out = [(r, i in physical) for i, r in enumerate(roots)]
+        out.sort(key=lambda t: (t[0].real, t[0].imag))
         return out
 
 

@@ -8,6 +8,7 @@ from littleq import (
     Family,
     InvalidParamsError,
     LaurentPoly,
+    NonConvergenceError,
     Params,
     backward_shift_apply,
     casoratian_gauge,
@@ -24,7 +25,8 @@ from littleq import (
     potential_b,
     potential_d,
 )
-from littleq.base import eigen_series_value
+from littleq import base
+from littleq.base import eigen_series_value, qpoch_infinite
 from littleq.verify import _random_valid_params
 
 Q, A, B = F(1, 2), F(1, 3), F(1, 16)
@@ -209,6 +211,18 @@ def test_norm_abs_matches_bruteforce_sum(pj, pl):
         total = sum(groundstate_sq(x, p) for x in range(250))
         assert abs(float(total * approx) - 1) < 1e-12
         assert bound < F(1, 10 ** 60)
+
+
+def test_qpoch_infinite_refuses_a_short_truncation(monkeypatch):
+    # |z| q^256 / (1 - q) > 1/2 at q = 99/100: refused as a library error,
+    # which the verify suites report as a failed check
+    p = Params(Family.LQ_LAGUERRE, F(99, 100), A, 0, CType.TYPE_II, dmax=1)
+    with pytest.raises(NonConvergenceError, match="truncation too short"):
+        norm_abs_approx(0, p)
+    # and before the 256-factor product is built
+    monkeypatch.setattr(base, "qpoch", lambda *args: pytest.fail("product built"))
+    with pytest.raises(NonConvergenceError):
+        qpoch_infinite(A, F(99, 100))
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ GOLDEN_STDOUT = [
     (["table", "--indices", "1,2", "--nmax", "3"],
      "f76589b3244c2748ca8021df25d39246fcaa01563845dca004d24f6b3d4243f3"),
     (["zeros", "--indices", "1,2", "--nmax", "3"],
-     "1a32ffb03f5f6c0077fc9a9c08d0df5ec3326ccfd4c206b56d032c6421caf7f3"),
+     "2b9b20a95f0f0c4925058ae386c27ba1ec07a898fd35386f765e3b7be514658a"),
     # q numerators other than 1, so every power of r in the exact ring shows
     (["construct", "--q", "3/5", "--a", "1/3", "--b", "1/50", "--indices", "1,2",
       "--nmax", "4"],
@@ -278,6 +278,20 @@ def test_zeros_byte_identical():
     t1, _ = cmd_zeros(make_cfg(argv))
     t2, _ = cmd_zeros(make_cfg(argv))
     assert t1 == t2
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["--q", "1/2", "--a", "1/3", "--b", "1/4096", "--indices", "1,3,5,7"],
+     "001100111111000000"),
+    (["--type", "1", "--q", "1/2", "--a", "1/64", "--b", "1/3", "--indices", "2,3,4"],
+     "00011111111000"),
+], ids=["deep", "type1"])
+def test_zeros_at_128_bits_flags_as_at_256(capsys, argv, flags):
+    # level 8 has zeros within 1e-18 of each other near eta = 1/2 and 3/4
+    for prec_bits in ("128", "256"):
+        assert main(["zeros", *argv, "--nmax", "8", "--prec-bits", prec_bits]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert "".join(r[3] for r in rows) == flags
 
 
 # ---------------------------------------------------------------------------

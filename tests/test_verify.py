@@ -303,21 +303,48 @@ def _root_strings(roots):
     return [(mpmath.nstr(r.real, 77), mpmath.nstr(r.imag, 77), ok) for r, ok in roots]
 
 
+def _assert_accurate(roots, d, n, p, prec_bits):
+    # every root within 2^(4 - prec_bits) max(1, |r|) of a root of the exact
+    # integer numerator found at four times the precision
+    with mpmath.workprec(4 * prec_bits):
+        ref = mpmath.polyroots(level_poly(d, n, p).num[::-1], maxsteps=400,
+                               extraprec=4 * prec_bits)
+        for r, _ in roots:
+            assert isinstance(r, mpmath.mpc)
+            err = min(abs(r - z) for z in ref)
+            assert err <= mpmath.ldexp(max(1, abs(r)), 4 - prec_bits), (r, err)
+
+
+@pytest.mark.parametrize("prec_bits", [128, 256])
+@pytest.mark.parametrize("dset, p", [
+    ((1, 3, 5, 7), Params(Family.LQ_JACOBI, Q, A, F(1, 4096), CType.TYPE_II, dmax=7)),
+    ((2, 3, 4), Params(Family.LQ_JACOBI, Q, F(1, 64), F(1, 3), CType.TYPE_I, dmax=4)),
+], ids=["deep", "type1"])
+def test_roots_accurate_to_the_requested_precision(dset, p, prec_bits):
+    # level 8 has zeros within 1e-18 of each other near eta = 1/2 and 3/4;
+    # roots of a copy rounded to prec_bits lose up to 30 bits there
+    d = IndexSet.of(*dset)
+    _assert_accurate(polynomial_roots(d, 8, p, prec_bits), d, 8, p, prec_bits)
+
+
 @given(zero_points(), st.integers(0, 6))
 @settings(max_examples=30, deadline=None)
 def test_float_start_leaves_roots_unchanged(point, n):
     # the same 77-digit values and physical flags (or the same error) as
     # from mpmath's own start
     p, d = point
-    outcomes = []
+    outcomes, roots = [], None
     for start in (verify._float_roots, lambda poly: None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_float_roots", start)
             try:
-                outcomes.append(_root_strings(polynomial_roots(d, n, p)))
+                roots = polynomial_roots(d, n, p)
+                outcomes.append(_root_strings(roots))
             except LittleQError as exc:
                 outcomes.append(type(exc))
     assert outcomes[0] == outcomes[1]
+    if roots is not None:
+        _assert_accurate(roots, d, n, p, 256)
 
 
 def test_float_start_gives_up_on_overflow():
@@ -353,13 +380,18 @@ def test_polynomial_roots_calls_polyroots_once_with_a_start(pj, monkeypatch):
     calls, polyroots = [], mpmath.polyroots
 
     def counted(coeffs, **kwargs):
-        calls.append(kwargs)
+        calls.append((coeffs, kwargs))
         return polyroots(coeffs, **kwargs)
 
     monkeypatch.setattr(mpmath, "polyroots", counted)
     roots = polynomial_roots(IndexSet.of(2), 3, pj)
-    assert len(calls) == 1 and len(calls[0]["roots_init"]) == len(roots)
-    assert (calls[0]["maxsteps"], calls[0]["extraprec"]) == (200, 256)
+    assert len(calls) == 1
+    coeffs, kwargs = calls[0]
+    # the exact integer numerator, highest power first, not a rounded copy
+    assert list(coeffs) == list(level_poly(IndexSet.of(2), 3, pj).num[::-1])
+    assert all(type(c) is int for c in coeffs)
+    assert len(kwargs["roots_init"]) == len(roots)
+    assert (kwargs["maxsteps"], kwargs["extraprec"]) == (200, 256)
 
 
 # ---------------------------------------------------------------------------
