@@ -23,6 +23,7 @@ from .exact import (
     qbinom2,
     qhyper_terminating,
     qpoch,
+    qpoch_pair,
     scalar,
 )
 
@@ -249,29 +250,43 @@ def norm_ratio(n: int, p: ParamsLike) -> Fraction:
     return out
 
 
-def qpoch_infinite(z: ScalarLike, q: ScalarLike, factors: int = 256) -> tuple[Fraction, Fraction]:
+def qpoch_infinite(
+    z: ScalarLike, q: ScalarLike, factors: int = 256
+) -> tuple[tuple[int, int], Fraction]:
     """(z;q)_infinity truncated to ``factors`` factors, with a relative bound.
 
-    Returns (approximation, rel_bound) where the true value lies within
-    approximation * (1 +/- rel_bound); the bound is the geometric remainder
-    estimate, valid while |z| q^factors / (1-q) <= 1/2.
+    Returns ((num, den), rel_bound): the truncated product as the unreduced
+    integer pair of qpoch_pair, and a bound such that the true value lies
+    within num/den * (1 +/- rel_bound).  The bound is the geometric remainder
+    estimate, valid while |z| q^factors / (1-q) <= 1/2, and is tested before
+    the product is built.
     """
     z, q = scalar(z), scalar(q)
     t = abs(z) * q ** factors / (1 - q)
     if t > Fraction(1, 2):
         raise NonConvergenceError("truncation too short for a geometric bound")
-    return qpoch(z, q, factors), 2 * t
+    return qpoch_pair(z, q, factors), 2 * t
 
 
-def norm_abs_approx(n: int, p: ParamsLike, factors: int = 256) -> tuple[Fraction, Fraction]:
-    """Approximate absolute squared norm of level n, with relative error bound."""
-    out = norm_ratio(n, p)
+def norm_abs_approx(
+    n: int, p: ParamsLike, factors: int = 256
+) -> tuple[tuple[int, int], Fraction]:
+    """Approximate absolute squared norm of level n, with relative error bound.
+
+    Returns ((num, den), rel_bound) with the norm near num/den, an unreduced
+    integer pair built from norm_ratio and the truncated products of
+    qpoch_infinite; callers use only the quotient num / den, so the pair is
+    never reduced.
+    """
+    ratio = norm_ratio(n, p)
     q, a = p.q, p.a
-    num, bn = qpoch_infinite(a, q, factors)
+    (num, den), bn = qpoch_infinite(a, q, factors)
+    num, den = num * ratio.numerator, den * ratio.denominator
     if p.family == Family.LQ_JACOBI:
-        den, bd = qpoch_infinite(a * p.b, q, factors)
-        return out * num / den, bn + bd + bn * bd
-    return out * num, bn
+        (dnum, dden), bd = qpoch_infinite(a * p.b, q, factors)
+        # num/den * (1 +/- bn) / (1 +/- bd) lies within (bn + bd) / (1 - bd)
+        return (num * dden, den * dnum), (bn + bd) / (1 - bd)
+    return (num, den), bn
 
 
 def hamiltonian_apply(f: LaurentPoly, p: ParamsLike) -> LaurentPoly:

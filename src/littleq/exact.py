@@ -71,17 +71,28 @@ def scalar(v: ScalarLike) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def qpoch(z: ScalarLike, q: ScalarLike, n: int) -> Fraction:
-    """q-Pochhammer symbol (z;q)_n = prod_{k=0}^{n-1} (1 - z q^k), n >= 0."""
+def qpoch_pair(z: ScalarLike, q: ScalarLike, n: int) -> tuple[int, int]:
+    """(z;q)_n as an unreduced integer pair (num, den), n >= 0.
+
+    With z = zn/zd and q = r/t, (z;q)_n = prod_{k<n} (zd t^k - zn r^k) over
+    zd^n t^C(n,2); den > 0, and no gcd is taken.
+    """
     if n < 0:
         raise ValueError("q-Pochhammer needs n >= 0, got %d" % n)
     z, q = scalar(z), scalar(q)
-    out = Fraction(1)
-    cur = z
+    zn, zd, r, t = z.numerator, z.denominator, q.numerator, q.denominator
+    num, rk, tk = 1, 1, 1
     for _ in range(n):
-        out *= 1 - cur
-        cur *= q
-    return out
+        num *= zd * tk - zn * rk
+        rk *= r
+        tk *= t
+    return num, zd ** n * t ** qbinom2(n)
+
+
+def qpoch(z: ScalarLike, q: ScalarLike, n: int) -> Fraction:
+    """q-Pochhammer symbol (z;q)_n = prod_{k=0}^{n-1} (1 - z q^k), n >= 0,
+    reduced once from the integer product of qpoch_pair."""
+    return Fraction(*qpoch_pair(z, q, n))
 
 
 def qbinom2(n: int) -> int:

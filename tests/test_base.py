@@ -207,9 +207,9 @@ def test_norm_ratio_examples(pj, pl):
 def test_norm_abs_matches_bruteforce_sum(pj, pl):
     # 1/d_0^2 equals the full weight sum; compare against a long partial sum
     for p in (pj, pl):
-        approx, bound = norm_abs_approx(0, p)
+        (num, den), bound = norm_abs_approx(0, p)
         total = sum(groundstate_sq(x, p) for x in range(250))
-        assert abs(float(total * approx) - 1) < 1e-12
+        assert abs(total.numerator * num / (total.denominator * den) - 1) < 1e-12
         assert bound < F(1, 10 ** 60)
 
 
@@ -220,7 +220,7 @@ def test_qpoch_infinite_refuses_a_short_truncation(monkeypatch):
     with pytest.raises(NonConvergenceError, match="truncation too short"):
         norm_abs_approx(0, p)
     # and before the 256-factor product is built
-    monkeypatch.setattr(base, "qpoch", lambda *args: pytest.fail("product built"))
+    monkeypatch.setattr(base, "qpoch_pair", lambda *args: pytest.fail("product built"))
     with pytest.raises(NonConvergenceError):
         qpoch_infinite(A, F(99, 100))
 

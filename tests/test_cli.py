@@ -231,6 +231,10 @@ GOLDEN_STDOUT = [
     (["construct", "--type", "1", "--q", "2/3", "--a", "1/20", "--b", "1/5",
       "--indices", "1,2", "--nmax", "3"],
      "ffc8c96c85bad01689c381097aadc808055b10881d80a654438c32158eb3ead5"),
+    # the heaviest sweep point: ortho witness floats at a q whose denominator is 4
+    (["verify", "--q", "1/4", "--a", "3/7", "--b", "11/832", "--indices", "2",
+      "--nmax", "4"],
+     "01b65c40cb3dbb6be92f2dba8af7d13bd70f2c752c26f1d2cf94885cf484eaa8"),
 ]
 
 
@@ -240,6 +244,19 @@ def test_golden_stdout(capsys, argv, digest):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_absolute_s00_judged_by_the_truncation_bound(capsys):
+    # at q = 9/10 the 256-factor products are good to a relative 1.4e-11 only;
+    # S_00 differs from them by 6.0e-12, beyond 1e-12 but inside that bound
+    argv = ["verify", "--q", "9/10", "--a", "1/3", "--indices", "1", "--nmax", "1",
+            "--suite", "ortho"]
+    assert main(argv) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    check = {c["name"]: c for c in checks}["ortho_absolute_s00"]
+    assert check["status"] == "pass"
+    s00, target = (float(v.split()[0]) for v in check["witness"].split("=")[1].split(" vs "))
+    assert 1e-12 < abs(s00 / target - 1) < float(check["bound"]) < 1.5e-11
 
 
 def test_verify_byte_identical():

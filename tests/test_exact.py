@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from littleq.exact import (
@@ -15,6 +15,7 @@ from littleq.exact import (
     det_laurent,
     qhyper_terminating,
     qpoch,
+    qpoch_pair,
 )
 
 Q = F(1, 2)
@@ -64,6 +65,31 @@ def test_qpoch_matches_bruteforce():
         for k in range(n):
             brute *= 1 - z * q ** k
         assert qpoch(z, q, n) == brute
+
+
+@st.composite
+def qpoch_args(draw):
+    q = draw(st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12))
+    z = draw(st.one_of(
+        fractions,  # either sign, so z <= 0 too
+        st.just(F(0)),
+        st.integers(0, 40).map(lambda j: q ** -j),  # the factor k = j vanishes
+    ))
+    return z, q, draw(st.integers(0, 40))
+
+
+@given(qpoch_args())
+@example((F(-3, 4), F(3, 5), 40))
+@example((F(0), F(5, 7), 12))
+@example((F(5, 3) ** 6, F(3, 5), 40))
+def test_qpoch_is_the_factor_by_factor_product(args):
+    z, q, n = args
+    brute = F(1)
+    for k in range(n):
+        brute *= 1 - z * q ** k
+    num, den = qpoch_pair(z, q, n)
+    assert den > 0 and F(num, den) == brute
+    assert qpoch(z, q, n) == brute
 
 
 def test_qhyper_zero_argument():

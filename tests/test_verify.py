@@ -15,8 +15,11 @@ from littleq import (
     NonConvergenceError,
     Params,
     RootFindingFailureError,
+    deformed_norm_sq,
     groundstate_sq,
     level_poly,
+    norm_ratio,
+    virtual_energy,
 )
 from littleq import verify
 from littleq.exact import LittleQError
@@ -145,6 +148,42 @@ def test_orthogonality_type_i(pji, pli):
 def test_orthogonality_rejects_bad_eps(pj):
     with pytest.raises(InvalidParamsError):
         orthogonality_check(IndexSet.of(2), pj, 2, F(0))
+
+
+def _exact_absolute_target(d, p):
+    """S_00 from 256-factor products multiplied one Fraction at a time."""
+    def product(z):
+        out = F(1)
+        for k in range(256):
+            out *= 1 - z * p.q ** k
+        return out
+
+    d0 = norm_ratio(0, p) * product(p.a)
+    if p.family == Family.LQ_JACOBI:
+        d0 /= product(p.a * p.b)
+    if p.ctype == CType.TYPE_II:
+        return 1 / (d0 * deformed_norm_sq(d, 0, p))
+    out = 1 / d0
+    for dj in d.indices:
+        out *= -virtual_energy(dj, p)
+    return out
+
+
+@pytest.mark.parametrize("dset, p", [
+    ((1, 3, 5, 7), Params(Family.LQ_JACOBI, Q, A, F(1, 4096), CType.TYPE_II, dmax=7)),
+    ((2, 3, 4), Params(Family.LQ_JACOBI, Q, F(1, 64), F(1, 3), CType.TYPE_I, dmax=4)),
+    ((1, 2), Params(Family.LQ_LAGUERRE, Q, A, 0, CType.TYPE_II, dmax=2)),
+    ((1, 2), Params(Family.LQ_LAGUERRE, Q, F(1, 10), 0, CType.TYPE_I, dmax=2)),
+    ((1, 2), Params(Family.LQ_JACOBI, F(3, 5), A, F(1, 50), CType.TYPE_II, dmax=2)),
+    ((2,), Params(Family.LQ_JACOBI, F(1, 4), F(3, 7), F(11, 832), CType.TYPE_II, dmax=2)),
+], ids=["deep", "type1", "laguerre", "laguerre-type1", "q=3/5", "q=1/4"])
+def test_absolute_target_is_the_rounded_exact_value(dset, p):
+    d = IndexSet.of(*dset)
+    value, rel = OrthogonalityData(d, p, 1, EPS).absolute_target()
+    assert value == float(_exact_absolute_target(d, p))
+    # far below the 1e-12 slack, so the check's bound still prints 1e-12
+    assert 0 < rel < F(1, 10 ** 40)
+    assert str(1e-12 + float(rel)) == "1e-12"
 
 
 # ---------------------------------------------------------------------------
