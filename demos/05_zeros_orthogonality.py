@@ -1,8 +1,8 @@
-"""Zeros, interlacing, and certified orthogonality sums.
+"""Zeros, interlacing, and orthogonality sums.
 
 Locates the zeros of the multi-indexed polynomials at 256-bit precision,
 shows the physical/unphysical split and interlacing, and evaluates the
-infinite orthogonality sums with exact partial sums plus certified
+infinite orthogonality sums with exact partial sums plus estimated
 geometric tails.
 """
 from fractions import Fraction as F
@@ -35,8 +35,8 @@ for n in range(4):
 print("\n(degree always equals %d + n; starred zeros are unphysical)"
       % d.degree_offset)
 
-# Orthogonality: partial sums are exact rationals; the tail is certified
-# geometric.  Diagonal ratios then match closed-form constants exactly
+# Orthogonality: partial sums are exact rationals; the tail is a geometric
+# estimate, trusted after eight observed ratio steps.  Diagonal ratios then match closed-form constants exactly
 # within twice the relative tail bound.
 data = OrthogonalityData(d, p, 3, F(1, 10 ** 24))
 s00 = data.pair_sum(0, 0)

@@ -34,6 +34,7 @@ from .darboux import (
     deformed_backward_check,
     deformed_eigencheck,
     deformed_forward_check,
+    deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
     denominator_leading,
@@ -41,13 +42,13 @@ from .darboux import (
     denominator_poly_y,
     infinity_values,
     level_poly,
+    level_poly_y,
     lowest_matches_denominator,
     multi_indexed_leading,
     multi_indexed_poly,
     multi_indexed_poly_y,
     psi_deformed_sq,
     typeI_eigen_numerator,
-    typeI_potentials,
     typeI_single_poly,
     typeII_single_poly,
     xi_casoratian,

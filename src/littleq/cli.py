@@ -5,7 +5,8 @@ Rationals cross the boundary as exact "num/den" strings; floating point
 appears only in the zeros and table numeric columns, always at an explicit
 printed precision, so identical configurations produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 internal
+Exit codes: 0 success, 1 verification failure, 2 invalid input (including a
+parameter coincidence that makes a Casoratian vanish identically), 3 internal
 invariant breach (a division that theory says is exact was not).
 """
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .exact import (
     InvalidParamsError,
     LittleQError,
     NonExactDivisionError,
+    fmt_rational,
 )
 from .verify import SUITES, OrthogonalityData, polynomial_roots, run_suite
 
@@ -53,10 +55,6 @@ def parse_indices(text: str) -> tuple[int, ...]:
         return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise InvalidParamsError("cannot parse index list %r" % text) from exc
-
-
-def fmt_rational(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
 
 
 @dataclass(frozen=True)
@@ -310,7 +308,11 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParamsError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except (NonExactDivisionError, DegenerateCasoratianError) as exc:
+    except DegenerateCasoratianError as exc:
+        # a parameter coincidence such as b = a q^m, not an internal fault
+        print("invalid input: parameter coincidence: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
+    except NonExactDivisionError as exc:
         print("internal invariant breach: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     except LittleQError as exc:

@@ -11,7 +11,10 @@ theorems into runtime checks.
 
 Both construction types share one Casoratian builder: the shift runs
 backward for type II and forward for type I, and the border carries the
-type-dependent ground-state-ratio quotient.  The type II construction is
+type-dependent ground-state-ratio quotient.  Both also share one deformed
+system, described by the level polynomials (level_poly_y) and the measure
+(deformed_measure); the potentials, the orthogonality weight and the norm
+factor are derived from those pieces alone.  The type II construction is
 fully normalized (denominator value 1 at x = -1, eigenpolynomial value 1 at
 x = 0).  The type I construction is exposed at Casoratian level only,
 normalized single-index closed forms excepted.
@@ -231,45 +234,6 @@ def lowest_matches_denominator(d: IndexSet, p: ParamsLike) -> EtaPoly:
     return (lhs - rhs).to_eta()
 
 
-@dataclass(frozen=True)
-class DeformedPotentials:
-    """Deformed hopping potentials as exact numerator/denominator pairs."""
-
-    b_num: LaurentPoly
-    b_den: LaurentPoly
-    d_num: LaurentPoly
-    d_den: LaurentPoly
-
-    def b_value(self, x: int) -> Fraction:
-        den = self.b_den.eval_int(x)
-        if den == 0:
-            raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
-        return self.b_num.eval_int(x) / den
-
-    def d_value(self, x: int) -> Fraction:
-        den = self.d_den.eval_int(x)
-        if den == 0:
-            raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
-        return self.d_num.eval_int(x) / den
-
-
-def deformed_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
-    """Deformed potentials; positive on the lattice with the down term
-    vanishing at x = 0.  Dispatches on the construction type."""
-    if p.ctype == CType.TYPE_I:
-        return typeI_potentials(d, p)
-    m = d.size
-    xi0 = denominator_poly_y(d, p)
-    xi1 = denominator_poly_y(d, p.shift(delta=1))
-    bshift = potential_b(p.shift(tilde=m))
-    return DeformedPotentials(
-        b_num=bshift * xi0.shift(-1) * xi1,
-        b_den=xi0 * xi1.shift(-1),
-        d_num=potential_d(p) * xi0 * xi1.shift(-2),
-        d_den=xi0.shift(-1) * xi1.shift(-1),
-    )
-
-
 def deformed_eigencheck(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     """Eigen-equation residual of the deformed system, denominators cleared.
 
@@ -346,16 +310,6 @@ def psi_deformed_sq(x: int, d: IndexSet, p: ParamsLike) -> Fraction:
     if den == 0:
         raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % x)
     return xi.eval_int(0) * groundstate_sq(x, p.shift(tilde=d.size)) / den
-
-
-def deformed_norm_sq(d: IndexSet, n: int, p: ParamsLike) -> Fraction:
-    """Extra squared-norm factor of the deformation; strictly positive."""
-    out = Fraction(1)
-    for dj in d.indices:
-        out /= energy(n, p) - virtual_energy(dj, p)
-    if p.family == Family.LQ_JACOBI:
-        out *= qpoch(p.b * p.q ** (-d.size), p.q, d.size)
-    return out
 
 
 def infinity_values(d: IndexSet, n: int, p: ParamsLike) -> tuple[Fraction, Fraction]:
@@ -443,37 +397,6 @@ def typeI_eigen_numerator(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     return _casoratian(d, p, n)
 
 
-def level_poly(d: IndexSet, n: int, p: ParamsLike) -> EtaPoly:
-    """The level-n polynomial in eta for either construction type.
-
-    Type II: the normalized multi-indexed polynomial.  Type I: the raw
-    numerator with its monomial unit y^s stripped, since the roots of y^s sit
-    at the basis point eta = 1 and are not zeros of the eigenvector.
-    """
-    if p.ctype == CType.TYPE_II:
-        return multi_indexed_poly(d, n, p)
-    qn = typeI_eigen_numerator(d, n, p)
-    if not qn.is_zero and qn.min_deg > 0:
-        qn = qn.divide_exact(LaurentPoly.monomial(p.q, qn.min_deg))
-    return qn.to_eta()
-
-
-def typeI_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
-    """Type I deformed potentials as exact numerator/denominator pairs."""
-    _check_type_i(p)
-    q, a = p.q, p.a
-    m = d.size
-    vd = virtual_data(p)
-    w = xi_casoratian(d, p)
-    qn = typeI_eigen_numerator(d, 0, p)
-    return DeformedPotentials(
-        b_num=vd.bprime_new.shift(m) * w * qn.shift(1).scale(a / q),
-        b_den=w.shift(1) * qn,
-        d_num=vd.dprime_new * w.shift(1) * qn.shift(-1).scale(q / a),
-        d_den=w * qn,
-    )
-
-
 def typeI_single_poly(
     dd: int,
     n: int,
@@ -500,3 +423,99 @@ def typeI_single_poly(
     pref = (1 - b) * q ** n / den
     inner = xi.shift(1) * pn - (xi * pn.shift(1)).scale(a / q)
     return inner.scale(pref)
+
+
+# ---------------------------------------------------------------------------
+# the deformed system of either construction type
+# ---------------------------------------------------------------------------
+
+
+def level_poly_y(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
+    """The level-n polynomial in y for either construction type: the
+    normalized multi-indexed polynomial for type II, the raw bordered
+    numerator for type I."""
+    if p.ctype == CType.TYPE_II:
+        return multi_indexed_poly_y(d, n, p)
+    return typeI_eigen_numerator(d, n, p)
+
+
+def level_poly(d: IndexSet, n: int, p: ParamsLike) -> EtaPoly:
+    """The level-n polynomial in eta for either construction type.
+
+    For type I the monomial unit y^s of the raw numerator is stripped, since
+    the roots of y^s sit at the basis point eta = 1 and are not zeros of the
+    eigenvector.
+    """
+    out = level_poly_y(d, n, p)
+    if p.ctype == CType.TYPE_I and not out.is_zero and out.min_deg > 0:
+        out = out.divide_exact(LaurentPoly.monomial(p.q, out.min_deg))
+    return out.to_eta()
+
+
+def deformed_measure(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, Fraction]:
+    """(den, c) of the deformed orthogonality weight
+    c groundstate_sq(x; lambda + M tilde) / (den(x) den(x-1)).
+
+    den is the denominator polynomial for type II and the forward Casoratian
+    at x + 1 for type I.  c is 1 for type II and q^{-C(M,2)} (b;q)_M for
+    type I (b = 0 for little q-Laguerre), from the exact identity
+    groundstate_sq(x; lambda) prod_{j=1..M} B'(x+j-1) = c groundstate_sq(x;
+    lambda + M tilde).
+    """
+    if p.ctype == CType.TYPE_II:
+        return denominator_poly_y(d, p), Fraction(1)
+    m = d.size
+    return xi_casoratian(d, p).shift(1), p.q ** -qbinom2(m) * qpoch(p.b, p.q, m)
+
+
+@dataclass(frozen=True)
+class DeformedPotentials:
+    """Deformed hopping potentials as exact numerator/denominator pairs."""
+
+    b_num: LaurentPoly
+    b_den: LaurentPoly
+    d_num: LaurentPoly
+    d_den: LaurentPoly
+
+    def b_value(self, x: int) -> Fraction:
+        den = self.b_den.eval_int(x)
+        if den == 0:
+            raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
+        return self.b_num.eval_int(x) / den
+
+    def d_value(self, x: int) -> Fraction:
+        den = self.d_den.eval_int(x)
+        if den == 0:
+            raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
+        return self.d_num.eval_int(x) / den
+
+
+def deformed_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
+    """Deformed potentials of either construction type, from den of
+    deformed_measure and the level-0 polynomial l0:
+
+    B_D(x) = B(x; lambda + M tilde) den(x-1) l0(x+1) / (den(x) l0(x)),
+    D_D(x) = D(x) den(x) l0(x-1) / (den(x-1) l0(x)).
+
+    Positive on the lattice, with the down term vanishing at x = 0.
+    """
+    den, _ = deformed_measure(d, p)
+    l0 = level_poly_y(d, 0, p)
+    return DeformedPotentials(
+        b_num=potential_b(p.shift(tilde=d.size)) * den.shift(-1) * l0.shift(1),
+        b_den=den * l0,
+        d_num=potential_d(p) * den * l0.shift(-1),
+        d_den=den.shift(-1) * l0,
+    )
+
+
+def deformed_norm_sq(d: IndexSet, n: int, p: ParamsLike) -> Fraction:
+    """Extra squared-norm factor of level n of the deformation; strictly
+    positive.  The factor (b q^{-M}; q)_M belongs to the normalization of the
+    type II little q-Jacobi polynomials only."""
+    out = Fraction(1)
+    for dj in d.indices:
+        out /= energy(n, p) - virtual_energy(dj, p)
+    if p.family == Family.LQ_JACOBI and p.ctype == CType.TYPE_II:
+        out *= qpoch(p.b * p.q ** (-d.size), p.q, d.size)
+    return out

@@ -60,7 +60,7 @@ class DenominatorZeroAtIntegerError(ExactError):
 
 
 class NonConvergenceError(ExactError):
-    """A certified geometric tail bound could not be established."""
+    """A geometric tail estimate could not be established."""
 
 
 class RootFindingFailureError(ExactError):
@@ -69,6 +69,11 @@ class RootFindingFailureError(ExactError):
 
 def scalar(v: ScalarLike) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def fmt_rational(x: Fraction) -> str:
+    """Exact "num/den" text of a rational, also for integers."""
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def qpoch_pair(z: ScalarLike, q: ScalarLike, n: int) -> tuple[int, int]:

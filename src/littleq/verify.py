@@ -1,12 +1,13 @@
-"""Verification suite: exact identity checks, certified orthogonality sums,
-exact zero counts and interlacing, positivity scans.
+"""Verification suite: exact identity checks, orthogonality sums with
+estimated tails, exact zero counts and interlacing, positivity scans.
 
 Exact checks pass only when a residual object is identically zero.  The
 infinite orthogonality sums are handled with exact partial sums plus a
-certified geometric tail: the term ratio is computed exactly and must stay
-below rho < 1 for eight consecutive lattice points before the bound
-last_term * rho / (1 - rho) is trusted.  Zero counts and interlacing are
-proved on integer numerators (Descartes' rule of signs with
+geometric tail estimate: the term ratio is computed exactly and must stay
+below rho < 1 for eight consecutive lattice points before the estimate
+last_term * rho / (1 - rho) is trusted.  Eight observed steps are evidence,
+not a proof that the ratio stays below rho beyond them.  Zero counts and
+interlacing are proved on integer numerators (Descartes' rule of signs with
 Vincent-Collins-Akritas bisection, exact sign evaluations).  Floating point
 enters only in two places.  ortho_absolute_s00 is an uncertified cross-check
 of S_00 against infinite products truncated to 256 factors, compared as
@@ -52,6 +53,7 @@ from .darboux import (
     deformed_eigencheck,
     deformed_backward_check,
     deformed_forward_check,
+    deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
     denominator_leading,
@@ -59,6 +61,7 @@ from .darboux import (
     denominator_poly_y,
     infinity_values,
     level_poly,
+    level_poly_y,
     lowest_matches_denominator,
     multi_indexed_leading,
     multi_indexed_poly,
@@ -76,6 +79,7 @@ from .exact import (
     LittleQError,
     NonConvergenceError,
     RootFindingFailureError,
+    fmt_rational,
     horner,
 )
 from .virtual import (
@@ -147,10 +151,6 @@ class VerificationReport:
         }
 
 
-def _fmt(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
-
-
 def _check(
     name: str, ok: bool, witness: str, bound: str | None = None, soft: bool = False
 ) -> CheckResult:
@@ -180,7 +180,7 @@ def _equal_check(name: str, lhs, rhs, witness: str = "") -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# orthogonality with certified tails
+# orthogonality with estimated geometric tails
 # ---------------------------------------------------------------------------
 
 
@@ -190,7 +190,7 @@ def _certified_sum(
     eps: Fraction,
     max_terms: int = 500,
 ) -> TailBound:
-    """Exact partial sum with a certified geometric tail estimate.
+    """Exact partial sum with a geometric tail estimate (not a proof).
 
     Extends the truncation until |t(x+1)| <= rho |t(x)| held for the last 8
     consecutive steps and the resulting bound |t(X)| rho/(1-rho) drops below
@@ -238,11 +238,11 @@ def _groundstate_sq_by_ratio(p: ParamsLike) -> Callable[[int], Fraction]:
 class OrthogonalityData:
     """Exact partial sums of the deformed orthogonality relation.
 
-    For the type II construction the summand is
-    w(x) P_n(x) P_m(x) with w(x) = groundstate_sq(x; shifted) /
-    (Xi(x) Xi(x-1)); for type I it is the Casoratian-level equivalent with
-    the ground-state ratio squared absorbed.  Diagonal terms are positive, so
-    partial sums are lower bounds and the certified tail gives an interval.
+    For either construction type the summand is w(x) P_n(x) P_m(x), with
+    the weight w(x) = c groundstate_sq(x; lambda + M tilde) / (den(x)
+    den(x-1)) from deformed_measure and P_n from level_poly_y.  Diagonal
+    terms are positive, so partial sums are lower bounds and the tail
+    estimate gives an interval.
     The weight and every P_n are evaluated once per lattice point, in rows
     that all pair sums share.
     """
@@ -254,32 +254,16 @@ class OrthogonalityData:
         self.eps = Fraction(eps)
         if self.eps <= 0:
             raise InvalidParamsError("eps must be positive")
-        m = d.size
-        q = p.q
-        gs = _groundstate_sq_by_ratio(p.shift(tilde=m) if p.ctype == CType.TYPE_II else p)
-        if p.ctype == CType.TYPE_II:
-            xi = denominator_poly_y(d, p)
-            polys = [multi_indexed_poly_y(d, n, p) for n in range(nmax + 1)]
+        den, c = deformed_measure(d, p)
+        p_up = p.shift(tilde=d.size)
+        gs = _groundstate_sq_by_ratio(p_up)
 
-            def weight(x: int) -> Fraction:
-                return gs(x) / (xi.eval_int(x) * xi.eval_int(x - 1))
+        def weight(x: int) -> Fraction:
+            return c * gs(x) / (den.eval_int(x) * den.eval_int(x - 1))
 
-            rho = (1 + p.a) / 2
-        else:
-            w_cas = xi_casoratian(d, p)
-            polys = [typeI_eigen_numerator(d, n, p) for n in range(nmax + 1)]
-            bp = virtual_data(p).bprime_new
-
-            def weight(x: int) -> Fraction:
-                out = gs(x)
-                for j in range(1, m + 1):
-                    out *= bp.eval_int(x + j - 1)
-                return out / (w_cas.eval_int(x) * w_cas.eval_int(x + 1))
-
-            rho = (1 + p.a * q ** (-m)) / 2
         self.weight = weight
-        self.polys = polys
-        self.rho = rho
+        self.polys = [level_poly_y(d, n, p) for n in range(nmax + 1)]
+        self.rho = (1 + max(p.a, p_up.a)) / 2
         self._rows: list[tuple[Fraction, ...]] = []  # x -> (w(x), P_0(x)..P_N(x))
 
     def _row(self, x: int) -> tuple[Fraction, ...]:
@@ -297,20 +281,15 @@ class OrthogonalityData:
 
     def exact_diag_ratio(self, n: int) -> Fraction:
         """Target value of S_nn / S_00 from the closed-form norm constants."""
-        p, d = self.p, self.d
-        out = 1 / norm_ratio(n, p)
-        if p.ctype == CType.TYPE_II:
-            return out * deformed_norm_sq(d, 0, p) / deformed_norm_sq(d, n, p)
-        for dj in d.indices:
-            out *= (energy(n, p) - virtual_energy(dj, p)) / (-virtual_energy(dj, p))
-        return out
+        d, p = self.d, self.p
+        return deformed_norm_sq(d, 0, p) / (norm_ratio(n, p) * deformed_norm_sq(d, n, p))
 
     def diag_ratio(
         self, n: int, diag: Sequence[TailBound]
     ) -> tuple[Fraction, Fraction, Fraction, bool]:
         """(S_nn/S_00, its target, the bound, verdict) from the diagonal sums.
 
-        The bound rel * |target| takes rel from both certified tails; the
+        The bound rel * |target| takes rel from both tail estimates; the
         verdict is |S_nn/S_00 - target| <= bound.
         """
         snn, s00 = diag[n], diag[0]
@@ -332,12 +311,8 @@ class OrthogonalityData:
         reciprocal gives rel = e / (1 - e): the true S_00 lies within
         (1 +/- rel) of the exact quotient.
         """
-        p, d = self.p, self.d
-        (num, den), e = norm_abs_approx(0, p, factors)
-        if p.ctype == CType.TYPE_II:
-            scale = 1 / deformed_norm_sq(d, 0, p)
-        else:
-            scale = math.prod(-virtual_energy(dj, p) for dj in d.indices)
+        (num, den), e = norm_abs_approx(0, self.p, factors)
+        scale = 1 / deformed_norm_sq(self.d, 0, self.p)
         return den * scale.numerator / (num * scale.denominator), e / (1 - e)
 
 
@@ -729,12 +704,7 @@ def structural_checks(
                 "order %s vs %s" % (list(d.indices), perm),
             )
         )
-        if p.ctype == CType.TYPE_II:
-            x1 = denominator_poly_y(d, p)
-            x2 = denominator_poly_y(dp, p)
-        else:
-            x1 = xi_casoratian(d, p)
-            x2 = xi_casoratian(dp, p)
+        x1, x2 = deformed_measure(d, p)[0], deformed_measure(dp, p)[0]
         ok = (x1 - x2).is_zero or (x1 + x2).is_zero
         checks.append(
             _check(
@@ -1168,9 +1138,9 @@ def run_suite(
     params_echo = {
         "family": p.family.value,
         "type": int(p.ctype),
-        "q": _fmt(p.q),
-        "a": _fmt(p.a),
-        "b": _fmt(p.b),
+        "q": fmt_rational(p.q),
+        "a": fmt_rational(p.a),
+        "b": fmt_rational(p.b),
         "dmax": p.dmax,
         "strict_range": p.strict_range,
     }

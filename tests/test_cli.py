@@ -190,6 +190,26 @@ def test_main_rejects_invalid_numeric_options(capsys, argv):
     assert out == "" and "invalid input" in err
 
 
+@pytest.mark.parametrize("command", ["construct", "table", "zeros"])
+@pytest.mark.parametrize(
+    "point",
+    [
+        # b = a q^5: two type II virtual states become linearly dependent
+        ["--type", "2", "--q", "5/7", "--a", "7/10", "--b=625/4802", "--indices", "1,3"],
+        # b = a q^-4, type I
+        ["--type", "1", "--q", "2/3", "--a", "16/135", "--b=3/5", "--indices", "1,2"],
+    ],
+    ids=["type2-b=aq^5", "type1-b=aq^-4"],
+)
+def test_parameter_coincidence_is_invalid_input(capsys, command, point):
+    argv = [command, "--family", "lqJacobi", *point, "--nmax", "2"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: parameter coincidence: ")
+    assert "Casoratian is identically zero" in err
+
+
 def test_main_rejects_unknown_flag(capsys):
     assert main(["verify", "--bogus", "1"]) == EXIT_INVALID
     capsys.readouterr()
@@ -235,6 +255,15 @@ GOLDEN_STDOUT = [
     (["verify", "--q", "1/4", "--a", "3/7", "--b", "11/832", "--indices", "2",
       "--nmax", "4"],
      "01b65c40cb3dbb6be92f2dba8af7d13bd70f2c752c26f1d2cf94885cf484eaa8"),
+    # type I table floats and type I little q-Laguerre verify
+    (["table", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "3"],
+     "479653e6493230414a61fa473158eb7e912d7667d8d977797de8d978e91b6502"),
+    (["table", "--family", "lqLaguerre", "--type", "1", "--a", "1/40",
+      "--indices", "1,2", "--nmax", "3"],
+     "645dedb7c008f239409ab72e43fc87217d9b872da210e3c65c1bd8682fb0eb69"),
+    (["verify", "--family", "lqLaguerre", "--type", "1", "--a", "1/40",
+      "--indices", "1,2", "--nmax", "3"],
+     "944baeb44b1ebb10d8d14cf455aa01dfd9e10d5a2db378c3bb5f08456e1a8434"),
 ]
 
 

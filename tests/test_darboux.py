@@ -1,11 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import closed_forms
 from littleq import (
     CType,
+    DegenerateCasoratianError,
     Family,
     IndexSet,
     InvalidParamsError,
@@ -14,6 +18,7 @@ from littleq import (
     deformed_backward_check,
     deformed_eigencheck,
     deformed_forward_check,
+    deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
     denominator_leading,
@@ -21,17 +26,20 @@ from littleq import (
     denominator_poly_y,
     det_laurent,
     eigenpoly_y,
+    groundstate_sq,
     infinity_values,
     lowest_matches_denominator,
     multi_indexed_leading,
     multi_indexed_poly,
     multi_indexed_poly_y,
+    potential_b,
+    potential_d,
     psi_deformed_sq,
     tilde_delta,
     typeI_eigen_numerator,
-    typeI_potentials,
     typeI_single_poly,
     typeII_single_poly,
+    virtual_data,
     virtual_poly_y,
     xi_casoratian,
 )
@@ -291,8 +299,6 @@ def test_forward_n0_trivial(pj):
 
 
 def test_potentials_empty_set_reduce_to_base(pj):
-    from littleq import potential_b, potential_d
-
     pots = deformed_potentials(IndexSet.of(), pj)
     assert pots.b_num == potential_b(pj) and pots.b_den == LaurentPoly.one(Q)
     assert pots.d_num == potential_d(pj) and pots.d_den == LaurentPoly.one(Q)
@@ -317,9 +323,68 @@ def test_groundstate_product_route(pj):
         assert psi_deformed_sq(x, d, pj) * p0.eval_int(x) ** 2 == acc
 
 
-def test_psi_empty_set_is_groundstate(pj):
-    from littleq import groundstate_sq
+def _separate_potentials(d, p):
+    """(b_num, b_den, d_num, d_den) of each construction type by its own
+    formula: type I from the forward Casoratian W and the level-0 numerator
+    Q_0, type II from the denominator polynomial at lambda and lambda + delta."""
+    m = d.size
+    if p.ctype == CType.TYPE_I:
+        vd = virtual_data(p)
+        w = xi_casoratian(d, p)
+        q0 = typeI_eigen_numerator(d, 0, p)
+        return (
+            vd.bprime_new.shift(m) * w * q0.shift(1).scale(p.a / p.q),
+            w.shift(1) * q0,
+            vd.dprime_new * w.shift(1) * q0.shift(-1).scale(p.q / p.a),
+            w * q0,
+        )
+    xi0 = denominator_poly_y(d, p)
+    xi1 = denominator_poly_y(d, p.shift(delta=1))
+    return (
+        potential_b(p.shift(tilde=m)) * xi0.shift(-1) * xi1,
+        xi0 * xi1.shift(-1),
+        potential_d(p) * xi0 * xi1.shift(-2),
+        xi0.shift(-1) * xi1.shift(-1),
+    )
 
+
+@st.composite
+def deformed_points(draw, ctypes=tuple(CType)):
+    """A random valid point of either family with an index set, |D| <= 3."""
+    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(ctypes))
+    d = IndexSet(tuple(sorted(draw(st.sets(st.integers(1, 4), max_size=3)))))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return d, _random_valid_params(rng, family, ctype, max(d.indices, default=0))
+
+
+@given(deformed_points())
+@settings(max_examples=30, deadline=None)
+def test_one_potentials_formula_matches_each_type(point):
+    d, p = point
+    try:
+        want = _separate_potentials(d, p)
+    except DegenerateCasoratianError:  # a coincidence b = a q^m
+        with pytest.raises(DegenerateCasoratianError):
+            deformed_potentials(d, p)
+        return
+    pots = deformed_potentials(d, p)
+    assert (pots.b_num, pots.b_den, pots.d_num, pots.d_den) == want
+
+
+@given(deformed_points(ctypes=(CType.TYPE_I,)))
+@settings(max_examples=30, deadline=None)
+def test_type_i_measure_constant(point):
+    # gs(x; lambda) prod_j B'(x+j-1) = c gs(x; lambda + M tilde)
+    d, p = point
+    _, c = deformed_measure(d, p)
+    bp = virtual_data(p).bprime_new
+    p_up = p.shift(tilde=d.size)
+    for x in range(31):
+        lhs = groundstate_sq(x, p) * math.prod(bp.eval_int(x + j) for j in range(d.size))
+        assert lhs == c * groundstate_sq(x, p_up), x
+
+
+def test_psi_empty_set_is_groundstate(pj):
     for x in range(8):
         assert psi_deformed_sq(x, IndexSet.of(), pj) == groundstate_sq(x, pj)
 
@@ -402,9 +467,7 @@ def test_blimit_linear_convergence():
 
 
 def test_type_i_empty_set_reduces_to_base(pji):
-    from littleq import potential_b, potential_d
-
-    pots = typeI_potentials(IndexSet.of(), pji)
+    pots = deformed_potentials(IndexSet.of(), pji)
     for x in range(0, 12):
         assert pots.b_value(x) == potential_b(pji).eval_int(x)
         assert pots.d_value(x + 1) == potential_d(pji).eval_int(x + 1)
@@ -413,7 +476,7 @@ def test_type_i_empty_set_reduces_to_base(pji):
 def test_type_i_potentials_positive(pji, pli):
     for p in (pji, pli):
         for d in (IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2)):
-            pots = typeI_potentials(d, p)
+            pots = deformed_potentials(d, p)
             assert pots.d_value(0) == 0
             assert all(pots.b_value(x) > 0 for x in range(0, 31))
             assert all(pots.d_value(x) > 0 for x in range(1, 31))
