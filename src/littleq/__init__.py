@@ -37,6 +37,7 @@ from .darboux import (
     deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
+    deformed_weight,
     denominator_leading,
     denominator_poly,
     denominator_poly_y,
@@ -47,7 +48,6 @@ from .darboux import (
     multi_indexed_leading,
     multi_indexed_poly,
     multi_indexed_poly_y,
-    psi_deformed_sq,
     typeI_eigen_numerator,
     typeI_single_poly,
     typeII_single_poly,
@@ -64,9 +64,9 @@ from .exact import (
     NonConvergenceError,
     NonExactDivisionError,
     RootFindingFailureError,
-    ZeroDenominatorError,
     det_laurent,
     qhyper_terminating,
+    qhyper_terms,
     qpoch,
 )
 from .virtual import (

@@ -22,6 +22,7 @@ from .exact import (
     ScalarLike,
     qbinom2,
     qhyper_terminating,
+    qhyper_terms,
     qpoch,
     qpoch_pair,
     scalar,
@@ -99,22 +100,22 @@ class Params(RawParams):
             elif not 0 < a < 1:
                 raise InvalidParamsError("little q-Laguerre needs 0 < a < 1")
         else:
+            # the bound of the deformed range, stated as tested
+            bound, text = (q ** (1 + self.dmax), "q^(1+dmax)") if deformed else (1, "1")
             if self.ctype == CType.TYPE_I:
-                bound = q ** (1 + self.dmax) if deformed else Fraction(1)
                 if not 0 < a < bound:
                     raise InvalidParamsError(
-                        "type I little q-Jacobi needs 0 < a < q^(1+dmax)"
+                        "type I little q-Jacobi needs 0 < a < %s" % text
                     )
                 if not b < 1:
                     raise InvalidParamsError("little q-Jacobi needs b < 1")
             else:
                 if not 0 < a < 1:
                     raise InvalidParamsError("little q-Jacobi needs 0 < a < 1")
-                bound = q ** (1 + self.dmax) if deformed else Fraction(1)
                 if not b < bound:
                     raise InvalidParamsError(
-                        "type II little q-Jacobi needs b < q^(1+dmax) "
-                        "(extended range), got b=%s" % b
+                        "type II little q-Jacobi needs b < %s "
+                        "(extended range), got b=%s" % (text, b)
                     )
                 if deformed and b == 0:
                     raise InvalidParamsError(
@@ -162,25 +163,17 @@ def potential_d(p: ParamsLike) -> LaurentPoly:
 def eigenpoly_y(n: int, p: ParamsLike) -> LaurentPoly:
     """Eigenpolynomial of level n in the variable y = q^x (zero for n < 0).
 
-    Built from the terminating 2phi1 series with argument q^{x+1} = q*y, so
-    each term is a monomial in y; normalized to value 1 at x = 0.
+    The terminating series 2phi1(q^{-n}, ab q^{n-1}; a; q; q y) (b = 0 for
+    little q-Laguerre), whose term k is the coefficient of y^k; normalized
+    to value 1 at x = 0.
     """
-    q, a, b = p.q, p.a, p.b
+    q, a = p.q, p.a
     if n < 0:
         return LaurentPoly.zero(q)
-    coeffs = {0: Fraction(1)}
-    term = Fraction(1)
-    for k in range(1, n + 1):
-        num = 1 - q ** (k - 1 - n)
-        if p.family == Family.LQ_JACOBI:
-            num *= 1 - a * b * q ** (n + k - 2)
-        den = (1 - a * q ** (k - 1)) * (1 - q ** k)
-        if den == 0:
-            raise InvalidParamsError("Pochhammer denominator vanished at k=%d" % k)
-        term = term * num / den * q
-        coeffs[k] = term
+    ab = a * p.b if p.family == Family.LQ_JACOBI else 0
+    terms = qhyper_terms([q ** (-n), ab * q ** (n - 1)], [a], q, q, n)
     cn = eigen_at_infinity(n, p)
-    return LaurentPoly(q, {d: cn * c for d, c in coeffs.items()})
+    return LaurentPoly(q, {k: cn * c for k, c in enumerate(terms)})
 
 
 def eigenpoly(n: int, p: ParamsLike) -> EtaPoly:

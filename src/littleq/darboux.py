@@ -24,22 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .base import (
     CType,
     Family,
     ParamsLike,
-    RawParams,
     casoratian_gauge,
     eigen_at_infinity,
     eigen_leading,
     eigenpoly_y,
     energy,
-    groundstate_sq,
     potential_b,
     potential_d,
-    twist,
 )
 from .exact import (
     DegenerateCasoratianError,
@@ -48,11 +45,9 @@ from .exact import (
     InvalidParamsError,
     LaurentPoly,
     NonExactDivisionError,
-    Scalar,
     det_laurent,
     qbinom2,
     qpoch,
-    scalar,
 )
 from .virtual import (
     nu_ratio_poly,
@@ -175,20 +170,24 @@ def denominator_norm_const(d: IndexSet, p: ParamsLike) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=256)
-def denominator_poly_y(d: IndexSet, p: ParamsLike) -> LaurentPoly:
-    """Denominator polynomial in y: gauged, normalized Casoratian of D."""
-    _check_type_ii(p)
-    m = d.size
-    if m == 0:
-        return LaurentPoly.one(p.q)
-    w = xi_casoratian(d, p)
-    out = w.divide_exact(casoratian_gauge(m, p.q))
+def _gauged(w: LaurentPoly, m: int, const: Fraction) -> LaurentPoly:
+    """A type II Casoratian w of size m over its gauge monomial and const.
+
+    The gauge division must be exact and leave a genuine polynomial in y.
+    """
+    out = w.divide_exact(casoratian_gauge(m, w.q))
     if out.min_deg < 0:
         raise NonExactDivisionError(
             "Casoratian not divisible by its gauge monomial (degree defect)"
         )
-    return out.scale(1 / denominator_norm_const(d, p))
+    return out.scale(1 / const)
+
+
+@lru_cache(maxsize=256)
+def denominator_poly_y(d: IndexSet, p: ParamsLike) -> LaurentPoly:
+    """Denominator polynomial in y: gauged, normalized Casoratian of D."""
+    _check_type_ii(p)
+    return _gauged(xi_casoratian(d, p), d.size, denominator_norm_const(d, p))
 
 
 def denominator_poly(d: IndexSet, p: ParamsLike) -> EtaPoly:
@@ -206,18 +205,12 @@ def multi_indexed_poly_y(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     normalization constant.  Both divisions must be exact.
     """
     _check_type_ii(p)
-    q = p.q
     m = d.size
     det = _casoratian(d, p, n)
     if det.is_zero:  # n < 0
         return det
-    cdn = (-1) ** m * q ** (qbinom2(m + 1)) * denominator_norm_const(d, p)
-    out = det.divide_exact(casoratian_gauge(m + 1, q))
-    if out.min_deg < 0:
-        raise NonExactDivisionError(
-            "bordered Casoratian not divisible by its gauge monomial"
-        )
-    return out.scale(1 / cdn)
+    cdn = (-1) ** m * p.q ** (qbinom2(m + 1)) * denominator_norm_const(d, p)
+    return _gauged(det, m + 1, cdn)
 
 
 def multi_indexed_poly(d: IndexSet, n: int, p: ParamsLike) -> EtaPoly:
@@ -298,18 +291,6 @@ def deformed_backward_check(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     ).scale(Fraction(1) / q)
     rhs = (xi1.shift(-1) * target).scale(b0)
     return lhs - rhs
-
-
-def psi_deformed_sq(x: int, d: IndexSet, p: ParamsLike) -> Fraction:
-    """Squared deformed ground-state factor at integer x >= 0; 1 at x = 0."""
-    _check_type_ii(p)
-    if x < 0:
-        raise ValueError("defined for x >= 0")
-    xi = denominator_poly_y(d, p)
-    den = xi.eval_int(x) * xi.eval_int(x - 1)
-    if den == 0:
-        raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % x)
-    return xi.eval_int(0) * groundstate_sq(x, p.shift(tilde=d.size)) / den
 
 
 def infinity_values(d: IndexSet, n: int, p: ParamsLike) -> tuple[Fraction, Fraction]:
@@ -397,26 +378,18 @@ def typeI_eigen_numerator(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     return _casoratian(d, p, n)
 
 
-def typeI_single_poly(
-    dd: int,
-    n: int,
-    family: Family,
-    q: Scalar,
-    a: Scalar,
-    b: Scalar = Fraction(0),
-) -> LaurentPoly:
+def typeI_single_poly(dd: int, n: int, p: ParamsLike) -> LaurentPoly:
     """Normalized single-index type I polynomial from its closed form.
 
     (1-b) q^n / ((1 - a q^{n-d-1})(1 - b q^{n+d})) *
-    [xi_d(x+1) P_n(x) - a q^{-1} xi_d(x) P_n(x+1)],
-    with the virtual-state polynomial built at twisted parameters.  Takes raw
-    scalars (no range validation) so it can also be evaluated at formally
-    inverted q for the reflection identity.
+    [xi_d(x+1) P_n(x) - a q^{-1} xi_d(x) P_n(x+1)].
+    Takes an unvalidated type I record, so it can also be evaluated at
+    shifted points and at formally inverted q for the reflection identity.
     """
-    q, a, b = scalar(q), scalar(a), scalar(b)
-    raw = RawParams(family, q, a, b, CType.TYPE_I)
-    xi = eigenpoly_y(dd, twist(raw))
-    pn = eigenpoly_y(n, raw)
+    _check_type_i(p)
+    q, a, b = p.q, p.a, p.b
+    xi = virtual_poly_y(dd, p)
+    pn = eigenpoly_y(n, p)
     den = (1 - a * q ** (n - dd - 1)) * (1 - b * q ** (n + dd))
     if den == 0:
         raise InvalidParamsError("degenerate normalization in closed form")
@@ -466,6 +439,35 @@ def deformed_measure(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, Fraction]
         return denominator_poly_y(d, p), Fraction(1)
     m = d.size
     return xi_casoratian(d, p).shift(1), p.q ** -qbinom2(m) * qpoch(p.b, p.q, m)
+
+
+def deformed_weight(d: IndexSet, p: ParamsLike) -> Callable[[int], Fraction]:
+    """The deformed orthogonality weight of either construction type,
+    x -> c groundstate_sq(x; lambda + M tilde) / (den(x) den(x-1)) for
+    integer x >= 0, with (den, c) from deformed_measure.
+
+    The ground state is grown once per lattice point by its ratio
+    a (1 - b q^x) / (1 - q^{x+1}) at lambda + M tilde (b = 0 for little
+    q-Laguerre).  A zero of den(x) den(x-1) raises
+    DenominatorZeroAtIntegerError.  For type II, w(x) / w(0) is the squared
+    deformed ground state.
+    """
+    den, c = deformed_measure(d, p)
+    pu = p.shift(tilde=d.size)
+    gs = [Fraction(1)]
+
+    def weight(x: int) -> Fraction:
+        if x < 0:
+            raise ValueError("defined for x >= 0")
+        while len(gs) <= x:
+            qx = pu.q ** (len(gs) - 1)
+            gs.append(gs[-1] * pu.a * (1 - pu.b * qx) / (1 - qx * pu.q))
+        dd = den.eval_int(x) * den.eval_int(x - 1)
+        if dd == 0:
+            raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % x)
+        return c * gs[x] / dd
+
+    return weight
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,6 @@ class NegativePowersError(ExactError):
     """A genuine polynomial was required but negative powers of y remain."""
 
 
-class ZeroDenominatorError(ExactError):
-    """A lower q-Pochhammer factor vanished before a series terminated."""
-
-
 class NonExactDivisionError(ExactError):
     """A division that must be exact left a nonzero remainder."""
 
@@ -115,6 +111,65 @@ def horner(num: Sequence[int], r: int, t: int) -> tuple[int, int]:
     return acc, tp
 
 
+def qhyper_terms(
+    upper: Sequence[ScalarLike],
+    lower: Sequence[ScalarLike],
+    q: ScalarLike,
+    z: ScalarLike,
+    nterms: int,
+) -> list[Fraction]:
+    """Terms k = 0..K of the terminating basic hypergeometric series r\\phi_s.
+
+    Term k is (upper;q)_k / ((lower;q)_k (q;q)_k) z^k [(-1)^k q^{C(k,2)}]^{s+1-r},
+    so with z = c*y it is the coefficient of y^k.  The terms stop before the
+    first k at which an upper factor vanishes, else at K = nterms, where the
+    series must have terminated (ValueError otherwise); a vanishing lower
+    factor before that raises InvalidParamsError.  With q = r/t each term
+    ratio is one unreduced integer pair, reduced once into its term.
+    """
+    if nterms < 0:
+        raise ValueError("nterms must be >= 0")
+    ups = [scalar(u) for u in upper]
+    lows = [scalar(l) for l in lower]
+    q, z = scalar(q), scalar(z)
+    r, t = q.numerator, q.denominator
+    sign_pow = len(lows) + 1 - len(ups)
+    # the ratio's powers of t^(k-1) cancel between the upper, lower, (q;q)
+    # and sign factors, which leaves these k-independent parts
+    num0 = t * z.numerator
+    den0 = z.denominator
+    for u in ups:
+        den0 *= u.denominator
+    for l in lows:
+        num0 *= l.denominator
+    terms = [Fraction(1)]
+    rk, tk = 1, 1  # q^{k-1} = rk/tk while building term k
+    for k in range(1, nterms + 1):
+        num = 1
+        for u in ups:
+            num *= u.denominator * tk - u.numerator * rk
+        if num == 0:
+            return terms
+        num *= num0
+        den = den0 * (tk * t - rk * r)
+        for l in lows:
+            den *= l.denominator * tk - l.numerator * rk
+        if den == 0:
+            raise InvalidParamsError("Pochhammer denominator vanished at k=%d" % k)
+        if sign_pow > 0:
+            num *= (-rk) ** sign_pow
+        elif sign_pow < 0:
+            den *= (-rk) ** -sign_pow
+        prev = terms[-1]
+        terms.append(Fraction(prev.numerator * num, prev.denominator * den))
+        rk *= r
+        tk *= t
+    # termination must have happened by now
+    if z == 0 or not terms[-1] or any(u.denominator * tk == u.numerator * rk for u in ups):
+        return terms
+    raise ValueError("series did not terminate within %d terms" % nterms)
+
+
 def qhyper_terminating(
     upper: Sequence[ScalarLike],
     lower: Sequence[ScalarLike],
@@ -122,45 +177,9 @@ def qhyper_terminating(
     z: ScalarLike,
     nterms: int,
 ) -> Fraction:
-    """Terminating basic hypergeometric sum r\\phi_s at a scalar argument.
-
-    Includes the standard [(-1)^k q^{C(k,2)}]^{s+1-r} factor.  The series must
-    terminate at or before ``nterms`` (some upper parameter a power q^{-n});
-    a vanishing lower factor before termination raises ZeroDenominatorError.
-    """
-    if nterms < 0:
-        raise ValueError("nterms must be >= 0")
-    ups = [scalar(u) for u in upper]
-    lows = [scalar(l) for l in lower]
-    q, z = scalar(q), scalar(z)
-    sign_pow = len(lows) + 1 - len(ups)
-    total = Fraction(1)
-    term = Fraction(1)
-    qk = Fraction(1)  # q^{k-1} while processing term k
-    for k in range(1, nterms + 1):
-        num = Fraction(1)
-        for u in ups:
-            num *= 1 - u * qk
-        if num == 0:
-            return total
-        den = 1 - q ** k
-        for l in lows:
-            f = 1 - l * qk
-            if f == 0:
-                raise ZeroDenominatorError(
-                    "lower parameter %s hit a zero factor at k=%d" % (l, k)
-                )
-            den *= f
-        term = term * num / den * z * (-qk) ** sign_pow
-        total += term
-        qk *= q
-    # termination must have happened by now
-    for u in ups:
-        if 1 - u * qk == 0:
-            return total
-    if z == 0 or term == 0:
-        return total
-    raise ValueError("series did not terminate within %d terms" % nterms)
+    """Terminating basic hypergeometric sum r\\phi_s at a scalar argument:
+    the sum of qhyper_terms."""
+    return sum(qhyper_terms(upper, lower, q, z, nterms), Fraction(0))
 
 
 class LaurentPoly:

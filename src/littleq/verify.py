@@ -31,7 +31,7 @@ from .base import (
     CType,
     Family,
     Params,
-    ParamsLike,
+    RawParams,
     backward_shift_apply,
     eigen_at_infinity,
     eigen_leading,
@@ -46,7 +46,6 @@ from .base import (
     norm_ratio,
     potential_b,
     potential_d,
-    tilde_delta,
 )
 from .darboux import (
     IndexSet,
@@ -56,6 +55,7 @@ from .darboux import (
     deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
+    deformed_weight,
     denominator_leading,
     denominator_poly,
     denominator_poly_y,
@@ -66,7 +66,6 @@ from .darboux import (
     multi_indexed_leading,
     multi_indexed_poly,
     multi_indexed_poly_y,
-    psi_deformed_sq,
     typeI_eigen_numerator,
     typeI_single_poly,
     typeII_single_poly,
@@ -220,27 +219,11 @@ def _certified_sum(
     )
 
 
-def _groundstate_sq_by_ratio(p: ParamsLike) -> Callable[[int], Fraction]:
-    """groundstate_sq(x, p) at any x >= 0, each value grown once from the
-    previous one by w(x+1)/w(x) = a(1 - b q^x)/(1 - q^{x+1}) (b = 0 for
-    little q-Laguerre) instead of an O(x) q-Pochhammer per lattice point."""
-    vals = [Fraction(1)]
-
-    def gs(x: int) -> Fraction:
-        while len(vals) <= x:
-            qt = p.q ** (len(vals) - 1)
-            vals.append(vals[-1] * p.a * (1 - p.b * qt) / (1 - qt * p.q))
-        return vals[x]
-
-    return gs
-
-
 class OrthogonalityData:
     """Exact partial sums of the deformed orthogonality relation.
 
     For either construction type the summand is w(x) P_n(x) P_m(x), with
-    the weight w(x) = c groundstate_sq(x; lambda + M tilde) / (den(x)
-    den(x-1)) from deformed_measure and P_n from level_poly_y.  Diagonal
+    the weight w from deformed_weight and P_n from level_poly_y.  Diagonal
     terms are positive, so partial sums are lower bounds and the tail
     estimate gives an interval.
     The weight and every P_n are evaluated once per lattice point, in rows
@@ -254,14 +237,8 @@ class OrthogonalityData:
         self.eps = Fraction(eps)
         if self.eps <= 0:
             raise InvalidParamsError("eps must be positive")
-        den, c = deformed_measure(d, p)
         p_up = p.shift(tilde=d.size)
-        gs = _groundstate_sq_by_ratio(p_up)
-
-        def weight(x: int) -> Fraction:
-            return c * gs(x) / (den.eval_int(x) * den.eval_int(x - 1))
-
-        self.weight = weight
+        self.weight = deformed_weight(d, p)
         self.polys = [level_poly_y(d, n, p) for n in range(nmax + 1)]
         self.rho = (1 + max(p.a, p_up.a)) / 2
         self._rows: list[tuple[Fraction, ...]] = []  # x -> (w(x), P_0(x)..P_N(x))
@@ -732,25 +709,29 @@ def structural_checks(
     if p.ctype == CType.TYPE_II:
         pots = deformed_potentials(d, p)
         p0 = multi_indexed_poly(d, 0, p)
+        weight = deformed_weight(d, p)
+        w0 = weight(0)
         acc = Fraction(1)
-        ok = psi_deformed_sq(0, d, p) == 1
+        ok = True
         for x in range(1, 21):
             acc *= pots.b_value(x - 1) / pots.d_value(x)
-            if psi_deformed_sq(x, d, p) * p0.eval_int(x) ** 2 != acc:
+            if weight(x) / w0 * p0.eval_int(x) ** 2 != acc:
                 ok = False
                 break
         checks.append(
             _check("structural_groundstate_product", ok, "hop-ratio product matches on x <= 20")
         )
-    # b -> 0 limit (little q-Jacobi only): linear coefficientwise convergence
-    if (
-        p.family == Family.LQ_JACOBI
-        and p.ctype == CType.TYPE_II
-        and Fraction(1, 2 ** 10) < q ** (1 + p.dmax)
-    ):
+    # b -> 0 limit (little q-Jacobi only): linear coefficientwise convergence,
+    # probed at b = 2^-k0, 2^-(k0+4), 2^-(k0+8) with the first probe at least
+    # two halvings below b = q^(1+dmax), the pole nearest zero
+    if p.family == Family.LQ_JACOBI and p.ctype == CType.TYPE_II:
         lag = Params(Family.LQ_LAGUERRE, q, p.a, 0, CType.TYPE_II, p.dmax)
+        pole, kp = q ** (1 + p.dmax), 0
+        while pole.numerator << kp < pole.denominator:  # least kp: 2^-kp <= pole
+            kp += 1
+        k0 = max(10, kp + 2)
         devs = []
-        for k in (10, 14, 18):
+        for k in (k0, k0 + 4, k0 + 8):
             bk = Fraction(1, 2 ** k)
             pj = Params(Family.LQ_JACOBI, q, p.a, bk, CType.TYPE_II, p.dmax)
             dev = Fraction(0)
@@ -774,7 +755,7 @@ def structural_checks(
         )
     # single-index type I/II relation at shifted parameters
     fam = p.family
-    sa1, sb1 = tilde_delta(fam, CType.TYPE_I)
+    pi = RawParams(fam, q, p.a, p.b, CType.TYPE_I).shift(tilde=-1)
     try:
         twin = (
             p
@@ -794,14 +775,7 @@ def structural_checks(
                     # a coincidence such as a = q puts the shifted point on a pole
                     ok, soft, wit = False, True, "degenerate shifted point (%s)" % exc
                     break
-                lhs = typeI_single_poly(
-                    1,
-                    n,
-                    fam,
-                    q,
-                    p.a * q ** (-sa1),
-                    p.b * q ** (-sb1) if fam == Family.LQ_JACOBI else Fraction(0),
-                )
+                lhs = typeI_single_poly(1, n, pi)
                 if not (lhs - rhs).is_zero:
                     ok, wit = False, "mismatch at n=%d" % n
                     break
@@ -822,7 +796,7 @@ def reflection_checks(p: Params, nmax: int = 2) -> list[CheckResult]:
     for n in range(max(nmax, 2) + 1):
         try:
             refl = typeI_single_poly(
-                2, n, Family.LQ_JACOBI, 1 / p.q, p.a, p.b
+                2, n, RawParams(Family.LQ_JACOBI, 1 / p.q, p.a, p.b, CType.TYPE_I)
             ).coeff_dict()
             same = refl == multi_indexed_poly_y(d2, n, p).coeff_dict()
             wit = "coefficients %s" % ("match" if same else "differ")
@@ -980,7 +954,7 @@ def _deformed_checks(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
             dd = d.indices[0]
             ok = True
             for n in range(nmax + 1):
-                clos = typeI_single_poly(dd, n, p.family, p.q, p.a, p.b)
+                clos = typeI_single_poly(dd, n, p)
                 raw = typeI_eigen_numerator(d, n, p)
                 lc_c = clos.coeff(clos.max_deg)
                 lc_r = raw.coeff(raw.max_deg)

@@ -29,6 +29,7 @@ from .exact import (
     InvalidParamsError,
     LaurentPoly,
     qhyper_terminating,
+    qhyper_terms,
     qpoch,
 )
 
@@ -40,8 +41,6 @@ class VirtualData:
     bprime_new: LaurentPoly
     dprime_new: LaurentPoly
     alpha_prime: Fraction
-    ctype: CType
-    family: Family
 
 
 def _require_b(p: ParamsLike) -> Fraction:
@@ -79,7 +78,7 @@ def virtual_data(p: ParamsLike) -> VirtualData:
             bp = LaurentPoly(q, {-1: 1})
             ap = -(1 - a / q)
         dp = LaurentPoly(q, {-1: a / q, 0: -a / q})
-    return VirtualData(bp, dp, ap, p.ctype, p.family)
+    return VirtualData(bp, dp, ap)
 
 
 def virtual_energy(v: int, p: ParamsLike) -> Fraction:
@@ -111,42 +110,25 @@ def virtual_energy_prime(v: int, p: ParamsLike) -> Fraction:
 def virtual_poly_y(v: int, p: ParamsLike) -> LaurentPoly:
     """Virtual-state polynomial of degree v as a Laurent polynomial in y.
 
-    Type II polynomials are normalized to value 1 at x = -1 and are built
-    from their own terminating series (2phi1 with argument b q^x for little
-    q-Jacobi, 1phi1 with argument a q^{x+v+1} for little q-Laguerre).  Type I
-    polynomials are the eigenpolynomials at twisted parameters, so they carry
-    the eigen normalization: value 1 at x = 0.
+    Type II polynomials are normalized to value 1 at x = -1: xi_at_infinity
+    times their own terminating series, 2phi1(q^{-v}, (a/b) q^{v+1}; a; q;
+    b y) for little q-Jacobi and 1phi1(q^{-v}; a; q; a q^{v+1} y) for little
+    q-Laguerre, whose term k is the coefficient of y^k.  Type I polynomials
+    are the eigenpolynomials at twisted parameters, so they carry the eigen
+    normalization: value 1 at x = 0.
     """
     if v < 0:
         raise ValueError("virtual index must be >= 0")
     q, a = p.q, p.a
     if p.ctype == CType.TYPE_I:
         return eigenpoly_y(v, twist(p))
-    jac = p.family == Family.LQ_JACOBI
     b = _require_b(p)
-    coeffs = {0: Fraction(1)}
-    term = Fraction(1)
-    for k in range(1, v + 1):
-        den = (1 - a * q ** (k - 1)) * (1 - q ** k)
-        if den == 0:
-            # a = q^{1-k}, e.g. a = 1 at the tilde-shifted point of a = q
-            raise InvalidParamsError("Pochhammer denominator vanished at k=%d" % k)
-        num = 1 - q ** (k - 1 - v)
-        if jac:
-            term = term * num * (1 - (a / b) * q ** (v + k)) / den * b
-        else:
-            term = term * num / den * (-(q ** (k - 1))) * a * q ** (v + 1)
-        coeffs[k] = term
-    if jac:
-        den0 = qpoch(b * q ** (-v - 1), q, v)
-        if den0 == 0:
-            raise InvalidParamsError(
-                "b = q^j pole at v=%d; enlarge dmax or move b" % v
-            )
-        lead = qpoch(a, q, v) / den0
+    if p.family == Family.LQ_JACOBI:
+        terms = qhyper_terms([q ** (-v), (a / b) * q ** (v + 1)], [a], q, b, v)
     else:
-        lead = qpoch(a, q, v)
-    return LaurentPoly(q, {d: lead * c for d, c in coeffs.items()})
+        terms = qhyper_terms([q ** (-v)], [a], q, a * q ** (v + 1), v)
+    lead = xi_at_infinity(v, p)
+    return LaurentPoly(q, {k: lead * c for k, c in enumerate(terms)})
 
 
 def xi_at_infinity(v: int, p: ParamsLike) -> Fraction:
@@ -157,7 +139,7 @@ def xi_at_infinity(v: int, p: ParamsLike) -> Fraction:
     if p.family == Family.LQ_JACOBI:
         den = qpoch(p.b * q ** (-v - 1), q, v)
         if den == 0:
-            raise InvalidParamsError("b = q^j pole at v=%d" % v)
+            raise InvalidParamsError("b = q^j pole at v=%d; enlarge dmax or move b" % v)
         return qpoch(a, q, v) / den
     return qpoch(a, q, v)
 

@@ -14,6 +14,7 @@ from littleq import (
     IndexSet,
     InvalidParamsError,
     Params,
+    RawParams,
     deformed_backward_check,
     deformed_eigencheck,
     deformed_forward_check,
@@ -198,16 +199,17 @@ def test_criterion_08_structural_identities():
         sa, sb = tilde_delta(fam, CType.TYPE_I)
         for n in range(5):
             rhs = multi_indexed_poly_y(IndexSet.of(1), n, pm)
-            lhs = typeI_single_poly(
-                1, n, fam, Q, A * Q ** (-sa),
-                bb * Q ** (-sb) if fam == Family.LQ_JACOBI else F(0))
+            pi = RawParams(fam, Q, A * Q ** (-sa),
+                           bb * Q ** (-sb) if fam == Family.LQ_JACOBI else F(0), CType.TYPE_I)
+            lhs = typeI_single_poly(1, n, pi)
             ok &= (lhs - rhs).is_zero
     # reflection remark: matches for n = 0,1 and fails for n = 2
     bgen = F(1, 20)
     pgen = Params(Family.LQ_JACOBI, Q, A, bgen, CType.TYPE_II, dmax=2)
     for n in range(3):
         try:
-            refl = typeI_single_poly(2, n, Family.LQ_JACOBI, 1 / Q, A, bgen)
+            refl = typeI_single_poly(
+                2, n, RawParams(Family.LQ_JACOBI, 1 / Q, A, bgen, CType.TYPE_I))
             same = refl.coeff_dict() == multi_indexed_poly_y(
                 IndexSet.of(2), n, pgen).coeff_dict()
         except InvalidParamsError:

@@ -171,6 +171,23 @@ def test_main_exit_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,needs",
+    [
+        # dmax = 0 tests the undeformed bound 1, dmax >= 1 the bound q^(1+dmax)
+        (["construct", "--type", "1", "--a", "3/2", "--indices="], "needs 0 < a < 1"),
+        (["construct", "--type", "2", "--b", "3/2", "--indices="], "needs b < 1 "),
+        (["construct", "--type", "1", "--a", "3/2", "--indices=1"],
+         "needs 0 < a < q^(1+dmax)"),
+        (["construct", "--type", "2", "--b", "3/2", "--indices=1"], "needs b < q^(1+dmax) "),
+    ],
+)
+def test_range_messages_state_the_tested_bound(capsys, argv, needs):
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and needs in err, err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--eps", "0"],

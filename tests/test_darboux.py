@@ -7,20 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closed_forms
+from littleq import darboux
 from littleq import (
     CType,
     DegenerateCasoratianError,
+    DenominatorZeroAtIntegerError,
     Family,
     IndexSet,
     InvalidParamsError,
     LaurentPoly,
     Params,
+    RawParams,
     deformed_backward_check,
     deformed_eigencheck,
     deformed_forward_check,
     deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
+    deformed_weight,
     denominator_leading,
     denominator_poly,
     denominator_poly_y,
@@ -34,7 +38,6 @@ from littleq import (
     multi_indexed_poly_y,
     potential_b,
     potential_d,
-    psi_deformed_sq,
     tilde_delta,
     typeI_eigen_numerator,
     typeI_single_poly,
@@ -316,11 +319,11 @@ def test_groundstate_product_route(pj):
     d = IndexSet.of(2)
     pots = deformed_potentials(d, pj)
     p0 = multi_indexed_poly(d, 0, pj)
-    assert psi_deformed_sq(0, d, pj) == 1
+    weight = deformed_weight(d, pj)
     acc = F(1)
     for x in range(1, 21):
         acc *= pots.b_value(x - 1) / pots.d_value(x)
-        assert psi_deformed_sq(x, d, pj) * p0.eval_int(x) ** 2 == acc
+        assert weight(x) / weight(0) * p0.eval_int(x) ** 2 == acc
 
 
 def _separate_potentials(d, p):
@@ -384,9 +387,50 @@ def test_type_i_measure_constant(point):
         assert lhs == c * groundstate_sq(x, p_up), x
 
 
+@given(deformed_points())
+@settings(max_examples=30, deadline=None)
+def test_deformed_weight_matches_each_type(point):
+    d, p = point
+    try:
+        weight = deformed_weight(d, p)
+    except DegenerateCasoratianError:  # a coincidence b = a q^m
+        return
+    m = d.size
+    xs = range(30, -1, -1)  # the ground state grows on demand, in any order
+    if p.ctype == CType.TYPE_II:
+        # w(x) / w(0) is the squared deformed ground state
+        # Xi(0) gs(x; lambda + M tilde) / (Xi(x) Xi(x-1))
+        xi = denominator_poly_y(d, p)
+        for x in xs:
+            psi = xi.eval_int(0) * groundstate_sq(x, p.shift(tilde=m)) / (
+                xi.eval_int(x) * xi.eval_int(x - 1))
+            assert weight(x) / weight(0) == psi, x
+    else:
+        # w(x) W(x+1) W(x) = c gs(x; lambda + M tilde) = gs(x) prod_j B'(x+j-1)
+        w, bp = xi_casoratian(d, p), virtual_data(p).bprime_new
+        for x in xs:
+            lhs = weight(x) * w.eval_int(x + 1) * w.eval_int(x)
+            assert lhs == groundstate_sq(x, p) * math.prod(
+                bp.eval_int(x + j) for j in range(m)), x
+
+
+def test_deformed_weight_guards_denominator_zeros(pj, monkeypatch):
+    # a denominator 1 - q^(2-x) vanishes at x = 2, so w(2) and w(3) are poles
+    den = LaurentPoly(Q, {0: 1, 1: -(Q ** -2)})
+    monkeypatch.setattr(darboux, "deformed_measure", lambda d, p: (den, F(1)))
+    weight = deformed_weight(IndexSet.of(), pj)
+    assert weight(1) == groundstate_sq(1, pj) / (den.eval_int(1) * den.eval_int(0))
+    for x in (2, 3):
+        with pytest.raises(DenominatorZeroAtIntegerError, match="zero at x=%d" % x):
+            weight(x)
+    with pytest.raises(ValueError):
+        weight(-1)
+
+
 def test_psi_empty_set_is_groundstate(pj):
+    weight = deformed_weight(IndexSet.of(), pj)
     for x in range(8):
-        assert psi_deformed_sq(x, IndexSet.of(), pj) == groundstate_sq(x, pj)
+        assert weight(x) == groundstate_sq(x, pj)
 
 
 def test_norm_factor_examples(pj):
@@ -494,7 +538,7 @@ def test_type_i_single_closed_form_matches_engine(pji, pli):
     for p in (pji, pli):
         for dd in (1, 2):
             for n in range(4):
-                clos = typeI_single_poly(dd, n, p.family, p.q, p.a, p.b)
+                clos = typeI_single_poly(dd, n, p)
                 raw = typeI_eigen_numerator(IndexSet.of(dd), n, p)
                 lc_c = clos.coeff(clos.max_deg)
                 lc_r = raw.coeff(raw.max_deg)
@@ -506,7 +550,7 @@ def test_type_i_golden_d2_forms():
     # a must sit below q^3 for the type I parameter range
     a, b = F(1, 10), F(1, 16)
     for n, oracle in ((0, closed_forms.type1_d2_n0), (1, closed_forms.type1_d2_n1)):
-        poly = typeI_single_poly(2, n, Family.LQ_JACOBI, Q, a, b)
+        poly = typeI_single_poly(2, n, RawParams(Family.LQ_JACOBI, Q, a, b, CType.TYPE_I))
         for x in range(0, 9):
             assert poly.eval_int(x) == oracle(Q, a, b, x), (n, x)
 
@@ -518,11 +562,15 @@ def test_type_i_ii_relation_single_index():
         sa, sb = tilde_delta(fam, CType.TYPE_I)
         for n in range(5):
             rhs = multi_indexed_poly_y(IndexSet.of(1), n, pm)
-            lhs = typeI_single_poly(
-                1, n, fam, Q, A * Q ** (-sa),
-                bb * Q ** (-sb) if fam == Family.LQ_JACOBI else F(0),
-            )
+            pi = RawParams(fam, Q, A * Q ** (-sa),
+                           bb * Q ** (-sb) if fam == Family.LQ_JACOBI else F(0), CType.TYPE_I)
+            lhs = typeI_single_poly(1, n, pi)
             assert (lhs - rhs).is_zero, (fam, n)
+
+
+def reversed_point(b):
+    """The type I record at the formally inverted base 1/q."""
+    return RawParams(Family.LQ_JACOBI, 1 / Q, A, b, CType.TYPE_I)
 
 
 def test_reflection_remark():
@@ -530,7 +578,7 @@ def test_reflection_remark():
     b = F(1, 20)
     p = Params(Family.LQ_JACOBI, Q, A, b, CType.TYPE_II, dmax=2)
     for n in range(4):
-        refl = typeI_single_poly(2, n, Family.LQ_JACOBI, 1 / Q, A, b)
+        refl = typeI_single_poly(2, n, reversed_point(b))
         same = refl.coeff_dict() == multi_indexed_poly_y(IndexSet.of(2), n, p).coeff_dict()
         assert same == (n <= 1), n
 
@@ -538,7 +586,7 @@ def test_reflection_remark():
 def test_reflection_remark_default_b(pj):
     # at b = q^4 the n = 2 reversal is degenerate, which also breaks the identity
     for n in (0, 1):
-        refl = typeI_single_poly(2, n, Family.LQ_JACOBI, 1 / Q, A, B)
+        refl = typeI_single_poly(2, n, reversed_point(B))
         assert refl.coeff_dict() == multi_indexed_poly_y(IndexSet.of(2), n, pj).coeff_dict()
     with pytest.raises(InvalidParamsError):
-        typeI_single_poly(2, 2, Family.LQ_JACOBI, 1 / Q, A, B)
+        typeI_single_poly(2, 2, reversed_point(B))

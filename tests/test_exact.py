@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from littleq.exact import (
     EtaPoly,
+    InvalidParamsError,
     LaurentPoly,
     NegativePowersError,
     NonExactDivisionError,
-    ZeroDenominatorError,
     det_laurent,
     qhyper_terminating,
+    qhyper_terms,
     qpoch,
     qpoch_pair,
 )
@@ -122,13 +123,57 @@ def test_qhyper_sign_convention_1phi1():
 
 
 def test_qhyper_lower_pole_raises():
-    with pytest.raises(ZeroDenominatorError):
+    with pytest.raises(InvalidParamsError, match="vanished at k=3"):
         qhyper_terminating([Q ** -4], [Q ** -2], Q, F(1, 3), 4)
 
 
 def test_qhyper_nonterminating_raises():
     with pytest.raises(ValueError):
         qhyper_terminating([F(1, 3)], [F(1, 5)], Q, F(1, 2), 4)
+
+
+@st.composite
+def qhyper_args(draw):
+    """r phi s with r, s in 0..3, terminating through q^-n when r >= 1."""
+    q = draw(st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12))
+    n = draw(st.integers(0, 6))
+    r, s = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    upper = [q ** -n] + [draw(fractions) for _ in range(r - 1)] if r else []
+    lower = [draw(fractions) for _ in range(s)]
+    z = draw(st.one_of(fractions, st.fractions(min_value=-40, max_value=40)))
+    return upper, lower, q, z, n
+
+
+def _qhyper_term_by_definition(upper, lower, q, z, k):
+    """Term k from the q-Pochhammers; None when a lower one vanishes."""
+    num = math.prod(qpoch(u, q, k) for u in upper)
+    if num == 0:
+        return F(0)
+    den = math.prod(qpoch(l, q, k) for l in lower) * qpoch(q, q, k)
+    if den == 0:
+        return None
+    sign = ((-1) ** k * q ** (k * (k - 1) // 2)) ** (1 + len(lower) - len(upper))
+    return num / den * z ** k * sign
+
+
+@given(qhyper_args())
+@example(([Q ** -3], [F(1, 3)], Q, F(-7, 2), 3))  # 1phi1: exponent 1
+@example(([Q ** -3, F(1, 5), F(2, 3)], [], Q, F(5, 3), 3))  # 3phi0: exponent -2
+@settings(max_examples=150)
+def test_qhyper_terms_match_the_definition(args):
+    upper, lower, q, z, n = args
+    want = [_qhyper_term_by_definition(upper, lower, q, z, k) for k in range(n + 1)]
+    if None in want:
+        with pytest.raises(InvalidParamsError, match="vanished at k=%d" % want.index(None)):
+            qhyper_terms(upper, lower, q, z, n)
+        return
+    if not upper and z and want[-1]:  # nothing made the series terminate
+        with pytest.raises(ValueError, match="did not terminate"):
+            qhyper_terms(upper, lower, q, z, n)
+        return
+    got = qhyper_terms(upper, lower, q, z, n)
+    assert got + [F(0)] * (n + 1 - len(got)) == want
+    assert qhyper_terminating(upper, lower, q, z, n) == sum(got)
 
 
 # ---------------------------------------------------------------------------

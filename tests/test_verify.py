@@ -16,6 +16,7 @@ from littleq import (
     Params,
     RootFindingFailureError,
     deformed_norm_sq,
+    deformed_weight,
     groundstate_sq,
     level_poly,
     norm_ratio,
@@ -107,11 +108,12 @@ def test_pair_sums_weigh_each_lattice_point_once(pj):
         )
 
 
-def test_weight_ground_state_grown_by_ratio(pj, pl):
+def test_weight_ground_state_grown_by_ratio(pj, pl, pji):
+    # with D empty the weight is the ground state itself, for either type
     xs = (7, 0, 3, 12, 12)
-    for p in (pj, pl, pj.shift(tilde=2)):
-        gs = verify._groundstate_sq_by_ratio(p)
-        assert [gs(x) for x in xs] == [groundstate_sq(x, p) for x in xs]
+    for p in (pj, pl, pj.shift(tilde=2), pji):
+        weight = deformed_weight(IndexSet.of(), p)
+        assert [weight(x) for x in xs] == [groundstate_sq(x, p) for x in xs]
 
 
 def test_orthogonality_data_rejects_bad_eps(pj):
@@ -468,6 +470,25 @@ def test_structural_fragment(pj):
     assert "structural_reduction" in names
     assert "structural_blimit_linear" in names
     assert all(c.status == "pass" for c in checks)
+
+
+# type II little q-Jacobi points with q^(1+dmax) < 2^-8, where probes fixed at
+# b = 2^-10, 2^-14, 2^-18 gave a first deviation ratio below 2^-4.5
+BLIMIT_NEAR_POLE = [
+    (F(1, 7), F(1, 3), F(1, 2000), 2),
+    (F(1, 7), F(1, 5), F(1, 3000), 2),
+    (F(1, 7), F(1, 2), F(1, 400), 2),
+    (F(1, 9), F(1, 3), F(1, 2000), 2),
+    (F(1, 5), F(1, 3), F(1, 2000), 3),
+]
+
+
+@pytest.mark.parametrize("q,a,b,dd", BLIMIT_NEAR_POLE)
+def test_blimit_probes_stay_clear_of_the_pole(q, a, b, dd):
+    p = Params(Family.LQ_JACOBI, q, a, b, CType.TYPE_II, dmax=dd)
+    checks = {c.name: c for c in structural_checks(IndexSet.of(dd), p, 2, random.Random(0))}
+    blimit = checks["structural_blimit_linear"]
+    assert blimit.status == "pass", blimit.witness
 
 
 def test_reflection_fragment(pj, pl):

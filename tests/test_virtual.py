@@ -10,12 +10,14 @@ from littleq import (
     InvalidParamsError,
     LaurentPoly,
     Params,
+    eigen_at_infinity,
     eigenpoly_y,
     groundstate_ratio,
     groundstate_sq,
     nu_ratio_poly,
     potential_b,
     potential_d,
+    qpoch,
     twist,
     virtual_data,
     virtual_energy,
@@ -173,6 +175,79 @@ def test_series_rewriting_two_routes(pj_deep):
         xi = virtual_poly_y(v, pj_deep)
         for x in range(0, 13):
             assert xi.eval_int(x) == xi_series_value(v, pj_deep, x)
+
+
+# term-by-term loops over the series ratios: a route to eigenpoly_y and
+# virtual_poly_y that does not go through exact.qhyper_terms
+def _eigen_loop(n, p):
+    q, a, b = p.q, p.a, p.b
+    coeffs, term = {0: F(1)}, F(1)
+    for k in range(1, n + 1):
+        num = 1 - q ** (k - 1 - n)
+        if p.family == Family.LQ_JACOBI:
+            num *= 1 - a * b * q ** (n + k - 2)
+        den = (1 - a * q ** (k - 1)) * (1 - q ** k)
+        if den == 0:
+            raise InvalidParamsError("Pochhammer denominator vanished at k=%d" % k)
+        term = term * num / den * q
+        coeffs[k] = term
+    cn = eigen_at_infinity(n, p)
+    return LaurentPoly(q, {d: cn * c for d, c in coeffs.items()})
+
+
+def _virtual_loop(v, p):
+    q, a, b = p.q, p.a, p.b
+    if p.ctype == CType.TYPE_I:
+        return _eigen_loop(v, twist(p))
+    jac = p.family == Family.LQ_JACOBI
+    coeffs, term = {0: F(1)}, F(1)
+    for k in range(1, v + 1):
+        den = (1 - a * q ** (k - 1)) * (1 - q ** k)
+        if den == 0:
+            raise InvalidParamsError("Pochhammer denominator vanished at k=%d" % k)
+        num = 1 - q ** (k - 1 - v)
+        if jac:
+            term = term * num * (1 - (a / b) * q ** (v + k)) / den * b
+        else:
+            term = term * num / den * (-(q ** (k - 1))) * a * q ** (v + 1)
+        coeffs[k] = term
+    lead = qpoch(a, q, v)
+    if jac:
+        den0 = qpoch(b * q ** (-v - 1), q, v)
+        if den0 == 0:
+            raise InvalidParamsError("b = q^j pole at v=%d; enlarge dmax or move b" % v)
+        lead /= den0
+    return LaurentPoly(q, {d: lead * c for d, c in coeffs.items()})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidParamsError as exc:
+        return "InvalidParamsError: %s" % exc
+
+
+def _series_points():
+    """Random valid points of every family and type, with their tilde- and
+    delta-shifted and twisted neighbours."""
+    rng = random.Random(1212)
+    # a = q puts the tilde-shifted type II point on the pole a = 1 (at a b
+    # that is no power of q: there an upper factor vanishes at the same k,
+    # and the loops tested the lower factor first)
+    yield Params(Family.LQ_JACOBI, Q, Q, F(1, 24), CType.TYPE_II, dmax=2).shift(tilde=-1)
+    for family in Family:
+        for ctype in CType:
+            for _ in range(4):
+                p = _random_valid_params(rng, family, ctype, dmax=3)
+                yield from (p, p.shift(tilde=1), p.shift(tilde=-1), p.shift(delta=1),
+                            p.shift(tilde=-1, delta=2), twist(p))
+
+
+def test_eigen_and_virtual_series_match_the_loops():
+    for p in _series_points():
+        for n in range(6):
+            assert _outcome(eigenpoly_y, n, p) == _outcome(_eigen_loop, n, p), (p, n)
+            assert _outcome(virtual_poly_y, n, p) == _outcome(_virtual_loop, n, p), (p, n)
 
 
 # ---------------------------------------------------------------------------
