@@ -188,7 +188,10 @@ def eigen_at_infinity(n: int, p: ParamsLike) -> Fraction:
         return Fraction(0)
     out = (-a) ** (-n) * q ** (-qbinom2(n)) * qpoch(a, q, n)
     if p.family == Family.LQ_JACOBI:
-        out /= qpoch(p.b, q, n)
+        den = qpoch(p.b, q, n)
+        if den == 0:
+            raise InvalidParamsError("Pochhammer denominator (b;q)_%d vanished" % n)
+        out /= den
     return out
 
 

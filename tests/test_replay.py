@@ -13,11 +13,12 @@ def _points(k=2):
     return sorted(json.loads(replay_refs.REFS.read_text())["refs"])[:k]
 
 
-def test_replay_digests_exit_code_and_output(tmp_path, capsys):
+def test_replay_digests_exit_code_and_output(tmp_path, capsys, monkeypatch):
     refs = tmp_path / "refs.json"
     refs.write_text(json.dumps({"refs": {p: {} for p in _points()}}))
+    monkeypatch.setattr(replay_refs, "REFS", refs)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert replay_refs.main(["--refs", str(refs), "--out", str(a)]) == 0
+    assert replay_refs.main(["--out", str(a)]) == 0
     digests = json.loads(a.read_text())
     assert len(digests) == 2 * len(replay_refs.COMMANDS)
     # the same tree replays to the same digests

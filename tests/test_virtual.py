@@ -10,6 +10,7 @@ from littleq import (
     InvalidParamsError,
     LaurentPoly,
     Params,
+    RawParams,
     eigen_at_infinity,
     eigenpoly_y,
     groundstate_ratio,
@@ -19,6 +20,7 @@ from littleq import (
     potential_d,
     qpoch,
     twist,
+    typeI_single_poly,
     virtual_data,
     virtual_energy,
     virtual_energy_prime,
@@ -248,6 +250,21 @@ def test_eigen_and_virtual_series_match_the_loops():
         for n in range(6):
             assert _outcome(eigenpoly_y, n, p) == _outcome(_eigen_loop, n, p), (p, n)
             assert _outcome(virtual_poly_y, n, p) == _outcome(_virtual_loop, n, p), (p, n)
+
+
+def test_upper_factor_vanishing_before_a_lower_one_still_raises():
+    # the series stops at the upper factor, where the loops went on to the
+    # lower one and raised; the normalization then meets its own zero
+    # (b;q)_n (eigen) or the b = q^j pole (type II virtual), so both routes
+    # still refuse the point, with different messages
+    pi = RawParams(Family.LQ_JACOBI, F(2), F(1, 2), F(1, 16), CType.TYPE_I)
+    pii = RawParams(Family.LQ_JACOBI, F(1, 2), F(2), F(1, 8), CType.TYPE_II)
+    for fn, v, p in ((eigenpoly_y, 6, pi), (_eigen_loop, 6, pi),
+                     (virtual_poly_y, 3, pii), (_virtual_loop, 3, pii)):
+        with pytest.raises(InvalidParamsError):
+            fn(v, p)
+    with pytest.raises(InvalidParamsError):
+        typeI_single_poly(2, 6, pi)
 
 
 # ---------------------------------------------------------------------------

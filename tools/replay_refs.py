@@ -60,7 +60,6 @@ def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--refs", type=Path, default=REFS, help="reference file to replay")
     ap.add_argument("--out", type=Path, help="write the digests here (default stdout)")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                     help="compare two digest files instead of replaying")
@@ -73,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         print("%d of %d operations differ" % (len(differ), len(a.keys() | b.keys())),
               file=sys.stderr)
         return 1 if differ else 0
-    points = sorted(json.loads(args.refs.read_text())["refs"])
+    points = sorted(json.loads(REFS.read_text())["refs"])
     text = json.dumps(replay(points), indent=0, sort_keys=True) + "\n"
     if args.out:
         args.out.write_text(text)
