@@ -233,6 +233,10 @@ def _mpf_str(v, dps: int) -> str:
     return mpmath.nstr(v, dps, strip_zeros=False)
 
 
+def _ratio_str(v: Fraction, dps: int) -> str:
+    return _mpf_str(mpmath.mpf(v.numerator) / v.denominator, dps)
+
+
 def cmd_zeros(cfg: RunConfig) -> tuple[str, int]:
     p = cfg.params()
     d = cfg.index_set()
@@ -272,10 +276,10 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
             writer.writerow(
                 [
                     n,
-                    _mpf_str(mpmath.mpf(got.numerator) / got.denominator, dps),
+                    got.read(lambda v: _ratio_str(v, dps)),
                     str(target.numerator),
                     str(target.denominator),
-                    _mpf_str(mpmath.mpf(bound.numerator) / bound.denominator, 3),
+                    bound.read(lambda v: _ratio_str(v, 3)),
                     diag[n].truncation_x,
                     "pass" if ok else "fail",
                     dps,

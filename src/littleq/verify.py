@@ -21,8 +21,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import mpmath
@@ -124,11 +125,57 @@ class CheckResult:
 
 
 @dataclass
+class Enclosed:
+    """A value known to lie in [lo, hi], and a thunk for its exact value."""
+
+    lo: Fraction
+    hi: Fraction
+    exact: Callable[[], Fraction]
+
+    def __abs__(self) -> "Enclosed":
+        lo, hi = sorted((abs(self.lo), abs(self.hi)))
+        return Enclosed(0 if self.lo <= 0 <= self.hi else lo, hi, lambda: abs(self.exact()))
+
+    def read(self, fmt: Callable[[Fraction], object]):
+        """fmt at the exact value, read off the ends when fmt agrees there.
+
+        fmt must be monotone up to a relative error of 2^-127 in its
+        argument: a comparison, float() (correctly rounded), or the table's
+        mpf string, which rounds twice at 128 bits.  Each end is widened by
+        2^-124 relative, more than twice that error, so agreeing ends settle
+        every value between them; otherwise the exact value is built.
+        """
+        a = fmt(self.lo - abs(self.lo) * _WIDEN)
+        return a if a == fmt(self.hi + abs(self.hi) * _WIDEN) else fmt(self.exact())
+
+
+@dataclass
 class TailBound:
+    """One truncated orthogonality sum, kept as an integer enclosure.
+
+    The exact partial sum up to truncation_x lies in
+    [scaled_sum, scaled_sum + truncation_x + 1] / 2^bits (``value``);
+    partial_sum, the exact Fraction, is summed from the terms only when
+    asked for.  The tail estimate |t(X)| rho / (1 - rho) is exact.
+    """
+
     truncation_x: int
-    partial_sum: Fraction
+    scaled_sum: int
+    bits: int
     ratio_bound: Fraction
     tail_estimate: Fraction
+    term: Callable[[int], tuple[int, int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def partial_sum(self) -> Fraction:
+        return sum((Fraction(*self.term(x)) for x in range(self.truncation_x + 1)), Fraction(0))
+
+    @property
+    def value(self) -> Enclosed:
+        s, one = self.scaled_sum, 1 << self.bits
+        return Enclosed(
+            Fraction(s, one), Fraction(s + self.truncation_x + 1, one), lambda: self.partial_sum
+        )
 
 
 @dataclass
@@ -183,51 +230,85 @@ def _equal_check(name: str, lhs, rhs, witness: str = "") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+# each end of an enclosure is widened by this relative amount before it is read
+_WIDEN = Fraction(1, 1 << 124)
+# bits of the fixed-point terms beyond those of 1/eps
+_GUARD_BITS = 192
+
+
+def _scale_bits(eps: Fraction) -> int:
+    """Fixed-point bits K of the terms: the bits of 1/eps plus a fixed guard."""
+    return max(0, eps.denominator.bit_length() - eps.numerator.bit_length()) + _GUARD_BITS
+
+
+def _within(a: tuple, c: Fraction, b: tuple) -> bool:
+    """|a| <= c |b| for terms (num, den, lo, hi) with lo <= |num/den| 2^K <= hi,
+    decided on the enclosures where they clear the threshold."""
+    if a[3] * c.denominator <= c.numerator * b[2]:
+        return True
+    if a[2] * c.denominator > c.numerator * b[3]:
+        return False
+    return _exactly_within(a, c, b)
+
+
+def _exactly_within(a: tuple, c: Fraction, b: tuple) -> bool:
+    """|a| <= c |b| by one integer cross-multiplication, without a gcd."""
+    return abs(a[0]) * b[1] * c.denominator <= c.numerator * abs(b[0]) * a[1]
+
+
 def _certified_sum(
-    term: Callable[[int], Fraction],
+    term: Callable[[int], tuple[int, int]],
     rho: Fraction,
     eps: Fraction,
     max_terms: int = 500,
 ) -> TailBound:
-    """Exact partial sum with a geometric tail estimate (not a proof).
+    """Partial sum on fixed-point integers with a geometric tail estimate
+    (not a proof).
 
-    Extends the truncation until |t(x+1)| <= rho |t(x)| held for the last 8
+    term(x) is t(x) as an integer pair (num, den), den > 0.  Each term adds
+    floor(t(x) 2^K) to an integer running sum S, K from _scale_bits(eps), so
+    the exact partial sum up to X lies in [S, S + X + 1] 2^-K.  Extends the
+    truncation until |t(x+1)| <= rho |t(x)| (t(x) != 0) held for the last 8
     consecutive steps and the resulting bound |t(X)| rho/(1-rho) drops below
-    eps.  Raises NonConvergenceError if no such window appears.
+    eps.  Each test is decided on the enclosures of the terms it compares,
+    or exactly where they straddle its threshold, so X and the tail
+    estimate are exact.  Raises NonConvergenceError if no such window
+    appears.
     """
     if not 0 < rho < 1:
         raise NonConvergenceError("ratio bound rho=%s is not < 1" % rho)
-    total = Fraction(0)
-    prev: Fraction | None = None
+    k = _scale_bits(eps)
+    one = (1, 1, 1 << k, 1 << k)
+    cap = eps * (1 - rho) / rho  # |t(X)| <= cap  <=>  the tail estimate <= eps
+    total = 0
+    prev: tuple | None = None
     consec = 0
-    t = Fraction(0)
     for x in range(max_terms + 1):
-        t = term(x)
-        total += t
+        num, den = term(x)
+        lo, rem = divmod(abs(num) << k, den)
+        t = (num, den, lo, lo + (rem > 0))
+        total += lo if num >= 0 else -t[3]
         if prev is not None:
-            if prev != 0 and abs(t) <= rho * abs(prev):
-                consec += 1
-            else:
-                consec = 0
+            consec = consec + 1 if prev[0] and _within(t, rho, prev) else 0
         prev = t
-        if consec >= 8:
-            tail = abs(t) * rho / (1 - rho)
-            if tail <= eps:
-                return TailBound(x, total, rho, tail)
+        if consec >= 8 and _within(t, cap, one):
+            tail = Fraction(abs(num) * rho.numerator, den * (rho.denominator - rho.numerator))
+            return TailBound(x, total, k, rho, tail, term)
     raise NonConvergenceError(
         "no certified geometric window within %d terms" % max_terms
     )
 
 
 class OrthogonalityData:
-    """Exact partial sums of the deformed orthogonality relation.
+    """Partial sums of the deformed orthogonality relation on integers.
 
     For either construction type the summand is w(x) P_n(x) P_m(x), with
     the weight w from deformed_weight and P_n from level_poly_y.  Diagonal
     terms are positive, so partial sums are lower bounds and the tail
     estimate gives an interval.
-    The weight and every P_n are evaluated once per lattice point, in rows
-    that all pair sums share.
+    The weight and every P_n are evaluated once per lattice point, in
+    integer rows that all pair sums share: w = wn/wd and P_n = u_n/L over
+    one common L, so the term of pair (n, m) is wn u_n u_m / (wd L^2).
     """
 
     def __init__(self, d: IndexSet, p: Params, nmax: int, eps: Fraction):
@@ -241,18 +322,22 @@ class OrthogonalityData:
         self.weight = deformed_weight(d, p)
         self.polys = [level_poly_y(d, n, p) for n in range(nmax + 1)]
         self.rho = (1 + max(p.a, p_up.a)) / 2
-        self._rows: list[tuple[Fraction, ...]] = []  # x -> (w(x), P_0(x)..P_N(x))
+        self._rows: list[tuple[int, int, list[int]]] = []  # x -> (wn, wd L^2, u_n)
 
-    def _row(self, x: int) -> tuple[Fraction, ...]:
+    def _row(self, x: int) -> tuple[int, int, list[int]]:
         while len(self._rows) <= x:
             t = len(self._rows)
-            self._rows.append((self.weight(t), *(pn.eval_int(t) for pn in self.polys)))
+            w = self.weight(t)
+            vals = [pn.eval_int(t) for pn in self.polys]
+            common = math.lcm(*(v.denominator for v in vals))
+            u = [v.numerator * (common // v.denominator) for v in vals]
+            self._rows.append((w.numerator, w.denominator * common ** 2, u))
         return self._rows[x]
 
     def pair_sum(self, n: int, m: int) -> TailBound:
-        def term(x: int) -> Fraction:
-            row = self._row(x)
-            return row[0] * row[n + 1] * row[m + 1]
+        def term(x: int) -> tuple[int, int]:
+            wn, den, u = self._row(x)
+            return wn * (u[n] * u[m]), den
 
         return _certified_sum(term, self.rho, self.eps)
 
@@ -263,20 +348,38 @@ class OrthogonalityData:
 
     def diag_ratio(
         self, n: int, diag: Sequence[TailBound]
-    ) -> tuple[Fraction, Fraction, Fraction, bool]:
+    ) -> tuple[Enclosed, Fraction, Enclosed, bool]:
         """(S_nn/S_00, its target, the bound, verdict) from the diagonal sums.
 
         The bound rel * |target| takes rel from both tail estimates; the
-        verdict is |S_nn/S_00 - target| <= bound.
+        verdict is |S_nn/S_00 - target| <= bound.  While both sums are
+        positive the ratio and the bound are monotone in each of them, so
+        their enclosures are spanned by the corners of the sums' enclosures;
+        the verdict is decided on those, or else on the exact sums.
         """
-        snn, s00 = diag[n], diag[0]
+        snn, s00 = diag[n].value, diag[0].value
+        tn, t0 = diag[n].tail_estimate, diag[0].tail_estimate
         target = self.exact_diag_ratio(n)
-        rel = 2 * (
-            snn.tail_estimate / snn.partial_sum + s00.tail_estimate / s00.partial_sum
+
+        def parts(sn: Fraction, s0: Fraction) -> tuple[Fraction, Fraction]:
+            return sn / s0, 2 * (tn / sn + t0 / s0) * abs(target)
+
+        def exact() -> tuple[Fraction, Fraction]:
+            return parts(snn.exact(), s00.exact())
+
+        if snn.lo > 0 and s00.lo > 0:
+            corners = [parts(sn, s0) for sn in (snn.lo, snn.hi) for s0 in (s00.lo, s00.hi)]
+        else:
+            corners = [exact()]
+        (got_lo, got_hi), (bound_lo, bound_hi) = ((min(c), max(c)) for c in zip(*corners))
+        got = Enclosed(got_lo, got_hi, lambda: exact()[0])
+        bound = Enclosed(bound_lo, bound_hi, lambda: exact()[1])
+        miss = Enclosed(  # |S_nn/S_00 - target| - bound
+            max(got_lo - target, target - got_hi, 0) - bound_hi,
+            max(got_hi - target, target - got_lo) - bound_lo,
+            lambda: abs(got.exact() - target) - bound.exact(),
         )
-        got = snn.partial_sum / s00.partial_sum
-        bound = rel * abs(target)
-        return got, target, bound, abs(got - target) <= bound
+        return got, target, bound, miss.read(lambda v: v <= 0)
 
     def absolute_target(self, factors: int = 256) -> tuple[float, Fraction]:
         """S_00 from the closed-form norms and the truncated infinite products,
@@ -310,11 +413,12 @@ def orthogonality_check(
     for n in range(nmax + 1):
         for m in range(n + 1, nmax + 1):
             tb = data.pair_sum(n, m)
+            size = abs(tb.value)
             checks.append(
                 _check(
                     "ortho_offdiag_n%d_m%d" % (n, m),
-                    abs(tb.partial_sum) <= tb.tail_estimate,
-                    "|partial|=%s at x<=%d" % (float(abs(tb.partial_sum)), tb.truncation_x),
+                    size.read(lambda v: v <= tb.tail_estimate),
+                    "|partial|=%s at x<=%d" % (size.read(float), tb.truncation_x),
                     bound=str(float(tb.tail_estimate)),
                 )
             )
@@ -324,19 +428,19 @@ def orthogonality_check(
             _check(
                 "ortho_diag_ratio_n%d" % n,
                 ok,
-                "S_nn/S_00 %s target %s" % (float(got), float(target)),
-                bound=str(float(bound)),
+                "S_nn/S_00 %s target %s" % (got.read(float), float(target)),
+                bound=str(bound.read(float)),
             )
         )
-    s00 = diag[0]
+    s00 = diag[0].value.read(float)
     target0, rel = data.absolute_target()
     # 1e-12 covers the float quotient and the tail of S_00; rel the truncation
     tol = 1e-12 + float(rel)
     checks.append(
         _check(
             "ortho_absolute_s00",
-            abs(float(s00.partial_sum) / target0 - 1) <= tol,
-            "S_00=%s vs %s (256-factor products)" % (float(s00.partial_sum), target0),
+            abs(s00 / target0 - 1) <= tol,
+            "S_00=%s vs %s (256-factor products)" % (s00, target0),
             bound=str(tol),
         )
     )

@@ -11,9 +11,11 @@ import pytest
 
 import closed_forms
 import littleq
+from littleq import verify
 from littleq.cli import (
     EXIT_INVALID,
     EXIT_OK,
+    EXIT_VERIFY_FAIL,
     build_parser,
     cmd_construct,
     cmd_table,
@@ -290,6 +292,81 @@ def test_golden_stdout(capsys, argv, digest):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _count_exact_paths(monkeypatch):
+    """Count the exact fallbacks of the orthogonality sums: integer
+    cross-multiplications in the loop and exact partial sums built to
+    settle a verdict or a printed value."""
+    calls = {"within": 0, "partial_sum": 0}
+    within, partial = verify._exactly_within, verify.TailBound.partial_sum.func
+
+    def counted_within(*args):
+        calls["within"] += 1
+        return within(*args)
+
+    def counted_partial(tb):
+        calls["partial_sum"] += 1
+        return partial(tb)
+
+    monkeypatch.setattr(verify, "_exactly_within", counted_within)
+    monkeypatch.setattr(verify.TailBound, "partial_sum", property(counted_partial))
+    return calls
+
+
+@pytest.mark.parametrize("argv,digest", [g for g in GOLDEN_STDOUT if g[0][0] in ("verify", "table")],
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT
+                              if argv[0] in ("verify", "table")])
+def test_golden_stdout_through_the_exact_fallbacks(capsys, monkeypatch, argv, digest):
+    # 3-bit terms decide almost nothing, so the exact paths carry the output
+    monkeypatch.setattr(verify, "_scale_bits", lambda eps: 3)
+    calls = _count_exact_paths(monkeypatch)
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert calls["within"] > 0 and calls["partial_sum"] > 0
+
+
+# the parent's exact Fraction loop printed these at eps = 1e-150
+TINY_EPS = [
+    (["verify", "--indices", "2", "--nmax", "2", "--suite", "ortho", "--eps", "1e-150"],
+     "d18f599dec37edc25cd813544ad8b9c00de7168833db83fbc52ee0c8badcca8c"),
+    (["table", "--indices", "2", "--nmax", "2", "--eps", "1e-150"],
+     "25c19728b387939d04b1d637f90f03c0a0b616336368a315caa5a010d4f49ae6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", TINY_EPS, ids=[argv[0] for argv, _ in TINY_EPS])
+def test_fixed_point_bits_follow_eps(capsys, monkeypatch, argv, digest):
+    # tail tests near 1e-150 and off-diagonal sums below it still settle on
+    # the integer enclosures: no exact fallback fires
+    calls = _count_exact_paths(monkeypatch)
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert calls == {"within": 0, "partial_sum": 0}
+
+
+# a = 99/100 at q = 9/10: the terms shrink too slowly for a window in 500 terms
+SLOW_POINT = ["--family", "lqLaguerre", "--type", "2", "--q", "9/10", "--a", "99/100",
+              "--indices", "1", "--nmax", "2"]
+
+
+def test_table_refuses_a_sum_without_a_geometric_window(capsys):
+    assert main(["table", *SLOW_POINT]) == EXIT_VERIFY_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no certified geometric window within 500 terms\n"
+
+
+def test_verify_reports_a_sum_without_a_geometric_window(capsys):
+    assert main(["verify", *SLOW_POINT, "--suite", "ortho"]) == EXIT_VERIFY_FAIL
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{
+        "name": "ortho_suite_error",
+        "status": "fail",
+        "witness": "NonConvergenceError: no certified geometric window within 500 terms",
+    }]
 
 
 def test_absolute_s00_judged_by_the_truncation_bound(capsys):

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 
@@ -54,9 +55,13 @@ def zeros_report(d, n, p):
 # ---------------------------------------------------------------------------
 
 
+def _pair(t):
+    return t.numerator, t.denominator
+
+
 def test_certified_sum_geometric():
     # sum of (1/3)^x is 3/2; certified partial must sit within the tail bound
-    tb = _certified_sum(lambda x: F(1, 3) ** x, F(1, 2), F(1, 10 ** 12))
+    tb = _certified_sum(lambda x: (1, 3 ** x), F(1, 2), F(1, 10 ** 12))
     assert abs(tb.partial_sum - F(3, 2)) <= tb.tail_estimate
     assert tb.ratio_bound < 1
     last = F(1, 3) ** tb.truncation_x
@@ -65,7 +70,7 @@ def test_certified_sum_geometric():
 
 def test_certified_sum_nonconvergent_raises():
     with pytest.raises(NonConvergenceError):
-        _certified_sum(lambda x: F(1), F(9, 10), F(1, 100), max_terms=50)
+        _certified_sum(lambda x: (1, 1), F(9, 10), F(1, 100), max_terms=50)
 
 
 def test_certified_sum_monotone_under_refinement(pj, pl):
@@ -103,9 +108,10 @@ def test_pair_sums_weigh_each_lattice_point_once(pj):
     assert seen == list(range(max(tb.truncation_x for tb in sums.values()) + 1))
     for (n, m), tb in sums.items():
         pn, pm = data.polys[n], data.polys[m]
-        assert tb == _certified_sum(
-            lambda x: weight(x) * pn.eval_int(x) * pm.eval_int(x), data.rho, EPS
+        ref = _certified_sum(
+            lambda x: _pair(weight(x) * pn.eval_int(x) * pm.eval_int(x)), data.rho, EPS
         )
+        assert tb == ref and tb.partial_sum == ref.partial_sum
 
 
 def test_weight_ground_state_grown_by_ratio(pj, pl, pji):
@@ -278,6 +284,52 @@ def zero_points(draw):
         except InvalidParamsError:
             assume(False)
     return p, draw(st.sampled_from((IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2))))
+
+
+def _exact_loop(term, rho, eps, max_terms):
+    """The plain exact-Fraction loop: (X, partial sum, tail estimate), or
+    None when no window appears within max_terms."""
+    total, prev, consec = F(0), None, 0
+    for x in range(max_terms + 1):
+        t = term(x)
+        total += t
+        if prev is not None:
+            consec = consec + 1 if prev != 0 and abs(t) <= rho * abs(prev) else 0
+        prev = t
+        if consec >= 8 and abs(t) * rho / (1 - rho) <= eps:
+            return x, total, abs(t) * rho / (1 - rho)
+    return None
+
+
+@given(zero_points())
+@settings(max_examples=40, deadline=None)
+def test_integer_pair_sums_match_the_exact_loop(point):
+    p, d = point
+    try:
+        data = OrthogonalityData(d, p, 2, EPS)
+        data._row(0)
+    except LittleQError:
+        assume(False)
+    # a window within 120 terms keeps the exact loop affordable at q near 1
+    short = functools.partial(verify._certified_sum, max_terms=120)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_certified_sum", short)
+        for n in range(3):
+            for m in range(n, 3):
+                pn, pm = data.polys[n], data.polys[m]
+                ref = _exact_loop(lambda x: data.weight(x) * pn.eval_int(x) * pm.eval_int(x),
+                                  data.rho, EPS, 120)
+                if ref is None:
+                    with pytest.raises(NonConvergenceError):
+                        data.pair_sum(n, m)
+                    continue
+                tb = data.pair_sum(n, m)
+                x, total, tail = ref
+                assert (tb.truncation_x, tb.tail_estimate) == (x, tail)
+                one = 2 ** tb.bits
+                assert tb.scaled_sum <= total * one <= tb.scaled_sum + x + 1
+                assert tb.partial_sum == total
+                assert abs(tb.value).read(float) == float(abs(total))
 
 
 @given(zero_points())
