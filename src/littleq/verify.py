@@ -2,11 +2,16 @@
 estimated tails, exact zero counts and interlacing, positivity scans.
 
 Exact checks pass only when a residual object is identically zero.  The
-infinite orthogonality sums are handled with exact partial sums plus a
-geometric tail estimate: the term ratio is computed exactly and must stay
-below rho < 1 for eight consecutive lattice points before the estimate
-last_term * rho / (1 - rho) is trusted.  Eight observed steps are evidence,
-not a proof that the ratio stays below rho beyond them.  Zero counts and
+infinite orthogonality sums run on fixed-point integers: each exact term
+adds its floor at K = bits(1/eps) + 192 bits, so the exact partial sum has
+an integer enclosure, closed by a geometric tail estimate: the term ratio
+must stay below rho < 1 for eight consecutive lattice points before the
+estimate last_term * rho / (1 - rho) is trusted.  Eight observed steps are
+evidence, not a proof that the ratio stays below rho beyond them.  The
+ratio, zero and stopping tests are exact (on the enclosures, else by an
+integer cross-multiplication), so the truncation point and the estimate
+are; every verdict and printed digit is read off the enclosures, and the
+exact Fraction sum is built only where their ends disagree.  Zero counts and
 interlacing are proved on integer numerators (Descartes' rule of signs with
 Vincent-Collins-Akritas bisection, exact sign evaluations).  Floating point
 enters only in two places.  ortho_absolute_s00 is an uncertified cross-check
@@ -126,7 +131,7 @@ class CheckResult:
 
 @dataclass
 class Enclosed:
-    """A value known to lie in [lo, hi], and a thunk for its exact value."""
+    """A value in [lo, hi], with a thunk that builds it exactly."""
 
     lo: Fraction
     hi: Fraction
@@ -137,27 +142,22 @@ class Enclosed:
         return Enclosed(0 if self.lo <= 0 <= self.hi else lo, hi, lambda: abs(self.exact()))
 
     def read(self, fmt: Callable[[Fraction], object]):
-        """fmt at the exact value, read off the ends when fmt agrees there.
-
-        fmt must be monotone up to a relative error of 2^-127 in its
-        argument: a comparison, float() (correctly rounded), or the table's
-        mpf string, which rounds twice at 128 bits.  Each end is widened by
-        2^-124 relative, more than twice that error, so agreeing ends settle
-        every value between them; otherwise the exact value is built.
-        """
+        """fmt of the value: read off the ends where fmt agrees on both, else
+        from the exact value.  fmt must be monotone up to a relative error
+        of 2^-127: a comparison, float() (rounded once) or the table's mpf
+        string (rounded twice at 128 bits).  Each end is widened by 2^-124
+        relative, more than twice that error, so agreeing ends settle every
+        value between them."""
         a = fmt(self.lo - abs(self.lo) * _WIDEN)
         return a if a == fmt(self.hi + abs(self.hi) * _WIDEN) else fmt(self.exact())
 
 
 @dataclass
 class TailBound:
-    """One truncated orthogonality sum, kept as an integer enclosure.
-
-    The exact partial sum up to truncation_x lies in
-    [scaled_sum, scaled_sum + truncation_x + 1] / 2^bits (``value``);
-    partial_sum, the exact Fraction, is summed from the terms only when
-    asked for.  The tail estimate |t(X)| rho / (1 - rho) is exact.
-    """
+    """A truncated orthogonality sum.  Its exact partial sum up to
+    truncation_x lies in [scaled_sum, scaled_sum + truncation_x + 1] 2^-bits
+    (value) and is built (partial_sum) only when asked for; the tail
+    estimate |t(X)| rho / (1 - rho) is exact."""
 
     truncation_x: int
     scaled_sum: int
@@ -172,10 +172,8 @@ class TailBound:
 
     @property
     def value(self) -> Enclosed:
-        s, one = self.scaled_sum, 1 << self.bits
-        return Enclosed(
-            Fraction(s, one), Fraction(s + self.truncation_x + 1, one), lambda: self.partial_sum
-        )
+        s, x, one = self.scaled_sum, self.truncation_x, 1 << self.bits
+        return Enclosed(Fraction(s, one), Fraction(s + x + 1, one), lambda: self.partial_sum)
 
 
 @dataclass
@@ -230,15 +228,12 @@ def _equal_check(name: str, lhs, rhs, witness: str = "") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-# each end of an enclosure is widened by this relative amount before it is read
-_WIDEN = Fraction(1, 1 << 124)
-# bits of the fixed-point terms beyond those of 1/eps
-_GUARD_BITS = 192
+_WIDEN = Fraction(1, 1 << 124)  # relative widening of an enclosure's ends (Enclosed.read)
 
 
 def _scale_bits(eps: Fraction) -> int:
-    """Fixed-point bits K of the terms: the bits of 1/eps plus a fixed guard."""
-    return max(0, eps.denominator.bit_length() - eps.numerator.bit_length()) + _GUARD_BITS
+    """Fixed-point bits K of the terms: those of 1/eps plus a 192-bit guard."""
+    return max(0, eps.denominator.bit_length() - eps.numerator.bit_length()) + 192
 
 
 def _within(a: tuple, c: Fraction, b: tuple) -> bool:
@@ -262,18 +257,17 @@ def _certified_sum(
     eps: Fraction,
     max_terms: int = 500,
 ) -> TailBound:
-    """Partial sum on fixed-point integers with a geometric tail estimate
+    """Partial sum on fixed-point integers, with a geometric tail estimate
     (not a proof).
 
-    term(x) is t(x) as an integer pair (num, den), den > 0.  Each term adds
-    floor(t(x) 2^K) to an integer running sum S, K from _scale_bits(eps), so
-    the exact partial sum up to X lies in [S, S + X + 1] 2^-K.  Extends the
-    truncation until |t(x+1)| <= rho |t(x)| (t(x) != 0) held for the last 8
-    consecutive steps and the resulting bound |t(X)| rho/(1-rho) drops below
-    eps.  Each test is decided on the enclosures of the terms it compares,
-    or exactly where they straddle its threshold, so X and the tail
-    estimate are exact.  Raises NonConvergenceError if no such window
-    appears.
+    term(x) is t(x) as integers (num, den), den > 0; each adds
+    floor(t(x) 2^K) to an integer sum S, K = _scale_bits(eps), so the exact
+    partial sum up to X lies in [S, S + X + 1] 2^-K.  Extends the truncation
+    until |t(x+1)| <= rho |t(x)| (t(x) != 0) held for the last 8 consecutive
+    steps and the resulting bound |t(X)| rho/(1-rho) drops below eps.  Each
+    test is decided on the enclosures of the terms it compares, or exactly
+    where they straddle its threshold, so X and the tail estimate are exact.
+    Raises NonConvergenceError if no such window appears.
     """
     if not 0 < rho < 1:
         raise NonConvergenceError("ratio bound rho=%s is not < 1" % rho)
@@ -675,17 +669,17 @@ def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
         raise InvalidParamsError("xmax must be >= 10")
     checks: list[CheckResult] = []
     pots = deformed_potentials(d, p)
+    # (name, first x, values, failure witness) of each positivity scan
+    scans = [("positivity_potential_up", 0, pots.b_value, "failure"),
+             ("positivity_potential_down", 1, pots.d_value, "failure")]
     if p.ctype == CType.TYPE_II:
-        xi = denominator_poly_y(d, p)
-        bad = [x for x in range(-1, xmax + 1) if xi.eval_int(x) <= 0]
-        checks.append(
-            _positivity_check(
-                "positivity_denominator",
-                not bad,
-                "positive on [-1,%d]" % xmax if not bad else "sign failure at x=%s" % bad[:3],
-                p,
-            )
-        )
+        scans.insert(0, ("positivity_denominator", -1, denominator_poly_y(d, p).eval_int,
+                         "sign failure"))
+    for name, start, value, failure in scans:
+        bad = [x for x in range(start, xmax + 1) if value(x) <= 0]
+        witness = "%s at x=%s" % (failure, bad[:3]) if bad else "positive on [%d,%d]" % (
+            start, xmax)
+        checks.append(_positivity_check(name, not bad, witness, p))
     # type II starts at x = -1: Xi(x-1) enters the weight at x = 0
     lo = -1 if p.ctype == CType.TYPE_II else 0
     w = xi_casoratian(d, p)
@@ -699,26 +693,7 @@ def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
             p,
         )
     )
-    bad_b = [x for x in range(0, xmax + 1) if pots.b_value(x) <= 0]
-    bad_d = [x for x in range(1, xmax + 1) if pots.d_value(x) <= 0]
-    d0 = pots.d_value(0)
-    checks.append(
-        _positivity_check(
-            "positivity_potential_up",
-            not bad_b,
-            "positive on [0,%d]" % xmax if not bad_b else "failure at x=%s" % bad_b[:3],
-            p,
-        )
-    )
-    checks.append(
-        _positivity_check(
-            "positivity_potential_down",
-            not bad_d,
-            "positive on [1,%d]" % xmax if not bad_d else "failure at x=%s" % bad_d[:3],
-            p,
-        )
-    )
-    checks.append(_equal_check("positivity_down_at_origin", d0, Fraction(0)))
+    checks.append(_equal_check("positivity_down_at_origin", pots.d_value(0), Fraction(0)))
     return checks
 
 
