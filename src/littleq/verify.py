@@ -129,13 +129,13 @@ class CheckResult:
         return out
 
 
-@dataclass
 class Enclosed:
     """A value in [lo, hi], with a thunk that builds it exactly."""
 
-    lo: Fraction
-    hi: Fraction
-    exact: Callable[[], Fraction]
+    __slots__ = ("lo", "hi", "exact")
+
+    def __init__(self, lo: Fraction, hi: Fraction, exact: Callable[[], Fraction]):
+        self.lo, self.hi, self.exact = lo, hi, exact
 
     def __abs__(self) -> "Enclosed":
         lo, hi = sorted((abs(self.lo), abs(self.hi)))
@@ -669,17 +669,17 @@ def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
         raise InvalidParamsError("xmax must be >= 10")
     checks: list[CheckResult] = []
     pots = deformed_potentials(d, p)
-    # (name, first x, values, failure witness) of each positivity scan
-    scans = [("positivity_potential_up", 0, pots.b_value, "failure"),
-             ("positivity_potential_down", 1, pots.d_value, "failure")]
     if p.ctype == CType.TYPE_II:
-        scans.insert(0, ("positivity_denominator", -1, denominator_poly_y(d, p).eval_int,
-                         "sign failure"))
-    for name, start, value, failure in scans:
-        bad = [x for x in range(start, xmax + 1) if value(x) <= 0]
-        witness = "%s at x=%s" % (failure, bad[:3]) if bad else "positive on [%d,%d]" % (
-            start, xmax)
-        checks.append(_positivity_check(name, not bad, witness, p))
+        xi = denominator_poly_y(d, p)
+        bad = [x for x in range(-1, xmax + 1) if xi.eval_int(x) <= 0]
+        checks.append(
+            _positivity_check(
+                "positivity_denominator",
+                not bad,
+                "positive on [-1,%d]" % xmax if not bad else "sign failure at x=%s" % bad[:3],
+                p,
+            )
+        )
     # type II starts at x = -1: Xi(x-1) enters the weight at x = 0
     lo = -1 if p.ctype == CType.TYPE_II else 0
     w = xi_casoratian(d, p)
@@ -693,7 +693,26 @@ def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
             p,
         )
     )
-    checks.append(_equal_check("positivity_down_at_origin", pots.d_value(0), Fraction(0)))
+    bad_b = [x for x in range(0, xmax + 1) if pots.b_value(x) <= 0]
+    bad_d = [x for x in range(1, xmax + 1) if pots.d_value(x) <= 0]
+    d0 = pots.d_value(0)
+    checks.append(
+        _positivity_check(
+            "positivity_potential_up",
+            not bad_b,
+            "positive on [0,%d]" % xmax if not bad_b else "failure at x=%s" % bad_b[:3],
+            p,
+        )
+    )
+    checks.append(
+        _positivity_check(
+            "positivity_potential_down",
+            not bad_d,
+            "positive on [1,%d]" % xmax if not bad_d else "failure at x=%s" % bad_d[:3],
+            p,
+        )
+    )
+    checks.append(_equal_check("positivity_down_at_origin", d0, Fraction(0)))
     return checks
 
 

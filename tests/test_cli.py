@@ -327,7 +327,7 @@ def test_golden_stdout_through_the_exact_fallbacks(capsys, monkeypatch, argv, di
     assert calls["within"] > 0 and calls["partial_sum"] > 0
 
 
-# the parent's exact Fraction loop printed these at eps = 1e-150
+# stdout of the exact-Fraction orthogonality loop at eps = 1e-150
 TINY_EPS = [
     (["verify", "--indices", "2", "--nmax", "2", "--suite", "ortho", "--eps", "1e-150"],
      "d18f599dec37edc25cd813544ad8b9c00de7168833db83fbc52ee0c8badcca8c"),

@@ -312,6 +312,7 @@ def test_integer_pair_sums_match_the_exact_loop(point):
         assume(False)
     # a window within 120 terms keeps the exact loop affordable at q near 1
     short = functools.partial(verify._certified_sum, max_terms=120)
+    diag = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_certified_sum", short)
         for n in range(3):
@@ -328,8 +329,19 @@ def test_integer_pair_sums_match_the_exact_loop(point):
                 assert (tb.truncation_x, tb.tail_estimate) == (x, tail)
                 one = 2 ** tb.bits
                 assert tb.scaled_sum <= total * one <= tb.scaled_sum + x + 1
-                assert tb.partial_sum == total
                 assert abs(tb.value).read(float) == float(abs(total))
+                assert tb.partial_sum == total
+                if n == m:
+                    diag[n] = tb
+    for n in range(1, 3):
+        if {0, n} <= diag.keys():
+            # read off the enclosures: the ratio, the bound and the verdict
+            # of the exact sums
+            got, target, bound, ok = data.diag_ratio(n, diag)
+            (sn, tn), (s0, t0) = ((diag[k].partial_sum, diag[k].tail_estimate) for k in (n, 0))
+            want = 2 * (tn / sn + t0 / s0) * abs(target)
+            assert (got.read(float), bound.read(float), ok) == (
+                float(sn / s0), float(want), abs(sn / s0 - target) <= want)
 
 
 @given(zero_points())
