@@ -461,12 +461,11 @@ def deformed_weight(d: IndexSet, p: ParamsLike) -> Callable[[int], Fraction]:
             raise ValueError("defined for x >= 0")
         while len(gs) <= x:
             qx = pu.q ** (len(gs) - 1)
-            # the small factors first: one operation on the growing value
-            gs.append(gs[-1] * (pu.a * (1 - pu.b * qx) / (1 - qx * pu.q)))
+            gs.append(gs[-1] * pu.a * (1 - pu.b * qx) / (1 - qx * pu.q))
         dd = den.eval_int(x) * den.eval_int(x - 1)
         if dd == 0:
             raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % x)
-        return gs[x] * (c / dd)
+        return c * gs[x] / dd
 
     return weight
 

@@ -303,6 +303,8 @@ class OrthogonalityData:
     The weight and every P_n are evaluated once per lattice point, in
     integer rows that all pair sums share: w = wn/wd and P_n = u_n/L over
     one common L, so the term of pair (n, m) is wn u_n u_m / (wd L^2).
+    Each pair sum is a TailBound whose truncation_x and tail estimate are
+    exact; the verdicts and printed digits are read off its enclosure.
     """
 
     def __init__(self, d: IndexSet, p: Params, nmax: int, eps: Fraction):
