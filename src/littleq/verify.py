@@ -9,9 +9,9 @@ must stay below rho < 1 for eight consecutive lattice points before the
 estimate last_term * rho / (1 - rho) is trusted.  Eight observed steps are
 evidence, not a proof that the ratio stays below rho beyond them.  The
 ratio, zero and stopping tests are exact (on the enclosures, else by an
-integer cross-multiplication), so the truncation point and the estimate
-are; every verdict and printed digit is read off the enclosures, and the
-exact Fraction sum is built only where their ends disagree.  Zero counts and
+integer cross-multiplication), and so are the truncation point and the
+estimate; every verdict and printed digit is read off the enclosures, and
+the exact Fraction sum is built only where their ends disagree.  Zero counts and
 interlacing are proved on integer numerators (Descartes' rule of signs with
 Vincent-Collins-Akritas bisection, exact sign evaluations).  Floating point
 enters only in two places.  ortho_absolute_s00 is an uncertified cross-check

@@ -314,9 +314,12 @@ def _count_exact_paths(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("argv,digest", [g for g in GOLDEN_STDOUT if g[0][0] in ("verify", "table")],
-                         ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT
-                              if argv[0] in ("verify", "table")])
+SUMMING_GOLDEN = [(argv, digest) for argv, digest in GOLDEN_STDOUT
+                  if argv[0] in ("verify", "table")]
+
+
+@pytest.mark.parametrize("argv,digest", SUMMING_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in SUMMING_GOLDEN])
 def test_golden_stdout_through_the_exact_fallbacks(capsys, monkeypatch, argv, digest):
     # 3-bit terms decide almost nothing, so the exact paths carry the output
     monkeypatch.setattr(verify, "_scale_bits", lambda eps: 3)
