@@ -17,9 +17,9 @@ Vincent-Collins-Akritas bisection, exact sign evaluations).  Floating point
 enters only in two places.  ortho_absolute_s00 is an uncertified cross-check
 of S_00 against infinite products truncated to 256 factors, compared as
 floats.  polynomial_roots gives the root values the zeros command prints:
-Durand-Kerner on doubles gives a start, from which mpmath iterates
-on the exact integer numerator to a caller-chosen precision, with a
-backward-error test on the same integers.
+Durand-Kerner on doubles, then on fixed-point Gaussian integers on the exact
+integer numerator to a caller-chosen precision, with an exact backward-error
+test on the same integers; mpmath only rounds and prints the roots.
 """
 from __future__ import annotations
 
@@ -597,15 +597,53 @@ def _float_roots(poly: EtaPoly) -> list[complex] | None:
     return roots if all(map(cmath.isfinite, roots)) else None
 
 
+def _durand_kerner(a: Sequence[int], start, prec_bits: int) -> tuple[list[list[int]], int]:
+    """mpmath's polyroots on fixed-point Gaussian integers: the roots of a
+    (lowest degree first) as [re, im] over 2^k, k = 2 prec_bits + 64 +
+    bits(1/rho) for rho a Cauchy lower bound on the nonzero |root|.  Sweeps
+    from start (else (0.4+0.9i)^j) until every correction is below
+    tol = 2^(1 - prec_bits), at most 200 (else RootFindingFailureError), then
+    polyroots' cleanup at tol and its (|im|, re) order.  Returns (roots, k)."""
+    low = next(abs(c) for c in a if c)
+    k = 2 * prec_bits + 64 + ((low + max(map(abs, a))) // low).bit_length()
+    tol, monic = 1 << (k + 1 - prec_bits), [(c << k) // a[-1] for c in reversed(a)]
+    roots = [[(n << k) // d for n, d in map(float.as_integer_ratio, (z.real, z.imag))]
+             for z in start or [(0.4 + 0.9j) ** j for j in range(len(a) - 1)]]
+    for _ in range(200):
+        big = 0
+        for i, (zr, zi) in enumerate(roots):
+            pr, pi, dr, di = 0, 0, 1 << k, 0
+            for c in monic:
+                pr, pi = ((pr * zr - pi * zi) >> k) + c, (pr * zi + pi * zr) >> k
+            for j, (wr, wi) in enumerate(roots):
+                fr, fi = zr - wr, zi - wi
+                if j != i and (fr or fi):
+                    dr, di = (dr * fr - di * fi) >> k, (dr * fi + di * fr) >> k
+            norm = dr * dr + di * di or 1  # underflowed: no step, the residual test judges
+            xr, xi = ((pr * dr + pi * di) << k) // norm, ((pi * dr - pr * di) << k) // norm
+            roots[i] = [zr - xr, zi - xi]
+            big = max(big, xr * xr + xi * xi)
+        if big < tol * tol:
+            break
+    else:
+        raise RootFindingFailureError("Durand-Kerner did not converge in 200 sweeps")
+    for r in roots:
+        if r[0] * r[0] + r[1] * r[1] < tol * tol:
+            r[:] = 0, 0
+        elif min(map(abs, r)) < tol:
+            r[abs(r[1]) < tol] = 0  # the imaginary part first
+    roots.sort(key=lambda r: (abs(r[1]), r[0]))
+    return roots, k
+
+
 def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     """Roots in eta of the level-n polynomial, to 2^-prec_bits * max(1, |root|).
 
-    mpmath's Durand-Kerner runs on the exact integer numerator, converted at
-    twice prec_bits, from the start of _float_roots (mpmath's own start when
-    it gives None) until every correction is below 2^-prec_bits.  Returns a
-    list of (root: mpc, physical: bool) sorted by real part.  A root must pass
-    the backward-error test |P(r)| <= 2^(8 - prec_bits) * sum |c_i| |r|^i on
-    the same integers, or RootFindingFailureError is raised.  The physical
+    _durand_kerner finds them on the exact integer numerator from the doubles
+    start of _float_roots, and mpmath only rounds each once to a prec_bits
+    mpc.  Returns a list of (root: mpc, physical: bool) sorted by real part.
+    Each root must pass |P(r)| <= 2^(8 - prec_bits) * sum |c_i| rho^i on the
+    same integers (rho <= |r|), or RootFindingFailureError is raised.  The physical
     flags come from the exact isolation of the zeros in [0, 1): each
     isolating interval flags the root of least imaginary part among those
     whose real part lies in it (an exact zero, the nearest root), and an
@@ -614,17 +652,18 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     if prec_bits < 128:
         raise InvalidParamsError("prec_bits must be >= 128")
     poly = level_poly(d, n, p)
-    if poly.degree < 1:
-        return []
     zeros = _level_zeros(poly, n)[1]
-    coeffs = poly.num[::-1]
+    found, k = _durand_kerner(poly.num, _float_roots(poly), prec_bits)
     with mpmath.workprec(prec_bits):
-        found = mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec_bits,
-                                 roots_init=_float_roots(poly))
-        roots = [mpmath.mpc(r) for r in found]
-        for r in roots:
-            scale = mpmath.polyval([abs(c) for c in coeffs], abs(r))
-            if abs(mpmath.polyval(coeffs, r)) > mpmath.ldexp(scale, 8 - prec_bits):
+        roots = [mpmath.mpc(mpmath.mpf((re, -k)), mpmath.mpf((im, -k))) for re, im in found]
+        for r in roots:  # exactly, on r = (u + iv) / 2^s and rho = isqrt(u^2 + v^2) / 2^s
+            s = max(0, -r.real.exp, -r.imag.exp)
+            u, v = (int(mpmath.ldexp(x, s)) for x in (r.real, r.imag))
+            rho, pr, pi, bound = math.isqrt(u * u + v * v), 0, 0, 0
+            for j, c in enumerate(reversed(poly.num)):  # both sides times 2^(s deg)
+                pr, pi = pr * u - pi * v + (c << j * s), pr * v + pi * u
+                bound = bound * rho + (abs(c) << j * s)
+            if (pr * pr + pi * pi) << 2 * (prec_bits - 8) > bound * bound:
                 raise RootFindingFailureError("root residual above tolerance at %s" % r)
         physical: list[int] = []
         for lo, hi in zeros:

@@ -24,6 +24,7 @@ from littleq import (
     virtual_energy,
 )
 from littleq import verify
+from littleq.cli import main
 from littleq.exact import LittleQError
 from littleq.verify import (
     OrthogonalityData,
@@ -460,13 +461,24 @@ def test_float_start_gives_up_on_overflow():
     assert max(abs(roots[0] - 1), abs(roots[1] - 2)) < 1e-12
 
 
-def test_float_start_separates_a_close_pair():
-    # (2 eta - 1)(2^61 eta - 2^60 - 1)(eta + 3)(eta^2 + 1): zeros 1/2 and
-    # 1/2 + 2^-61, closer than doubles can tell apart
+def _product(*factors):
+    """The integer coefficients, lowest degree first, of a product of factors
+    given the same way."""
     num = [1]
-    for factor in ((-1, 2), (-(2 ** 60) - 1, 2 ** 61), (3, 1), (1, 0, 1)):
+    for factor in factors:
         num = [sum(num[i] * factor[k - i] for i in range(len(num)) if 0 <= k - i < len(factor))
                for k in range(len(num) + len(factor) - 1)]
+    return num
+
+
+# (2 eta - 1)(2^61 eta - 2^60 - 1): zeros 1/2 and 1/2 + 2^-61, closer than
+# doubles can tell apart
+CLOSE_PAIR = ((-1, 2), (-(2 ** 60) - 1, 2 ** 61))
+
+
+def test_float_start_separates_a_close_pair():
+    # the close pair times (eta + 3)(eta^2 + 1)
+    num = _product(*CLOSE_PAIR, (3, 1), (1, 0, 1))
     poly = EtaPoly(Q, num)
     init = verify._float_roots(poly)
     assert init is not None and len(init) == 5
@@ -481,22 +493,58 @@ def test_float_start_separates_a_close_pair():
         assert len(pair) == 2 and abs(pair[1] - pair[0] - mpmath.mpf(2) ** -61) < mpmath.mpf(2) ** -200
 
 
-def test_polynomial_roots_calls_polyroots_once_with_a_start(pj, monkeypatch):
-    calls, polyroots = [], mpmath.polyroots
+def test_polynomial_roots_runs_integer_durand_kerner_from_the_float_start(pj, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.polyroots called")
 
-    def counted(coeffs, **kwargs):
-        calls.append((coeffs, kwargs))
-        return polyroots(coeffs, **kwargs)
+    calls, durand_kerner = [], verify._durand_kerner
 
-    monkeypatch.setattr(mpmath, "polyroots", counted)
+    def counted(a, start, prec_bits):
+        calls.append((a, start, prec_bits))
+        return durand_kerner(a, start, prec_bits)
+
+    monkeypatch.setattr(mpmath, "polyroots", refuse)
+    monkeypatch.setattr(verify, "_durand_kerner", counted)
     roots = polynomial_roots(IndexSet.of(2), 3, pj)
+    poly = level_poly(IndexSet.of(2), 3, pj)
     assert len(calls) == 1
-    coeffs, kwargs = calls[0]
-    # the exact integer numerator, highest power first, not a rounded copy
-    assert list(coeffs) == list(level_poly(IndexSet.of(2), 3, pj).num[::-1])
-    assert all(type(c) is int for c in coeffs)
-    assert len(kwargs["roots_init"]) == len(roots)
-    assert (kwargs["maxsteps"], kwargs["extraprec"]) == (200, 256)
+    a, start, prec_bits = calls[0]
+    # the exact integer numerator, not a rounded copy, from the doubles start
+    assert a == poly.num and all(type(c) is int for c in a)
+    assert start is not None and start == verify._float_roots(poly)
+    assert len(start) == len(roots) and prec_bits == 256
+
+
+@pytest.mark.parametrize("factors, prec_bits", [
+    # zeros near 2^-300 and 2^300; at 512 bits the small one is printed
+    (((-1, 3 * 2 ** 300), (-(2 ** 302), 3)), 512),
+    # a zero at 0, and one near -2^-300 that is below 2^-255 and so cleared to 0
+    (((0, 1), (1, 3 * 2 ** 300), (-(2 ** 302), 3)), 256),
+], ids=["small-512", "zero-256"])
+def test_roots_keep_their_digits_from_2_to_the_minus_300_to_2_to_the_300(
+        factors, prec_bits, pj, monkeypatch):
+    # with the close pair and +-i besides; the zero near 2^300 overflows the
+    # doubles start, so the integer loop starts from mpmath's own
+    poly = EtaPoly(Q, _product(*factors, *CLOSE_PAIR, (1, 0, 1)))
+    assert verify._float_roots(poly) is None
+    monkeypatch.setattr(verify, "level_poly", lambda d, n, p: poly)
+    roots = polynomial_roots(IndexSet.of(1), 0, pj, prec_bits)
+    with mpmath.workprec(prec_bits):
+        ref = [mpmath.mpc(z) for z in mpmath.polyroots(poly.num[::-1], maxsteps=400, extraprec=512)]
+    assert sorted(s[:2] for s in _root_strings(roots)) == sorted(
+        s[:2] for s in _root_strings((z, None) for z in ref))
+    # three physical zeros: the close pair, and the small zero or 0
+    flagged = [r for r, ok in roots if ok]
+    assert len(flagged) == 3 and all(0 <= r.real < 1 and r.imag == 0 for r in flagged)
+
+
+def test_sweep_limit_exits_1_with_a_root_finding_failure(monkeypatch, capsys):
+    # 0 and 2^-300 / 3 stay one cluster from mpmath's start: at 512 bits they
+    # need about 225 sweeps to part, past the limit of 200
+    poly = EtaPoly(Q, _product((0, 1), (-1, 3 * 2 ** 300), (-(2 ** 302), 3), *CLOSE_PAIR, (1, 0, 1)))
+    monkeypatch.setattr(verify, "level_poly", lambda d, n, p: poly)
+    assert main(["zeros", "--prec-bits", "512"]) == 1
+    assert capsys.readouterr().err == "error: Durand-Kerner did not converge in 200 sweeps\n"
 
 
 # ---------------------------------------------------------------------------
