@@ -11,13 +11,17 @@ theorems into runtime checks.
 
 Both construction types share one Casoratian builder: the shift runs
 backward for type II and forward for type I, and the border carries the
-type-dependent ground-state-ratio quotient.  Both also share one deformed
-system, described by the level polynomials (level_poly_y) and the measure
-(deformed_measure); the potentials, the orthogonality weight and the norm
-factor are derived from those pieces alone.  The type II construction is
-fully normalized (denominator value 1 at x = -1, eigenpolynomial value 1 at
-x = 0).  The type I construction is exposed at Casoratian level only,
-normalized single-index closed forms excepted.
+type-dependent ground-state-ratio quotient.  Every level at one
+(D, lambda) is its bordered Casoratian expanded along the border column,
+over one cached set of M + 1 cofactors (M x M minors) whose last minor is
+the unbordered Casoratian, so no level runs a determinant.  Both types also
+share one deformed system, described by the level polynomials
+(level_poly_y) and the measure (deformed_measure); the potentials, the
+orthogonality weight and the norm factor are derived from those pieces
+alone.  The type II construction is fully normalized (denominator value 1
+at x = -1, eigenpolynomial value 1 at x = 0).  The type I construction is
+exposed at Casoratian level only, normalized single-index closed forms
+excepted.
 """
 from __future__ import annotations
 
@@ -104,43 +108,57 @@ class IndexSet:
         return "{%s}" % ",".join(str(d) for d in self.indices)
 
 
-def _casoratian(d: IndexSet, p: ParamsLike, n: int | None = None) -> LaurentPoly:
-    """Casoratian of the virtual-state polynomials of D, bordered at level n.
+@lru_cache(maxsize=256)
+def _border(d: IndexSet, p: ParamsLike) -> list:
+    """[W, cofactors, weighted] of the bordered Casoratians of D at p.
 
-    Row j holds the virtual-state polynomials at x + s j, with s = -1
-    (backward) for type II and s = +1 (forward) for type I.  Without a level
-    the matrix is M x M; with level n it has M + 1 rows and row j gains the
-    border nu_ratio_poly(j + 1, M, p) * P_n(x + s j).  The bordered
-    determinant is zero for n < 0 and P_n itself for empty D; any other zero
-    result is degenerate.
+    Row j (0 <= j <= M) holds the virtual-state polynomials at x + s j, with
+    s = -1 (backward) for type II and s = +1 (forward) for type I.  With
+    minor_j the M x M determinant without row j, W = minor_M is the unbordered
+    Casoratian and cofactors[j] is (-1)^(M-j) minor_j, weighted by the border's
+    nu_ratio_poly(j + 1, M, p) once the first level asks (weighted = True), so
+    W alone never touches nu_ratio_poly.
     """
     m = d.size
-    if n is not None:
-        if n < 0:
-            return LaurentPoly.zero(p.q)
-        if m == 0:
-            return eigenpoly_y(n, p)
     s = -1 if p.ctype == CType.TYPE_II else 1
     fs = [virtual_poly_y(v, p) for v in d.indices]
-    rows = [[f.shift(s * j) for f in fs] for j in range(m if n is None else m + 1)]
-    if n is not None:
-        pn = eigenpoly_y(n, p)
-        for j, row in enumerate(rows):
-            row.append(nu_ratio_poly(j + 1, m, p) * pn.shift(s * j))
-    w = det_laurent(rows, q=p.q)
-    if m > 0 and w.is_zero:
-        raise DegenerateCasoratianError(
-            "%s Casoratian is identically zero"
-            % ("virtual-state" if n is None else "bordered")
-        )
+    rows = [[f.shift(s * j) for f in fs] for j in range(m + 1)]
+    minors = [det_laurent(rows[:j] + rows[j + 1:], q=p.q) for j in range(m + 1)]
+    return [minors[m], [-c if (m - j) % 2 else c for j, c in enumerate(minors)], False]
+
+
+def _casoratian(d: IndexSet, p: ParamsLike, n: int) -> LaurentPoly:
+    """The Casoratian of D bordered at level n, expanded along its border.
+
+    Row j of the (M + 1) x (M + 1) matrix is that of _border plus the border
+    nu_ratio_poly(j + 1, M, p) * P_n(x + s j), so every level at (D, p) is
+    sum_j P_n(x + s j) cofactors[j] over the cached cofactors: M + 1 products
+    in place of a determinant.  It is zero for n < 0 and P_n itself for empty
+    D; any other zero result is degenerate.
+    """
+    m = d.size
+    if n < 0:
+        return LaurentPoly.zero(p.q)
+    if m == 0:
+        return eigenpoly_y(n, p)
+    border = _border(d, p)
+    pn = eigenpoly_y(n, p)
+    if not border[2]:
+        border[1:] = [[nu_ratio_poly(j + 1, m, p) * c for j, c in enumerate(border[1])], True]
+    s = -1 if p.ctype == CType.TYPE_II else 1
+    w = sum((pn.shift(s * j) * c for j, c in enumerate(border[1])), LaurentPoly.zero(p.q))
+    if w.is_zero:
+        raise DegenerateCasoratianError("bordered Casoratian is identically zero")
     return w
 
 
-@lru_cache(maxsize=256)
 def xi_casoratian(d: IndexSet, p: ParamsLike) -> LaurentPoly:
     """Raw Casoratian of the virtual-state polynomials of D: backward for
-    type II, forward for type I."""
-    return _casoratian(d, p)
+    type II, forward for type I; the minor W of _border."""
+    w = _border(d, p)[0]
+    if w.is_zero:
+        raise DegenerateCasoratianError("virtual-state Casoratian is identically zero")
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -407,13 +407,18 @@ class LaurentPoly:
         out = [c * A * R ** i * T ** (n - i) for i, c in enumerate(self.num)]
         return self._new(self.val, out, self.den * B * T ** n)
 
-    def eval_int(self, x: int) -> Fraction:
-        """Exact value at integer x, i.e. at y = q^x."""
+    def eval_pair(self, x: int) -> tuple[int, int]:
+        """Exact value at integer x (y = q^x) as an unreduced integer pair
+        (num, den); (0, 1) for the zero polynomial."""
         if not self.num:
-            return Fraction(0)
+            return 0, 1
         acc, tp = horner(self.num, *self._ratio(x))
         A, B = self._ratio(x * self.val)  # q^{x*val} = A/B
-        return Fraction(acc * A, self.den * tp * B)
+        return acc * A, self.den * tp * B
+
+    def eval_int(self, x: int) -> Fraction:
+        """Exact value at integer x, i.e. at y = q^x."""
+        return Fraction(*self.eval_pair(x))
 
     def at_infinity(self) -> Fraction:
         """Limit x -> infinity (y -> 0): the degree-0 coefficient."""

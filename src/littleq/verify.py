@@ -302,7 +302,8 @@ class OrthogonalityData:
     estimate gives an interval.
     The weight and every P_n are evaluated once per lattice point, in
     integer rows that all pair sums share: w = wn/wd and P_n = u_n/L over
-    one common L, so the term of pair (n, m) is wn u_n u_m / (wd L^2).
+    one common L, the lcm of the unreduced denominators of eval_pair, so
+    the term of pair (n, m) is wn u_n u_m / (wd L^2).
     Each pair sum is a TailBound whose truncation_x and tail estimate are
     exact; the verdicts and printed digits are read off its enclosure.
     """
@@ -324,9 +325,9 @@ class OrthogonalityData:
         while len(self._rows) <= x:
             t = len(self._rows)
             w = self.weight(t)
-            vals = [pn.eval_int(t) for pn in self.polys]
-            common = math.lcm(*(v.denominator for v in vals))
-            u = [v.numerator * (common // v.denominator) for v in vals]
+            vals = [pn.eval_pair(t) for pn in self.polys]
+            common = math.lcm(*(den for _, den in vals))
+            u = [num * (common // den) for num, den in vals]
             self._rows.append((w.numerator, w.denominator * common ** 2, u))
         return self._rows[x]
 

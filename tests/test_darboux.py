@@ -46,7 +46,9 @@ from littleq import (
     virtual_poly_y,
     xi_casoratian,
 )
+from littleq.cli import main
 from littleq.verify import _random_valid_params
+from littleq.virtual import nu_ratio_poly
 
 Q, A, B = F(1, 2), F(1, 3), F(1, 16)
 
@@ -358,6 +360,72 @@ def deformed_points(draw, ctypes=tuple(CType)):
     d = IndexSet(tuple(sorted(draw(st.sets(st.integers(1, 4), max_size=3)))))
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     return d, _random_valid_params(rng, family, ctype, max(d.indices, default=0))
+
+
+def bordered_casoratian(d, p, n):
+    """Level-n oracle: the (M + 1) x (M + 1) bordered Casoratian as one
+    determinant, row j the virtual-state polynomials at x + s j and the
+    border nu_ratio_poly(j + 1, M, p) P_n(x + s j)."""
+    s = -1 if p.ctype == CType.TYPE_II else 1
+    fs = [virtual_poly_y(v, p) for v in d.indices]
+    pn = eigenpoly_y(n, p)
+    return det_laurent([
+        [f.shift(s * j) for f in fs] + [nu_ratio_poly(j + 1, d.size, p) * pn.shift(s * j)]
+        for j in range(d.size + 1)
+    ])
+
+
+@given(deformed_points(), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_border_expansion_matches_bordered_determinant(point, n):
+    d, p = point
+    want = bordered_casoratian(d, p, n)
+    if want.is_zero:
+        with pytest.raises(DegenerateCasoratianError):
+            darboux._casoratian(d, p, n)
+    else:
+        assert darboux._casoratian(d, p, n) == want
+
+
+def _clear_darboux_caches():
+    for value in vars(darboux).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_levels_share_one_set_of_minors(monkeypatch, capsys):
+    # construct at D={1,3,5,7}, nmax=8: the denominator and nine levels all
+    # come from the five 4 x 4 minors of one (D, p)
+    sizes = []
+
+    def counting_det(rows, **kw):
+        sizes.append(len(rows))
+        return det_laurent(rows, **kw)
+
+    _clear_darboux_caches()
+    monkeypatch.setattr(darboux, "det_laurent", counting_det)
+    argv = ["construct", "--family", "lqJacobi", "--type", "2", "--q", "1/2", "--a", "1/3",
+            "--b", "1/4096", "--indices", "1,3,5,7", "--nmax", "8"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sizes == [4] * 5
+
+
+def test_denominator_never_needs_the_border(pj, monkeypatch):
+    d = IndexSet.of(1, 2)
+    want_xi, want_level = denominator_poly_y(d, pj), multi_indexed_poly_y(d, 2, pj)
+    _clear_darboux_caches()
+
+    def broken(j, m, p):
+        raise InvalidParamsError("border ratio unavailable")
+
+    monkeypatch.setattr(darboux, "nu_ratio_poly", broken)
+    assert denominator_poly_y(d, pj) == want_xi
+    with pytest.raises(InvalidParamsError):
+        multi_indexed_poly_y(d, 2, pj)
+    # a failed weighting leaves the cached minors usable
+    monkeypatch.undo()
+    assert multi_indexed_poly_y(d, 2, pj) == want_level
 
 
 @given(deformed_points())
