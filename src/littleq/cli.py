@@ -19,10 +19,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .base import CType, Family, Params
 from .darboux import IndexSet, denominator_poly, level_poly
+from .dyadic import nstr, nstr_ratio
 from .exact import (
     DegenerateCasoratianError,
     EtaPoly,
@@ -229,12 +228,8 @@ def _dps(prec_bits: int) -> int:
     return max(15, int(prec_bits * 0.30103))
 
 
-def _mpf_str(v, dps: int) -> str:
-    return mpmath.nstr(v, dps, strip_zeros=False)
-
-
 def _ratio_str(v: Fraction, dps: int) -> str:
-    return _mpf_str(mpmath.mpf(v.numerator) / v.denominator, dps)
+    return nstr_ratio(v, 128, dps)
 
 
 def cmd_zeros(cfg: RunConfig) -> tuple[str, int]:
@@ -246,12 +241,8 @@ def cmd_zeros(cfg: RunConfig) -> tuple[str, int]:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "real", "imag", "physical", "precision_dps"])
-    with mpmath.workprec(cfg.prec_bits):
-        for i, (r, physical) in enumerate(roots):
-            writer.writerow(
-                [i, _mpf_str(r.real, dps), _mpf_str(r.imag, dps),
-                 int(physical), dps]
-            )
+    for i, (r, physical) in enumerate(roots):
+        writer.writerow([i, nstr(r.real, dps), nstr(r.imag, dps), int(physical), dps])
     return buf.getvalue(), EXIT_OK
 
 
@@ -268,23 +259,22 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
          "truncation_x", "status", "precision_dps"]
     )
     code = EXIT_OK
-    with mpmath.workprec(128):
-        for n in range(cfg.nmax + 1):
-            got, target, bound, ok = data.diag_ratio(n, diag)
-            if not ok:
-                code = EXIT_VERIFY_FAIL
-            writer.writerow(
-                [
-                    n,
-                    got.read(lambda v: _ratio_str(v, dps)),
-                    str(target.numerator),
-                    str(target.denominator),
-                    bound.read(lambda v: _ratio_str(v, 3)),
-                    diag[n].truncation_x,
-                    "pass" if ok else "fail",
-                    dps,
-                ]
-            )
+    for n in range(cfg.nmax + 1):
+        got, target, bound, ok = data.diag_ratio(n, diag)
+        if not ok:
+            code = EXIT_VERIFY_FAIL
+        writer.writerow(
+            [
+                n,
+                got.read(lambda v: _ratio_str(v, dps)),
+                str(target.numerator),
+                str(target.denominator),
+                bound.read(lambda v: _ratio_str(v, 3)),
+                diag[n].truncation_x,
+                "pass" if ok else "fail",
+                dps,
+            ]
+        )
     return buf.getvalue(), code
 
 

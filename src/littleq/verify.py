@@ -19,7 +19,7 @@ of S_00 against infinite products truncated to 256 factors, compared as
 floats.  polynomial_roots gives the root values the zeros command prints:
 Durand-Kerner on doubles, then on fixed-point Gaussian integers on the exact
 integer numerator to a caller-chosen precision, with an exact backward-error
-test on the same integers; mpmath only rounds and prints the roots.
+test on the same integers.
 """
 from __future__ import annotations
 
@@ -29,9 +29,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
-
-import mpmath
+from typing import Callable, NamedTuple, Sequence
 
 from .base import (
     CType,
@@ -77,6 +75,7 @@ from .darboux import (
     typeII_single_poly,
     xi_casoratian,
 )
+from .dyadic import nstr, round_bits
 from .exact import (
     EtaPoly,
     InvalidParamsError,
@@ -144,8 +143,8 @@ class Enclosed:
     def read(self, fmt: Callable[[Fraction], object]):
         """fmt of the value: read off the ends where fmt agrees on both, else
         from the exact value.  fmt must be monotone up to a relative error
-        of 2^-127: a comparison, float() (rounded once) or the table's mpf
-        string (rounded twice at 128 bits).  Each end is widened by 2^-124
+        of 2^-127: a comparison, float() (rounded once) or the table's
+        decimal string (rounded twice to 128 bits).  Each end is widened by 2^-124
         relative, more than twice that error, so agreeing ends settle every
         value between them."""
         a = fmt(self.lo - abs(self.lo) * _WIDEN)
@@ -637,12 +636,19 @@ def _durand_kerner(a: Sequence[int], start, prec_bits: int) -> tuple[list[list[i
     return roots, k
 
 
+class Root(NamedTuple):
+    """A root in eta with exact dyadic real and imaginary parts."""
+
+    real: Fraction
+    imag: Fraction
+
+
 def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     """Roots in eta of the level-n polynomial, to 2^-prec_bits * max(1, |root|).
 
     _durand_kerner finds them on the exact integer numerator from the doubles
-    start of _float_roots, and mpmath only rounds each once to a prec_bits
-    mpc.  Returns a list of (root: mpc, physical: bool) sorted by real part.
+    start of _float_roots, and each part is rounded once to prec_bits bits.
+    Returns a list of (root: Root, physical: bool) sorted by real part.
     Each root must pass |P(r)| <= 2^(8 - prec_bits) * sum |c_i| rho^i on the
     same integers (rho <= |r|), or RootFindingFailureError is raised.  The physical
     flags come from the exact isolation of the zeros in [0, 1): each
@@ -655,34 +661,30 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     poly = level_poly(d, n, p)
     zeros = _level_zeros(poly, n)[1]
     found, k = _durand_kerner(poly.num, _float_roots(poly), prec_bits)
-    with mpmath.workprec(prec_bits):
-        roots = [mpmath.mpc(mpmath.mpf((re, -k)), mpmath.mpf((im, -k))) for re, im in found]
-        for r in roots:  # exactly, on r = (u + iv) / 2^s and rho = isqrt(u^2 + v^2) / 2^s
-            s = max(0, -r.real.exp, -r.imag.exp)
-            u, v = (int(mpmath.ldexp(x, s)) for x in (r.real, r.imag))
-            rho, pr, pi, bound = math.isqrt(u * u + v * v), 0, 0, 0
-            for j, c in enumerate(reversed(poly.num)):  # both sides times 2^(s deg)
-                pr, pi = pr * u - pi * v + (c << j * s), pr * v + pi * u
-                bound = bound * rho + (abs(c) << j * s)
-            if (pr * pr + pi * pi) << 2 * (prec_bits - 8) > bound * bound:
-                raise RootFindingFailureError("root residual above tolerance at %s" % r)
-        physical: list[int] = []
-        for lo, hi in zeros:
-            # the endpoints are dyadic, so exact in binary floating point
-            lo_f, hi_f = (mpmath.mpf(e.numerator) / e.denominator for e in (lo, hi))
-            if lo == hi:
-                near = [(abs(r - lo_f), i) for i, r in enumerate(roots)]
-            else:
-                near = [(abs(r.imag), i) for i, r in enumerate(roots) if lo_f < r.real < hi_f]
-            if not near or min(near)[1] in physical:
-                raise RootFindingFailureError(
-                    "no computed root of its own in the isolating interval [%s, %s]"
-                    % (lo, hi)
-                )
-            physical.append(min(near)[1])
-        out = [(r, i in physical) for i, r in enumerate(roots)]
-        out.sort(key=lambda t: (t[0].real, t[0].imag))
-        return out
+    roots = [Root(*(round_bits(Fraction(c, 1 << k), prec_bits) for c in z)) for z in found]
+    for r in roots:  # exactly, on r = (u + iv) / 2^s and rho = isqrt(u^2 + v^2) / 2^s
+        s = max(r.real.denominator, r.imag.denominator).bit_length() - 1
+        u, v = (int(x * (1 << s)) for x in r)
+        rho, pr, pi, bound = math.isqrt(u * u + v * v), 0, 0, 0
+        for j, c in enumerate(reversed(poly.num)):  # both sides times 2^(s deg)
+            pr, pi = pr * u - pi * v + (c << j * s), pr * v + pi * u
+            bound = bound * rho + (abs(c) << j * s)
+        if (pr * pr + pi * pi) << 2 * (prec_bits - 8) > bound * bound:
+            raise RootFindingFailureError(
+                "root residual above tolerance at (%s, %s)" % (nstr(r.real, 15), nstr(r.imag, 15)))
+    physical: list[int] = []
+    for lo, hi in zeros:
+        if lo == hi:
+            near = [((r.real - lo) ** 2 + r.imag ** 2, i) for i, r in enumerate(roots)]
+        else:
+            near = [(abs(r.imag), i) for i, r in enumerate(roots) if lo < r.real < hi]
+        if not near or min(near)[1] in physical:
+            raise RootFindingFailureError(
+                "no computed root of its own in the isolating interval [%s, %s]"
+                % (lo, hi)
+            )
+        physical.append(min(near)[1])
+    return sorted(((r, i in physical) for i, r in enumerate(roots)), key=lambda t: t[0])
 
 
 def _zeros_summary(level, upper) -> dict:
@@ -796,6 +798,12 @@ def _random_valid_params(
     raise NonConvergenceError("could not draw valid random parameters")
 
 
+def _blimit_linear(ratios: list[Fraction]) -> bool:
+    """Whether every ratio r lies in [2^-4.5, 2^-3.5], decided exactly as
+    r > 0 and 2^-9 <= r^2 <= 2^-7."""
+    return all(r > 0 and Fraction(1, 512) <= r * r <= Fraction(1, 128) for r in ratios)
+
+
 def structural_checks(
     d: IndexSet, p: Params, nmax: int, rng: random.Random
 ) -> list[CheckResult]:
@@ -884,12 +892,12 @@ def structural_checks(
                     max(abs(pja.coeff(i) - pla.coeff(i)) for i in range(top + 1)),
                 )
             devs.append(dev)
-        ratios = [float(devs[1] / devs[0]), float(devs[2] / devs[1])]
+        ratios = [devs[1] / devs[0], devs[2] / devs[1]]
         checks.append(
             _check(
                 "structural_blimit_linear",
-                all(2 ** -4.5 <= r <= 2 ** -3.5 for r in ratios),
-                "deviation ratios %s per 4 halvings" % ratios,
+                _blimit_linear(ratios),
+                "deviation ratios %s per 4 halvings" % [float(r) for r in ratios],
                 bound="[2^-4.5, 2^-3.5]",
             )
         )

@@ -469,3 +469,17 @@ def test_cli_import_leaves_numpy_out():
     src = os.path.dirname(os.path.dirname(littleq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_commands_run_without_mpmath():
+    # digits and root values are printed by littleq.dyadic; mpmath would cost
+    # every cold command its import time
+    code = ("import contextlib, io, sys\n"
+            "from littleq.cli import main\n"
+            "for cmd in ('construct', 'verify', 'zeros', 'table'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main([cmd, '--indices', '1', '--nmax', '2']) == 0, cmd\n"
+            "sys.exit('mpmath' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(littleq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,9 +26,11 @@ from littleq import (
 )
 from littleq import verify
 from littleq.cli import main
+from littleq.dyadic import nstr
 from littleq.exact import LittleQError
 from littleq.verify import (
     OrthogonalityData,
+    Root,
     _certified_sum,
     _random_valid_params,
     orthogonality_check,
@@ -406,7 +409,14 @@ def test_zeros_deterministic(pj):
 
 
 def _root_strings(roots):
-    return [(mpmath.nstr(r.real, 77), mpmath.nstr(r.imag, 77), ok) for r, ok in roots]
+    return [(nstr(r.real, 77), nstr(r.imag, 77), ok) for r, ok in roots]
+
+
+def _mpc(r):
+    # the root as mpmath holds it: exact at any precision of at least the root's own
+    assert isinstance(r, Root) and all(type(x) is F and x.denominator & (x.denominator - 1) == 0
+                                       for x in r)
+    return mpmath.mpc(*(mpmath.mpf(x.numerator) / x.denominator for x in r))
 
 
 def _assert_accurate(roots, d, n, p, prec_bits):
@@ -415,8 +425,7 @@ def _assert_accurate(roots, d, n, p, prec_bits):
     with mpmath.workprec(4 * prec_bits):
         ref = mpmath.polyroots(level_poly(d, n, p).num[::-1], maxsteps=400,
                                extraprec=4 * prec_bits)
-        for r, _ in roots:
-            assert isinstance(r, mpmath.mpc)
+        for r in (_mpc(r) for r, _ in roots):
             err = min(abs(r - z) for z in ref)
             assert err <= mpmath.ldexp(max(1, abs(r)), 4 - prec_bits), (r, err)
 
@@ -532,7 +541,7 @@ def test_roots_keep_their_digits_from_2_to_the_minus_300_to_2_to_the_300(
     with mpmath.workprec(prec_bits):
         ref = [mpmath.mpc(z) for z in mpmath.polyroots(poly.num[::-1], maxsteps=400, extraprec=512)]
     assert sorted(s[:2] for s in _root_strings(roots)) == sorted(
-        s[:2] for s in _root_strings((z, None) for z in ref))
+        tuple(mpmath.nstr(x, 77, strip_zeros=False) for x in (z.real, z.imag)) for z in ref)
     # three physical zeros: the close pair, and the small zero or 0
     flagged = [r for r, ok in roots if ok]
     assert len(flagged) == 3 and all(0 <= r.real < 1 and r.imag == 0 for r in flagged)
@@ -545,6 +554,16 @@ def test_sweep_limit_exits_1_with_a_root_finding_failure(monkeypatch, capsys):
     monkeypatch.setattr(verify, "level_poly", lambda d, n, p: poly)
     assert main(["zeros", "--prec-bits", "512"]) == 1
     assert capsys.readouterr().err == "error: Durand-Kerner did not converge in 200 sweeps\n"
+
+
+def test_root_off_the_polynomial_exits_1_with_its_value(monkeypatch, capsys):
+    # every root placed at 1, which is no zero of the default level: the
+    # backward-error test refuses the first and names it
+    monkeypatch.setattr(verify, "_durand_kerner", lambda a, start, prec_bits: (
+        [[1 << 300, 0] for _ in a[1:]], 300))
+    assert main(["zeros"]) == 1
+    assert capsys.readouterr().err == (
+        "error: root residual above tolerance at (1.00000000000000, 0.0)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +620,21 @@ def test_blimit_probes_stay_clear_of_the_pole(q, a, b, dd):
     checks = {c.name: c for c in structural_checks(IndexSet.of(dd), p, 2, random.Random(0))}
     blimit = checks["structural_blimit_linear"]
     assert blimit.status == "pass", blimit.witness
+
+
+@pytest.mark.parametrize("inv_sq", [512, 128], ids=["2^-4.5", "2^-3.5"])
+def test_blimit_ratios_are_decided_exactly(inv_sq):
+    # rationals within 1e-20 relative of the bound on either side round to
+    # the same double, so comparing floats gives both the same verdict
+    n = 10 ** 25
+    below = F(math.isqrt(n * n // inv_sq), n)  # the bound is irrational
+    above = below + F(1, n)
+    assert below * below < F(1, inv_sq) < above * above and (above - below) / below < 1e-20
+    assert float(below) == float(above)
+    inside = [below, above] if inv_sq == 128 else [above, below]
+    assert verify._blimit_linear([inside[0], F(1, 16)])
+    assert not verify._blimit_linear([inside[1], F(1, 16)])
+    assert not verify._blimit_linear([-F(1, 16)])
 
 
 def test_reflection_fragment(pj, pl):
