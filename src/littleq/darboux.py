@@ -13,15 +13,17 @@ Both construction types share one Casoratian builder: the shift runs
 backward for type II and forward for type I, and the border carries the
 type-dependent ground-state-ratio quotient.  Every level at one
 (D, lambda) is its bordered Casoratian expanded along the border column,
-over one cached set of M + 1 cofactors (M x M minors) whose last minor is
-the unbordered Casoratian, so no level runs a determinant.  Both types also
+over one cached set of M + 1 cofactors (M x M minors) that takes M
+determinants: the unbordered Casoratian W, W shifted by one row, and the
+M - 1 minors in between.  No level runs a determinant.  Both types also
 share one deformed system, described by the level polynomials
 (level_poly_y) and the measure (deformed_measure); the potentials, the
-orthogonality weight and the norm factor are derived from those pieces
-alone.  The type II construction is fully normalized (denominator value 1
-at x = -1, eigenpolynomial value 1 at x = 0).  The type I construction is
-exposed at Casoratian level only, normalized single-index closed forms
-excepted.
+orthogonality weight, the norm factor and the residual checks are built
+from level 0, level n and den alone, and only lowest_matches_denominator
+reads the denominator at lambda + delta.  The type II construction is fully
+normalized (denominator value 1 at x = -1, eigenpolynomial value 1 at
+x = 0).  The type I construction is exposed at Casoratian level only,
+normalized single-index closed forms excepted.
 """
 from __future__ import annotations
 
@@ -109,22 +111,33 @@ class IndexSet:
 
 
 @lru_cache(maxsize=256)
-def _border(d: IndexSet, p: ParamsLike) -> list:
-    """[W, cofactors, weighted] of the bordered Casoratians of D at p.
+def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly, ...]]:
+    """(W, cofactors) of the bordered Casoratians of D at p.
 
     Row j (0 <= j <= M) holds the virtual-state polynomials at x + s j, with
     s = -1 (backward) for type II and s = +1 (forward) for type I.  With
     minor_j the M x M determinant without row j, W = minor_M is the unbordered
-    Casoratian and cofactors[j] is (-1)^(M-j) minor_j, weighted by the border's
-    nu_ratio_poly(j + 1, M, p) once the first level asks (weighted = True), so
-    W alone never touches nu_ratio_poly.
+    Casoratian and cofactors[j] = (-1)^(M-j) minor_j.  Rows 1..M are rows
+    0..M-1 shifted by s, so minor_0 is W shifted by s, and W and the M - 1
+    middle minors are the only determinants.
     """
     m = d.size
     s = -1 if p.ctype == CType.TYPE_II else 1
     fs = [virtual_poly_y(v, p) for v in d.indices]
     rows = [[f.shift(s * j) for f in fs] for j in range(m + 1)]
-    minors = [det_laurent(rows[:j] + rows[j + 1:], q=p.q) for j in range(m + 1)]
-    return [minors[m], [-c if (m - j) % 2 else c for j, c in enumerate(minors)], False]
+    w = det_laurent(rows[:m], q=p.q)
+    middle = [det_laurent(rows[:j] + rows[j + 1:], q=p.q) for j in range(1, m)]
+    minors = [w.shift(s), *middle, w] if m else [w]
+    return w, tuple(-c if (m - j) % 2 else c for j, c in enumerate(minors))
+
+
+@lru_cache(maxsize=256)
+def _weighted_cofactors(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, ...]:
+    """The cofactors of _border, each weighted by its border quotient
+    nu_ratio_poly(j + 1, M, p).  A cache of its own, so that no cached value
+    is rewritten and W never needs nu_ratio_poly."""
+    m = d.size
+    return tuple(nu_ratio_poly(j + 1, m, p) * c for j, c in enumerate(_border(d, p)[1]))
 
 
 def _casoratian(d: IndexSet, p: ParamsLike, n: int) -> LaurentPoly:
@@ -132,21 +145,18 @@ def _casoratian(d: IndexSet, p: ParamsLike, n: int) -> LaurentPoly:
 
     Row j of the (M + 1) x (M + 1) matrix is that of _border plus the border
     nu_ratio_poly(j + 1, M, p) * P_n(x + s j), so every level at (D, p) is
-    sum_j P_n(x + s j) cofactors[j] over the cached cofactors: M + 1 products
-    in place of a determinant.  It is zero for n < 0 and P_n itself for empty
-    D; any other zero result is degenerate.
+    sum_j P_n(x + s j) weighted_cofactors[j]: M + 1 products in place of a
+    determinant.  It is zero for n < 0 and P_n itself for empty D; any other
+    zero result is degenerate.
     """
-    m = d.size
     if n < 0:
         return LaurentPoly.zero(p.q)
-    if m == 0:
+    if d.size == 0:
         return eigenpoly_y(n, p)
-    border = _border(d, p)
     pn = eigenpoly_y(n, p)
-    if not border[2]:
-        border[1:] = [[nu_ratio_poly(j + 1, m, p) * c for j, c in enumerate(border[1])], True]
     s = -1 if p.ctype == CType.TYPE_II else 1
-    w = sum((pn.shift(s * j) * c for j, c in enumerate(border[1])), LaurentPoly.zero(p.q))
+    w = sum((pn.shift(s * j) * c for j, c in enumerate(_weighted_cofactors(d, p))),
+            LaurentPoly.zero(p.q))
     if w.is_zero:
         raise DegenerateCasoratianError("bordered Casoratian is identically zero")
     return w
@@ -245,69 +255,37 @@ def lowest_matches_denominator(d: IndexSet, p: ParamsLike) -> EtaPoly:
     return (lhs - rhs).to_eta()
 
 
-def deformed_eigencheck(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
-    """Eigen-equation residual of the deformed system, denominators cleared.
-
-    Returns B(x; shifted) Xi(x-1)^2 [Xi'(x) f - Xi'(x-1) f(x+1)]
-          + D(x) Xi(x)^2 [Xi'(x-2) f - Xi'(x-1) f(x-1)]
-          - E_n Xi(x) Xi(x-1) Xi'(x-1) f,  with Xi' at lambda+delta;
-    identically zero iff the eigen-identity holds.
-    """
-    _check_type_ii(p)
-    m = d.size
-    xi0 = denominator_poly_y(d, p)
-    xi1 = denominator_poly_y(d, p.shift(delta=1))
-    f = multi_indexed_poly_y(d, n, p)
-    bshift = potential_b(p.shift(tilde=m))
-    term1 = bshift * xi0.shift(-1) ** 2 * (xi1 * f - xi1.shift(-1) * f.shift(1))
-    term2 = (
-        potential_d(p)
-        * xi0 ** 2
-        * (xi1.shift(-2) * f - xi1.shift(-1) * f.shift(-1))
-    )
-    rhs = (xi0 * xi0.shift(-1) * xi1.shift(-1) * f).scale(energy(n, p))
-    return term1 + term2 - rhs
-
-
 def deformed_forward_check(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     """Forward-shift residual: level n at lambda maps to level n-1 at
-    lambda+delta with factor energy(n).  Zero polynomial iff the relation holds."""
+    lambda+delta with factor energy(n).  Returns
+    B(0; lambda + M tilde) [l0(x+1) f - l0 f(x+1)] - E_n y den g, with l0, f
+    and den as in deformed_eigencheck and g level n-1 at lambda+delta; the
+    zero polynomial iff the relation holds."""
     _check_type_ii(p)
     if n < 0:
         raise ValueError("need n >= 0")
-    m = d.size
-    q = p.q
-    p_up = p.shift(delta=1)
-    xi0 = denominator_poly_y(d, p)
-    xi1 = denominator_poly_y(d, p_up)
-    f = multi_indexed_poly_y(d, n, p)
-    g = multi_indexed_poly_y(d, n - 1, p_up)
-    b0 = potential_b(p.shift(tilde=m)).eval_int(0)
-    lhs = (xi1 * f - xi1.shift(-1) * f.shift(1)).scale(b0)
-    rhs = (LaurentPoly.var(q) * xi0 * g).scale(energy(n, p))
+    den, _ = deformed_measure(d, p)
+    l0, f = level_poly_y(d, 0, p), level_poly_y(d, n, p)
+    g = multi_indexed_poly_y(d, n - 1, p.shift(delta=1))
+    b0 = potential_b(p.shift(tilde=d.size)).eval_int(0)
+    lhs = (l0.shift(1) * f - l0 * f.shift(1)).scale(b0)
+    rhs = (LaurentPoly.var(p.q) * den * g).scale(energy(n, p))
     return lhs - rhs
 
 
 def deformed_backward_check(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     """Backward-shift residual: level n-1 at lambda+delta maps back to level n
-    at lambda.  Zero polynomial iff the relation holds (n >= 1)."""
+    at lambda.  Returns B(x; lambda + M tilde) den(x-1) y g - D(x) den (y g)(x-1)
+    - B(0; lambda + M tilde) l0 f, with l0, f, den and g as in
+    deformed_forward_check; the zero polynomial iff the relation holds (n >= 1)."""
     _check_type_ii(p)
     if n < 1:
         raise ValueError("need n >= 1")
-    m = d.size
-    q = p.q
-    p_up = p.shift(delta=1)
-    xi0 = denominator_poly_y(d, p)
-    xi1 = denominator_poly_y(d, p_up)
-    f = multi_indexed_poly_y(d, n - 1, p_up)
-    target = multi_indexed_poly_y(d, n, p)
-    bshift = potential_b(p.shift(tilde=m))
-    b0 = bshift.eval_int(0)
-    y = LaurentPoly.var(q)
-    lhs = bshift * xi0.shift(-1) * y * f - potential_d(p) * xi0 * (
-        y * f.shift(-1)
-    ).scale(Fraction(1) / q)
-    rhs = (xi1.shift(-1) * target).scale(b0)
+    den, _ = deformed_measure(d, p)
+    yg = LaurentPoly.var(p.q) * multi_indexed_poly_y(d, n - 1, p.shift(delta=1))
+    bshift = potential_b(p.shift(tilde=d.size))
+    lhs = bshift * den.shift(-1) * yg - potential_d(p) * den * yg.shift(-1)
+    rhs = (level_poly_y(d, 0, p) * level_poly_y(d, n, p)).scale(bshift.eval_int(0))
     return lhs - rhs
 
 
@@ -498,16 +476,17 @@ class DeformedPotentials:
     d_den: LaurentPoly
 
     def b_value(self, x: int) -> Fraction:
-        den = self.b_den.eval_int(x)
-        if den == 0:
-            raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
-        return self.b_num.eval_int(x) / den
+        return _quotient_at(self.b_num, self.b_den, x)
 
     def d_value(self, x: int) -> Fraction:
-        den = self.d_den.eval_int(x)
-        if den == 0:
-            raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
-        return self.d_num.eval_int(x) / den
+        return _quotient_at(self.d_num, self.d_den, x)
+
+
+def _quotient_at(num: LaurentPoly, den: LaurentPoly, x: int) -> Fraction:
+    dx = den.eval_int(x)
+    if dx == 0:
+        raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
+    return num.eval_int(x) / dx
 
 
 def deformed_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
@@ -527,6 +506,26 @@ def deformed_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
         d_num=potential_d(p) * den * l0.shift(-1),
         d_den=den.shift(-1) * l0,
     )
+
+
+def deformed_eigencheck(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
+    """Eigen-equation residual of the deformed system of either construction
+    type, denominators cleared.  With den from deformed_measure, l0 the
+    level-0 and f the level-n polynomial, it returns
+
+        B(x; lambda + M tilde) den(x-1)^2 [l0(x+1) f - l0 f(x+1)]
+      + D(x) den^2 [l0(x-1) f - l0 f(x-1)] - E_n den den(x-1) l0 f,
+
+    identically zero iff the eigen-identity holds.
+    """
+    den, _ = deformed_measure(d, p)
+    l0, f = level_poly_y(d, 0, p), level_poly_y(d, n, p)
+    term1 = potential_b(p.shift(tilde=d.size)) * den.shift(-1) ** 2 * (
+        l0.shift(1) * f - l0 * f.shift(1)
+    )
+    term2 = potential_d(p) * den ** 2 * (l0.shift(-1) * f - l0 * f.shift(-1))
+    rhs = (den * den.shift(-1) * l0 * f).scale(energy(n, p))
+    return term1 + term2 - rhs
 
 
 def deformed_norm_sq(d: IndexSet, n: int, p: ParamsLike) -> Fraction:

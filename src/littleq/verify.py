@@ -933,7 +933,7 @@ def structural_checks(
     return checks
 
 
-def reflection_checks(p: Params, nmax: int = 2) -> list[CheckResult]:
+def reflection_checks(p: Params) -> list[CheckResult]:
     """Coordinate-and-base reversal of the single-index type I polynomial for
     D = {2}: must reproduce the type II polynomial for n = 0, 1 and must fail
     for n = 2 (a degenerate normalization also counts as failure)."""
@@ -941,7 +941,7 @@ def reflection_checks(p: Params, nmax: int = 2) -> list[CheckResult]:
         return []
     checks = []
     d2 = IndexSet.of(2)
-    for n in range(max(nmax, 2) + 1):
+    for n in range(3):
         try:
             refl = typeI_single_poly(
                 2, n, RawParams(Family.LQ_JACOBI, 1 / p.q, p.a, p.b, CType.TYPE_I)

@@ -279,11 +279,12 @@ def test_eigencheck_battery():
 def test_eigencheck_random_parameters():
     rng = random.Random(7)
     d = IndexSet.of(1, 2)
-    for family in Family:
-        for _ in range(5):
-            p = _random_valid_params(rng, family, CType.TYPE_II, dmax=2)
-            for n in range(3):
-                assert deformed_eigencheck(d, n, p).is_zero
+    for ctype in (CType.TYPE_II, CType.TYPE_I):
+        for family in Family:
+            for _ in range(5):
+                p = _random_valid_params(rng, family, ctype, dmax=2)
+                for n in range(3):
+                    assert deformed_eigencheck(d, n, p).is_zero, (ctype, family, n)
 
 
 def test_forward_backward_battery():
@@ -393,9 +394,12 @@ def _clear_darboux_caches():
             value.cache_clear()
 
 
-def test_levels_share_one_set_of_minors(monkeypatch, capsys):
-    # construct at D={1,3,5,7}, nmax=8: the denominator and nine levels all
-    # come from the five 4 x 4 minors of one (D, p)
+DEEP_ARGV = ["--family", "lqJacobi", "--type", "2", "--q", "1/2", "--a", "1/3",
+             "--b", "1/4096", "--indices", "1,3,5,7", "--nmax", "8"]
+
+
+def _det_sizes(monkeypatch, capsys, argv):
+    """Sizes of the determinants one command runs with cold caches."""
     sizes = []
 
     def counting_det(rows, **kw):
@@ -404,11 +408,37 @@ def test_levels_share_one_set_of_minors(monkeypatch, capsys):
 
     _clear_darboux_caches()
     monkeypatch.setattr(darboux, "det_laurent", counting_det)
-    argv = ["construct", "--family", "lqJacobi", "--type", "2", "--q", "1/2", "--a", "1/3",
-            "--b", "1/4096", "--indices", "1,3,5,7", "--nmax", "8"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert sizes == [4] * 5
+    return sizes
+
+
+def test_levels_share_one_set_of_minors(monkeypatch, capsys):
+    # construct at D={1,3,5,7}, nmax=8: the denominator and nine levels all
+    # come from W and the three middle 4 x 4 minors of one (D, p)
+    assert _det_sizes(monkeypatch, capsys, ["construct"] + DEEP_ARGV) == [4] * 4
+
+
+@pytest.mark.parametrize("command", ["table", "zeros"])
+def test_table_and_zeros_share_the_same_minors(command, monkeypatch, capsys):
+    assert _det_sizes(monkeypatch, capsys, [command] + DEEP_ARGV) == [4] * 4
+
+
+def test_verify_runs_at_most_39_determinants(monkeypatch, capsys):
+    # eleven border sets, each of M determinants
+    assert len(_det_sizes(monkeypatch, capsys, ["verify"] + DEEP_ARGV)) <= 39
+
+
+def test_level_requests_leave_the_cached_minors_unchanged(pj):
+    d = IndexSet.of(1, 2)
+    _clear_darboux_caches()
+    denominator_poly_y(d, pj)
+    border = darboux._border(d, pj)
+    before = [c.coeff_dict() for c in (border[0], *border[1])]
+    for n in range(4):
+        multi_indexed_poly_y(d, n, pj)
+    assert darboux._border(d, pj) is border
+    assert [c.coeff_dict() for c in (border[0], *border[1])] == before
 
 
 def test_denominator_never_needs_the_border(pj, monkeypatch):
