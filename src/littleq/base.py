@@ -159,20 +159,23 @@ def potential_d(p: ParamsLike) -> LaurentPoly:
     return LaurentPoly(p.q, {-1: 1, 0: -1})
 
 
-@lru_cache(maxsize=256)
 def eigenpoly_y(n: int, p: ParamsLike) -> LaurentPoly:
     """Eigenpolynomial of level n in the variable y = q^x (zero for n < 0).
 
     The terminating series 2phi1(q^{-n}, ab q^{n-1}; a; q; q y) (b = 0 for
     little q-Laguerre), whose term k is the coefficient of y^k; normalized
-    to value 1 at x = 0.
+    to value 1 at x = 0.  Cached on (n, family, q, a, b), the values it reads.
     """
-    q, a = p.q, p.a
+    return _eigenpoly_y(n, p.family, p.q, p.a, p.b)
+
+
+@lru_cache(maxsize=256)
+def _eigenpoly_y(n: int, family: Family, q: Fraction, a: Fraction, b: Fraction) -> LaurentPoly:
     if n < 0:
         return LaurentPoly.zero(q)
-    ab = a * p.b if p.family == Family.LQ_JACOBI else 0
+    ab = a * b if family == Family.LQ_JACOBI else 0
     terms = qhyper_terms([q ** (-n), ab * q ** (n - 1)], [a], q, q, n)
-    cn = eigen_at_infinity(n, p)
+    cn = eigen_at_infinity(n, RawParams(family, q, a, b))
     return LaurentPoly(q, {k: cn * c for k, c in enumerate(terms)})
 
 

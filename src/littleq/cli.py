@@ -278,10 +278,14 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     return buf.getvalue(), code
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:

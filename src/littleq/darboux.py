@@ -437,14 +437,20 @@ def deformed_measure(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, Fraction]
     return xi_casoratian(d, p).shift(1), p.q ** -qbinom2(m) * qpoch(p.b, p.q, m)
 
 
+def groundstate_step(x: int, p: ParamsLike) -> tuple[int, int]:
+    """gs(x + 1) / gs(x) = a (1 - b q^x) / (1 - q^{x+1}) at p (b = 0 for little
+    q-Laguerre) as an unreduced integer pair (num, den), den > 0."""
+    (qn, qd), (an, ad), (bn, bd) = (v.as_integer_ratio() for v in (p.q, p.a, p.b))
+    return an * (bd * qd ** x - bn * qn ** x) * qd, ad * bd * (qd ** (x + 1) - qn ** (x + 1))
+
+
 def deformed_weight(d: IndexSet, p: ParamsLike) -> Callable[[int], Fraction]:
     """The deformed orthogonality weight of either construction type,
     x -> c groundstate_sq(x; lambda + M tilde) / (den(x) den(x-1)) for
     integer x >= 0, with (den, c) from deformed_measure.
 
-    The ground state is grown once per lattice point by its ratio
-    a (1 - b q^x) / (1 - q^{x+1}) at lambda + M tilde (b = 0 for little
-    q-Laguerre).  A zero of den(x) den(x-1) raises
+    The exact ground state is grown once per lattice point by
+    groundstate_step at lambda + M tilde.  A zero of den(x) den(x-1) raises
     DenominatorZeroAtIntegerError.  For type II, w(x) / w(0) is the squared
     deformed ground state.
     """
@@ -456,8 +462,7 @@ def deformed_weight(d: IndexSet, p: ParamsLike) -> Callable[[int], Fraction]:
         if x < 0:
             raise ValueError("defined for x >= 0")
         while len(gs) <= x:
-            qx = pu.q ** (len(gs) - 1)
-            gs.append(gs[-1] * pu.a * (1 - pu.b * qx) / (1 - qx * pu.q))
+            gs.append(gs[-1] * Fraction(*groundstate_step(len(gs) - 1, pu)))
         dd = den.eval_int(x) * den.eval_int(x - 1)
         if dd == 0:
             raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % x)

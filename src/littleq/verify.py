@@ -2,24 +2,24 @@
 estimated tails, exact zero counts and interlacing, positivity scans.
 
 Exact checks pass only when a residual object is identically zero.  The
-infinite orthogonality sums run on fixed-point integers: each exact term
-adds its floor at K = bits(1/eps) + 192 bits, so the exact partial sum has
-an integer enclosure, closed by a geometric tail estimate: the term ratio
-must stay below rho < 1 for eight consecutive lattice points before the
-estimate last_term * rho / (1 - rho) is trusted.  Eight observed steps are
-evidence, not a proof that the ratio stays below rho beyond them.  The
-ratio, zero and stopping tests are exact (on the enclosures, else by an
-integer cross-multiplication), and so are the truncation point and the
-estimate; every verdict and printed digit is read off the enclosures, and
-the exact Fraction sum is built only where their ends disagree.  Zero counts and
-interlacing are proved on integer numerators (Descartes' rule of signs with
-Vincent-Collins-Akritas bisection, exact sign evaluations).  Floating point
-enters only in two places.  ortho_absolute_s00 is an uncertified cross-check
-of S_00 against infinite products truncated to 256 factors, compared as
-floats.  polynomial_roots gives the root values the zeros command prints:
-Durand-Kerner on doubles, then on fixed-point Gaussian integers on the exact
-integer numerator to a caller-chosen precision, with an exact backward-error
-test on the same integers.
+infinite orthogonality sums run on fixed-point integers: every term gets an
+integer enclosure at K = bits(1/eps) + 192 bits, from one enclosure of the
+weight per lattice point, so the exact partial sum has an integer
+enclosure, closed by a geometric tail estimate: the term ratio must stay
+below rho < 1 for eight consecutive lattice points before the estimate
+last_term * rho / (1 - rho) is trusted.  Eight observed steps are evidence,
+not a proof that the ratio stays below rho beyond them.  The ratio, zero and
+stopping tests are exact (on the enclosures, else on the exact terms), and
+so are the truncation point and the estimate; every verdict and printed
+digit is read off the enclosures, and the exact Fraction values are built
+only where their ends disagree.  ortho_absolute_s00 compares S_00 with
+infinite products truncated to 256 factors, decided the same way.  Zero
+counts and interlacing are proved on integer numerators (Descartes' rule of
+signs with Vincent-Collins-Akritas bisection, exact sign evaluations).
+Floating point enters only in polynomial_roots, for the root values the
+zeros command prints: Durand-Kerner on doubles, then on fixed-point Gaussian
+integers on the exact integer numerator to a caller-chosen precision, with
+an exact backward-error test on the same integers.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .base import (
@@ -63,6 +65,7 @@ from .darboux import (
     denominator_leading,
     denominator_poly,
     denominator_poly_y,
+    groundstate_step,
     infinity_values,
     level_poly,
     level_poly_y,
@@ -77,6 +80,7 @@ from .darboux import (
 )
 from .dyadic import nstr, round_bits
 from .exact import (
+    DenominatorZeroAtIntegerError,
     EtaPoly,
     InvalidParamsError,
     LaurentPoly,
@@ -129,7 +133,8 @@ class CheckResult:
 
 
 class Enclosed:
-    """A value in [lo, hi], with a thunk that builds it exactly."""
+    """A value in [lo, hi], with a thunk that builds it exactly; closed under
+    +, -, abs, scaling by c >= 0 and division (exact if the divisor spans 0)."""
 
     __slots__ = ("lo", "hi", "exact")
 
@@ -139,6 +144,22 @@ class Enclosed:
     def __abs__(self) -> "Enclosed":
         lo, hi = sorted((abs(self.lo), abs(self.hi)))
         return Enclosed(0 if self.lo <= 0 <= self.hi else lo, hi, lambda: abs(self.exact()))
+
+    def __add__(self, o: "Enclosed") -> "Enclosed":
+        return Enclosed(self.lo + o.lo, self.hi + o.hi, lambda: self.exact() + o.exact())
+
+    def __sub__(self, o: "Enclosed") -> "Enclosed":
+        return Enclosed(self.lo - o.hi, self.hi - o.lo, lambda: self.exact() - o.exact())
+
+    def __mul__(self, c: Fraction) -> "Enclosed":
+        return Enclosed(self.lo * c, self.hi * c, lambda: self.exact() * c)
+
+    def __truediv__(self, o: "Enclosed") -> "Enclosed":
+        if o.lo <= 0:
+            v = self.exact() / o.exact()
+            return Enclosed(v, v, lambda: v)
+        ends = [a / b for a in (self.lo, self.hi) for b in (o.lo, o.hi)]
+        return Enclosed(min(ends), max(ends), lambda: self.exact() / o.exact())
 
     def read(self, fmt: Callable[[Fraction], object]):
         """fmt of the value: read off the ends where fmt agrees on both, else
@@ -153,26 +174,39 @@ class Enclosed:
 
 @dataclass
 class TailBound:
-    """A truncated orthogonality sum.  Its exact partial sum up to
-    truncation_x lies in [scaled_sum, scaled_sum + truncation_x + 1] 2^-bits
-    (value) and is built (partial_sum) only when asked for; the tail
-    estimate |t(X)| rho / (1 - rho) is exact."""
+    """A truncated orthogonality sum: the exact partial sum up to
+    truncation_x lies in [scaled_sum, scaled_sum + width] 2^-bits (value),
+    the tail estimate |t(X)| rho / (1 - rho) in scaled_tail 2^-bits (tail);
+    both exact values are built from the exact terms only when asked for."""
 
     truncation_x: int
     scaled_sum: int
+    width: int
     bits: int
     ratio_bound: Fraction
-    tail_estimate: Fraction
-    term: Callable[[int], tuple[int, int]] = field(repr=False, compare=False)
+    scaled_tail: tuple[int, int]
+    exact: Callable[[int], tuple[int, int]] = field(repr=False, compare=False)
 
     @cached_property
     def partial_sum(self) -> Fraction:
-        return sum((Fraction(*self.term(x)) for x in range(self.truncation_x + 1)), Fraction(0))
+        return sum((Fraction(*self.exact(x)) for x in range(self.truncation_x + 1)), Fraction(0))
+
+    @cached_property
+    def tail_estimate(self) -> Fraction:
+        (num, den), r = self.exact(self.truncation_x), self.ratio_bound
+        return Fraction(abs(num) * r.numerator, den * (r.denominator - r.numerator))
+
+    def _enclosed(self, lo: int, hi: int, exact: Callable[[], Fraction]) -> Enclosed:
+        return Enclosed(Fraction(lo, 1 << self.bits), Fraction(hi, 1 << self.bits), exact)
 
     @property
     def value(self) -> Enclosed:
-        s, x, one = self.scaled_sum, self.truncation_x, 1 << self.bits
-        return Enclosed(Fraction(s, one), Fraction(s + x + 1, one), lambda: self.partial_sum)
+        s = self.scaled_sum
+        return self._enclosed(s, s + self.width, lambda: self.partial_sum)
+
+    @property
+    def tail(self) -> Enclosed:
+        return self._enclosed(*self.scaled_tail, lambda: self.tail_estimate)
 
 
 @dataclass
@@ -235,23 +269,25 @@ def _scale_bits(eps: Fraction) -> int:
     return max(0, eps.denominator.bit_length() - eps.numerator.bit_length()) + 192
 
 
-def _within(a: tuple, c: Fraction, b: tuple) -> bool:
-    """|a| <= c |b| for terms (num, den, lo, hi) with lo <= |num/den| 2^K <= hi,
-    decided on the enclosures where they clear the threshold."""
-    if a[3] * c.denominator <= c.numerator * b[2]:
+def _within(a: tuple, c: tuple, b: tuple, exact: Callable) -> bool:
+    """|a| <= c |b| for terms (lo, hi, x), lo <= |t(x)| 2^K <= hi, and pairs
+    c and exact(x) = (num, den): on the enclosures, else on the exact terms."""
+    if a[1] * c[1] <= c[0] * b[0]:
         return True
-    if a[2] * c.denominator > c.numerator * b[3]:
+    if a[0] * c[1] > c[0] * b[1]:
         return False
-    return _exactly_within(a, c, b)
+    return _exactly_within(exact(a[2]), c, exact(b[2]))
 
 
-def _exactly_within(a: tuple, c: Fraction, b: tuple) -> bool:
-    """|a| <= c |b| by one integer cross-multiplication, without a gcd."""
-    return abs(a[0]) * b[1] * c.denominator <= c.numerator * abs(b[0]) * a[1]
+def _exactly_within(a: tuple, c: tuple, b: tuple) -> bool:
+    """|a| <= c |b| for exact pairs (num, den), den > 0, by one integer
+    cross-multiplication, without a gcd."""
+    return abs(a[0]) * b[1] * c[1] <= c[0] * abs(b[0]) * a[1]
 
 
 def _certified_sum(
-    term: Callable[[int], tuple[int, int]],
+    enclose: Callable[[int], tuple[int, int]],
+    exact: Callable[[int], tuple[int, int]],
     rho: Fraction,
     eps: Fraction,
     max_terms: int = 500,
@@ -259,34 +295,40 @@ def _certified_sum(
     """Partial sum on fixed-point integers, with a geometric tail estimate
     (not a proof).
 
-    term(x) is t(x) as integers (num, den), den > 0; each adds
-    floor(t(x) 2^K) to an integer sum S, K = _scale_bits(eps), so the exact
-    partial sum up to X lies in [S, S + X + 1] 2^-K.  Extends the truncation
-    until |t(x+1)| <= rho |t(x)| (t(x) != 0) held for the last 8 consecutive
-    steps and the resulting bound |t(X)| rho/(1-rho) drops below eps.  Each
-    test is decided on the enclosures of the terms it compares, or exactly
-    where they straddle its threshold, so X and the tail estimate are exact.
-    Raises NonConvergenceError if no such window appears.
-    """
+    enclose(x) is an integer enclosure of t(x) 2^K, K = _scale_bits(eps),
+    exact(x) is t(x) as integers (num, den), den > 0.  Extends the
+    truncation until |t(x+1)| <= rho |t(x)| (t(x) != 0) held for the last 8
+    steps and the bound |t(X)| rho/(1-rho) drops below eps, each test decided
+    on the enclosures or, where they straddle it, on the exact terms; so X
+    and the estimate are exact.  Raises NonConvergenceError if no such
+    window appears."""
     if not 0 < rho < 1:
         raise NonConvergenceError("ratio bound rho=%s is not < 1" % rho)
     k = _scale_bits(eps)
-    one = (1, 1, 1 << k, 1 << k)
-    cap = eps * (1 - rho) / rho  # |t(X)| <= cap  <=>  the tail estimate <= eps
-    total = 0
+    one = (1 << k, 1 << k, None)
+    built: dict = {None: (1, 1)}  # the exact terms built so far
+
+    def pair(x: int | None) -> tuple[int, int]:
+        return built[x] if x in built else built.setdefault(x, exact(x))
+
+    # |t(X)| <= cap  <=>  the tail estimate <= eps
+    cap, ratio = (eps * (1 - rho) / rho).as_integer_ratio(), rho.as_integer_ratio()
+    lo_sum = hi_sum = consec = 0
     prev: tuple | None = None
-    consec = 0
     for x in range(max_terms + 1):
-        num, den = term(x)
-        lo, rem = divmod(abs(num) << k, den)
-        t = (num, den, lo, lo + (rem > 0))
-        total += lo if num >= 0 else -t[3]
+        lo, hi = enclose(x)
+        lo_sum += lo
+        hi_sum += hi
+        # |t(x)| 2^K in [t[0], t[1]]; t[1] == 0 only for t(x) == 0
+        t = (lo if lo > 0 else -hi if hi < 0 else 0, max(hi, -lo), x)
         if prev is not None:
-            consec = consec + 1 if prev[0] and _within(t, rho, prev) else 0
+            nonzero = prev[0] > 0 or (prev[1] > 0 and pair(prev[2])[0] != 0)
+            consec = consec + 1 if nonzero and _within(t, ratio, prev, pair) else 0
         prev = t
-        if consec >= 8 and _within(t, cap, one):
-            tail = Fraction(abs(num) * rho.numerator, den * (rho.denominator - rho.numerator))
-            return TailBound(x, total, k, rho, tail, term)
+        if consec >= 8 and _within(t, cap, one, pair):
+            rn, rd = ratio[0], ratio[1] - ratio[0]
+            tail = (t[0] * rn // rd, -(-t[1] * rn // rd))
+            return TailBound(x, lo_sum, hi_sum - lo_sum, k, rho, tail, exact)
     raise NonConvergenceError(
         "no certified geometric window within %d terms" % max_terms
     )
@@ -295,101 +337,110 @@ def _certified_sum(
 class OrthogonalityData:
     """Partial sums of the deformed orthogonality relation on integers.
 
-    For either construction type the summand is w(x) P_n(x) P_m(x), with
-    the weight w from deformed_weight and P_n from level_poly_y.  Diagonal
-    terms are positive, so partial sums are lower bounds and the tail
-    estimate gives an interval.
-    The weight and every P_n are evaluated once per lattice point, in
-    integer rows that all pair sums share: w = wn/wd and P_n = u_n/L over
-    one common L, the lcm of the unreduced denominators of eval_pair, so
-    the term of pair (n, m) is wn u_n u_m / (wd L^2).
-    Each pair sum is a TailBound whose truncation_x and tail estimate are
-    exact; the verdicts and printed digits are read off its enclosure.
-    """
+    The summand is w(x) P_n(x) P_m(x), w = c gs(x; lambda + M tilde) /
+    (den(x) den(x-1)) from deformed_measure, P_n from level_poly_y.  Each
+    lattice point gets one integer row that all pair sums share: P_n = u_n/L
+    over L, the lcm of the denominators of eval_pair, and an enclosure
+    [W, W + dW] 2^-(K+g) of w / L^2, g = 2 bits(max |u_n|) + 1, from the
+    ground state enclosed in [lo, hi] 2^e, grown by groundstate_step on
+    mantissas of prec bits (raised, and the growth rerun, where a row's
+    largest term would be known to less than 2^-K).  A term is W u_n u_m >> g
+    rounded outward, at most 3 units wide; the exact term (deformed_weight)
+    is built only where that cannot decide a test."""
 
     def __init__(self, d: IndexSet, p: Params, nmax: int, eps: Fraction):
-        self.d = d
-        self.p = p
-        self.nmax = nmax
-        self.eps = Fraction(eps)
+        self.d, self.p, self.eps = d, p, Fraction(eps)
         if self.eps <= 0:
             raise InvalidParamsError("eps must be positive")
-        p_up = p.shift(tilde=d.size)
+        self.bits = _scale_bits(self.eps)
         self.weight = deformed_weight(d, p)
         self.polys = [level_poly_y(d, n, p) for n in range(nmax + 1)]
-        self.rho = (1 + max(p.a, p_up.a)) / 2
-        self._rows: list[tuple[int, int, list[int]]] = []  # x -> (wn, wd L^2, u_n)
+        self._den, self._c = deformed_measure(d, p)
+        self._pu = p.shift(tilde=d.size)
+        self.rho = (1 + max(p.a, self._pu.a)) / 2
+        self._prec = self.bits + 64
+        self._gs = (0, 1, 1, 0)  # (x, lo, hi, e): gs(x) in [lo, hi] 2^e
+        self._rows: list[tuple] = []  # x -> (W, dW, g, u_n, L, den(x))
 
-    def _row(self, x: int) -> tuple[int, int, list[int]]:
+    def _groundstate(self, x: int, a: int, b: int, g: int) -> tuple[int, int, int]:
+        """(lo, hi, e) with gs(x) in [lo, hi] 2^e and |a| (hi - lo) 2^(e+K+g-1) <= b."""
+        while True:
+            t, lo, hi, e = self._gs
+            for t in range(t, x):
+                num, den = groundstate_step(t, self._pu)
+                lo, hi = (hi * num, lo * num) if num < 0 else (lo * num, hi * num)
+                s = self._prec + den.bit_length() - max(-lo, hi).bit_length() if lo or hi else 0
+                lo, hi, den = (lo << s, hi << s, den) if s >= 0 else (lo, hi, den << -s)
+                lo, hi, e = lo // den, -(-hi // den), e - s
+            self._gs = (x, lo, hi, e)
+            need, room, shift = abs(a) * (hi - lo), b, e + self.bits + g - 1
+            need, room = (need << shift, room) if shift >= 0 else (need, room << -shift)
+            if need <= room:
+                return lo, hi, e
+            self._prec += need.bit_length() - room.bit_length() + 32
+            self._gs = (0, 1, 1, 0)
+
+    def _row(self, x: int) -> tuple:
         while len(self._rows) <= x:
             t = len(self._rows)
-            w = self.weight(t)
+            n0, d0 = self._rows[t - 1][5] if t else self._den.eval_pair(-1)
+            n1, d1 = self._den.eval_pair(t)
+            if n1 == 0 or n0 == 0:
+                raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % t)
             vals = [pn.eval_pair(t) for pn in self.polys]
             common = math.lcm(*(den for _, den in vals))
             u = [num * (common // den) for num, den in vals]
-            self._rows.append((w.numerator, w.denominator * common ** 2, u))
+            # w(t) / L^2 = gs(t) a / b, b > 0
+            a, b = self._c.numerator * d1 * d0, self._c.denominator * n1 * n0 * common ** 2
+            a, b = (-a, -b) if b < 0 else (a, b)
+            g = 2 * max(v.bit_length() for v in u) + 1
+            lo, hi, e = self._groundstate(t, a, b, g)
+            lo, hi, shift = *sorted((lo * a, hi * a)), e + self.bits + g
+            lo, hi, b = (lo << shift, hi << shift, b) if shift >= 0 else (lo, hi, b << -shift)
+            self._rows.append(((w := lo // b), -(-hi // b) - w, g, u, common, (n1, d1)))
         return self._rows[x]
 
-    def pair_sum(self, n: int, m: int) -> TailBound:
-        def term(x: int) -> tuple[int, int]:
-            wn, den, u = self._row(x)
-            return wn * (u[n] * u[m]), den
+    def _exact(self, x: int, n: int, m: int) -> tuple[int, int]:
+        """The term of pair (n, m) at x as the exact pair (wn u_n u_m, wd L^2)."""
+        w, (_, _, _, u, common, _) = self.weight(x), self._row(x)
+        return w.numerator * u[n] * u[m], w.denominator * common ** 2
 
-        return _certified_sum(term, self.rho, self.eps)
+    def pair_sum(self, n: int, m: int) -> TailBound:
+        def enclose(x: int) -> tuple[int, int]:
+            w, dw, g, u = self._row(x)[:4]
+            lo = w * (uu := u[n] * u[m])
+            lo, hi = (lo + dw * uu, lo) if uu < 0 else (lo, lo + dw * uu)
+            return lo >> g, -(-hi >> g)
+
+        return _certified_sum(enclose, lambda x: self._exact(x, n, m), self.rho, self.eps)
+
+    @cached_property
+    def _norm0(self) -> Fraction:
+        return deformed_norm_sq(self.d, 0, self.p)
 
     def exact_diag_ratio(self, n: int) -> Fraction:
         """Target value of S_nn / S_00 from the closed-form norm constants."""
-        d, p = self.d, self.p
-        return deformed_norm_sq(d, 0, p) / (norm_ratio(n, p) * deformed_norm_sq(d, n, p))
+        return self._norm0 / (norm_ratio(n, self.p) * deformed_norm_sq(self.d, n, self.p))
 
     def diag_ratio(
         self, n: int, diag: Sequence[TailBound]
     ) -> tuple[Enclosed, Fraction, Enclosed, bool]:
-        """(S_nn/S_00, its target, the bound, verdict) from the diagonal sums.
-
-        The bound rel * |target| takes rel from both tail estimates; the
-        verdict is |S_nn/S_00 - target| <= bound.  While both sums are
-        positive the ratio and the bound are monotone in each of them, so
-        their enclosures are spanned by the corners of the sums' enclosures;
-        the verdict is decided on those, or else on the exact sums.
-        """
-        snn, s00 = diag[n].value, diag[0].value
-        tn, t0 = diag[n].tail_estimate, diag[0].tail_estimate
+        """(S_nn/S_00, its target, bound, verdict |S_nn/S_00 - target| <=
+        bound), bound = 2 (tail_n / S_nn + tail_0 / S_00) |target|, on the
+        enclosures of the sums and tails."""
+        (snn, tn), (s00, t0) = ((diag[k].value, diag[k].tail) for k in (n, 0))
         target = self.exact_diag_ratio(n)
-
-        def parts(sn: Fraction, s0: Fraction) -> tuple[Fraction, Fraction]:
-            return sn / s0, 2 * (tn / sn + t0 / s0) * abs(target)
-
-        def exact() -> tuple[Fraction, Fraction]:
-            return parts(snn.exact(), s00.exact())
-
-        if snn.lo > 0 and s00.lo > 0:
-            corners = [parts(sn, s0) for sn in (snn.lo, snn.hi) for s0 in (s00.lo, s00.hi)]
-        else:
-            corners = [exact()]
-        (got_lo, got_hi), (bound_lo, bound_hi) = ((min(c), max(c)) for c in zip(*corners))
-        got = Enclosed(got_lo, got_hi, lambda: exact()[0])
-        bound = Enclosed(bound_lo, bound_hi, lambda: exact()[1])
-        miss = Enclosed(  # |S_nn/S_00 - target| - bound
-            max(got_lo - target, target - got_hi, 0) - bound_hi,
-            max(got_hi - target, target - got_lo) - bound_lo,
-            lambda: abs(got.exact() - target) - bound.exact(),
-        )
+        got, bound = snn / s00, (tn / snn + t0 / s00) * (2 * abs(target))
+        miss = abs(got - Enclosed(target, target, lambda: target)) - bound
         return got, target, bound, miss.read(lambda v: v <= 0)
 
-    def absolute_target(self, factors: int = 256) -> tuple[float, Fraction]:
-        """S_00 from the closed-form norms and the truncated infinite products,
-        as (value, rel): a float cross-check, not certified.
-
-        The value is one correctly rounded int/int quotient of the unreduced
-        pair norm_abs_approx returns (the same float as rounding the reduced
-        Fraction).  The products' relative bound e carried through the
-        reciprocal gives rel = e / (1 - e): the true S_00 lies within
-        (1 +/- rel) of the exact quotient.
-        """
+    def absolute_target(self, factors: int = 256) -> tuple[tuple[int, int], Fraction]:
+        """S_00 from the closed-form norms and the truncated products as an
+        unreduced ((num, den), rel), den > 0: the true S_00 lies within
+        (1 +/- rel) of num / den, rel = e / (1 - e) for the products' e."""
         (num, den), e = norm_abs_approx(0, self.p, factors)
-        scale = 1 / deformed_norm_sq(self.d, 0, self.p)
-        return den * scale.numerator / (num * scale.denominator), e / (1 - e)
+        num, den = den * self._norm0.denominator, num * self._norm0.numerator
+        return ((num, den) if den > 0 else (-num, -den)), e / (1 - e)
 
 
 def orthogonality_check(
@@ -409,13 +460,12 @@ def orthogonality_check(
     for n in range(nmax + 1):
         for m in range(n + 1, nmax + 1):
             tb = data.pair_sum(n, m)
-            size = abs(tb.value)
             checks.append(
                 _check(
                     "ortho_offdiag_n%d_m%d" % (n, m),
-                    size.read(lambda v: v <= tb.tail_estimate),
-                    "|partial|=%s at x<=%d" % (size.read(float), tb.truncation_x),
-                    bound=str(float(tb.tail_estimate)),
+                    (abs(tb.value) - tb.tail).read(lambda v: v <= 0),
+                    "|partial|=%s at x<=%d" % (abs(tb.value).read(float), tb.truncation_x),
+                    bound=str(tb.tail.read(float)),
                 )
             )
     for n in range(1, nmax + 1):
@@ -428,16 +478,19 @@ def orthogonality_check(
                 bound=str(bound.read(float)),
             )
         )
-    s00 = diag[0].value.read(float)
-    target0, rel = data.absolute_target()
-    # 1e-12 covers the float quotient and the tail of S_00; rel the truncation
-    tol = 1e-12 + float(rel)
+    # S_00 widened by its tail estimate lies in T (1 +/- tol), T = num/den enclosed
+    # 64 bits finer; tol: 1e-12 slack past the estimated tail, rel the products
+    s00, ((num, den), rel) = diag[0], data.absolute_target()
+    tol, k = Fraction(1, 10 ** 12) + rel, s00.bits + 64
+    t = (num << k) // den
+    target = Enclosed(Fraction(t, 1 << k), Fraction(t + 1, 1 << k), lambda: Fraction(num, den))
+    miss = abs(s00.value - target) + s00.tail - abs(target) * tol
     checks.append(
         _check(
             "ortho_absolute_s00",
-            abs(s00 / target0 - 1) <= tol,
-            "S_00=%s vs %s (256-factor products)" % (s00, target0),
-            bound=str(tol),
+            miss.read(lambda v: v <= 0),
+            "S_00=%s vs %s (256-factor products)" % (s00.value.read(float), num / den),
+            bound=str(1e-12 + float(rel)),
         )
     )
     return checks
@@ -859,13 +912,8 @@ def structural_checks(
         p0 = multi_indexed_poly(d, 0, p)
         weight = deformed_weight(d, p)
         w0 = weight(0)
-        acc = Fraction(1)
-        ok = True
-        for x in range(1, 21):
-            acc *= pots.b_value(x - 1) / pots.d_value(x)
-            if weight(x) / w0 * p0.eval_int(x) ** 2 != acc:
-                ok = False
-                break
+        hops = accumulate((pots.b_value(x - 1) / pots.d_value(x) for x in range(1, 21)), mul)
+        ok = all(weight(x) / w0 * p0.eval_int(x) ** 2 == h for x, h in enumerate(hops, 1))
         checks.append(
             _check("structural_groundstate_product", ok, "hop-ratio product matches on x <= 20")
         )

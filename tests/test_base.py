@@ -10,6 +10,7 @@ from littleq import (
     LaurentPoly,
     NonConvergenceError,
     Params,
+    RawParams,
     backward_shift_apply,
     casoratian_gauge,
     eigen_at_infinity,
@@ -111,6 +112,19 @@ def test_eigenpoly_degree_norm_leading_infinity(pj, pl):
             assert e.eval_int(0) == 1
             assert e.leading == eigen_leading(n, p)
             assert eigenpoly_y(n, p).at_infinity() == eigen_at_infinity(n, p)
+
+
+def test_eigenpoly_cache_keys_on_the_values_it_reads(pj):
+    # an equal-valued RawParams and points that differ only in ctype or dmax
+    # read the same (n, family, q, a, b), so they share one cache entry
+    base._eigenpoly_y.cache_clear()
+    twins = [pj, RawParams(pj.family, pj.q, pj.a, pj.b, pj.ctype, pj.dmax),
+             RawParams(pj.family, pj.q, pj.a, pj.b, CType.TYPE_I, 7), pj.shift()]
+    polys = [eigenpoly_y(3, p) for p in twins]
+    assert all(f is polys[0] for f in polys)
+    info = base._eigenpoly_y.cache_info()
+    assert (info.currsize, info.misses, info.maxsize) == (1, 1, 256)
+    assert eigenpoly_y(3, pj.shift(tilde=1)) is not polys[0]
 
 
 def test_eigenpoly_negative_level_is_zero(pj):

@@ -372,6 +372,42 @@ def test_verify_reports_a_sum_without_a_geometric_window(capsys):
     }]
 
 
+# the bytes the exact-Fraction weights printed at q = a = 9/10 (X = 347)
+NEAR_ONE = (["table", "--family", "lqLaguerre", "--type", "2", "--q", "9/10", "--a", "9/10",
+             "--indices", "1", "--nmax", "2"],
+            "d4c62330462fd0aa47d76a56d62aef76ca8aa554b530a40cc565c19b043da870")
+
+
+def test_table_near_q_one_prints_the_recorded_bytes(capsys):
+    argv, digest = NEAR_ONE
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+WORKLOAD_POINTS = {
+    "deep": ["--family", "lqJacobi", "--type", "2", "--q", "1/2", "--a", "1/3",
+             "--b", "1/4096", "--indices", "1,3,5,7", "--nmax", "8"],
+    "type1": ["--family", "lqJacobi", "--type", "1", "--q", "1/2", "--a", "1/64",
+              "--b", "1/3", "--indices", "2,3,4", "--nmax", "8"],
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize("point", sorted(WORKLOAD_POINTS))
+def test_workload_sums_build_no_exact_term(capsys, monkeypatch, command, point):
+    # every test, verdict and printed digit settles on the enclosures: no
+    # exact term (and so no exact weight, partial sum or tail) is built
+    built, exact = [], verify.OrthogonalityData._exact
+
+    def counted(self, *args):
+        built.append(args)
+        return exact(self, *args)
+
+    monkeypatch.setattr(verify.OrthogonalityData, "_exact", counted)
+    assert main([command, *WORKLOAD_POINTS[point]]) == EXIT_OK
+    assert capsys.readouterr().out and built == []
+
+
 def test_absolute_s00_judged_by_the_truncation_bound(capsys):
     # at q = 9/10 the 256-factor products are good to a relative 1.4e-11 only;
     # S_00 differs from them by 6.0e-12, beyond 1e-12 but inside that bound

@@ -26,6 +26,7 @@ from littleq import (
 )
 from littleq import verify
 from littleq.cli import main
+from littleq.darboux import groundstate_step
 from littleq.dyadic import nstr
 from littleq.exact import LittleQError
 from littleq.verify import (
@@ -63,9 +64,22 @@ def _pair(t):
     return t.numerator, t.denominator
 
 
+def _exact_terms(term, eps):
+    """(enclose, exact) for _certified_sum from a function of exact integer
+    pairs: the floor and the ceiling of t(x) 2^K."""
+    k = verify._scale_bits(eps)
+
+    def enclose(x):
+        num, den = term(x)
+        return (num << k) // den, -((-num << k) // den)
+
+    return enclose, term
+
+
 def test_certified_sum_geometric():
     # sum of (1/3)^x is 3/2; certified partial must sit within the tail bound
-    tb = _certified_sum(lambda x: (1, 3 ** x), F(1, 2), F(1, 10 ** 12))
+    eps = F(1, 10 ** 12)
+    tb = _certified_sum(*_exact_terms(lambda x: (1, 3 ** x), eps), F(1, 2), eps)
     assert abs(tb.partial_sum - F(3, 2)) <= tb.tail_estimate
     assert tb.ratio_bound < 1
     last = F(1, 3) ** tb.truncation_x
@@ -74,7 +88,8 @@ def test_certified_sum_geometric():
 
 def test_certified_sum_nonconvergent_raises():
     with pytest.raises(NonConvergenceError):
-        _certified_sum(lambda x: (1, 1), F(9, 10), F(1, 100), max_terms=50)
+        _certified_sum(*_exact_terms(lambda x: (1, 1), F(1, 100)), F(9, 10), F(1, 100),
+                       max_terms=50)
 
 
 def test_certified_sum_monotone_under_refinement(pj, pl):
@@ -99,23 +114,33 @@ def test_certified_sum_monotone_under_refinement(pj, pl):
             assert abs(extended) <= tb.tail_estimate
 
 
-def test_pair_sums_weigh_each_lattice_point_once(pj):
+def test_pair_sums_weigh_each_lattice_point_once(pj, monkeypatch):
     data = OrthogonalityData(IndexSet.of(1, 2), pj, 3, EPS)
-    weight, seen = data.weight, []
+    weight, seen, steps = data.weight, [], []
 
     def counted(x):
         seen.append(x)
         return weight(x)
 
+    def counted_step(x, p):
+        steps.append(x)
+        return groundstate_step(x, p)
+
     data.weight = counted
+    monkeypatch.setattr(verify, "groundstate_step", counted_step)
     sums = {(n, m): data.pair_sum(n, m) for n in range(4) for m in range(n, 4)}
-    assert seen == list(range(max(tb.truncation_x for tb in sums.values()) + 1))
+    # one row per lattice point, its ground state grown by one step from the
+    # last; no exact weight is built
+    last = max(tb.truncation_x for tb in sums.values())
+    assert len(data._rows) == last + 1 and steps == list(range(last)) and seen == []
     for (n, m), tb in sums.items():
         pn, pm = data.polys[n], data.polys[m]
         ref = _certified_sum(
-            lambda x: _pair(weight(x) * pn.eval_int(x) * pm.eval_int(x)), data.rho, EPS
+            *_exact_terms(lambda x: _pair(weight(x) * pn.eval_int(x) * pm.eval_int(x)), EPS),
+            data.rho, EPS,
         )
-        assert tb == ref and tb.partial_sum == ref.partial_sum
+        assert (tb.truncation_x, tb.tail_estimate, tb.partial_sum) == (
+            ref.truncation_x, ref.tail_estimate, ref.partial_sum)
 
 
 def test_weight_ground_state_grown_by_ratio(pj, pl, pji):
@@ -191,8 +216,9 @@ def _exact_absolute_target(d, p):
 ], ids=["deep", "type1", "laguerre", "laguerre-type1", "q=3/5", "q=1/4"])
 def test_absolute_target_is_the_rounded_exact_value(dset, p):
     d = IndexSet.of(*dset)
-    value, rel = OrthogonalityData(d, p, 1, EPS).absolute_target()
-    assert value == float(_exact_absolute_target(d, p))
+    (num, den), rel = OrthogonalityData(d, p, 1, EPS).absolute_target()
+    assert num / den == float(_exact_absolute_target(d, p))
+    assert F(num, den) == _exact_absolute_target(d, p)
     # far below the 1e-12 slack, so the check's bound still prints 1e-12
     assert 0 < rel < F(1, 10 ** 40)
     assert str(1e-12 + float(rel)) == "1e-12"
@@ -290,6 +316,63 @@ def zero_points(draw):
     return p, draw(st.sampled_from((IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2))))
 
 
+@st.composite
+def enclosure_points(draw):
+    """A valid point of either family and type with |D| <= 2, q up to 9/10
+    and a up to 9/10 of its bound (q^3 for type I at dmax 2, else 1)."""
+    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(CType))
+    den = draw(st.integers(3, 10))
+    q = F(draw(st.integers(1, den - 1)), den)
+    a = F(draw(st.integers(1, 9)), 10) * (q ** 3 if ctype == CType.TYPE_I else 1)
+    b = F(0)
+    if family == Family.LQ_JACOBI:
+        b = F(draw(st.integers(1, 12)), 13) * (q ** 3 if ctype == CType.TYPE_II else 1)
+    d = draw(st.sampled_from((IndexSet.of(), IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2))))
+    try:
+        return Params(family, q, a, b, ctype, 2), d
+    except InvalidParamsError:
+        assume(False)
+
+
+@given(enclosure_points())
+@settings(max_examples=40, deadline=None)
+def test_enclosures_contain_the_exact_values(point):
+    p, d = point
+    try:
+        data = OrthogonalityData(d, p, 2, EPS)
+        data._row(0)
+    except LittleQError:
+        assume(False)
+    one = 2 ** data.bits
+
+    def checked_sum(enclose, exact, rho, eps):
+        def checked(x):
+            lo, hi = enclose(x)
+            assert lo <= F(*exact(x)) * one <= hi and hi - lo <= 4, x
+            return lo, hi
+
+        # a window within 120 terms keeps the exact values affordable
+        return _certified_sum(checked, exact, rho, eps, max_terms=120)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_certified_sum", checked_sum)
+        for n in range(3):
+            for m in range(n, 3):
+                try:
+                    tb = data.pair_sum(n, m)
+                except NonConvergenceError:
+                    continue
+                x = tb.truncation_x
+                assert tb.scaled_sum <= tb.partial_sum * one <= tb.scaled_sum + tb.width
+                assert tb.width <= 4 * (x + 1)
+                assert tb.scaled_tail[0] <= tb.tail_estimate * one <= tb.scaled_tail[1]
+    for x, (w, dw, g, u, common, _) in enumerate(data._rows):
+        assert w <= data.weight(x) / common ** 2 * one * 2 ** g <= w + dw, x
+    # the ground state of the last row, at lambda + M tilde
+    x, lo, hi, e = data._gs
+    assert lo * F(2) ** e <= groundstate_sq(x, p.shift(tilde=d.size)) <= hi * F(2) ** e
+
+
 def _exact_loop(term, rho, eps, max_terms):
     """The plain exact-Fraction loop: (X, partial sum, tail estimate), or
     None when no window appears within max_terms."""
@@ -332,7 +415,8 @@ def test_integer_pair_sums_match_the_exact_loop(point):
                 x, total, tail = ref
                 assert (tb.truncation_x, tb.tail_estimate) == (x, tail)
                 one = 2 ** tb.bits
-                assert tb.scaled_sum <= total * one <= tb.scaled_sum + x + 1
+                assert tb.scaled_sum <= total * one <= tb.scaled_sum + tb.width
+                assert tb.width <= 4 * (x + 1)
                 assert abs(tb.value).read(float) == float(abs(total))
                 assert tb.partial_sum == total
                 if n == m:
