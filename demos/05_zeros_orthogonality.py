@@ -39,19 +39,18 @@ print("\n(degree always equals %d + n; starred zeros are unphysical)"
 # estimate, trusted after eight observed ratio steps.  Diagonal ratios then match closed-form constants exactly
 # within twice the relative tail bound.
 data = OrthogonalityData(d, p, 3, F(1, 10 ** 24))
-s00 = data.pair_sum(0, 0)
+s00 = data.diag[0]
 print("\nS_00 summed to x=%d, tail bound %.3e" %
-      (s00.truncation_x, float(s00.tail_estimate)))
+      (s00.truncation_x, float(s00.tail.exact())))
 for n in range(1, 4):
-    snn = data.pair_sum(n, n)
-    got = snn.partial_sum / s00.partial_sum
-    target = data.exact_diag_ratio(n)
+    got = data.diag[n].value.exact() / s00.value.exact()
+    target = data.diag_ratio(n)[1]
     print("  n=%d: S_nn/S_00 = %.12f, closed form %.12f, difference %.1e"
           % (n, float(got), float(target), abs(float(got - target))))
 
 off = data.pair_sum(0, 2)
 print("off-diagonal S_02 partial sum %.3e below tail bound %.3e"
-      % (float(abs(off.partial_sum)), float(off.tail_estimate)))
+      % (float(abs(off.value.exact())), float(off.tail.exact())))
 
 # The family limit: little q-Jacobi coefficients drift linearly in b toward
 # little q-Laguerre.

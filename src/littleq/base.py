@@ -242,7 +242,7 @@ def norm_ratio(n: int, p: ParamsLike) -> Fraction:
     """Exact squared-norm ratio of level n to level 0 (infinite products cancel)."""
     q, a, b = p.q, p.a, p.b
     out = a ** n * q ** (n * (n - 1)) / (qpoch(a, q, n) * qpoch(q, q, n))
-    if p.family == Family.LQ_JACOBI:
+    if p.family == Family.LQ_JACOBI and n > 0:  # each factor is 1 at n = 0, the last 0/0 at ab = q
         ab = a * b
         out *= qpoch(b, q, n) * qpoch(ab, q, n)
         out *= (1 - ab * q ** (2 * n - 1)) / (1 - ab * q ** (n - 1))

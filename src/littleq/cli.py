@@ -250,7 +250,6 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     p = cfg.params()
     d = cfg.index_set()
     data = OrthogonalityData(d, p, cfg.nmax, cfg.eps)
-    diag = [data.pair_sum(n, n) for n in range(cfg.nmax + 1)]
     dps = 30
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -260,7 +259,7 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     )
     code = EXIT_OK
     for n in range(cfg.nmax + 1):
-        got, target, bound, ok = data.diag_ratio(n, diag)
+        got, target, bound, ok = data.diag_ratio(n)
         if not ok:
             code = EXIT_VERIFY_FAIL
         writer.writerow(
@@ -270,7 +269,7 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
                 str(target.numerator),
                 str(target.denominator),
                 bound.read(lambda v: _ratio_str(v, 3)),
-                diag[n].truncation_x,
+                data.diag[n].truncation_x,
                 "pass" if ok else "fail",
                 dps,
             ]

@@ -307,7 +307,10 @@ def denominator_leading(d: IndexSet, p: ParamsLike) -> Fraction:
     q = p.q
     out = Fraction(1)
     for j, dj in enumerate(d.indices, start=1):
-        out *= xi_leading(dj, p) / xi_leading(j - 1, p)
+        den = xi_leading(j - 1, p)
+        if den == 0:  # at b = a q^m
+            raise InvalidParamsError("degenerate leading-coefficient product")
+        out *= xi_leading(dj, p) / den
     m = d.size
     if p.family == Family.LQ_JACOBI:
         b = p.b

@@ -4,16 +4,16 @@ estimated tails, exact zero counts and interlacing, positivity scans.
 Exact checks pass only when a residual object is identically zero.  The
 infinite orthogonality sums run on fixed-point integers: every term gets an
 integer enclosure at K = bits(1/eps) + 192 bits, from one enclosure of the
-weight per lattice point, so the exact partial sum has an integer
-enclosure, closed by a geometric tail estimate: the term ratio must stay
-below rho < 1 for eight consecutive lattice points before the estimate
-last_term * rho / (1 - rho) is trusted.  Eight observed steps are evidence,
-not a proof that the ratio stays below rho beyond them.  The ratio, zero and
-stopping tests are exact (on the enclosures, else on the exact terms), and
-so are the truncation point and the estimate; every verdict and printed
-digit is read off the enclosures, and the exact Fraction values are built
-only where their ends disagree.  ortho_absolute_s00 compares S_00 with
-infinite products truncated to 256 factors, decided the same way.  Zero
+weight per lattice point.  A sum is a TailBound: its truncation point X, an
+Enclosed partial sum over x <= X and an Enclosed geometric tail estimate
+last_term * rho / (1 - rho), trusted once the term ratio stayed below
+rho < 1 for eight consecutive lattice points.  Eight observed steps are
+evidence, not a proof that the ratio stays below rho beyond them.  The
+ratio, zero and stopping tests are exact (on the enclosures, else on the
+exact terms), and so are X and the estimate; every verdict and printed digit
+is read off the enclosures, and the exact values are built, from one memo of
+exact terms per sum, only where their ends disagree.  ortho_absolute_s00
+compares S_00 with 256-factor infinite products, decided the same way.  Zero
 counts and interlacing are proved on integer numerators (Descartes' rule of
 signs with Vincent-Collins-Akritas bisection, exact sign evaluations).
 Floating point enters only in polynomial_roots, for the root values the
@@ -26,9 +26,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
@@ -172,41 +172,14 @@ class Enclosed:
         return a if a == fmt(self.hi + abs(self.hi) * _WIDEN) else fmt(self.exact())
 
 
-@dataclass
-class TailBound:
-    """A truncated orthogonality sum: the exact partial sum up to
-    truncation_x lies in [scaled_sum, scaled_sum + width] 2^-bits (value),
-    the tail estimate |t(X)| rho / (1 - rho) in scaled_tail 2^-bits (tail);
-    both exact values are built from the exact terms only when asked for."""
+class TailBound(NamedTuple):
+    """A truncated orthogonality sum: value encloses the partial sum over
+    x <= truncation_x, tail the estimate |t(X)| rho / (1 - rho); their exact
+    values are built from the sum's memo of exact terms only when asked for."""
 
     truncation_x: int
-    scaled_sum: int
-    width: int
-    bits: int
-    ratio_bound: Fraction
-    scaled_tail: tuple[int, int]
-    exact: Callable[[int], tuple[int, int]] = field(repr=False, compare=False)
-
-    @cached_property
-    def partial_sum(self) -> Fraction:
-        return sum((Fraction(*self.exact(x)) for x in range(self.truncation_x + 1)), Fraction(0))
-
-    @cached_property
-    def tail_estimate(self) -> Fraction:
-        (num, den), r = self.exact(self.truncation_x), self.ratio_bound
-        return Fraction(abs(num) * r.numerator, den * (r.denominator - r.numerator))
-
-    def _enclosed(self, lo: int, hi: int, exact: Callable[[], Fraction]) -> Enclosed:
-        return Enclosed(Fraction(lo, 1 << self.bits), Fraction(hi, 1 << self.bits), exact)
-
-    @property
-    def value(self) -> Enclosed:
-        s = self.scaled_sum
-        return self._enclosed(s, s + self.width, lambda: self.partial_sum)
-
-    @property
-    def tail(self) -> Enclosed:
-        return self._enclosed(*self.scaled_tail, lambda: self.tail_estimate)
+    value: Enclosed
+    tail: Enclosed
 
 
 @dataclass
@@ -327,8 +300,13 @@ def _certified_sum(
         prev = t
         if consec >= 8 and _within(t, cap, one, pair):
             rn, rd = ratio[0], ratio[1] - ratio[0]
-            tail = (t[0] * rn // rd, -(-t[1] * rn // rd))
-            return TailBound(x, lo_sum, hi_sum - lo_sum, k, rho, tail, exact)
+            total = cache(lambda: sum((Fraction(*pair(y)) for y in range(x + 1)), Fraction(0)))
+            return TailBound(
+                x,
+                Enclosed(Fraction(lo_sum, 1 << k), Fraction(hi_sum, 1 << k), total),
+                Enclosed(Fraction(t[0] * rn // rd, 1 << k), Fraction(-(-t[1] * rn // rd), 1 << k),
+                         lambda: Fraction(abs(pair(x)[0]) * rn, pair(x)[1] * rd)),
+            )
     raise NonConvergenceError(
         "no certified geometric window within %d terms" % max_terms
     )
@@ -400,9 +378,10 @@ class OrthogonalityData:
             self._rows.append(((w := lo // b), -(-hi // b) - w, g, u, common, (n1, d1)))
         return self._rows[x]
 
-    def _exact(self, x: int, n: int, m: int) -> tuple[int, int]:
-        """The term of pair (n, m) at x as the exact pair (wn u_n u_m, wd L^2)."""
-        w, (_, _, _, u, common, _) = self.weight(x), self._row(x)
+    @staticmethod
+    def _exact(w: Fraction, row: tuple, n: int, m: int) -> tuple[int, int]:
+        """The exact term (wn u_n u_m, wd L^2) of pair (n, m) at a row, w(x) = w."""
+        u, common = row[3:5]
         return w.numerator * u[n] * u[m], w.denominator * common ** 2
 
     def pair_sum(self, n: int, m: int) -> TailBound:
@@ -412,24 +391,25 @@ class OrthogonalityData:
             lo, hi = (lo + dw * uu, lo) if uu < 0 else (lo, lo + dw * uu)
             return lo >> g, -(-hi >> g)
 
-        return _certified_sum(enclose, lambda x: self._exact(x, n, m), self.rho, self.eps)
+        # not through self: self.diag holds sums, a cycle would outlive the data
+        rows, w, exact = self._rows, self.weight, self._exact
+        return _certified_sum(enclose, lambda x: exact(w(x), rows[x], n, m), self.rho, self.eps)
+
+    @cached_property
+    def diag(self) -> list[TailBound]:
+        """The diagonal sums S_nn, n = 0..nmax."""
+        return [self.pair_sum(n, n) for n in range(len(self.polys))]
 
     @cached_property
     def _norm0(self) -> Fraction:
         return deformed_norm_sq(self.d, 0, self.p)
 
-    def exact_diag_ratio(self, n: int) -> Fraction:
-        """Target value of S_nn / S_00 from the closed-form norm constants."""
-        return self._norm0 / (norm_ratio(n, self.p) * deformed_norm_sq(self.d, n, self.p))
-
-    def diag_ratio(
-        self, n: int, diag: Sequence[TailBound]
-    ) -> tuple[Enclosed, Fraction, Enclosed, bool]:
-        """(S_nn/S_00, its target, bound, verdict |S_nn/S_00 - target| <=
-        bound), bound = 2 (tail_n / S_nn + tail_0 / S_00) |target|, on the
-        enclosures of the sums and tails."""
-        (snn, tn), (s00, t0) = ((diag[k].value, diag[k].tail) for k in (n, 0))
-        target = self.exact_diag_ratio(n)
+    def diag_ratio(self, n: int) -> tuple[Enclosed, Fraction, Enclosed, bool]:
+        """(S_nn/S_00, its target from the closed-form norm constants, bound,
+        verdict |S_nn/S_00 - target| <= bound), bound = 2 (tail_n / S_nn +
+        tail_0 / S_00) |target|, on the enclosures of the sums and tails."""
+        (_, snn, tn), (_, s00, t0) = self.diag[n], self.diag[0]
+        target = self._norm0 / (norm_ratio(n, self.p) * deformed_norm_sq(self.d, n, self.p))
         got, bound = snn / s00, (tn / snn + t0 / s00) * (2 * abs(target))
         miss = abs(got - Enclosed(target, target, lambda: target)) - bound
         return got, target, bound, miss.read(lambda v: v <= 0)
@@ -456,7 +436,7 @@ def orthogonality_check(
         data = OrthogonalityData(d, p, nmax, eps)
     except LittleQError as exc:
         return [_check("ortho_setup", False, "%s: %s" % (type(exc).__name__, exc))]
-    diag = [data.pair_sum(n, n) for n in range(nmax + 1)]
+    s00 = data.diag[0]
     for n in range(nmax + 1):
         for m in range(n + 1, nmax + 1):
             tb = data.pair_sum(n, m)
@@ -469,7 +449,7 @@ def orthogonality_check(
                 )
             )
     for n in range(1, nmax + 1):
-        got, target, bound, ok = data.diag_ratio(n, diag)
+        got, target, bound, ok = data.diag_ratio(n)
         checks.append(
             _check(
                 "ortho_diag_ratio_n%d" % n,
@@ -480,8 +460,8 @@ def orthogonality_check(
         )
     # S_00 widened by its tail estimate lies in T (1 +/- tol), T = num/den enclosed
     # 64 bits finer; tol: 1e-12 slack past the estimated tail, rel the products
-    s00, ((num, den), rel) = diag[0], data.absolute_target()
-    tol, k = Fraction(1, 10 ** 12) + rel, s00.bits + 64
+    (num, den), rel = data.absolute_target()
+    tol, k = Fraction(1, 10 ** 12) + rel, data.bits + 64
     t = (num << k) // den
     target = Enclosed(Fraction(t, 1 << k), Fraction(t + 1, 1 << k), lambda: Fraction(num, den))
     miss = abs(s00.value - target) + s00.tail - abs(target) * tol
@@ -940,15 +920,13 @@ def structural_checks(
                     max(abs(pja.coeff(i) - pla.coeff(i)) for i in range(top + 1)),
                 )
             devs.append(dev)
-        ratios = [devs[1] / devs[0], devs[2] / devs[1]]
-        checks.append(
-            _check(
-                "structural_blimit_linear",
-                _blimit_linear(ratios),
-                "deviation ratios %s per 4 halvings" % [float(r) for r in ratios],
-                bound="[2^-4.5, 2^-3.5]",
-            )
-        )
+        if any(devs):
+            ratios = [devs[1] / devs[0], devs[2] / devs[1]]
+            ok, wit = _blimit_linear(ratios), "deviation ratios %s per 4 halvings" % [
+                float(r) for r in ratios]
+        else:  # level 0 at D = {} is 1 in both families
+            ok, wit = True, "deviations exactly 0: the limit holds exactly"
+        checks.append(_check("structural_blimit_linear", ok, wit, bound="[2^-4.5, 2^-3.5]"))
     # single-index type I/II relation at shifted parameters
     fam = p.family
     pi = RawParams(fam, q, p.a, p.b, CType.TYPE_I).shift(tilde=-1)

@@ -216,6 +216,9 @@ def test_norm_ratio_examples(pj, pl):
     )
     assert norm_ratio(1, pj) == expected
     assert all(norm_ratio(n, pj) > 0 for n in range(8))
+    # at a b = q the closed form's last factor reads 0/0 for n = 0
+    abq = Params(Family.LQ_JACOBI, F(1, 4), F(1, 2), F(1, 2), CType.TYPE_II, dmax=0)
+    assert norm_ratio(0, abq) == 1
 
 
 def test_norm_abs_matches_bruteforce_sum(pj, pl):

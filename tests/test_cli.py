@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -8,11 +10,14 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import closed_forms
 import littleq
 from littleq import verify
 from littleq.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
@@ -229,6 +234,65 @@ def test_parameter_coincidence_is_invalid_input(capsys, command, point):
     assert "Casoratian is identically zero" in err
 
 
+@pytest.mark.parametrize("ctype", ["1", "2"])
+def test_table_at_ab_equals_q_passes(capsys, ctype):
+    # at a b = q the closed-form norm ratio of level 0 reads 0/0
+    argv = ["table", "--type", ctype, "--q", "1/4", "--a", "1/2", "--b", "1/2",
+            "--indices=", "--nmax", "2"]
+    assert main(argv) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["status"] for r in rows] == ["pass"] * 3
+
+
+def test_verify_blimit_with_exactly_zero_deviations(capsys):
+    # D = {} and nmax = 0: each b -> 0 probe deviates from the limit by 0
+    assert main(["verify", "--indices=", "--nmax", "0"]) == EXIT_OK
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    blimit = checks["structural_blimit_linear"]
+    assert blimit["status"] == "pass" and "exactly 0" in blimit["witness"]
+
+
+def test_verify_at_b_equals_a_q2_reports_the_deformed_suite(capsys):
+    # b = a q^2 makes xi_leading(1), a divisor of the denominator's leading
+    # coefficient, vanish
+    argv = ["verify", "--indices", "1,2", "--a", "1/8", "--b", "1/32", "--nmax", "1"]
+    assert main(argv) == EXIT_VERIFY_FAIL
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["deformed_suite_error"]["witness"] == (
+        "InvalidParamsError: degenerate leading-coefficient product")
+
+
+COINCIDENCE_SETS = [d for r in range(4) for d in itertools.combinations((1, 2, 3), r)]
+
+
+@st.composite
+def coincidence_argv(draw):
+    """A command at a small point on a coincidence grid: b = a q^m, a b = q
+    or b = q^j, with D a subset of {1, 2, 3} and nmax <= 2."""
+    q = F(1, draw(st.integers(2, 4)))
+    a = draw(st.sampled_from((q, q * q, F(1, 2), F(1, 3), F(3, 4), F(1, 8), F(1, 64))))
+    k = draw(st.integers(-3, 4))
+    b = draw(st.sampled_from((a * q ** k, q / a, q ** k)))
+    d = draw(st.sampled_from(COINCIDENCE_SETS))
+    return [draw(st.sampled_from(("construct", "verify", "table", "zeros"))),
+            "--family", draw(st.sampled_from(("lqJacobi", "lqLaguerre"))),
+            "--type", draw(st.sampled_from(("1", "2"))), "--q", str(q), "--a", str(a),
+            "--b=%s" % b, "--indices=%s" % ",".join(map(str, d)),
+            "--nmax", str(draw(st.integers(0, 2)))]
+
+
+@given(coincidence_argv())
+@example(["table", "--q", "1/4", "--a", "1/2", "--b", "1/2", "--indices=", "--nmax", "2"])
+@example(["verify", "--indices=", "--nmax", "0"])
+@example(["verify", "--indices", "1,2", "--a", "1/8", "--b", "1/32", "--nmax", "1"])
+@settings(max_examples=400, deadline=None)
+def test_coincidence_grids_exit_with_a_documented_code(argv):
+    # anything main does not map to an exit code propagates and fails here
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_INVALID, EXIT_INTERNAL)
+
+
 def test_main_rejects_unknown_flag(capsys):
     assert main(["verify", "--bogus", "1"]) == EXIT_INVALID
     capsys.readouterr()
@@ -295,22 +359,22 @@ def test_golden_stdout(capsys, argv, digest):
 
 
 def _count_exact_paths(monkeypatch):
-    """Count the exact fallbacks of the orthogonality sums: integer
-    cross-multiplications in the loop and exact partial sums built to
-    settle a verdict or a printed value."""
-    calls = {"within": 0, "partial_sum": 0}
-    within, partial = verify._exactly_within, verify.TailBound.partial_sum.func
+    """Record the exact fallbacks of the orthogonality sums: the exact terms
+    built, by row and pair (n, m), and the integer cross-multiplications in
+    the loop."""
+    calls = {"terms": [], "within": 0}
+    exact, within = verify.OrthogonalityData._exact, verify._exactly_within
+
+    def counted_exact(w, row, n, m):
+        calls["terms"].append((id(row), n, m))  # the rows live as long as the sums
+        return exact(w, row, n, m)
 
     def counted_within(*args):
         calls["within"] += 1
         return within(*args)
 
-    def counted_partial(tb):
-        calls["partial_sum"] += 1
-        return partial(tb)
-
+    monkeypatch.setattr(verify.OrthogonalityData, "_exact", staticmethod(counted_exact))
     monkeypatch.setattr(verify, "_exactly_within", counted_within)
-    monkeypatch.setattr(verify.TailBound, "partial_sum", property(counted_partial))
     return calls
 
 
@@ -327,7 +391,9 @@ def test_golden_stdout_through_the_exact_fallbacks(capsys, monkeypatch, argv, di
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert calls["within"] > 0 and calls["partial_sum"] > 0
+    # each sum is built once and keeps one memo for its loop, value and tail
+    terms = calls["terms"]
+    assert terms and len(set(terms)) == len(terms) and calls["within"] > 0
 
 
 # stdout of the exact-Fraction orthogonality loop at eps = 1e-150
@@ -347,7 +413,7 @@ def test_fixed_point_bits_follow_eps(capsys, monkeypatch, argv, digest):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert calls == {"within": 0, "partial_sum": 0}
+    assert calls == {"terms": [], "within": 0}
 
 
 # a = 99/100 at q = 9/10: the terms shrink too slowly for a window in 500 terms
@@ -397,15 +463,9 @@ WORKLOAD_POINTS = {
 def test_workload_sums_build_no_exact_term(capsys, monkeypatch, command, point):
     # every test, verdict and printed digit settles on the enclosures: no
     # exact term (and so no exact weight, partial sum or tail) is built
-    built, exact = [], verify.OrthogonalityData._exact
-
-    def counted(self, *args):
-        built.append(args)
-        return exact(self, *args)
-
-    monkeypatch.setattr(verify.OrthogonalityData, "_exact", counted)
+    calls = _count_exact_paths(monkeypatch)
     assert main([command, *WORKLOAD_POINTS[point]]) == EXIT_OK
-    assert capsys.readouterr().out and built == []
+    assert capsys.readouterr().out and calls == {"terms": [], "within": 0}
 
 
 def test_absolute_s00_judged_by_the_truncation_bound(capsys):

@@ -161,6 +161,13 @@ def test_denominator_single_index_is_virtual_poly(pj):
     assert denominator_poly(IndexSet.of(2), pj).eval_int(-1) == 1
 
 
+def test_denominator_leading_refuses_a_vanishing_xi_leading():
+    # b = a q^2 makes xi_leading(1) vanish, the divisor of the j = 2 factor
+    p = Params(Family.LQ_JACOBI, F(1, 2), F(1, 8), F(1, 32), CType.TYPE_II, dmax=2)
+    with pytest.raises(InvalidParamsError, match="degenerate leading-coefficient"):
+        denominator_leading(IndexSet.of(1, 2), p)
+
+
 def test_denominator_degree_norm_leading_infinity():
     for d, p in battery_points():
         xi = denominator_poly(d, p)
