@@ -305,7 +305,7 @@ def _certified_sum(
                 x,
                 Enclosed(Fraction(lo_sum, 1 << k), Fraction(hi_sum, 1 << k), total),
                 Enclosed(Fraction(t[0] * rn // rd, 1 << k), Fraction(-(-t[1] * rn // rd), 1 << k),
-                         lambda: Fraction(abs(pair(x)[0]) * rn, pair(x)[1] * rd)),
+                         cache(lambda: Fraction(abs(pair(x)[0]) * rn, pair(x)[1] * rd))),
             )
     raise NonConvergenceError(
         "no certified geometric window within %d terms" % max_terms
