@@ -410,11 +410,16 @@ class LaurentPoly:
     def eval_pair(self, x: int) -> tuple[int, int]:
         """Exact value at integer x (y = q^x) as an unreduced integer pair
         (num, den); (0, 1) for the zero polynomial."""
+        return self.eval_at(*self._ratio(x))
+
+    def eval_at(self, r: int, t: int) -> tuple[int, int]:
+        """Exact value at y = r/t (r, t > 0) as the unreduced pair
+        eval_pair gives for q^x = r/t; (0, 1) for the zero polynomial."""
         if not self.num:
             return 0, 1
-        acc, tp = horner(self.num, *self._ratio(x))
-        A, B = self._ratio(x * self.val)  # q^{x*val} = A/B
-        return acc * A, self.den * tp * B
+        acc, tp = horner(self.num, r, t)
+        A, B = (r, t) if self.val >= 0 else (t, r)  # y^val = A/B
+        return acc * A ** abs(self.val), self.den * tp * B ** abs(self.val)
 
     def eval_int(self, x: int) -> Fraction:
         """Exact value at integer x, i.e. at y = q^x."""

@@ -365,7 +365,8 @@ class OrthogonalityData:
             n1, d1 = self._den.eval_pair(t)
             if n1 == 0 or n0 == 0:
                 raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % t)
-            vals = [pn.eval_pair(t) for pn in self.polys]
+            y = self.polys[0]._ratio(t)  # q^t, shared by every level
+            vals = [pn.eval_at(*y) for pn in self.polys]
             common = math.lcm(*(den for _, den in vals))
             u = [num * (common // den) for num, den in vals]
             # w(t) / L^2 = gs(t) a / b, b > 0
@@ -630,34 +631,51 @@ def _float_roots(poly: EtaPoly) -> list[complex] | None:
     return roots if all(map(cmath.isfinite, roots)) else None
 
 
+def _dk_sweep(roots: list[list[int]], monic: Sequence[int], k: int) -> int:
+    """One Durand-Kerner sweep, in place, on roots [re, im] and monic (highest
+    degree first) over 2^k; returns the largest squared correction over 2^2k."""
+    big = 0
+    for i, (zr, zi) in enumerate(roots):
+        pr, pi, dr, di = 0, 0, 1 << k, 0
+        for c in monic:
+            pr, pi = ((pr * zr - pi * zi) >> k) + c, (pr * zi + pi * zr) >> k
+        for j, (wr, wi) in enumerate(roots):
+            fr, fi = zr - wr, zi - wi
+            if j != i and (fr or fi):
+                dr, di = (dr * fr - di * fi) >> k, (dr * fi + di * fr) >> k
+        norm = dr * dr + di * di or 1  # underflowed: no step, the residual test judges
+        xr, xi = ((pr * dr + pi * di) << k) // norm, ((pi * dr - pr * di) << k) // norm
+        roots[i] = [zr - xr, zi - xi]
+        big = max(big, xr * xr + xi * xi)
+    return big
+
+
 def _durand_kerner(a: Sequence[int], start, prec_bits: int) -> tuple[list[list[int]], int]:
     """mpmath's polyroots on fixed-point Gaussian integers: the roots of a
-    (lowest degree first) as [re, im] over 2^k, k = 2 prec_bits + 64 +
-    bits(1/rho) for rho a Cauchy lower bound on the nonzero |root|.  Sweeps
-    from start (else (0.4+0.9i)^j) until every correction is below
-    tol = 2^(1 - prec_bits), at most 200 (else RootFindingFailureError), then
-    polyroots' cleanup at tol and its (|im|, re) order.  Returns (roots, k)."""
+    (lowest degree first) as [re, im] over 2^k, k = 2 prec_bits + guard,
+    guard = 64 + bits(1/rho), rho a Cauchy lower bound on the nonzero |root|.
+    Sweeps from start (else (0.4+0.9i)^j) over 2^kw, kw = min(k, 2 good +
+    guard) never falling, 2^-good the last largest correction (20 from start,
+    else 0); a sweep that does not raise good sends the next to k.  At k it
+    stops once every correction is below tol = 2^(1 - prec_bits), after at
+    most 200 sweeps in all (else RootFindingFailureError), then polyroots'
+    cleanup at tol and its (|im|, re) order.  Returns (roots, k)."""
     low = next(abs(c) for c in a if c)
-    k = 2 * prec_bits + 64 + ((low + max(map(abs, a))) // low).bit_length()
-    tol, monic = 1 << (k + 1 - prec_bits), [(c << k) // a[-1] for c in reversed(a)]
-    roots = [[(n << k) // d for n, d in map(float.as_integer_ratio, (z.real, z.imag))]
+    guard = 64 + ((low + max(map(abs, a))) // low).bit_length()
+    k, good = 2 * prec_bits + guard, 20 if start else 0
+    kw, tol = min(k, 2 * good + guard), 1 << (k + 1 - prec_bits)
+    roots = [[(n << kw) // d for n, d in map(float.as_integer_ratio, (z.real, z.imag))]
              for z in start or [(0.4 + 0.9j) ** j for j in range(len(a) - 1)]]
+    monic = [(c << kw) // a[-1] for c in reversed(a)]
     for _ in range(200):
-        big = 0
-        for i, (zr, zi) in enumerate(roots):
-            pr, pi, dr, di = 0, 0, 1 << k, 0
-            for c in monic:
-                pr, pi = ((pr * zr - pi * zi) >> k) + c, (pr * zi + pi * zr) >> k
-            for j, (wr, wi) in enumerate(roots):
-                fr, fi = zr - wr, zi - wi
-                if j != i and (fr or fi):
-                    dr, di = (dr * fr - di * fi) >> k, (dr * fi + di * fr) >> k
-            norm = dr * dr + di * di or 1  # underflowed: no step, the residual test judges
-            xr, xi = ((pr * dr + pi * di) << k) // norm, ((pi * dr - pr * di) << k) // norm
-            roots[i] = [zr - xr, zi - xi]
-            big = max(big, xr * xr + xi * xi)
-        if big < tol * tol:
+        big = _dk_sweep(roots, monic, kw)
+        if kw == k and big < tol * tol:
             break
+        was, good = good, kw - (big.bit_length() + 1) // 2
+        up = k if good <= was else min(k, 2 * good + guard)
+        if up > kw:
+            roots = [[x << up - kw for x in r] for r in roots]
+            kw, monic = up, [(c << up) // a[-1] for c in reversed(a)]
     else:
         raise RootFindingFailureError("Durand-Kerner did not converge in 200 sweeps")
     for r in roots:
@@ -680,7 +698,9 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     """Roots in eta of the level-n polynomial, to 2^-prec_bits * max(1, |root|).
 
     _durand_kerner finds them on the exact integer numerator from the doubles
-    start of _float_roots, and each part is rounded once to prec_bits bits.
+    start of _float_roots, its sweeps at a working precision that follows the
+    last correction and ends at full precision; each part is rounded once to
+    prec_bits bits.
     Returns a list of (root: Root, physical: bool) sorted by real part.
     Each root must pass |P(r)| <= 2^(8 - prec_bits) * sum |c_i| rho^i on the
     same integers (rho <= |r|), or RootFindingFailureError is raised.  The physical

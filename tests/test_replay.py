@@ -33,6 +33,27 @@ def test_replay_digests_exit_code_and_output(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.split("\n") == [op, ""]
 
 
+def test_replay_and_compare_one_command(tmp_path, capsys, monkeypatch):
+    refs = tmp_path / "refs.json"
+    refs.write_text(json.dumps({"refs": {p: {} for p in _points()}}))
+    monkeypatch.setattr(replay_refs, "REFS", refs)
+    out = tmp_path / "zeros.json"
+    assert replay_refs.main(["--commands", "zeros", "--out", str(out)]) == 0
+    digests = json.loads(out.read_text())
+    assert sorted(digests) == ["zeros %s" % p for p in _points()]
+    # the recorded digests of these points, all four commands: only the
+    # zeros operations are compared, and they match
+    recorded = json.loads((ROOT / "tools" / "refs_digests.json").read_text())
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"%s %s" % (c, p): recorded["%s %s" % (c, p)]
+                                for c in replay_refs.COMMANDS for p in _points()}))
+    assert replay_refs.main(["--commands", "zeros", "--compare", str(full), str(out)]) == 0
+    assert capsys.readouterr().err == "0 of 2 operations differ\n"
+    # without the flag the other commands count as missing
+    assert replay_refs.main(["--compare", str(full), str(out)]) == 1
+    assert capsys.readouterr().err == "6 of 8 operations differ\n"
+
+
 def test_replay_digest_separates_exit_codes_and_streams():
     from littleq.cli import main
 

@@ -30,7 +30,7 @@ from littleq import verify
 from littleq.cli import main
 from littleq.darboux import groundstate_step
 from littleq.dyadic import nstr
-from littleq.exact import LittleQError
+from littleq.exact import LaurentPoly, LittleQError
 from littleq.verify import (
     OrthogonalityData,
     Root,
@@ -143,6 +143,23 @@ def test_pair_sums_weigh_each_lattice_point_once(pj, monkeypatch):
         )
         assert (tb.truncation_x, tb.tail.exact(), tb.value.exact()) == (
             ref.truncation_x, ref.tail.exact(), ref.value.exact())
+
+
+def test_rows_compute_q_to_the_x_once_for_every_level(pj, monkeypatch):
+    data = OrthogonalityData(IndexSet.of(1, 2), pj, 3, EPS)
+    powers, ratio = [], LaurentPoly._ratio
+
+    def counted(poly, x):
+        powers.append(x)
+        return ratio(poly, x)
+
+    monkeypatch.setattr(LaurentPoly, "_ratio", counted)
+    data._row(5)
+    # den at -1 once, then per row den at x and q^x for the four levels
+    assert powers == [-1] + [x for x in range(6) for _ in range(2)]
+    monkeypatch.undo()
+    for x, (*_, u, common, _den) in enumerate(data._rows):
+        assert [F(v, common) for v in u] == [pn.eval_int(x) for pn in data.polys]
 
 
 def test_orthogonality_data_is_freed_without_a_cyclic_collection(pj):
@@ -665,6 +682,118 @@ def test_root_off_the_polynomial_exits_1_with_its_value(monkeypatch, capsys):
     assert main(["zeros"]) == 1
     assert capsys.readouterr().err == (
         "error: root residual above tolerance at (1.00000000000000, 0.0)\n")
+
+
+def _fixed_scale_durand_kerner(a, start, prec_bits):
+    """The reference loop: _durand_kerner with every sweep at the full scale
+    k, then the same stopping test, cleanup and order."""
+    low = next(abs(c) for c in a if c)
+    k = 2 * prec_bits + 64 + ((low + max(map(abs, a))) // low).bit_length()
+    tol, monic = 1 << (k + 1 - prec_bits), [(c << k) // a[-1] for c in reversed(a)]
+    roots = [[(n << k) // d for n, d in map(float.as_integer_ratio, (z.real, z.imag))]
+             for z in start or [(0.4 + 0.9j) ** j for j in range(len(a) - 1)]]
+    for _ in range(200):
+        if verify._dk_sweep(roots, monic, k) < tol * tol:
+            break
+    else:
+        raise RootFindingFailureError("Durand-Kerner did not converge in 200 sweeps")
+    for r in roots:
+        if r[0] * r[0] + r[1] * r[1] < tol * tol:
+            r[:] = 0, 0
+        elif min(map(abs, r)) < tol:
+            r[abs(r[1]) < tol] = 0
+    roots.sort(key=lambda r: (abs(r[1]), r[0]))
+    return roots, k
+
+
+def _scheduled_and_fixed(d, n, p):
+    """polynomial_roots as 77-digit strings and flags (or the error type),
+    from the doubles start and from mpmath's own, each by the scheduled
+    _durand_kerner and by the fixed-scale reference loop."""
+    outcomes = []
+    for start in (verify._float_roots, lambda poly: None):
+        for durand_kerner in (verify._durand_kerner, _fixed_scale_durand_kerner):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "_float_roots", start)
+                mp.setattr(verify, "_durand_kerner", durand_kerner)
+                try:
+                    outcomes.append(_root_strings(polynomial_roots(d, n, p)))
+                except LittleQError as exc:
+                    outcomes.append(type(exc))
+    return outcomes
+
+
+WORKLOAD_POINTS = pytest.mark.parametrize("dset, p", [
+    ((1, 3, 5, 7), Params(Family.LQ_JACOBI, Q, A, F(1, 4096), CType.TYPE_II, dmax=7)),
+    ((2, 3, 4), Params(Family.LQ_JACOBI, Q, F(1, 64), F(1, 3), CType.TYPE_I, dmax=4)),
+], ids=["deep", "type1"])
+
+
+@WORKLOAD_POINTS
+@pytest.mark.parametrize("n", range(9))
+def test_working_precision_leaves_workload_roots_unchanged(dset, p, n):
+    # level 8 has zeros within 1e-18 of each other
+    doubles, doubles_fixed, none, none_fixed = _scheduled_and_fixed(IndexSet.of(*dset), n, p)
+    assert doubles == doubles_fixed and none == none_fixed
+    assert isinstance(doubles, list) and len(doubles) == level_poly(IndexSet.of(*dset), n, p).degree
+
+
+@given(zero_points(), st.integers(0, 6))
+@settings(max_examples=30, deadline=None)
+def test_working_precision_leaves_roots_unchanged(point, n):
+    p, d = point
+    doubles, doubles_fixed, none, none_fixed = _scheduled_and_fixed(d, n, p)
+    assert doubles == doubles_fixed and none == none_fixed
+
+
+def _sweeps(a, start, prec_bits):
+    """The working scale kw and the good bits (2^-good the largest
+    correction) of every sweep _durand_kerner runs, and its k (or its error)."""
+    log, sweep = [], verify._dk_sweep
+
+    def logged(roots, monic, kw):
+        big = sweep(roots, monic, kw)
+        log.append((kw, kw - (big.bit_length() + 1) // 2))
+        return big
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_dk_sweep", logged)
+        try:
+            return log, verify._durand_kerner(a, start, prec_bits)[1]
+        except RootFindingFailureError as exc:
+            return log, exc
+
+
+def _assert_schedule(log, k, start):
+    kws = [kw for kw, _ in log]
+    assert kws == sorted(kws) and kws[-1] == k and len(log) <= 200
+    goods = [20 if start else 0] + [good for _, good in log]
+    stalls = [i for i in range(1, len(log)) if goods[i] <= goods[i - 1]]
+    assert all(kws[i] == k for i in stalls)  # the sweep after a stall runs at k
+    return stalls
+
+
+@WORKLOAD_POINTS
+def test_working_precision_rises_to_k_and_stays(dset, p):
+    stalls = 0
+    for n in range(9):
+        poly = level_poly(IndexSet.of(*dset), n, p)
+        for s in (verify._float_roots(poly), None):
+            log, k = _sweeps(poly.num, s, 256)
+            stalls += len(_assert_schedule(log, k, s))
+            if s and n == 8:
+                # from the doubles start, only the last of 6 sweeps runs at k
+                assert [kw == k for kw, _ in log] == [False] * 5 + [True]
+    # mpmath's start is far off: its first sweep stalls, and the rest run at k
+    assert stalls >= 9
+
+
+def test_sweep_limit_counts_every_sweep():
+    # the polynomial of test_sweep_limit_exits_1_with_a_root_finding_failure
+    a = _product((0, 1), (-1, 3 * 2 ** 300), (-(2 ** 302), 3), *CLOSE_PAIR, (1, 0, 1))
+    log, err = _sweeps(a, None, 512)
+    assert isinstance(err, RootFindingFailureError) and len(log) == 200
+    assert log[0][0] < log[1][0] == log[-1][0]  # one sweep below k, then a stall
 
 
 # ---------------------------------------------------------------------------

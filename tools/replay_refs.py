@@ -10,7 +10,11 @@ repository root:
     python3 tools/replay_refs.py --compare before.json after.json
 
 ``--compare`` lists the operations whose digests differ (or that only one
-file has) and exits 1 if there are any.
+file has) and exits 1 if there are any.  ``--commands`` limits either mode
+to some commands, so one command's operations can be checked on their own:
+
+    PYTHONPATH=src python3 tools/replay_refs.py --commands zeros --out zeros.json
+    python3 tools/replay_refs.py --commands zeros --compare tools/refs_digests.json zeros.json
 """
 from __future__ import annotations
 
@@ -63,9 +67,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, help="write the digests here (default stdout)")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                     help="compare two digest files instead of replaying")
+    ap.add_argument("--commands", nargs="+", choices=COMMANDS, default=COMMANDS,
+                    help="replay or compare only these commands (default all)")
     args = ap.parse_args(argv)
     if args.compare:
-        a, b = (json.loads(path.read_text()) for path in args.compare)
+        a, b = ({op: h for op, h in json.loads(path.read_text()).items()
+                 if op.split(" ")[0] in args.commands} for path in args.compare)
         differ = compare(a, b)
         for op in differ:
             print(op)
@@ -73,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1 if differ else 0
     points = sorted(json.loads(REFS.read_text())["refs"])
-    text = json.dumps(replay(points), indent=0, sort_keys=True) + "\n"
+    text = json.dumps(replay(points, args.commands), indent=0, sort_keys=True) + "\n"
     if args.out:
         args.out.write_text(text)
     else:
