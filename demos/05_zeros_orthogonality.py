@@ -48,6 +48,16 @@ for n in range(1, 4):
     print("  n=%d: S_nn/S_00 = %.12f, closed form %.12f, difference %.1e"
           % (n, float(got), float(target), abs(float(got - target))))
 
+# The absolute check: S_00 over the undeformed S_00 at lambda + M tilde + delta
+# is an exact rational T by the q-binomial theorem.
+ref = OrthogonalityData(IndexSet.of(), p.shift(tilde=d.size, delta=1), 0, F(1, 10 ** 24))
+got, target, bound, ok = data.absolute_ratio()
+print("S_00 = %.15f, undeformed reference S''_00 = %.15f (to x=%d)"
+      % (float(s00.value.exact()), float(ref.diag[0].value.exact()), ref.diag[0].truncation_x))
+print("  S_00/S''_00 = %.15f, T = %s = %.15f, bound %.1e, %s"
+      % (float(got.exact()), target, float(target), float(bound.exact()),
+         "pass" if ok else "fail"))
+
 off = data.pair_sum(0, 2)
 print("off-diagonal S_02 partial sum %.3e below tail bound %.3e"
       % (float(abs(off.value.exact())), float(off.tail.exact())))

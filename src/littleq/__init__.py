@@ -21,7 +21,6 @@ from .base import (
     forward_shift_apply,
     groundstate_sq,
     hamiltonian_apply,
-    norm_abs_approx,
     norm_ratio,
     potential_b,
     potential_d,

@@ -18,13 +18,11 @@ from .exact import (
     EtaPoly,
     InvalidParamsError,
     LaurentPoly,
-    NonConvergenceError,
     ScalarLike,
     qbinom2,
     qhyper_terminating,
     qhyper_terms,
     qpoch,
-    qpoch_pair,
     scalar,
 )
 
@@ -247,45 +245,6 @@ def norm_ratio(n: int, p: ParamsLike) -> Fraction:
         out *= qpoch(b, q, n) * qpoch(ab, q, n)
         out *= (1 - ab * q ** (2 * n - 1)) / (1 - ab * q ** (n - 1))
     return out
-
-
-def qpoch_infinite(
-    z: ScalarLike, q: ScalarLike, factors: int = 256
-) -> tuple[tuple[int, int], Fraction]:
-    """(z;q)_infinity truncated to ``factors`` factors, with a relative bound.
-
-    Returns ((num, den), rel_bound): the truncated product as the unreduced
-    integer pair of qpoch_pair, and a bound such that the true value lies
-    within num/den * (1 +/- rel_bound).  The bound is the geometric remainder
-    estimate, valid while |z| q^factors / (1-q) <= 1/2, and is tested before
-    the product is built.
-    """
-    z, q = scalar(z), scalar(q)
-    t = abs(z) * q ** factors / (1 - q)
-    if t > Fraction(1, 2):
-        raise NonConvergenceError("truncation too short for a geometric bound")
-    return qpoch_pair(z, q, factors), 2 * t
-
-
-def norm_abs_approx(
-    n: int, p: ParamsLike, factors: int = 256
-) -> tuple[tuple[int, int], Fraction]:
-    """Approximate absolute squared norm of level n, with relative error bound.
-
-    Returns ((num, den), rel_bound) with the norm near num/den, an unreduced
-    integer pair built from norm_ratio and the truncated products of
-    qpoch_infinite; callers use only the quotient num / den, so the pair is
-    never reduced.
-    """
-    ratio = norm_ratio(n, p)
-    q, a = p.q, p.a
-    (num, den), bn = qpoch_infinite(a, q, factors)
-    num, den = num * ratio.numerator, den * ratio.denominator
-    if p.family == Family.LQ_JACOBI:
-        (dnum, dden), bd = qpoch_infinite(a * p.b, q, factors)
-        # num/den * (1 +/- bn) / (1 +/- bd) lies within (bn + bd) / (1 - bd)
-        return (num * dden, den * dnum), (bn + bd) / (1 - bd)
-    return (num, den), bn
 
 
 def hamiltonian_apply(f: LaurentPoly, p: ParamsLike) -> LaurentPoly:

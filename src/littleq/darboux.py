@@ -122,12 +122,14 @@ def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly,
     middle minors are the only determinants.
     """
     m = d.size
+    if m == 0:  # the empty Casoratian is 1, no determinant
+        return LaurentPoly.one(p.q), (LaurentPoly.one(p.q),)
     s = -1 if p.ctype == CType.TYPE_II else 1
     fs = [virtual_poly_y(v, p) for v in d.indices]
     rows = [[f.shift(s * j) for f in fs] for j in range(m + 1)]
-    w = det_laurent(rows[:m], q=p.q)
-    middle = [det_laurent(rows[:j] + rows[j + 1:], q=p.q) for j in range(1, m)]
-    minors = [w.shift(s), *middle, w] if m else [w]
+    w = det_laurent(rows[:m])
+    middle = [det_laurent(rows[:j] + rows[j + 1:]) for j in range(1, m)]
+    minors = [w.shift(s), *middle, w]
     return w, tuple(-c if (m - j) % 2 else c for j, c in enumerate(minors))
 
 

@@ -13,7 +13,8 @@ ratio, zero and stopping tests are exact (on the enclosures, else on the
 exact terms), and so are X and the estimate; every verdict and printed digit
 is read off the enclosures, and the exact values are built, from one memo of
 exact terms per sum, only where their ends disagree.  ortho_absolute_s00
-compares S_00 with 256-factor infinite products, decided the same way.  Zero
+decides S_00 over the undeformed S_00 at lambda + M tilde + delta against
+an exact target (q-binomial theorem), like the diagonal ratios.  Zero
 counts and interlacing are proved on integer numerators (Descartes' rule of
 signs with Vincent-Collins-Akritas bisection, exact sign evaluations).
 Floating point enters only in polynomial_roots, for the root values the
@@ -48,10 +49,10 @@ from .base import (
     forward_shift_apply,
     groundstate_sq,
     hamiltonian_apply,
-    norm_abs_approx,
     norm_ratio,
     potential_b,
     potential_d,
+    tilde_delta,
 )
 from .darboux import (
     IndexSet,
@@ -89,6 +90,7 @@ from .exact import (
     RootFindingFailureError,
     fmt_rational,
     horner,
+    qpoch,
 )
 from .virtual import (
     groundstate_ratio,
@@ -407,28 +409,43 @@ class OrthogonalityData:
 
     def diag_ratio(self, n: int) -> tuple[Enclosed, Fraction, Enclosed, bool]:
         """(S_nn/S_00, its target from the closed-form norm constants, bound,
-        verdict |S_nn/S_00 - target| <= bound), bound = 2 (tail_n / S_nn +
-        tail_0 / S_00) |target|, on the enclosures of the sums and tails."""
-        (_, snn, tn), (_, s00, t0) = self.diag[n], self.diag[0]
+        verdict) by _ratio_check."""
         target = self._norm0 / (norm_ratio(n, self.p) * deformed_norm_sq(self.d, n, self.p))
-        got, bound = snn / s00, (tn / snn + t0 / s00) * (2 * abs(target))
-        miss = abs(got - Enclosed(target, target, lambda: target)) - bound
-        return got, target, bound, miss.read(lambda v: v <= 0)
+        return _ratio_check(self.diag[n], self.diag[0], target)
 
-    def absolute_target(self, factors: int = 256) -> tuple[tuple[int, int], Fraction]:
-        """S_00 from the closed-form norms and the truncated products as an
-        unreduced ((num, den), rel), den > 0: the true S_00 lies within
-        (1 +/- rel) of num / den, rel = e / (1 - e) for the products' e."""
-        (num, den), e = norm_abs_approx(0, self.p, factors)
-        num, den = den * self._norm0.denominator, num * self._norm0.numerator
-        return ((num, den) if den > 0 else (-num, -den)), e / (1 - e)
+    def absolute_ratio(self) -> tuple[Enclosed, Fraction, Enclosed, bool]:
+        """(S_00/S''_00, its target T, bound, verdict) by _ratio_check, S''_00
+        the undeformed S_00 at lambda'' = lambda + M tilde + delta.
+
+        S_00 = (ab;q)_inf / (a;q)_inf / deformed_norm_sq(D, 0) and, by the
+        q-binomial theorem, S''_00 = (abq^2;q)_inf / (aq^k;q)_inf with
+        k = s_a M + 1, so T = (1 - ab)(1 - abq) R_k / deformed_norm_sq(D, 0),
+        R_k = (aq^k;q)_inf / (a;q)_inf (b = 0 for little q-Laguerre).  The
+        terms of S''_00 fall like a q^k, never slower than those of S_00."""
+        p, m = self.p, self.d.size
+        ref = OrthogonalityData(IndexSet.of(), p.shift(tilde=m, delta=1), 0, self.eps)
+        k, ab = tilde_delta(p.family, p.ctype)[0] * m + 1, p.a * p.b
+        r_k = 1 / qpoch(p.a, p.q, k) if k >= 0 else qpoch(p.a * p.q ** k, p.q, -k)
+        target = (1 - ab) * (1 - ab * p.q) * r_k / self._norm0
+        return _ratio_check(self.diag[0], ref.diag[0], target)
+
+
+def _ratio_check(num: TailBound, den: TailBound, target: Fraction
+                 ) -> tuple[Enclosed, Fraction, Enclosed, bool]:
+    """(num/den, target, bound, verdict |num/den - target| <= bound) for two
+    sums and an exact target, bound = 2 (tail_num / num + tail_den / den)
+    |target|, on the enclosures of the sums and tails."""
+    (_, sn, tn), (_, sd, td) = num, den
+    got, bound = sn / sd, (tn / sn + td / sd) * (2 * abs(target))
+    miss = abs(got - Enclosed(target, target, lambda: target)) - bound
+    return got, target, bound, miss.read(lambda v: v <= 0)
 
 
 def orthogonality_check(
     d: IndexSet, p: Params, nmax: int, eps: Fraction
 ) -> list[CheckResult]:
-    """Orthogonality fragment: off-diagonal tails, diagonal ratios, one
-    absolute cross-check of the lowest norm against truncated products."""
+    """Orthogonality fragment: off-diagonal tails, diagonal ratios, and one
+    absolute cross-check of S_00 against an undeformed sum."""
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidParamsError("eps must be positive")
@@ -437,7 +454,11 @@ def orthogonality_check(
         data = OrthogonalityData(d, p, nmax, eps)
     except LittleQError as exc:
         return [_check("ortho_setup", False, "%s: %s" % (type(exc).__name__, exc))]
-    s00 = data.diag[0]
+    # the ratio rows, and so the diagonal sums, first: a row's fixed-point
+    # precision follows the sum that reaches it first
+    rows = [("ortho_diag_ratio_n%d" % n, "S_nn/S_00", data.diag_ratio(n))
+            for n in range(1, nmax + 1)]
+    rows.append(("ortho_absolute_s00", "S_00/S''_00", data.absolute_ratio()))
     for n in range(nmax + 1):
         for m in range(n + 1, nmax + 1):
             tb = data.pair_sum(n, m)
@@ -449,31 +470,15 @@ def orthogonality_check(
                     bound=str(tb.tail.read(float)),
                 )
             )
-    for n in range(1, nmax + 1):
-        got, target, bound, ok = data.diag_ratio(n)
+    for name, what, (got, target, bound, ok) in rows:
         checks.append(
             _check(
-                "ortho_diag_ratio_n%d" % n,
+                name,
                 ok,
-                "S_nn/S_00 %s target %s" % (got.read(float), float(target)),
+                "%s %s target %s" % (what, got.read(float), float(target)),
                 bound=str(bound.read(float)),
             )
         )
-    # S_00 widened by its tail estimate lies in T (1 +/- tol), T = num/den enclosed
-    # 64 bits finer; tol: 1e-12 slack past the estimated tail, rel the products
-    (num, den), rel = data.absolute_target()
-    tol, k = Fraction(1, 10 ** 12) + rel, data.bits + 64
-    t = (num << k) // den
-    target = Enclosed(Fraction(t, 1 << k), Fraction(t + 1, 1 << k), lambda: Fraction(num, den))
-    miss = abs(s00.value - target) + s00.tail - abs(target) * tol
-    checks.append(
-        _check(
-            "ortho_absolute_s00",
-            miss.read(lambda v: v <= 0),
-            "S_00=%s vs %s (256-factor products)" % (s00.value.read(float), num / den),
-            bound=str(1e-12 + float(rel)),
-        )
-    )
     return checks
 
 
@@ -1263,7 +1268,6 @@ def run_suite(
     unknown = set(suites) - set(SUITES)
     if unknown:
         raise InvalidParamsError("unknown suites: %s" % sorted(unknown))
-    rng = random.Random(seed)
     # virtual-state machinery needs a negative additive constant (and b != 0
     # for type II little q-Jacobi); base-only parameter points outside that
     # range skip the dependent suites with a warning
@@ -1271,12 +1275,13 @@ def run_suite(
         p.family == Family.LQ_JACOBI and p.ctype == CType.TYPE_II and p.b == 0
     ) and virtual_data(p).alpha_prime < 0
     # suite -> (needs the virtual-state range, checks), in run order; base
-    # runs before structural because both draw from the seeded rng
+    # and structural each draw from their own rng, so a suite run alone
+    # draws what it draws in the full run
     table = {
-        "base": (False, lambda: _base_checks(p, nmax, rng)),
+        "base": (False, lambda: _base_checks(p, nmax, random.Random(seed))),
         "virtual": (True, lambda: _virtual_checks(p)),
         "deformed": (False, lambda: _deformed_checks(d, p, nmax)),
-        "structural": (True, lambda: structural_checks(d, p, nmax, rng)),
+        "structural": (True, lambda: structural_checks(d, p, nmax, random.Random(seed))),
         "reflection": (True, lambda: reflection_checks(p)),
         "ortho": (False, lambda: orthogonality_check(d, p, nmax, eps)),
         "zeros": (False, lambda: _zeros_checks(d, p, min(nmax, 4))),

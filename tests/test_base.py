@@ -8,7 +8,6 @@ from littleq import (
     Family,
     InvalidParamsError,
     LaurentPoly,
-    NonConvergenceError,
     Params,
     RawParams,
     backward_shift_apply,
@@ -21,13 +20,12 @@ from littleq import (
     forward_shift_apply,
     groundstate_sq,
     hamiltonian_apply,
-    norm_abs_approx,
     norm_ratio,
     potential_b,
     potential_d,
 )
 from littleq import base
-from littleq.base import eigen_series_value, qpoch_infinite
+from littleq.base import eigen_series_value
 from littleq.verify import _random_valid_params
 
 Q, A, B = F(1, 2), F(1, 3), F(1, 16)
@@ -219,27 +217,6 @@ def test_norm_ratio_examples(pj, pl):
     # at a b = q the closed form's last factor reads 0/0 for n = 0
     abq = Params(Family.LQ_JACOBI, F(1, 4), F(1, 2), F(1, 2), CType.TYPE_II, dmax=0)
     assert norm_ratio(0, abq) == 1
-
-
-def test_norm_abs_matches_bruteforce_sum(pj, pl):
-    # 1/d_0^2 equals the full weight sum; compare against a long partial sum
-    for p in (pj, pl):
-        (num, den), bound = norm_abs_approx(0, p)
-        total = sum(groundstate_sq(x, p) for x in range(250))
-        assert abs(total.numerator * num / (total.denominator * den) - 1) < 1e-12
-        assert bound < F(1, 10 ** 60)
-
-
-def test_qpoch_infinite_refuses_a_short_truncation(monkeypatch):
-    # |z| q^256 / (1 - q) > 1/2 at q = 99/100: refused as a library error,
-    # which the verify suites report as a failed check
-    p = Params(Family.LQ_LAGUERRE, F(99, 100), A, 0, CType.TYPE_II, dmax=1)
-    with pytest.raises(NonConvergenceError, match="truncation too short"):
-        norm_abs_approx(0, p)
-    # and before the 256-factor product is built
-    monkeypatch.setattr(base, "qpoch_pair", lambda *args: pytest.fail("product built"))
-    with pytest.raises(NonConvergenceError):
-        qpoch_infinite(A, F(99, 100))
 
 
 # ---------------------------------------------------------------------------

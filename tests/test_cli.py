@@ -314,12 +314,12 @@ def test_negative_b_equals_syntax():
 # sha256 of the full stdout; witness and bound strings are part of the pin
 GOLDEN_STDOUT = [
     (["verify", "--indices", "1,2", "--nmax", "3", "--seed", "3"],
-     "209cdba8d5fcaabc9a1513a0e603c952d6e2b819a370485dfdfdf55970eb71e3"),
+     "5423850e6bd53cbf54145d360363407ec77692f5a0af0d59989a30145d95ab47"),
     (["verify", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "2"],
-     "628209ccd51ba3d5c495533581d15c82cec91e1af2496445fcbce85a6603b7f8"),
+     "ef382cdbc55e0b3821899b3c9a034444f4469266e297cd12b9b18c8ea98f90a8"),
     # base-only point: the virtual-range suites are skipped with warnings
     (["verify", "--indices", "", "--b", "3/4", "--nmax", "2"],
-     "8946f0283132af435c7e6ae8af552f8f41fc08513d45adc22e85122ce1b05de6"),
+     "d90ec9e52893cb8662e96dec2c6a50a64a1e7143354ce8e38d89f0d58bb7b1da"),
     (["table", "--indices", "1,2", "--nmax", "3"],
      "f76589b3244c2748ca8021df25d39246fcaa01563845dca004d24f6b3d4243f3"),
     (["zeros", "--indices", "1,2", "--nmax", "3"],
@@ -330,14 +330,14 @@ GOLDEN_STDOUT = [
      "2b3c4d9e0d71d7a38655914d0be35224e9ec3b92a9e3a105376035e49f417dc7"),
     (["verify", "--q", "3/5", "--a", "1/3", "--b", "1/50", "--indices", "1,2",
       "--nmax", "4"],
-     "b833ced3773c376a9796f93939e4f54cfce1b0170da707cfe5b065a4c42e30e1"),
+     "2e892cbba4ae47b3b2c9a4f3c2efd7b9f0459efe69e00299e2327a1fdfea6654"),
     (["construct", "--type", "1", "--q", "2/3", "--a", "1/20", "--b", "1/5",
       "--indices", "1,2", "--nmax", "3"],
      "ffc8c96c85bad01689c381097aadc808055b10881d80a654438c32158eb3ead5"),
     # the heaviest sweep point: ortho witness floats at a q whose denominator is 4
     (["verify", "--q", "1/4", "--a", "3/7", "--b", "11/832", "--indices", "2",
       "--nmax", "4"],
-     "01b65c40cb3dbb6be92f2dba8af7d13bd70f2c752c26f1d2cf94885cf484eaa8"),
+     "65fd419382e2bab202c022db09bc5ef2b5368424467877009752705fb4cdeaa5"),
     # type I table floats and type I little q-Laguerre verify
     (["table", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "3"],
      "479653e6493230414a61fa473158eb7e912d7667d8d977797de8d978e91b6502"),
@@ -346,7 +346,7 @@ GOLDEN_STDOUT = [
      "645dedb7c008f239409ab72e43fc87217d9b872da210e3c65c1bd8682fb0eb69"),
     (["verify", "--family", "lqLaguerre", "--type", "1", "--a", "1/40",
       "--indices", "1,2", "--nmax", "3"],
-     "944baeb44b1ebb10d8d14cf455aa01dfd9e10d5a2db378c3bb5f08456e1a8434"),
+     "216b55632159e0da2364f37e6e65525a7f86e6e1de34bb3844dd4be8b7f1921d"),
 ]
 
 
@@ -399,7 +399,7 @@ def test_golden_stdout_through_the_exact_fallbacks(capsys, monkeypatch, argv, di
 # stdout of the exact-Fraction orthogonality loop at eps = 1e-150
 TINY_EPS = [
     (["verify", "--indices", "2", "--nmax", "2", "--suite", "ortho", "--eps", "1e-150"],
-     "d18f599dec37edc25cd813544ad8b9c00de7168833db83fbc52ee0c8badcca8c"),
+     "0cda5e88cc4c94f13884aacee606456b1a47a598b2b1959ebb322f7e7216e7db"),
     (["table", "--indices", "2", "--nmax", "2", "--eps", "1e-150"],
      "25c19728b387939d04b1d637f90f03c0a0b616336368a315caa5a010d4f49ae6"),
 ]
@@ -468,17 +468,33 @@ def test_workload_sums_build_no_exact_term(capsys, monkeypatch, command, point):
     assert capsys.readouterr().out and calls == {"terms": [], "within": 0}
 
 
-def test_absolute_s00_judged_by_the_truncation_bound(capsys):
-    # at q = 9/10 the 256-factor products are good to a relative 1.4e-11 only;
-    # S_00 differs from them by 6.0e-12, beyond 1e-12 but inside that bound
+def test_absolute_s00_is_a_ratio_row_near_q_one(capsys):
+    # at q = 9/10, S_00 over the undeformed sum is judged against its exact
+    # target; the bound is the two tail estimates, far below 1e-20
     argv = ["verify", "--q", "9/10", "--a", "1/3", "--indices", "1", "--nmax", "1",
             "--suite", "ortho"]
     assert main(argv) == EXIT_OK
     checks = json.loads(capsys.readouterr().out)["checks"]
     check = {c["name"]: c for c in checks}["ortho_absolute_s00"]
     assert check["status"] == "pass"
-    s00, target = (float(v.split()[0]) for v in check["witness"].split("=")[1].split(" vs "))
-    assert 1e-12 < abs(s00 / target - 1) < float(check["bound"]) < 1.5e-11
+    assert check["witness"].startswith("S_00/S''_00 ")
+    assert 0 < float(check["bound"]) < 1e-20
+
+
+# q = 99/100: every ortho row passes, the absolute one too
+Q_99 = [
+    ["--family", "lqLaguerre", "--type", "2", "--q", "99/100", "--a", "1/2", "--indices", "1"],
+    ["--family", "lqJacobi", "--type", "2", "--q", "99/100", "--a", "1/2", "--b", "1/2",
+     "--indices", "1"],
+    ["--family", "lqLaguerre", "--type", "1", "--q", "99/100", "--a", "1/4", "--indices", "1"],
+]
+
+
+@pytest.mark.parametrize("point", Q_99, ids=[" ".join(p[:6]) for p in Q_99])
+def test_ortho_suite_passes_at_q_99_100(capsys, point):
+    assert main(["verify", *point, "--suite", "ortho"]) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "ortho_absolute_s00" in {c["name"] for c in checks}
 
 
 def test_verify_byte_identical():

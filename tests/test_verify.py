@@ -23,8 +23,6 @@ from littleq import (
     deformed_weight,
     groundstate_sq,
     level_poly,
-    norm_ratio,
-    virtual_energy,
 )
 from littleq import verify
 from littleq.cli import main
@@ -219,25 +217,6 @@ def test_orthogonality_rejects_bad_eps(pj):
         orthogonality_check(IndexSet.of(2), pj, 2, F(0))
 
 
-def _exact_absolute_target(d, p):
-    """S_00 from 256-factor products multiplied one Fraction at a time."""
-    def product(z):
-        out = F(1)
-        for k in range(256):
-            out *= 1 - z * p.q ** k
-        return out
-
-    d0 = norm_ratio(0, p) * product(p.a)
-    if p.family == Family.LQ_JACOBI:
-        d0 /= product(p.a * p.b)
-    if p.ctype == CType.TYPE_II:
-        return 1 / (d0 * deformed_norm_sq(d, 0, p))
-    out = 1 / d0
-    for dj in d.indices:
-        out *= -virtual_energy(dj, p)
-    return out
-
-
 @pytest.mark.parametrize("dset, p", [
     ((1, 3, 5, 7), Params(Family.LQ_JACOBI, Q, A, F(1, 4096), CType.TYPE_II, dmax=7)),
     ((2, 3, 4), Params(Family.LQ_JACOBI, Q, F(1, 64), F(1, 3), CType.TYPE_I, dmax=4)),
@@ -246,14 +225,52 @@ def _exact_absolute_target(d, p):
     ((1, 2), Params(Family.LQ_JACOBI, F(3, 5), A, F(1, 50), CType.TYPE_II, dmax=2)),
     ((2,), Params(Family.LQ_JACOBI, F(1, 4), F(3, 7), F(11, 832), CType.TYPE_II, dmax=2)),
 ], ids=["deep", "type1", "laguerre", "laguerre-type1", "q=3/5", "q=1/4"])
-def test_absolute_target_is_the_rounded_exact_value(dset, p):
+def test_absolute_target_matches_the_undeformed_partial_sums(dset, p):
+    # T = S_00 / S''_00, S_00 = sum_x gs(x; lambda) / deformed_norm_sq(D, 0)
+    # and S''_00 = sum_x gs(x; lambda + M tilde + delta), each summed here in
+    # Fractions to x = 150, where the remainders are far below 1e-40
     d = IndexSet.of(*dset)
-    (num, den), rel = OrthogonalityData(d, p, 1, EPS).absolute_target()
-    assert num / den == float(_exact_absolute_target(d, p))
-    assert F(num, den) == _exact_absolute_target(d, p)
-    # far below the 1e-12 slack, so the check's bound still prints 1e-12
-    assert 0 < rel < F(1, 10 ** 40)
-    assert str(1e-12 + float(rel)) == "1e-12"
+
+    def total(pp):
+        out, gs = F(0), F(1)
+        for x in range(151):
+            out += gs
+            gs *= pp.a * (1 - pp.b * pp.q ** x) / (1 - pp.q ** (x + 1))
+        return out
+
+    target = OrthogonalityData(d, p, 0, EPS).absolute_ratio()[1]
+    want = total(p) / total(p.shift(tilde=d.size, delta=1)) / deformed_norm_sq(d, 0, p)
+    assert abs(target / want - 1) < F(1, 10 ** 40)
+
+
+@st.composite
+def absolute_points(draw):
+    """A random valid point of either family and type at dmax 3, with D in
+    {}, {1}, {2}, {1,2}, {1,3}."""
+    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(CType))
+    p = _random_valid_params(random.Random(draw(st.integers(0, 10 ** 6))), family, ctype, 3)
+    d = draw(st.sampled_from((IndexSet.of(), IndexSet.of(1), IndexSet.of(2),
+                              IndexSet.of(1, 2), IndexSet.of(1, 3))))
+    return p, d
+
+
+@given(absolute_points())
+@settings(max_examples=40, deadline=None)
+def test_absolute_s00_ratio_row(point):
+    p, d = point
+    data = OrthogonalityData(d, p, 0, EPS)
+    try:
+        data.diag
+    except NonConvergenceError:
+        assume(False)  # the deformed S_00 itself finds no window
+    got, target, bound, ok = data.absolute_ratio()
+    assert ok and bound.read(lambda v: 0 < v < F(1, 10 ** 20))
+    # a target off by a relative 1e-12 fails, far inside a 1e-12 slack
+    check = verify._ratio_check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_ratio_check",
+                   lambda num, den, t: check(num, den, t * (1 + F(1, 10 ** 12))))
+        assert not data.absolute_ratio()[3]
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +956,21 @@ def test_run_suite_subset(pj):
     rep = run_suite(IndexSet.of(2), pj, nmax=2, suites=("positivity",), seed=0)
     assert rep.overall == "pass"
     assert all(c.name.startswith("positivity") for c in rep.checks)
+
+
+def test_structural_suite_alone_draws_the_full_run_permutation():
+    # base and structural draw from rngs of their own: at deep, seed 0, the
+    # structural suite alone shuffles D as the full run does
+    p = Params(Family.LQ_JACOBI, Q, A, F(1, 4096), CType.TYPE_II, dmax=7)
+    d = IndexSet.of(1, 3, 5, 7)
+
+    def permutations(suites):
+        rep = run_suite(d, p, nmax=8, suites=suites, seed=0)
+        return {c.name: c.witness for c in rep.checks
+                if c.name.startswith("structural_permutation")}
+
+    alone = permutations(("structural",))
+    assert len(alone) == 2 and alone == permutations(verify.SUITES)
 
 
 def test_run_suite_empty_set_defaults(pj):
