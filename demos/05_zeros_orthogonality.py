@@ -1,9 +1,8 @@
-"""Zeros, interlacing, and orthogonality sums.
+"""Zeros, interlacing, and orthogonality certificates.
 
 Locates the zeros of the multi-indexed polynomials at 256-bit precision,
-shows the physical/unphysical split and interlacing, and evaluates the
-infinite orthogonality sums with exact partial sums plus estimated
-geometric tails.
+shows the physical/unphysical split and interlacing, and proves the
+infinite orthogonality sums exactly with telescoping certificates.
 """
 from fractions import Fraction as F
 
@@ -35,32 +34,24 @@ for n in range(4):
 print("\n(degree always equals %d + n; starred zeros are unphysical)"
       % d.degree_offset)
 
-# Orthogonality: partial sums are exact rationals; the tail is a geometric
-# estimate, trusted after eight observed ratio steps.  Diagonal ratios then match closed-form constants exactly
-# within twice the relative tail bound.
-data = OrthogonalityData(d, p, 3, F(1, 10 ** 24))
-s00 = data.diag[0]
-print("\nS_00 summed to x=%d, tail bound %.3e" %
-      (s00.truncation_x, float(s00.tail.exact())))
+# Orthogonality: each claim sum_x w(x) f(q^x) = 0 is proved by a telescoping
+# certificate N (q-Gosper summation), whose boundary value -N(1)/den(-1) is
+# the whole infinite sum; no lattice term is summed.
+data = OrthogonalityData(d, p, 3)
+print("\northogonality of the D={2} polynomials, proved exactly:")
+for n in range(4):
+    for m in range(n + 1, 4):
+        print("  S_%d%d = 0: %s" % (n, m, data.pair_sum(n, m).witness))
+
+# Diagonal ratios: S_nn = t_n S_00 with t_n from the closed-form norm constants
 for n in range(1, 4):
-    got = data.diag[n].value.exact() / s00.value.exact()
-    target = data.diag_ratio(n)[1]
-    print("  n=%d: S_nn/S_00 = %.12f, closed form %.12f, difference %.1e"
-          % (n, float(got), float(target), abs(float(got - target))))
+    target, cert = data.targets[n], data.pair_sum(n, n)
+    print("  S_nn/S_00 = %s (%.12f) for n=%d: %s" % (target, float(target), n, cert.witness))
 
 # The absolute check: S_00 over the undeformed S_00 at lambda + M tilde + delta
 # is an exact rational T by the q-binomial theorem.
-ref = OrthogonalityData(IndexSet.of(), p.shift(tilde=d.size, delta=1), 0, F(1, 10 ** 24))
-got, target, bound, ok = data.absolute_ratio()
-print("S_00 = %.15f, undeformed reference S''_00 = %.15f (to x=%d)"
-      % (float(s00.value.exact()), float(ref.diag[0].value.exact()), ref.diag[0].truncation_x))
-print("  S_00/S''_00 = %.15f, T = %s = %.15f, bound %.1e, %s"
-      % (float(got.exact()), target, float(target), float(bound.exact()),
-         "pass" if ok else "fail"))
-
-off = data.pair_sum(0, 2)
-print("off-diagonal S_02 partial sum %.3e below tail bound %.3e"
-      % (float(abs(off.value.exact())), float(off.tail.exact())))
+target, cert = data.absolute_ratio()
+print("  S_00/S''_00 = T = %s (%.15f): %s" % (target, float(target), cert.witness))
 
 # The family limit: little q-Jacobi coefficients drift linearly in b toward
 # little q-Laguerre.

@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of virtual-state indices, e.g. '1,3'; empty for none")
         sp.add_argument("--nmax", type=int, default=4)
         sp.add_argument("--eps", default="1e-24",
-                        help="orthogonality tail target, exact decimal")
+                        help="positive exact decimal, accepted and checked; no check reads it")
         sp.add_argument("--xmax", type=int, default=60)
         sp.add_argument("--prec-bits", dest="prec_bits", type=int, default=256)
         sp.add_argument("--out", choices=("json", "csv"), default=None,
@@ -249,31 +249,19 @@ def cmd_zeros(cfg: RunConfig) -> tuple[str, int]:
 def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     p = cfg.params()
     d = cfg.index_set()
-    data = OrthogonalityData(d, p, cfg.nmax, cfg.eps)
+    if cfg.eps <= 0:  # checked as for verify, although no row reads it
+        raise InvalidParamsError("eps must be positive")
+    data = OrthogonalityData(d, p, cfg.nmax)
     dps = 30
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["n", "snn_over_s00", "exact_num", "exact_den", "abs_bound",
-         "truncation_x", "status", "precision_dps"]
-    )
+    writer.writerow(["n", "snn_over_s00", "exact_num", "exact_den", "status", "precision_dps"])
     code = EXIT_OK
     for n in range(cfg.nmax + 1):
-        got, target, bound, ok = data.diag_ratio(n)
-        if not ok:
-            code = EXIT_VERIFY_FAIL
-        writer.writerow(
-            [
-                n,
-                got.read(lambda v: _ratio_str(v, dps)),
-                str(target.numerator),
-                str(target.denominator),
-                bound.read(lambda v: _ratio_str(v, 3)),
-                data.diag[n].truncation_x,
-                "pass" if ok else "fail",
-                dps,
-            ]
-        )
+        target, cert = data.targets[n], data.pair_sum(n, n)
+        code = code if cert.ok else EXIT_VERIFY_FAIL
+        writer.writerow([n, _ratio_str(target, dps) if cert.ok else "", target.numerator,
+                         target.denominator, "pass" if cert.ok else "fail", dps])
     return buf.getvalue(), code
 
 

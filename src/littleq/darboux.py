@@ -442,20 +442,14 @@ def deformed_measure(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, Fraction]
     return xi_casoratian(d, p).shift(1), p.q ** -qbinom2(m) * qpoch(p.b, p.q, m)
 
 
-def groundstate_step(x: int, p: ParamsLike) -> tuple[int, int]:
-    """gs(x + 1) / gs(x) = a (1 - b q^x) / (1 - q^{x+1}) at p (b = 0 for little
-    q-Laguerre) as an unreduced integer pair (num, den), den > 0."""
-    (qn, qd), (an, ad), (bn, bd) = (v.as_integer_ratio() for v in (p.q, p.a, p.b))
-    return an * (bd * qd ** x - bn * qn ** x) * qd, ad * bd * (qd ** (x + 1) - qn ** (x + 1))
-
-
 def deformed_weight(d: IndexSet, p: ParamsLike) -> Callable[[int], Fraction]:
     """The deformed orthogonality weight of either construction type,
     x -> c groundstate_sq(x; lambda + M tilde) / (den(x) den(x-1)) for
     integer x >= 0, with (den, c) from deformed_measure.
 
-    The exact ground state is grown once per lattice point by
-    groundstate_step at lambda + M tilde.  A zero of den(x) den(x-1) raises
+    The exact ground state is grown once per lattice point by its ratio
+    a (1 - b q^x) / (1 - q^{x+1}) at lambda + M tilde (b = 0 for little
+    q-Laguerre).  A zero of den(x) den(x-1) raises
     DenominatorZeroAtIntegerError.  For type II, w(x) / w(0) is the squared
     deformed ground state.
     """
@@ -467,7 +461,8 @@ def deformed_weight(d: IndexSet, p: ParamsLike) -> Callable[[int], Fraction]:
         if x < 0:
             raise ValueError("defined for x >= 0")
         while len(gs) <= x:
-            gs.append(gs[-1] * Fraction(*groundstate_step(len(gs) - 1, pu)))
+            y = pu.q ** (len(gs) - 1)
+            gs.append(gs[-1] * pu.a * (1 - pu.b * y) / (1 - pu.q * y))
         dd = den.eval_int(x) * den.eval_int(x - 1)
         if dd == 0:
             raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % x)
@@ -542,9 +537,9 @@ def deformed_norm_sq(d: IndexSet, n: int, p: ParamsLike) -> Fraction:
     """Extra squared-norm factor of level n of the deformation; strictly
     positive.  The factor (b q^{-M}; q)_M belongs to the normalization of the
     type II little q-Jacobi polynomials only."""
-    out = Fraction(1)
+    out, e = Fraction(1), energy(n, p)
     for dj in d.indices:
-        out /= energy(n, p) - virtual_energy(dj, p)
+        out /= e - virtual_energy(dj, p)
     if p.family == Family.LQ_JACOBI and p.ctype == CType.TYPE_II:
         out *= qpoch(p.b * p.q ** (-d.size), p.q, d.size)
     return out

@@ -52,11 +52,13 @@ class DegenerateCasoratianError(ExactError):
 
 
 class DenominatorZeroAtIntegerError(ExactError):
-    """A rational function was evaluated at an integer zero of its denominator."""
+    """A rational function was evaluated at an integer zero of its denominator,
+    or its denominator is not proved nonzero on the lattice."""
 
 
 class NonConvergenceError(ExactError):
-    """A geometric tail estimate could not be established."""
+    """A search or a series did not converge: no valid random parameter point
+    was drawn, or the orthogonality sums are not proved to converge."""
 
 
 class RootFindingFailureError(ExactError):
@@ -410,13 +412,9 @@ class LaurentPoly:
     def eval_pair(self, x: int) -> tuple[int, int]:
         """Exact value at integer x (y = q^x) as an unreduced integer pair
         (num, den); (0, 1) for the zero polynomial."""
-        return self.eval_at(*self._ratio(x))
-
-    def eval_at(self, r: int, t: int) -> tuple[int, int]:
-        """Exact value at y = r/t (r, t > 0) as the unreduced pair
-        eval_pair gives for q^x = r/t; (0, 1) for the zero polynomial."""
         if not self.num:
             return 0, 1
+        r, t = self._ratio(x)
         acc, tp = horner(self.num, r, t)
         A, B = (r, t) if self.val >= 0 else (t, r)  # y^val = A/B
         return acc * A ** abs(self.val), self.den * tp * B ** abs(self.val)

@@ -1,20 +1,14 @@
-"""Verification suite: exact identity checks, orthogonality sums with
-estimated tails, exact zero counts and interlacing, positivity scans.
+"""Verification suite: exact identity checks, orthogonality by telescoping
+certificates, exact zero counts and interlacing, positivity scans.
 
-Exact checks pass only when a residual object is identically zero.  The
-infinite orthogonality sums run on fixed-point integers: every term gets an
-integer enclosure at K = bits(1/eps) + 192 bits, from one enclosure of the
-weight per lattice point.  A sum is a TailBound: its truncation point X, an
-Enclosed partial sum over x <= X and an Enclosed geometric tail estimate
-last_term * rho / (1 - rho), trusted once the term ratio stayed below
-rho < 1 for eight consecutive lattice points.  Eight observed steps are
-evidence, not a proof that the ratio stays below rho beyond them.  The
-ratio, zero and stopping tests are exact (on the enclosures, else on the
-exact terms), and so are X and the estimate; every verdict and printed digit
-is read off the enclosures, and the exact values are built, from one memo of
-exact terms per sum, only where their ends disagree.  ortho_absolute_s00
-decides S_00 over the undeformed S_00 at lambda + M tilde + delta against
-an exact target (q-binomial theorem), like the diagonal ratios.  Zero
+Exact checks pass only when a residual object is identically zero.  Each
+infinite orthogonality sum claims sum_{x >= 0} w(x) f(q^x) = 0 for a Laurent
+polynomial f: P_n P_m off the diagonal, P_n^2 - t_n P_0^2 for a diagonal
+ratio with its closed-form target t_n, and P_0^2 minus an undeformed weight
+times its q-binomial target for S_00.  The claim is proved by q-Gosper
+summation: a Laurent polynomial N whose antidifference F = gs' N / den(x-1)
+telescopes to the whole sum, with boundary value -N(1)/den(-1) = 0, all in
+exact integers (OrthogonalityData).  No lattice term is summed.  Zero
 counts and interlacing are proved on integer numerators (Descartes' rule of
 signs with Vincent-Collins-Akritas bisection, exact sign evaluations).
 Floating point enters only in polynomial_roots, for the root values the
@@ -29,10 +23,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
 from itertools import accumulate
 from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .base import (
     CType,
@@ -66,7 +59,6 @@ from .darboux import (
     denominator_leading,
     denominator_poly,
     denominator_poly_y,
-    groundstate_step,
     infinity_values,
     level_poly,
     level_poly_y,
@@ -134,56 +126,6 @@ class CheckResult:
         return out
 
 
-class Enclosed:
-    """A value in [lo, hi], with a thunk that builds it exactly; closed under
-    +, -, abs, scaling by c >= 0 and division (exact if the divisor spans 0)."""
-
-    __slots__ = ("lo", "hi", "exact")
-
-    def __init__(self, lo: Fraction, hi: Fraction, exact: Callable[[], Fraction]):
-        self.lo, self.hi, self.exact = lo, hi, exact
-
-    def __abs__(self) -> "Enclosed":
-        lo, hi = sorted((abs(self.lo), abs(self.hi)))
-        return Enclosed(0 if self.lo <= 0 <= self.hi else lo, hi, lambda: abs(self.exact()))
-
-    def __add__(self, o: "Enclosed") -> "Enclosed":
-        return Enclosed(self.lo + o.lo, self.hi + o.hi, lambda: self.exact() + o.exact())
-
-    def __sub__(self, o: "Enclosed") -> "Enclosed":
-        return Enclosed(self.lo - o.hi, self.hi - o.lo, lambda: self.exact() - o.exact())
-
-    def __mul__(self, c: Fraction) -> "Enclosed":
-        return Enclosed(self.lo * c, self.hi * c, lambda: self.exact() * c)
-
-    def __truediv__(self, o: "Enclosed") -> "Enclosed":
-        if o.lo <= 0:
-            v = self.exact() / o.exact()
-            return Enclosed(v, v, lambda: v)
-        ends = [a / b for a in (self.lo, self.hi) for b in (o.lo, o.hi)]
-        return Enclosed(min(ends), max(ends), lambda: self.exact() / o.exact())
-
-    def read(self, fmt: Callable[[Fraction], object]):
-        """fmt of the value: read off the ends where fmt agrees on both, else
-        from the exact value.  fmt must be monotone up to a relative error
-        of 2^-127: a comparison, float() (rounded once) or the table's
-        decimal string (rounded twice to 128 bits).  Each end is widened by 2^-124
-        relative, more than twice that error, so agreeing ends settle every
-        value between them."""
-        a = fmt(self.lo - abs(self.lo) * _WIDEN)
-        return a if a == fmt(self.hi + abs(self.hi) * _WIDEN) else fmt(self.exact())
-
-
-class TailBound(NamedTuple):
-    """A truncated orthogonality sum: value encloses the partial sum over
-    x <= truncation_x, tail the estimate |t(X)| rho / (1 - rho); their exact
-    values are built from the sum's memo of exact terms only when asked for."""
-
-    truncation_x: int
-    value: Enclosed
-    tail: Enclosed
-
-
 @dataclass
 class VerificationReport:
     checks: list[CheckResult]
@@ -232,254 +174,178 @@ def _equal_check(name: str, lhs, rhs, witness: str = "") -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# orthogonality with estimated geometric tails
+# orthogonality by telescoping certificates
 # ---------------------------------------------------------------------------
 
 
-_WIDEN = Fraction(1, 1 << 124)  # relative widening of an enclosure's ends (Enclosed.read)
+class Certificate(NamedTuple):
+    """Whether f has a telescoping certificate N (its top residual
+    coefficients vanish) and whether N(1) = 0; truncation_x is -1, since no
+    lattice term is summed."""
+
+    found: bool
+    boundary_zero: bool
+    truncation_x: int = -1
+
+    @classmethod
+    def of(cls, values: Sequence[int]) -> "Certificate":  # the functionals at f
+        return cls(not any(values[:-1]), not values[-1])
+
+    @property
+    def ok(self) -> bool:
+        return self.found and self.boundary_zero
+
+    @property
+    def witness(self) -> str:
+        if not self.found:
+            return "no telescoping certificate"
+        return "certificate with boundary value " + ("0" if self.boundary_zero else "nonzero")
 
 
-def _scale_bits(eps: Fraction) -> int:
-    """Fixed-point bits K of the terms: those of 1/eps plus a 192-bit guard."""
-    return max(0, eps.denominator.bit_length() - eps.numerator.bit_length()) + 192
-
-
-def _within(a: tuple, c: tuple, b: tuple, exact: Callable) -> bool:
-    """|a| <= c |b| for terms (lo, hi, x), lo <= |t(x)| 2^K <= hi, and pairs
-    c and exact(x) = (num, den): on the enclosures, else on the exact terms."""
-    if a[1] * c[1] <= c[0] * b[0]:
-        return True
-    if a[0] * c[1] > c[0] * b[1]:
-        return False
-    return _exactly_within(exact(a[2]), c, exact(b[2]))
-
-
-def _exactly_within(a: tuple, c: tuple, b: tuple) -> bool:
-    """|a| <= c |b| for exact pairs (num, den), den > 0, by one integer
-    cross-multiplication, without a gcd."""
-    return abs(a[0]) * b[1] * c[1] <= c[0] * abs(b[0]) * a[1]
-
-
-def _certified_sum(
-    enclose: Callable[[int], tuple[int, int]],
-    exact: Callable[[int], tuple[int, int]],
-    rho: Fraction,
-    eps: Fraction,
-    max_terms: int = 500,
-) -> TailBound:
-    """Partial sum on fixed-point integers, with a geometric tail estimate
-    (not a proof).
-
-    enclose(x) is an integer enclosure of t(x) 2^K, K = _scale_bits(eps),
-    exact(x) is t(x) as integers (num, den), den > 0.  Extends the
-    truncation until |t(x+1)| <= rho |t(x)| (t(x) != 0) held for the last 8
-    steps and the bound |t(X)| rho/(1-rho) drops below eps, each test decided
-    on the enclosures or, where they straddle it, on the exact terms; so X
-    and the estimate are exact.  Raises NonConvergenceError if no such
-    window appears."""
-    if not 0 < rho < 1:
-        raise NonConvergenceError("ratio bound rho=%s is not < 1" % rho)
-    k = _scale_bits(eps)
-    one = (1 << k, 1 << k, None)
-    built: dict = {None: (1, 1)}  # the exact terms built so far
-
-    def pair(x: int | None) -> tuple[int, int]:
-        return built[x] if x in built else built.setdefault(x, exact(x))
-
-    # |t(X)| <= cap  <=>  the tail estimate <= eps
-    cap, ratio = (eps * (1 - rho) / rho).as_integer_ratio(), rho.as_integer_ratio()
-    lo_sum = hi_sum = consec = 0
-    prev: tuple | None = None
-    for x in range(max_terms + 1):
-        lo, hi = enclose(x)
-        lo_sum += lo
-        hi_sum += hi
-        # |t(x)| 2^K in [t[0], t[1]]; t[1] == 0 only for t(x) == 0
-        t = (lo if lo > 0 else -hi if hi < 0 else 0, max(hi, -lo), x)
-        if prev is not None:
-            nonzero = prev[0] > 0 or (prev[1] > 0 and pair(prev[2])[0] != 0)
-            consec = consec + 1 if nonzero and _within(t, ratio, prev, pair) else 0
-        prev = t
-        if consec >= 8 and _within(t, cap, one, pair):
-            rn, rd = ratio[0], ratio[1] - ratio[0]
-            total = cache(lambda: sum((Fraction(*pair(y)) for y in range(x + 1)), Fraction(0)))
-            return TailBound(
-                x,
-                Enclosed(Fraction(lo_sum, 1 << k), Fraction(hi_sum, 1 << k), total),
-                Enclosed(Fraction(t[0] * rn // rd, 1 << k), Fraction(-(-t[1] * rn // rd), 1 << k),
-                         cache(lambda: Fraction(abs(pair(x)[0]) * rn, pair(x)[1] * rd))),
-            )
-    raise NonConvergenceError(
-        "no certified geometric window within %d terms" % max_terms
-    )
+def _certificate_functionals(a_poly: LaurentPoly, b_poly: LaurentPoly, width: int
+                             ) -> list[list[int]]:
+    """The E + 1 integer functionals on the coefficients of f, over a window
+    of width degrees, that all vanish exactly when A N(qy) - B N(y) =
+    c (1 - qy) f has a Laurent solution N (the first E: the top residuals of
+    the triangular system for N from its lowest degree k0) with N(1) = 0.
+    a_poly = A q^k0 and b_poly = B share their lowest degree; column s is
+    scaled by t^s (q = r/t) to the integers a_i r^s - b_i t^s.  Each is one
+    transposed, fraction-free back-substitution, folded with c (1 - qy) as
+    t V_i - r V_i+1 and divided by its gcd, since only its zeros matter."""
+    q, lo, e = b_poly.q, b_poly.min_deg, b_poly.max_deg - b_poly.min_deg
+    r, t, common = q.numerator, q.denominator, math.lcm(a_poly.den, b_poly.den)
+    a, b = ([int(f.coeff(lo + i) * common) for i in range(e + 1)] for f in (a_poly, b_poly))
+    k = width + 1 - e  # the unknowns N_k0..N_k0+k-1, then e residual rows
+    cols = [[a[i] * r ** s - b[i] * t ** s for i in range(e + 1)] for s in range(k)]
+    # the residual rows k + j, and N(1) = sum_s t^s (N_k0+s / t^s)
+    rhs = [[cols[s][k + j - s] if k + j - s <= e else 0 for s in range(k)] for j in range(e)]
+    functionals = []
+    for j, u in enumerate(rhs + [[t ** s for s in range(k)]]):
+        z, scale, grown = [0] * k, 1, []
+        for s in range(k - 1, -1, -1):
+            col = cols[s]
+            acc = u[s] * scale - sum(col[i] * z[s + i] for i in range(1, min(e, k - 1 - s) + 1))
+            g = math.gcd(acc, col[0])
+            piv = col[0] // g
+            for i in range(s + 1, min(s + e, k)):  # z[s + e] is read no more
+                z[i] *= piv
+            z[s], scale = acc // g, scale * piv
+            grown.append(piv)
+        for s, piv in enumerate(accumulate(reversed(grown), mul)):
+            if s + e < k:
+                z[s + e] *= piv
+        psi = z + [-scale if i == j else 0 for i in range(e)]
+        phi = [t * psi[i] - r * psi[i + 1] for i in range(width)]
+        g = math.gcd(*phi) or 1
+        functionals.append([v // g for v in phi])
+    return functionals
 
 
 class OrthogonalityData:
-    """Partial sums of the deformed orthogonality relation on integers.
+    """The deformed orthogonality relation, decided by q-Gosper summation.
 
-    The summand is w(x) P_n(x) P_m(x), w = c gs(x; lambda + M tilde) /
-    (den(x) den(x-1)) from deformed_measure, P_n from level_poly_y.  Each
-    lattice point gets one integer row that all pair sums share: P_n = u_n/L
-    over L, the lcm of the denominators of eval_pair, and an enclosure
-    [W, W + dW] 2^-(K+g) of w / L^2, g = 2 bits(max |u_n|) + 1, from the
-    ground state enclosed in [lo, hi] 2^e, grown by groundstate_step on
-    mantissas of prec bits (raised, and the growth rerun, where a row's
-    largest term would be known to less than 2^-K).  A term is W u_n u_m >> g
-    rounded outward, at most 3 units wide; the exact term (deformed_weight)
-    is built only where that cannot decide a test."""
+    With w = c gs'(x) / (den(x) den(x-1)) ((den, c) from deformed_measure, gs'
+    the squared ground state at lambda + M tilde), a certificate of f is a
+    Laurent polynomial N with
 
-    def __init__(self, d: IndexSet, p: Params, nmax: int, eps: Fraction):
-        self.d, self.p, self.eps = d, p, Fraction(eps)
-        if self.eps <= 0:
-            raise InvalidParamsError("eps must be positive")
-        self.bits = _scale_bits(self.eps)
-        self.weight = deformed_weight(d, p)
+        a'(1 - b'y) N(qy) den(x-1) - (1 - qy) N(y) den(x) = c (1 - qy) f(y);
+
+    F = gs'(x) N(y) / den(x-1) has F(x+1) - F(x) = w(x) f(q^x), so
+    sum_{x >= 0} w f = -N(1)/den(-1) once F -> 0.  Construction proves the
+    side conditions or raises: den(q^x) != 0 for integer x >= -1 (no sign
+    variation on (0, 1/q), den(1/q) != 0), and F -> 0: a' q^(k0 - l) < 1, l
+    and k0 the lowest degrees of den and N, so no pivot a' q^(k - l) - 1 is 0."""
+
+    def __init__(self, d: IndexSet, p: Params, nmax: int):
+        self.d, self.p = d, p
         self.polys = [level_poly_y(d, n, p) for n in range(nmax + 1)]
-        self._den, self._c = deformed_measure(d, p)
-        self._pu = p.shift(tilde=d.size)
-        self.rho = (1 + max(p.a, self._pu.a)) / 2
-        self._prec = self.bits + 64
-        self._gs = (0, 1, 1, 0)  # (x, lo, hi, e): gs(x) in [lo, hi] 2^e
-        self._rows: list[tuple] = []  # x -> (W, dW, g, u_n, L, den(x))
+        den, self._c = deformed_measure(d, p)
+        q, pu = p.q, p.shift(tilde=d.size)
+        if _descartes(den.num, Fraction(0), 1 / q) or not den.eval_pair(-1)[0]:
+            raise DenominatorZeroAtIntegerError(
+                "no proof that the denominator polynomial is nonzero at every x >= -1")
+        lo, hi = den.min_deg, den.max_deg
+        # the window of every row: P_n P_m, and den den(x-1) y (1 - b'y)
+        self._j0 = j0 = min(2 * min(f.min_deg for f in self.polys), 2 * lo + 1)
+        j1 = max(2 * max(f.max_deg for f in self.polys), 2 * hi + 2)
+        if pu.a * q ** (j0 - 2 * lo) >= 1:
+            raise NonConvergenceError(
+                "the certificates do not vanish as x -> infinity: a' q^(k0 - l) = %s >= 1"
+                % fmt_rational(pu.a * q ** (j0 - 2 * lo)))
+        y = LaurentPoly.var(q)
+        self._den, self._bu, self._norm0 = den, pu.b, deformed_norm_sq(d, 0, p)
+        # t_n = S_nn/S_00 from the closed-form norm constants
+        self.targets = [self._norm0 / (norm_ratio(n, p) * deformed_norm_sq(d, n, p))
+                        for n in range(nmax + 1)]
+        self._phi = _certificate_functionals(
+            (den.shift(-1) * (1 - y.scale(pu.b))).scale(pu.a * q ** (j0 - lo)),
+            den * (1 - y.scale(q)), j1 - j0 + 1)
+        self._square0 = self._product(0, 0)
 
-    def _groundstate(self, x: int, a: int, b: int, g: int) -> tuple[int, int, int]:
-        """(lo, hi, e) with gs(x) in [lo, hi] 2^e and |a| (hi - lo) 2^(e+K+g-1) <= b."""
-        while True:
-            t, lo, hi, e = self._gs
-            for t in range(t, x):
-                num, den = groundstate_step(t, self._pu)
-                lo, hi = (hi * num, lo * num) if num < 0 else (lo * num, hi * num)
-                s = self._prec + den.bit_length() - max(-lo, hi).bit_length() if lo or hi else 0
-                lo, hi, den = (lo << s, hi << s, den) if s >= 0 else (lo, hi, den << -s)
-                lo, hi, e = lo // den, -(-hi // den), e - s
-            self._gs = (x, lo, hi, e)
-            need, room, shift = abs(a) * (hi - lo), b, e + self.bits + g - 1
-            need, room = (need << shift, room) if shift >= 0 else (need, room << -shift)
-            if need <= room:
-                return lo, hi, e
-            self._prec += need.bit_length() - room.bit_length() + 32
-            self._gs = (0, 1, 1, 0)
+    def certify(self, f: LaurentPoly) -> Certificate:
+        """The certificate of sum_{x >= 0} w f = 0, for f in the window."""
+        if not f.is_zero and not self._j0 <= f.min_deg <= f.max_deg < self._j0 + len(self._phi[0]):
+            raise ValueError("f lies outside the degree window of the certificates")
+        return Certificate.of(self._values(f.val, f.num, f.den)[0])
 
-    def _row(self, x: int) -> tuple:
-        while len(self._rows) <= x:
-            t = len(self._rows)
-            n0, d0 = self._rows[t - 1][5] if t else self._den.eval_pair(-1)
-            n1, d1 = self._den.eval_pair(t)
-            if n1 == 0 or n0 == 0:
-                raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % t)
-            y = self.polys[0]._ratio(t)  # q^t, shared by every level
-            vals = [pn.eval_at(*y) for pn in self.polys]
-            common = math.lcm(*(den for _, den in vals))
-            u = [num * (common // den) for num, den in vals]
-            # w(t) / L^2 = gs(t) a / b, b > 0
-            a, b = self._c.numerator * d1 * d0, self._c.denominator * n1 * n0 * common ** 2
-            a, b = (-a, -b) if b < 0 else (a, b)
-            g = 2 * max(v.bit_length() for v in u) + 1
-            lo, hi, e = self._groundstate(t, a, b, g)
-            lo, hi, shift = *sorted((lo * a, hi * a)), e + self.bits + g
-            lo, hi, b = (lo << shift, hi << shift, b) if shift >= 0 else (lo, hi, b << -shift)
-            self._rows.append(((w := lo // b), -(-hi // b) - w, g, u, common, (n1, d1)))
-        return self._rows[x]
+    def _values(self, val: int, num: Sequence[int], den: int) -> tuple[list[int], int]:
+        """The functionals at y^val num / den, as integers over den."""
+        return [sum(map(mul, num, phi[val - self._j0:])) for phi in self._phi], den
 
-    @staticmethod
-    def _exact(w: Fraction, row: tuple, n: int, m: int) -> tuple[int, int]:
-        """The exact term (wn u_n u_m, wd L^2) of pair (n, m) at a row, w(x) = w."""
-        u, common = row[3:5]
-        return w.numerator * u[n] * u[m], w.denominator * common ** 2
+    def _product(self, n: int, m: int) -> tuple[list[int], int]:
+        """The functionals at P_n P_m, from one integer convolution."""
+        a, b = self.polys[n], self.polys[m]
+        num = [0] * (len(a.num) + len(b.num) - 1)
+        for i, u in enumerate(a.num):
+            for j, v in enumerate(b.num, i):
+                num[j] += u * v
+        return self._values(a.val + b.val, num, a.den * b.den)
 
-    def pair_sum(self, n: int, m: int) -> TailBound:
-        def enclose(x: int) -> tuple[int, int]:
-            w, dw, g, u = self._row(x)[:4]
-            lo = w * (uu := u[n] * u[m])
-            lo, hi = (lo + dw * uu, lo) if uu < 0 else (lo, lo + dw * uu)
-            return lo >> g, -(-hi >> g)
+    def _minus(self, f: tuple[list[int], int], by: Fraction) -> Certificate:
+        """The certificate of f - by P_0^2, from the functionals at f."""
+        (vf, df), (v0, d0) = f, self._square0
+        return Certificate.of([v * d0 * by.denominator - by.numerator * df * w
+                               for v, w in zip(vf, v0)])
 
-        # not through self: self.diag holds sums, a cycle would outlive the data
-        rows, w, exact = self._rows, self.weight, self._exact
-        return _certified_sum(enclose, lambda x: exact(w(x), rows[x], n, m), self.rho, self.eps)
+    def pair_sum(self, n: int, m: int) -> Certificate:
+        """The certificate of S_nm = 0 for n != m, of S_nn = t_n S_00 for n = m."""
+        if n != m:
+            return Certificate.of(self._product(n, m)[0])
+        return self._minus(self._product(n, n), self.targets[n])
 
-    @cached_property
-    def diag(self) -> list[TailBound]:
-        """The diagonal sums S_nn, n = 0..nmax."""
-        return [self.pair_sum(n, n) for n in range(len(self.polys))]
-
-    @cached_property
-    def _norm0(self) -> Fraction:
-        return deformed_norm_sq(self.d, 0, self.p)
-
-    def diag_ratio(self, n: int) -> tuple[Enclosed, Fraction, Enclosed, bool]:
-        """(S_nn/S_00, its target from the closed-form norm constants, bound,
-        verdict) by _ratio_check."""
-        target = self._norm0 / (norm_ratio(n, self.p) * deformed_norm_sq(self.d, n, self.p))
-        return _ratio_check(self.diag[n], self.diag[0], target)
-
-    def absolute_ratio(self) -> tuple[Enclosed, Fraction, Enclosed, bool]:
-        """(S_00/S''_00, its target T, bound, verdict) by _ratio_check, S''_00
-        the undeformed S_00 at lambda'' = lambda + M tilde + delta.
-
-        S_00 = (ab;q)_inf / (a;q)_inf / deformed_norm_sq(D, 0) and, by the
-        q-binomial theorem, S''_00 = (abq^2;q)_inf / (aq^k;q)_inf with
-        k = s_a M + 1, so T = (1 - ab)(1 - abq) R_k / deformed_norm_sq(D, 0),
-        R_k = (aq^k;q)_inf / (a;q)_inf (b = 0 for little q-Laguerre).  The
-        terms of S''_00 fall like a q^k, never slower than those of S_00."""
-        p, m = self.p, self.d.size
-        ref = OrthogonalityData(IndexSet.of(), p.shift(tilde=m, delta=1), 0, self.eps)
+    def absolute_ratio(self) -> tuple[Fraction, Certificate]:
+        """(T, the certificate of S_00 = T S''_00), S''_00 the undeformed S_00
+        at lambda'' = lambda + M tilde + delta.  By the q-binomial theorem
+        T = (1 - ab)(1 - abq) R_k / deformed_norm_sq(D, 0) with k = s_a M + 1
+        and R_k = (aq^k;q)_inf / (a;q)_inf (b = 0 for little q-Laguerre), and
+        S''_00 sums w Q den den(x-1) / c, Q = gs(x; lambda'')/gs'(x) =
+        y (1 - b'y)/(1 - b')."""
+        p, m, q = self.p, self.d.size, self.p.q
         k, ab = tilde_delta(p.family, p.ctype)[0] * m + 1, p.a * p.b
-        r_k = 1 / qpoch(p.a, p.q, k) if k >= 0 else qpoch(p.a * p.q ** k, p.q, -k)
-        target = (1 - ab) * (1 - ab * p.q) * r_k / self._norm0
-        return _ratio_check(self.diag[0], ref.diag[0], target)
+        r_k = 1 / qpoch(p.a, q, k) if k >= 0 else qpoch(p.a * q ** k, q, -k)
+        target = (1 - ab) * (1 - ab * q) * r_k / self._norm0
+        y, den, bu = LaurentPoly.var(q), self._den, self._bu
+        ref = y * (1 - y.scale(bu)) * den * den.shift(-1)
+        # P_0^2 - T ref / (c (1 - b')) is a nonzero multiple of ref - by P_0^2
+        by = self._c * (1 - bu) / target
+        return target, self._minus(self._values(ref.val, ref.num, ref.den), by)
 
 
-def _ratio_check(num: TailBound, den: TailBound, target: Fraction
-                 ) -> tuple[Enclosed, Fraction, Enclosed, bool]:
-    """(num/den, target, bound, verdict |num/den - target| <= bound) for two
-    sums and an exact target, bound = 2 (tail_num / num + tail_den / den)
-    |target|, on the enclosures of the sums and tails."""
-    (_, sn, tn), (_, sd, td) = num, den
-    got, bound = sn / sd, (tn / sn + td / sd) * (2 * abs(target))
-    miss = abs(got - Enclosed(target, target, lambda: target)) - bound
-    return got, target, bound, miss.read(lambda v: v <= 0)
-
-
-def orthogonality_check(
-    d: IndexSet, p: Params, nmax: int, eps: Fraction
-) -> list[CheckResult]:
-    """Orthogonality fragment: off-diagonal tails, diagonal ratios, and one
-    absolute cross-check of S_00 against an undeformed sum."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidParamsError("eps must be positive")
-    checks: list[CheckResult] = []
+def orthogonality_check(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
+    """Orthogonality fragment: one certificate per off-diagonal pair, per
+    diagonal ratio S_nn/S_00 and for S_00 over an undeformed sum."""
     try:
-        data = OrthogonalityData(d, p, nmax, eps)
+        data = OrthogonalityData(d, p, nmax)
     except LittleQError as exc:
         return [_check("ortho_setup", False, "%s: %s" % (type(exc).__name__, exc))]
-    # the ratio rows, and so the diagonal sums, first: a row's fixed-point
-    # precision follows the sum that reaches it first
-    rows = [("ortho_diag_ratio_n%d" % n, "S_nn/S_00", data.diag_ratio(n))
+    checks = [_check("ortho_offdiag_n%d_m%d" % (n, m), c.ok, "S_nm = 0: " + c.witness)
+              for n in range(nmax + 1) for m in range(n + 1, nmax + 1)
+              for c in [data.pair_sum(n, m)]]
+    rows = [("ortho_diag_ratio_n%d" % n, "S_nn/S_00", (data.targets[n], data.pair_sum(n, n)))
             for n in range(1, nmax + 1)]
     rows.append(("ortho_absolute_s00", "S_00/S''_00", data.absolute_ratio()))
-    for n in range(nmax + 1):
-        for m in range(n + 1, nmax + 1):
-            tb = data.pair_sum(n, m)
-            checks.append(
-                _check(
-                    "ortho_offdiag_n%d_m%d" % (n, m),
-                    (abs(tb.value) - tb.tail).read(lambda v: v <= 0),
-                    "|partial|=%s at x<=%d" % (abs(tb.value).read(float), tb.truncation_x),
-                    bound=str(tb.tail.read(float)),
-                )
-            )
-    for name, what, (got, target, bound, ok) in rows:
-        checks.append(
-            _check(
-                name,
-                ok,
-                "%s %s target %s" % (what, got.read(float), float(target)),
-                bound=str(bound.read(float)),
-            )
-        )
-    return checks
+    return checks + [_check(name, c.ok, "%s = %s: %s" % (what, float(target), c.witness))
+                     for name, what, (target, c) in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -1251,7 +1117,8 @@ def run_suite(
     as failed; module errors surface as failed checks with witnesses.
     Invalid options (an index above dmax, nmax < 0, eps <= 0, xmax < 10,
     prec_bits < 128, an unknown suite) raise InvalidParamsError before any
-    check runs.
+    check runs.  eps is checked but read by no check: the orthogonality
+    rows are exact certificates.
     """
     if d.size > 0 and max(d.indices) > p.dmax:
         raise InvalidParamsError(
@@ -1283,7 +1150,7 @@ def run_suite(
         "deformed": (False, lambda: _deformed_checks(d, p, nmax)),
         "structural": (True, lambda: structural_checks(d, p, nmax, random.Random(seed))),
         "reflection": (True, lambda: reflection_checks(p)),
-        "ortho": (False, lambda: orthogonality_check(d, p, nmax, eps)),
+        "ortho": (False, lambda: orthogonality_check(d, p, nmax)),
         "zeros": (False, lambda: _zeros_checks(d, p, min(nmax, 4))),
         "positivity": (False, lambda: positivity_scan(d, p, xmax)),
     }

@@ -1,4 +1,3 @@
-import functools
 import gc
 import math
 import random
@@ -16,23 +15,23 @@ from littleq import (
     Family,
     IndexSet,
     InvalidParamsError,
-    NonConvergenceError,
     Params,
+    RawParams,
     RootFindingFailureError,
+    deformed_measure,
     deformed_norm_sq,
     deformed_weight,
     groundstate_sq,
     level_poly,
+    level_poly_y,
 )
 from littleq import verify
 from littleq.cli import main
-from littleq.darboux import groundstate_step
 from littleq.dyadic import nstr
 from littleq.exact import LaurentPoly, LittleQError
 from littleq.verify import (
     OrthogonalityData,
     Root,
-    _certified_sum,
     _random_valid_params,
     orthogonality_check,
     polynomial_roots,
@@ -43,7 +42,6 @@ from littleq.verify import (
 )
 
 Q, A, B = F(1, 2), F(1, 3), F(1, 16)
-EPS = F(1, 10 ** 24)
 
 
 def zeros_report(d, n, p):
@@ -56,114 +54,146 @@ def zeros_report(d, n, p):
 
 
 # ---------------------------------------------------------------------------
-# certified tails
+# telescoping certificates
 # ---------------------------------------------------------------------------
 
-
-def _pair(t):
-    return t.numerator, t.denominator
-
-
-def _exact_terms(term, eps):
-    """(enclose, exact) for _certified_sum from a function of exact integer
-    pairs: the floor and the ceiling of t(x) 2^K."""
-    k = verify._scale_bits(eps)
-
-    def enclose(x):
-        num, den = term(x)
-        return (num << k) // den, -((-num << k) // den)
-
-    return enclose, term
+DEEP_D, DEEP_P = IndexSet.of(1, 3, 5, 7), Params(Family.LQ_JACOBI, Q, A, F(1, 4096),
+                                                  CType.TYPE_II, dmax=7)
 
 
-def test_certified_sum_geometric():
-    # sum of (1/3)^x is 3/2; certified partial must sit within the tail bound
-    eps = F(1, 10 ** 12)
-    rho = F(1, 2)
-    tb = _certified_sum(*_exact_terms(lambda x: (1, 3 ** x), eps), rho, eps)
-    assert abs(tb.value.exact() - F(3, 2)) <= tb.tail.exact()
-    last = F(1, 3) ** tb.truncation_x
-    assert tb.tail.exact() == last * rho / (1 - rho)
+def _plain_certificate(d, p, f):
+    """The certificate N of f as {degree: Fraction}, solved in plain Fractions
+    from its lowest degree up, or None when a coefficient of
+    a'(1 - b'y) N(qy) den(x-1) - (1 - qy) N(y) den(x) - c (1 - qy) f is not 0."""
+    den, c = deformed_measure(d, p)
+    pu, q = p.shift(tilde=d.size), p.q
+    lhs_a, lhs_b, rhs = {}, {}, {}
+    for i, v in den.coeff_dict().items():  # den(x-1) has the coefficients v q^-i
+        for deg, add in ((i, pu.a * v / q ** i), (i + 1, -pu.a * pu.b * v / q ** i)):
+            lhs_a[deg] = lhs_a.get(deg, 0) + add
+        for deg, add in ((i, v), (i + 1, -q * v)):
+            lhs_b[deg] = lhs_b.get(deg, 0) + add
+    for j, v in f.coeff_dict().items():
+        for deg, add in ((j, c * v), (j + 1, -c * q * v)):
+            rhs[deg] = rhs.get(deg, 0) + add
+    lo, hi = den.min_deg, den.max_deg
+
+    def coeff(n, j):  # of y^j in a'(1 - b'y) N(qy) den(x-1) - (1 - qy) N(y) den(x)
+        return sum((lhs_a.get(j - k, 0) * q ** k - lhs_b.get(j - k, 0)) * v for k, v in n.items())
+
+    n = {}
+    for k in range(min(rhs) - lo, max(rhs) - hi):
+        n[k] = (rhs.get(lo + k, 0) - coeff(n, lo + k)) / (lhs_a[lo] * q ** k - lhs_b[lo])
+    return n if all(coeff(n, j) == rhs.get(j, 0) for j in range(min(rhs), max(rhs) + 1)) else None
 
 
-def test_certified_sum_nonconvergent_raises():
-    with pytest.raises(NonConvergenceError):
-        _certified_sum(*_exact_terms(lambda x: (1, 1), F(1, 100)), F(9, 10), F(1, 100),
-                       max_terms=50)
+def _absolute_row(data, target):
+    """P_0^2 - target Q den den(x-1) / c, the polynomial of ortho_absolute_s00."""
+    d, p = data.d, data.p
+    den, c = deformed_measure(d, p)
+    bu, y = p.shift(tilde=d.size).b, LaurentPoly.var(p.q)
+    ref = y * (1 - y.scale(bu)) * den * den.shift(-1)
+    return data.polys[0] * data.polys[0] - ref.scale(target / (c * (1 - bu)))
 
 
-def test_certified_sum_monotone_under_refinement(pj, pl):
-    # doubling the truncation never moves a passing off-diagonal check to fail
-    p0 = Params(Family.LQ_JACOBI, Q, A, B, CType.TYPE_II, dmax=0)
-    configs = [
-        (IndexSet.of(2), pj),
-        (IndexSet.of(1, 2), pl),
-        (IndexSet.of(), p0),
-    ]
-    for d, p in configs:
-        data = OrthogonalityData(d, p, 2, EPS)
-        for (n, m) in ((0, 1), (0, 2), (1, 2)):
-            tb = data.pair_sum(n, m)
-            assert abs(tb.value.exact()) <= tb.tail.exact()
-            extended = tb.value.exact() + sum(
-                data.weight(x)
-                * data.polys[n].eval_int(x)
-                * data.polys[m].eval_int(x)
-                for x in range(tb.truncation_x + 1, 2 * tb.truncation_x + 1)
-            )
-            assert abs(extended) <= tb.tail.exact()
+@pytest.mark.parametrize("dset, p", [
+    ((1, 2), Params(Family.LQ_JACOBI, Q, A, B, CType.TYPE_II, dmax=2)),
+    ((1, 2), Params(Family.LQ_LAGUERRE, Q, F(1, 10), 0, CType.TYPE_I, dmax=2)),
+], ids=["type2", "type1"])
+def test_certificate_telescopes_to_the_exact_partial_sums(dset, p):
+    # F(x) = gs'(x) N(q^x) / den(x - 1) with N from the plain solver: F(X+1) -
+    # F(0) is the partial sum of w f over x <= X, and N(1) = 0 makes the
+    # infinite sum 0
+    d = IndexSet.of(*dset)
+    data = OrthogonalityData(d, p, 2)
+    pp = data.polys
+    rows = [pp[0] * pp[2], pp[1] * pp[1] - (pp[0] * pp[0]).scale(data.targets[1]),
+            _absolute_row(data, data.absolute_ratio()[0])]
+    den, _ = deformed_measure(d, p)
+    weight, pu = deformed_weight(d, p), p.shift(tilde=d.size)
+    for f in rows:
+        n = _plain_certificate(d, p, f)
+        assert n is not None and sum(n.values()) == 0 and data.certify(f).ok
+
+        def big_f(x):
+            n_at = sum(v * p.q ** (k * x) for k, v in n.items())
+            return groundstate_sq(x, pu) * n_at / den.eval_int(x - 1)
+
+        total = F(0)
+        for x in range(31):
+            total += weight(x) * f.eval_int(x)
+            assert big_f(x + 1) - big_f(0) == total
 
 
-def test_pair_sums_weigh_each_lattice_point_once(pj, monkeypatch):
-    data = OrthogonalityData(IndexSet.of(1, 2), pj, 3, EPS)
-    weight, seen, steps = data.weight, [], []
-
-    def counted(x):
-        seen.append(x)
-        return weight(x)
-
-    def counted_step(x, p):
-        steps.append(x)
-        return groundstate_step(x, p)
-
-    data.weight = counted
-    monkeypatch.setattr(verify, "groundstate_step", counted_step)
-    sums = {(n, m): data.pair_sum(n, m) for n in range(4) for m in range(n, 4)}
-    # one row per lattice point, its ground state grown by one step from the
-    # last; no exact weight is built
-    last = max(tb.truncation_x for tb in sums.values())
-    assert len(data._rows) == last + 1 and steps == list(range(last)) and seen == []
-    for (n, m), tb in sums.items():
-        pn, pm = data.polys[n], data.polys[m]
-        ref = _certified_sum(
-            *_exact_terms(lambda x: _pair(weight(x) * pn.eval_int(x) * pm.eval_int(x)), EPS),
-            data.rho, EPS,
-        )
-        assert (tb.truncation_x, tb.tail.exact(), tb.value.exact()) == (
-            ref.truncation_x, ref.tail.exact(), ref.value.exact())
+@st.composite
+def certificate_points(draw):
+    """A random valid point of either family and type at dmax 3, with D in
+    {}, {1}, {2}, {1,2}, {1,3}."""
+    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(CType))
+    p = _random_valid_params(random.Random(draw(st.integers(0, 10 ** 6))), family, ctype, 3)
+    d = draw(st.sampled_from((IndexSet.of(), IndexSet.of(1), IndexSet.of(2),
+                              IndexSet.of(1, 2), IndexSet.of(1, 3))))
+    return p, d
 
 
-def test_rows_compute_q_to_the_x_once_for_every_level(pj, monkeypatch):
-    data = OrthogonalityData(IndexSet.of(1, 2), pj, 3, EPS)
-    powers, ratio = [], LaurentPoly._ratio
+@given(certificate_points())
+@settings(max_examples=40, deadline=None)
+def test_every_row_certifies(point):
+    p, d = point
+    checks = orthogonality_check(d, p, 3)
+    assert [c.status for c in checks] == ["pass"] * 10, checks
 
-    def counted(poly, x):
-        powers.append(x)
-        return ratio(poly, x)
 
-    monkeypatch.setattr(LaurentPoly, "_ratio", counted)
-    data._row(5)
-    # den at -1 once, then per row den at x and q^x for the four levels
-    assert powers == [-1] + [x for x in range(6) for _ in range(2)]
-    monkeypatch.undo()
-    for x, (*_, u, common, _den) in enumerate(data._rows):
-        assert [F(v, common) for v in u] == [pn.eval_int(x) for pn in data.polys]
+def test_mutated_rows_lose_their_certificate():
+    # the four mutations: t_n (1 + 1e-12), P_3 + 1e-9 y^2, P_3 from
+    # D = {1,3,5}, and the weight of D = {1,3,5}
+    data = OrthogonalityData(DEEP_D, DEEP_P, 8)
+    pp, t3 = data.polys, data.targets[3]
+    assert data.pair_sum(0, 3).ok and data.pair_sum(3, 3).ok
+    assert not data.certify(pp[3] * pp[3] - (pp[0] * pp[0]).scale(t3 * (1 + F(1, 10 ** 12)))).ok
+    y = LaurentPoly.var(Q)
+    p3 = pp[3] + (y * y).scale(F(1, 10 ** 9))
+    assert not data.certify(p3 * pp[0]).ok
+    assert not data.certify(p3 * pp[5]).ok
+    assert not data.certify(p3 * p3 - (pp[0] * pp[0]).scale(t3)).ok
+    other = level_poly_y(IndexSet.of(1, 3, 5), 3, DEEP_P)
+    assert not data.certify(other * pp[0]).ok
+    weight_135 = OrthogonalityData(IndexSet.of(1, 3, 5), DEEP_P, 7)
+    assert weight_135.pair_sum(0, 3).ok
+    assert not weight_135.certify(pp[0] * pp[3]).ok
+    with pytest.raises(ValueError):
+        weight_135.certify(pp[8] * pp[8])  # beyond its degree window
+
+
+def test_a_certificate_needs_every_residual_to_vanish(pj):
+    # neither P_0^2 nor y P_0^2 has a certificate; the combination of the two
+    # whose N(1) vanishes still fails on its top residuals
+    data = OrthogonalityData(IndexSet.of(1, 2), pj, 2)
+    f1 = data.polys[0] * data.polys[0]
+    f2 = f1 * LaurentPoly.var(pj.q)
+    n1, n2 = (F(data._values(f.val, f.num, f.den)[0][-1], f.den) for f in (f1, f2))
+    assert n1 and n2 and not data.certify(f1).found and not data.certify(f2).found
+    assert data.certify(f1.scale(n2) - f2.scale(n1)) == (False, True, -1)
+
+
+def test_side_conditions_name_the_failed_proof(pj, monkeypatch):
+    # the sum identity needs den(q^x) != 0 for x >= -1 and F -> 0; a point
+    # without either proof gives one failed ortho_setup that names it
+    grows = RawParams(Family.LQ_LAGUERRE, Q, F(3), F(0), CType.TYPE_II)  # a^x / (q;q)_x grows
+    [check] = orthogonality_check(IndexSet.of(), grows, 2)
+    assert (check.name, check.status, check.witness) == (
+        "ortho_setup", "fail", "NonConvergenceError: the certificates do not vanish as "
+                               "x -> infinity: a' q^(k0 - l) = 3/1 >= 1")
+    monkeypatch.setattr(verify, "_descartes", lambda *args: 2)  # a sign variation on (0, 1/q)
+    [check] = orthogonality_check(IndexSet.of(2), pj, 2)
+    assert (check.name, check.status, check.witness) == (
+        "ortho_setup", "fail", "DenominatorZeroAtIntegerError: no proof that the denominator "
+                               "polynomial is nonzero at every x >= -1")
 
 
 def test_orthogonality_data_is_freed_without_a_cyclic_collection(pj):
-    # data.diag holds sums whose exact thunks must not lead back to the data
-    data = OrthogonalityData(IndexSet.of(2), pj, 2, EPS)
-    assert data.diag_ratio(1)[3]
+    data = OrthogonalityData(IndexSet.of(2), pj, 2)
+    assert data.pair_sum(1, 1).ok
     ref = weakref.ref(data)
     gc.disable()
     try:
@@ -181,11 +211,6 @@ def test_weight_ground_state_grown_by_ratio(pj, pl, pji):
         assert [weight(x) for x in xs] == [groundstate_sq(x, p) for x in xs]
 
 
-def test_orthogonality_data_rejects_bad_eps(pj):
-    with pytest.raises(InvalidParamsError):
-        OrthogonalityData(IndexSet.of(2), pj, 2, F(0))
-
-
 # ---------------------------------------------------------------------------
 # orthogonality
 # ---------------------------------------------------------------------------
@@ -193,13 +218,13 @@ def test_orthogonality_data_rejects_bad_eps(pj):
 
 def test_orthogonality_base_system(pj):
     p0 = Params(Family.LQ_JACOBI, Q, A, B, CType.TYPE_II, dmax=0)
-    checks = orthogonality_check(IndexSet.of(), p0, 3, EPS)
+    checks = orthogonality_check(IndexSet.of(), p0, 3)
     assert all(c.status == "pass" for c in checks)
 
 
 def test_orthogonality_deformed(pj, pl):
     for p, d in ((pj, IndexSet.of(2)), (pl, IndexSet.of(1, 2))):
-        checks = orthogonality_check(d, p, 3, EPS)
+        checks = orthogonality_check(d, p, 3)
         assert checks and all(c.status == "pass" for c in checks)
         names = {c.name for c in checks}
         assert "ortho_absolute_s00" in names
@@ -208,13 +233,14 @@ def test_orthogonality_deformed(pj, pl):
 
 def test_orthogonality_type_i(pji, pli):
     for p in (pji, pli):
-        checks = orthogonality_check(IndexSet.of(1, 2), p, 2, EPS)
+        checks = orthogonality_check(IndexSet.of(1, 2), p, 2)
         assert checks and all(c.status == "pass" for c in checks)
 
 
 def test_orthogonality_rejects_bad_eps(pj):
+    # eps is read by no check, but the suite still refuses a nonpositive one
     with pytest.raises(InvalidParamsError):
-        orthogonality_check(IndexSet.of(2), pj, 2, F(0))
+        run_suite(IndexSet.of(2), pj, 2, eps=F(0), suites=("ortho",))
 
 
 @pytest.mark.parametrize("dset, p", [
@@ -238,39 +264,20 @@ def test_absolute_target_matches_the_undeformed_partial_sums(dset, p):
             gs *= pp.a * (1 - pp.b * pp.q ** x) / (1 - pp.q ** (x + 1))
         return out
 
-    target = OrthogonalityData(d, p, 0, EPS).absolute_ratio()[1]
+    target = OrthogonalityData(d, p, 0).absolute_ratio()[0]
     want = total(p) / total(p.shift(tilde=d.size, delta=1)) / deformed_norm_sq(d, 0, p)
     assert abs(target / want - 1) < F(1, 10 ** 40)
 
 
-@st.composite
-def absolute_points(draw):
-    """A random valid point of either family and type at dmax 3, with D in
-    {}, {1}, {2}, {1,2}, {1,3}."""
-    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(CType))
-    p = _random_valid_params(random.Random(draw(st.integers(0, 10 ** 6))), family, ctype, 3)
-    d = draw(st.sampled_from((IndexSet.of(), IndexSet.of(1), IndexSet.of(2),
-                              IndexSet.of(1, 2), IndexSet.of(1, 3))))
-    return p, d
-
-
-@given(absolute_points())
+@given(certificate_points())
 @settings(max_examples=40, deadline=None)
 def test_absolute_s00_ratio_row(point):
     p, d = point
-    data = OrthogonalityData(d, p, 0, EPS)
-    try:
-        data.diag
-    except NonConvergenceError:
-        assume(False)  # the deformed S_00 itself finds no window
-    got, target, bound, ok = data.absolute_ratio()
-    assert ok and bound.read(lambda v: 0 < v < F(1, 10 ** 20))
-    # a target off by a relative 1e-12 fails, far inside a 1e-12 slack
-    check = verify._ratio_check
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_ratio_check",
-                   lambda num, den, t: check(num, den, t * (1 + F(1, 10 ** 12))))
-        assert not data.absolute_ratio()[3]
+    data = OrthogonalityData(d, p, 0)
+    target, cert = data.absolute_ratio()
+    assert cert.ok and data.certify(_absolute_row(data, target)).ok
+    # a target off by a relative 1e-12 has no certificate
+    assert not data.certify(_absolute_row(data, target * (1 + F(1, 10 ** 12)))).ok
 
 
 # ---------------------------------------------------------------------------
@@ -363,124 +370,6 @@ def zero_points(draw):
         except InvalidParamsError:
             assume(False)
     return p, draw(st.sampled_from((IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2))))
-
-
-@st.composite
-def enclosure_points(draw):
-    """A valid point of either family and type with |D| <= 2, q up to 9/10
-    and a up to 9/10 of its bound (q^3 for type I at dmax 2, else 1)."""
-    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(CType))
-    den = draw(st.integers(3, 10))
-    q = F(draw(st.integers(1, den - 1)), den)
-    a = F(draw(st.integers(1, 9)), 10) * (q ** 3 if ctype == CType.TYPE_I else 1)
-    b = F(0)
-    if family == Family.LQ_JACOBI:
-        b = F(draw(st.integers(1, 12)), 13) * (q ** 3 if ctype == CType.TYPE_II else 1)
-    d = draw(st.sampled_from((IndexSet.of(), IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2))))
-    try:
-        return Params(family, q, a, b, ctype, 2), d
-    except InvalidParamsError:
-        assume(False)
-
-
-@given(enclosure_points())
-@settings(max_examples=40, deadline=None)
-def test_enclosures_contain_the_exact_values(point):
-    p, d = point
-    try:
-        data = OrthogonalityData(d, p, 2, EPS)
-        data._row(0)
-    except LittleQError:
-        assume(False)
-    one = 2 ** data.bits
-
-    def checked_sum(enclose, exact, rho, eps):
-        def checked(x):
-            lo, hi = enclose(x)
-            assert lo <= F(*exact(x)) * one <= hi and hi - lo <= 4, x
-            return lo, hi
-
-        # a window within 120 terms keeps the exact values affordable
-        return _certified_sum(checked, exact, rho, eps, max_terms=120)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_certified_sum", checked_sum)
-        for n in range(3):
-            for m in range(n, 3):
-                try:
-                    tb = data.pair_sum(n, m)
-                except NonConvergenceError:
-                    continue
-                x, value, tail = tb
-                assert value.lo <= value.exact() <= value.hi
-                assert (value.hi - value.lo) * one <= 4 * (x + 1)
-                assert tail.lo <= tail.exact() <= tail.hi
-    for x, (w, dw, g, u, common, _) in enumerate(data._rows):
-        assert w <= data.weight(x) / common ** 2 * one * 2 ** g <= w + dw, x
-    # the ground state of the last row, at lambda + M tilde
-    x, lo, hi, e = data._gs
-    assert lo * F(2) ** e <= groundstate_sq(x, p.shift(tilde=d.size)) <= hi * F(2) ** e
-
-
-def _exact_loop(term, rho, eps, max_terms):
-    """The plain exact-Fraction loop: (X, partial sum, tail estimate), or
-    None when no window appears within max_terms."""
-    total, prev, consec = F(0), None, 0
-    for x in range(max_terms + 1):
-        t = term(x)
-        total += t
-        if prev is not None:
-            consec = consec + 1 if prev != 0 and abs(t) <= rho * abs(prev) else 0
-        prev = t
-        if consec >= 8 and abs(t) * rho / (1 - rho) <= eps:
-            return x, total, abs(t) * rho / (1 - rho)
-    return None
-
-
-@given(zero_points())
-@settings(max_examples=40, deadline=None)
-def test_integer_pair_sums_match_the_exact_loop(point):
-    p, d = point
-    try:
-        data = OrthogonalityData(d, p, 2, EPS)
-        data._row(0)
-    except LittleQError:
-        assume(False)
-    # a window within 120 terms keeps the exact loop affordable at q near 1
-    short = functools.partial(verify._certified_sum, max_terms=120)
-    diag = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_certified_sum", short)
-        for n in range(3):
-            for m in range(n, 3):
-                pn, pm = data.polys[n], data.polys[m]
-                ref = _exact_loop(lambda x: data.weight(x) * pn.eval_int(x) * pm.eval_int(x),
-                                  data.rho, EPS, 120)
-                if ref is None:
-                    with pytest.raises(NonConvergenceError):
-                        data.pair_sum(n, m)
-                    continue
-                tb = data.pair_sum(n, m)
-                x, total, tail = ref
-                assert (tb.truncation_x, tb.tail.exact()) == (x, tail)
-                assert tb.value.lo <= total <= tb.value.hi
-                assert (tb.value.hi - tb.value.lo) * 2 ** data.bits <= 4 * (x + 1)
-                assert abs(tb.value).read(float) == float(abs(total))
-                assert tb.value.exact() == total
-                if n == m:
-                    diag[n] = tb
-        # diag_ratio reads off the enclosures the ratio, the bound and the
-        # verdict of the exact sums; it reads only diag[n] and diag[0], so the
-        # cached data.diag is seeded with the sums that converged
-        data.diag = [diag.get(k) for k in range(3)]
-        for n in (1, 2):
-            if {0, n} <= diag.keys():
-                got, target, bound, ok = data.diag_ratio(n)
-                (sn, tn), (s0, t0) = ((diag[k].value.exact(), diag[k].tail.exact())
-                                      for k in (n, 0))
-                want = 2 * (tn / sn + t0 / s0) * abs(target)
-                assert (got.read(float), bound.read(float), ok) == (
-                    float(sn / s0), float(want), abs(sn / s0 - target) <= want)
 
 
 @given(zero_points())
