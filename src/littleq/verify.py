@@ -10,7 +10,9 @@ summation: a Laurent polynomial N whose antidifference F = gs' N / den(x-1)
 telescopes to the whole sum, with boundary value -N(1)/den(-1) = 0, all in
 exact integers (OrthogonalityData).  No lattice term is summed.  Zero
 counts and interlacing are proved on integer numerators (Descartes' rule of
-signs with Vincent-Collins-Akritas bisection, exact sign evaluations).
+signs with Vincent-Collins-Akritas bisection on intervals with endpoints
+over powers of two, and a merge of adjacent levels' intervals); positivity
+scans read signs from integer numerators.
 Floating point enters only in polynomial_roots, for the root values the
 zeros command prints: Durand-Kerner on doubles, then on fixed-point Gaussian
 integers on the exact integer numerator to a caller-chosen precision, with
@@ -261,7 +263,7 @@ class OrthogonalityData:
         self.polys = [level_poly_y(d, n, p) for n in range(nmax + 1)]
         den, self._c = deformed_measure(d, p)
         q, pu = p.q, p.shift(tilde=d.size)
-        if _descartes(den.num, Fraction(0), 1 / q) or not den.eval_pair(-1)[0]:
+        if _descartes(den.num, 0, q.denominator, q.numerator) or not den.eval_pair(-1)[0]:
             raise DenominatorZeroAtIntegerError(
                 "no proof that the denominator polynomial is nonzero at every x >= -1")
         lo, hi = den.min_deg, den.max_deg
@@ -274,8 +276,11 @@ class OrthogonalityData:
                 % fmt_rational(pu.a * q ** (j0 - 2 * lo)))
         y = LaurentPoly.var(q)
         self._den, self._bu, self._norm0 = den, pu.b, deformed_norm_sq(d, 0, p)
-        # t_n = S_nn/S_00 from the closed-form norm constants
-        self.targets = [self._norm0 / (norm_ratio(n, p) * deformed_norm_sq(d, n, p))
+        # t_n = S_nn/S_00 from the closed-form norm constants: deformed_norm_sq(D, n)
+        # is prod_j 1/(E_n - E~_j) times a factor free of n, and E_0 = 0
+        virtual = [virtual_energy(dj, p) for dj in d.indices]
+        at0 = math.prod(-v for v in virtual)
+        self.targets = [math.prod(energy(n, p) - v for v in virtual) / (at0 * norm_ratio(n, p))
                         for n in range(nmax + 1)]
         self._phi = _certificate_functionals(
             (den.shift(-1) * (1 - y.scale(pu.b))).scale(pu.a * q ** (j0 - lo)),
@@ -353,10 +358,8 @@ def orthogonality_check(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _sign_at(a: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial a (lowest degree first) at x."""
-    acc, _ = horner(a, x.numerator, x.denominator)  # den^deg * a(x)
-    return (acc > 0) - (acc < 0)
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
 
 def _taylor_shift(a: Sequence[int], c: int) -> list[int]:
@@ -368,46 +371,51 @@ def _taylor_shift(a: Sequence[int], c: int) -> list[int]:
     return a
 
 
-def _descartes(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
-    """Sign variations of (1 + t)^deg a((lo + hi t) / (1 + t)).
+def _descartes(a: Sequence[int], lo: int, hi: int, den: int) -> int:
+    """Sign variations of (1 + t)^deg den^deg a((hi + lo t) / (den (1 + t))).
 
-    By Descartes' rule this bounds the number of zeros of a in (lo, hi), with
-    the same parity, so a count of 0 or 1 is exact.
+    By Descartes' rule this bounds the number of zeros of a in the open
+    interval (lo/den, hi/den), with the same parity, so a count of 0 or 1 is
+    exact.
     """
-    den = math.lcm(lo.denominator, hi.denominator)
-    u, v, deg = int(lo * den), int((hi - lo) * den), len(a) - 1
-    b = _taylor_shift([c * den ** (deg - i) for i, c in enumerate(a)], u)
-    b = _taylor_shift([c * v ** i for i, c in enumerate(b)][::-1], 1)
+    deg = len(a) - 1
+    b = _taylor_shift([c * den ** (deg - i) for i, c in enumerate(a)], lo)
+    b = _taylor_shift([c * (hi - lo) ** i for i, c in enumerate(b)][::-1], 1)
     signs = [c > 0 for c in b if c]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _isolate(a: Sequence[int], lo: Fraction, hi: Fraction) -> list[list[Fraction]]:
-    """Vincent-Collins-Akritas bisection: isolating intervals [lo, hi] of the
-    zeros of the squarefree polynomial a in the open interval (lo, hi), in
-    increasing order; lo == hi marks an exact zero, otherwise the one zero
-    lies strictly inside."""
-    count = _descartes(a, lo, hi)
+def _isolate(a: Sequence[int], lo: int, hi: int, k: int) -> list[list]:
+    """Vincent-Collins-Akritas bisection: isolating intervals [lo, hi, k,
+    below], meaning [lo/2^k, hi/2^k], of the zeros of the squarefree
+    polynomial a in the open interval (lo/2^k, hi/2^k), in increasing order.
+    lo == hi marks an exact zero, otherwise the one zero lies strictly inside
+    and hi - lo = 1; below, the sign of a just above lo, is None until
+    _bisect first needs it."""
+    count = _descartes(a, lo, hi, 1 << k)
     if count < 2:
-        return [[lo, hi]] * count
-    mid = (lo + hi) / 2
-    exact = [[mid, mid]] if _sign_at(a, mid) == 0 else []
-    return _isolate(a, lo, mid) + exact + _isolate(a, mid, hi)
+        return [[lo, hi, k, None]] * count
+    mid, k = lo + hi, k + 1
+    exact = [] if horner(a, mid, 1 << k)[0] else [[mid, mid, k, None]]
+    return _isolate(a, 2 * lo, mid, k) + exact + _isolate(a, mid, 2 * hi, k)
 
 
-def _bisect(a: Sequence[int], iv: list[Fraction]) -> None:
-    """Halve, in place, the isolating interval iv of a simple zero of a."""
-    lo, hi = iv
-    mid = (lo + hi) / 2
-    s = _sign_at(a, mid)
-    # just above lo, a has the sign of a(lo), or of a'(lo) where a(lo) = 0
-    below = _sign_at(a, lo) or _sign_at([i * c for i, c in enumerate(a)][1:], lo)
+def _bisect(a: Sequence[int], iv: list) -> None:
+    """Halve, in place, the isolating interval iv of a simple zero of a.  The
+    sign below, just above lo, is found on the first halving and never
+    changes, since no zero of a lies between lo and the zero."""
+    lo, hi, k, below = iv
+    if below is None:  # a(lo), or a'(lo) where a(lo) = 0
+        below = _sign(horner(a, lo, 1 << k)[0]) or _sign(
+            horner([i * c for i, c in enumerate(a)][1:], lo, 1 << k)[0])
+    mid, k = lo + hi, k + 1
+    s = _sign(horner(a, mid, 1 << k)[0])
     if s == 0:
-        iv[:] = mid, mid
+        iv[:] = mid, mid, k, below
     elif s == below:  # the zero lies above mid
-        iv[0] = mid
+        iv[:] = mid, 2 * hi, k, below
     else:
-        iv[1] = mid
+        iv[:] = 2 * lo, mid, k, below
 
 
 def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -432,7 +440,7 @@ def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
     return len(x) == 1
 
 
-def _level_zeros(poly: EtaPoly, n: int) -> tuple[list[int], list[list[Fraction]]]:
+def _level_zeros(poly: EtaPoly, n: int) -> tuple[list[int], list[list]]:
     """Integer numerator of the level-n polynomial (lowest degree first) and
     the isolating intervals of its zeros in the physical range [0, 1), found
     exactly (see _isolate).  Bisection cannot separate a repeated zero, so a
@@ -443,34 +451,35 @@ def _level_zeros(poly: EtaPoly, n: int) -> tuple[list[int], list[list[Fraction]]
             "level %d: no proof that its zeros are simple (P and P' share a "
             "factor modulo 2^61 - 1)" % n
         )
-    zero, one = Fraction(0), Fraction(1)
-    return a, ([[zero, zero]] if a[0] == 0 else []) + _isolate(a, zero, one)
+    return a, ([[0, 0, 0, None]] if a[0] == 0 else []) + _isolate(a, 0, 1, 0)
 
 
 def _interlaced(level, upper) -> bool:
     """Whether the zeros in [0, 1) of this level and of the next (upper)
     strictly alternate, with a zero of the next level first and last.
 
-    Overlapping isolating intervals of the two levels are bisected until all
-    are disjoint, which ends because the levels are proved coprime first;
-    levels not proved coprime count as not interlaced.
+    A merge of the two sorted interval lists along that order: each pair in
+    front is decided by its endpoints (across k by shifts), and while the two
+    overlap the wider is bisected (both when equally wide), which ends
+    because the levels are proved coprime first; levels not proved coprime
+    count as not interlaced.
     """
     (a, ra), (b, rb) = level, upper
     if len(rb) != len(ra) + 1:
         return False
     if not _coprime(a, b):
         return False  # the levels may share a zero
-    tagged = [(iv, a, 0) for iv in ra] + [(iv, b, 1) for iv in rb]
-    while True:
-        tagged.sort(key=lambda t: t[0])
-        crowded = [
-            u for s, t in zip(tagged, tagged[1:]) if s[0][1] > t[0][0] for u in (s, t)
-        ]
-        if not crowded:
-            return [tag for _, _, tag in tagged] == [1, 0] * len(ra) + [1]
-        for iv, poly, _ in crowded:
-            if iv[0] < iv[1]:
-                _bisect(poly, iv)
+    chain = [(rb[0], b)] + [t for u, v in zip(ra, rb[1:]) for t in ((u, a), (v, b))]
+    for (s, f), (t, g) in zip(chain, chain[1:]):
+        while not s[1] << t[2] <= t[0] << s[2]:  # until s ends where t starts or before
+            if t[1] << s[2] <= s[0] << t[2]:
+                return False
+            ks, kt = (iv[2] if iv[0] < iv[1] else math.inf for iv in (s, t))
+            if ks <= kt:
+                _bisect(f, s)
+            if kt <= ks:
+                _bisect(g, t)
+    return True
 
 
 def _float_roots(poly: EtaPoly) -> list[complex] | None:
@@ -597,7 +606,8 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
             raise RootFindingFailureError(
                 "root residual above tolerance at (%s, %s)" % (nstr(r.real, 15), nstr(r.imag, 15)))
     physical: list[int] = []
-    for lo, hi in zeros:
+    for iv in zeros:
+        lo, hi = (Fraction(x, 1 << iv[2]) for x in iv[:2])
         if lo == hi:
             near = [((r.real - lo) ** 2 + r.imag ** 2, i) for i, r in enumerate(roots)]
         else:
@@ -625,9 +635,19 @@ def _zeros_summary(level, upper) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _quotient_sign(num: LaurentPoly, den: LaurentPoly, x: int) -> int:
+    """Sign of num/den at integer x, the product of the signs of the integer
+    numerators of the two values; raises where den(x) = 0, as DeformedPotentials."""
+    d = den.eval_pair(x)[0]
+    if not d:
+        raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
+    return _sign(num.eval_pair(x)[0]) * _sign(d)
+
+
 def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
     """Exact sign scans of the denominator polynomial, the Casoratian, and
-    the deformed potentials over the integer window.
+    the deformed potentials over the integer window, each sign read from an
+    integer numerator (a value's denominator is positive, since q > 0).
 
     In the extended parameter range (type II little q-Jacobi with b <= 0) a
     failed scan is reported as a warning, since positivity is only proved in
@@ -639,48 +659,26 @@ def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
     pots = deformed_potentials(d, p)
     if p.ctype == CType.TYPE_II:
         xi = denominator_poly_y(d, p)
-        bad = [x for x in range(-1, xmax + 1) if xi.eval_int(x) <= 0]
-        checks.append(
-            _positivity_check(
-                "positivity_denominator",
-                not bad,
-                "positive on [-1,%d]" % xmax if not bad else "sign failure at x=%s" % bad[:3],
-                p,
-            )
-        )
+        bad = [x for x in range(-1, xmax + 1) if xi.eval_pair(x)[0] <= 0]
+        checks.append(_positivity_check(
+            "positivity_denominator", not bad,
+            "positive on [-1,%d]" % xmax if not bad else "sign failure at x=%s" % bad[:3], p))
     # type II starts at x = -1: Xi(x-1) enters the weight at x = 0
     lo = -1 if p.ctype == CType.TYPE_II else 0
     w = xi_casoratian(d, p)
-    signs = {(v > 0) - (v < 0) for v in map(w.eval_int, range(lo, xmax + 1))}
+    signs = {_sign(w.eval_pair(x)[0]) for x in range(lo, xmax + 1)}
     ok = len(signs) == 1 and 0 not in signs
-    checks.append(
-        _positivity_check(
-            "positivity_casoratian_sign",
-            ok,
-            "definite sign on [%d,%d]" % (lo, xmax) if ok else "signs %s" % sorted(signs),
-            p,
-        )
-    )
-    bad_b = [x for x in range(0, xmax + 1) if pots.b_value(x) <= 0]
-    bad_d = [x for x in range(1, xmax + 1) if pots.d_value(x) <= 0]
-    d0 = pots.d_value(0)
-    checks.append(
-        _positivity_check(
-            "positivity_potential_up",
-            not bad_b,
-            "positive on [0,%d]" % xmax if not bad_b else "failure at x=%s" % bad_b[:3],
-            p,
-        )
-    )
-    checks.append(
-        _positivity_check(
-            "positivity_potential_down",
-            not bad_d,
-            "positive on [1,%d]" % xmax if not bad_d else "failure at x=%s" % bad_d[:3],
-            p,
-        )
-    )
-    checks.append(_equal_check("positivity_down_at_origin", d0, Fraction(0)))
+    checks.append(_positivity_check(
+        "positivity_casoratian_sign", ok,
+        "definite sign on [%d,%d]" % (lo, xmax) if ok else "signs %s" % sorted(signs), p))
+    # B_D on [0, xmax], then D_D on [1, xmax]: D_D vanishes at x = 0
+    for name, num, den, start in (("up", pots.b_num, pots.b_den, 0),
+                                  ("down", pots.d_num, pots.d_den, 1)):
+        bad = [x for x in range(start, xmax + 1) if _quotient_sign(num, den, x) <= 0]
+        checks.append(_positivity_check(
+            "positivity_potential_" + name, not bad,
+            "positive on [%d,%d]" % (start, xmax) if not bad else "failure at x=%s" % bad[:3], p))
+    checks.append(_equal_check("positivity_down_at_origin", pots.d_value(0), Fraction(0)))
     return checks
 
 
@@ -978,7 +976,7 @@ def _virtual_checks(p: Params) -> list[CheckResult]:
             xi = virtual_poly_y(v, p)
         except InvalidParamsError:
             continue
-        ok_pos &= all(xi.eval_int(x) > 0 for x in range(lo, 61))
+        ok_pos &= all(xi.eval_pair(x)[0] > 0 for x in range(lo, 61))
     checks.append(_positivity_check("virtual_poly_positive", ok_pos,
                                     "x in [%d, 60], v <= min(dmax,5)" % lo, p))
     # ground-state ratio identities

@@ -27,6 +27,7 @@ from littleq import (
 )
 from littleq import verify
 from littleq.cli import main
+from littleq.darboux import DeformedPotentials
 from littleq.dyadic import nstr
 from littleq.exact import LaurentPoly, LittleQError
 from littleq.verify import (
@@ -416,6 +417,97 @@ def test_exact_interlacing_verdict(lower, upper, interlaced):
     assert verify._interlaced(level, verify._level_zeros(EtaPoly(Q, upper), 2)) is interlaced
 
 
+_DYADIC = (F(0), F(1, 2), F(3, 4), F(1, 4), F(5, 8))
+_OUTSIDE = (F(-2), F(-1, 3), F(1), F(5, 4), F(7, 3))
+# irreducible, lowest degree first: x^2 - x + 1, 3x^2 - 2x + 1, 5x^2 + 4x + 2
+_QUADRATICS = ((1, -1, 1), (1, -2, 3), (2, 4, 5))
+
+
+@st.composite
+def physical_roots(draw, min_size=0, max_size=5):
+    """Distinct rationals in [0, 1): dyadic points, small denominators, and
+    partners closer than 2^-80 to some of them."""
+    roots = draw(st.lists(
+        st.sampled_from(_DYADIC) | st.fractions(0, 1, max_denominator=60).filter(lambda r: r < 1),
+        min_size=min_size, max_size=max_size, unique=True))
+    for r in draw(st.lists(st.sampled_from(roots), unique=True)) if roots else ():
+        roots.append(r + F(1, draw(st.sampled_from((2 ** 81, 3 * 2 ** 80, 2 ** 80 + 1)))))
+    return roots
+
+
+def _with_roots(roots, quadratic=()):
+    """Integer coefficients, lowest degree first, of the product of
+    (den x - num) over the roots and the quadratic."""
+    a = [1]
+    for f in [(-r.numerator, r.denominator) for r in roots] + [quadratic] * bool(quadratic):
+        out = [0] * (len(a) + len(f) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(f):
+                out[i + j] += u * v
+        a = out
+    return a
+
+
+def _isolates(iv, r):
+    """Whether [lo/2^k, hi/2^k] holds r strictly inside, or is the exact zero r."""
+    lo, hi, k, _ = iv
+    return r == F(lo, 2 ** k) if lo == hi else F(lo, 2 ** k) < r < F(hi, 2 ** k)
+
+
+@given(physical_roots(), st.lists(st.sampled_from(_OUTSIDE), unique=True),
+       st.sampled_from(((),) + _QUADRATICS))
+@settings(max_examples=60, deadline=None)
+def test_isolation_gives_one_interval_per_physical_root(roots, outside, quadratic):
+    a = _with_roots(roots + outside, quadratic)
+    # the counter bounds, with the same parity, the zeros on any interval, here (0, 4/3)
+    inside = sum(0 < r < F(4, 3) for r in roots + outside)
+    count = verify._descartes(a, 0, 4, 3)
+    assert count >= inside and (count - inside) % 2 == 0
+    _, intervals = verify._level_zeros(EtaPoly(Q, a), 1)
+    assert len(intervals) == len(roots)
+    for iv, r in zip(intervals, sorted(roots)):
+        assert _isolates(iv, r) and iv[1] - iv[0] in (0, 1)
+        for _ in range(3):  # halving keeps the zero inside
+            if iv[0] < iv[1]:
+                verify._bisect(a, iv)
+            assert _isolates(iv, r)
+
+
+@st.composite
+def interlacing_cases(draw):
+    """Roots of a level and of the next: physical roots dealt out in turn,
+    so that they interlace when there is an odd number, then perhaps one of
+    each level exchanged, or one of the next level shared; each level gets
+    roots outside [0, 1), perhaps shared, and at most one gets a quadratic."""
+    m = draw(st.integers(0, 3))
+    ordered = sorted(draw(physical_roots(2 * m + 1, 2 * m + 1)))
+    upper, lower = ordered[::2], ordered[1::2]
+    change = draw(st.sampled_from(("none", "exchange", "share")))
+    if change == "exchange" and lower:
+        upper.append(lower.pop(draw(st.integers(0, len(lower) - 1))))
+        lower.append(upper.pop(draw(st.integers(0, len(upper) - 2))))
+    elif change == "share" and lower:
+        lower[draw(st.integers(0, len(lower) - 1))] = draw(st.sampled_from(upper))
+    outside = st.lists(st.sampled_from(_OUTSIDE), max_size=2, unique=True)
+    quads = draw(st.sampled_from((((), ()), (_QUADRATICS[0], ()), ((), _QUADRATICS[1]))))
+    return (lower, draw(outside), quads[0]), (upper, draw(outside), quads[1])
+
+
+@given(interlacing_cases())
+@settings(max_examples=60, deadline=None)
+def test_interlacing_verdict_matches_the_sorted_roots(case):
+    (lower, out_lower, quad_lower), (upper, out_upper, quad_upper) = case
+    level = verify._level_zeros(EtaPoly(Q, _with_roots(lower + out_lower, quad_lower)), 1)
+    nxt = verify._level_zeros(EtaPoly(Q, _with_roots(upper + out_upper, quad_upper)), 2)
+    lo, up = sorted(lower), sorted(upper)
+    shared = set(lower + out_lower) & set(upper + out_upper)  # not coprime: not interlaced
+    want = not shared and len(up) == len(lo) + 1 and all(
+        up[i] < z < up[i + 1] for i, z in enumerate(lo))
+    assert verify._interlaced(level, nxt) is want
+    for (_, intervals), roots in ((level, lo), (nxt, up)):  # refined in place, still isolating
+        assert len(intervals) == len(roots) and all(map(_isolates, intervals, roots))
+
+
 def test_physical_flag_goes_to_the_real_root(pj, monkeypatch):
     # (3 eta - 1)(100 eta^2 - 60 eta + 10): the real zero 1/3 and the pair
     # 0.3 +- 0.1i, whose real part lies in the isolating interval of 1/3
@@ -723,6 +815,45 @@ def test_positivity_extended_range_runs():
 def test_positivity_rejects_small_window(pj):
     with pytest.raises(InvalidParamsError):
         positivity_scan(IndexSet.of(2), pj, 5)
+
+
+def _negative_at_4_and_5(q):
+    """(11y - 1)(40y - 1) in y = q^x, q = 1/2: on the lattice x >= -1 it is
+    negative exactly at x = 4 and x = 5 (y = 1/16, 1/32)."""
+    y = LaurentPoly.var(q)
+    return (y.scale(11) - 1) * (y.scale(40) - 1)
+
+
+def test_positivity_scans_name_the_failing_lattice_points(pj, monkeypatch):
+    bad, one = _negative_at_4_and_5(pj.q), LaurentPoly.const(pj.q, 1)
+    down = (1 - LaurentPoly.var(pj.q)) * bad  # zero at x = 0, as D_D is
+    monkeypatch.setattr(verify, "denominator_poly_y", lambda d, p: bad)
+    monkeypatch.setattr(verify, "xi_casoratian", lambda d, p: bad)
+    # the sign of a potential is that of its numerator times its denominator
+    monkeypatch.setattr(verify, "deformed_potentials", lambda d, p: DeformedPotentials(
+        b_num=one.scale(-1), b_den=bad.scale(-1), d_num=down.scale(-3), d_den=one.scale(-2)))
+    monkeypatch.setattr(verify, "virtual_poly_y", lambda v, p: bad)
+    rep = run_suite(IndexSet.of(2), pj, suites=("positivity", "virtual"))
+    got = {c.name: (c.status, c.witness) for c in rep.checks}
+    assert {k: v for k, v in got.items() if k.startswith("positivity")} == {
+        "positivity_denominator": ("fail", "sign failure at x=[4, 5]"),
+        "positivity_casoratian_sign": ("fail", "signs [-1, 1]"),
+        "positivity_potential_up": ("fail", "failure at x=[4, 5]"),
+        "positivity_potential_down": ("fail", "failure at x=[4, 5]"),
+        "positivity_down_at_origin": ("pass", "0 == 0"),
+    }
+    assert got["virtual_poly_positive"] == ("fail", "x in [-1, 60], v <= min(dmax,5)")
+
+
+def test_positivity_reports_a_potential_denominator_zero_on_the_lattice(pj, monkeypatch):
+    one = LaurentPoly.const(pj.q, 1)
+    zero_at_3 = LaurentPoly.var(pj.q).scale(8) - 1  # y = 1/8 at x = 3
+    monkeypatch.setattr(verify, "deformed_potentials", lambda d, p: DeformedPotentials(
+        b_num=one, b_den=zero_at_3, d_num=one, d_den=one))
+    rep = run_suite(IndexSet.of(2), pj, suites=("positivity",))
+    assert [c.to_dict() for c in rep.checks] == [{
+        "name": "positivity_suite_error", "status": "fail",
+        "witness": "DenominatorZeroAtIntegerError: denominator zero at x=3"}]
 
 
 # ---------------------------------------------------------------------------
