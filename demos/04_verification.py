@@ -28,8 +28,8 @@ for c in sorted(report.checks, key=lambda c: c.name)[:6]:
 print("\nJSON head:")
 print(json.dumps(report.to_dict(), indent=2)[:400], "...")
 
-# Extended range: b may be negative; the positivity proofs no longer apply,
-# so sign scans report warnings rather than failures if they trip.
+# Extended range: b may be negative; positivity is no longer guaranteed,
+# so a failed sign proof is reported as a warning rather than a failure.
 ext = Params(Family.LQ_JACOBI, q, a, F(-1, 4), CType.TYPE_II, dmax=2)
 rep_ext = run_suite(IndexSet.of(2), ext, nmax=2, suites=("deformed", "positivity"),
                     seed=0)

@@ -409,19 +409,14 @@ class LaurentPoly:
         out = [c * A * R ** i * T ** (n - i) for i, c in enumerate(self.num)]
         return self._new(self.val, out, self.den * B * T ** n)
 
-    def eval_pair(self, x: int) -> tuple[int, int]:
-        """Exact value at integer x (y = q^x) as an unreduced integer pair
-        (num, den); (0, 1) for the zero polynomial."""
+    def eval_int(self, x: int) -> Fraction:
+        """Exact value at integer x, i.e. at y = q^x."""
         if not self.num:
-            return 0, 1
+            return Fraction(0)
         r, t = self._ratio(x)
         acc, tp = horner(self.num, r, t)
         A, B = (r, t) if self.val >= 0 else (t, r)  # y^val = A/B
-        return acc * A ** abs(self.val), self.den * tp * B ** abs(self.val)
-
-    def eval_int(self, x: int) -> Fraction:
-        """Exact value at integer x, i.e. at y = q^x."""
-        return Fraction(*self.eval_pair(x))
+        return Fraction(acc * A ** abs(self.val), self.den * tp * B ** abs(self.val))
 
     def at_infinity(self) -> Fraction:
         """Limit x -> infinity (y -> 0): the degree-0 coefficient."""

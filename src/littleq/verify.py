@@ -1,5 +1,5 @@
 """Verification suite: exact identity checks, orthogonality by telescoping
-certificates, exact zero counts and interlacing, positivity scans.
+certificates, exact zero counts and interlacing, lattice positivity.
 
 Exact checks pass only when a residual object is identically zero.  Each
 infinite orthogonality sum claims sum_{x >= 0} w(x) f(q^x) = 0 for a Laurent
@@ -11,8 +11,8 @@ telescopes to the whole sum, with boundary value -N(1)/den(-1) = 0, all in
 exact integers (OrthogonalityData).  No lattice term is summed.  Zero
 counts and interlacing are proved on integer numerators (Descartes' rule of
 signs with Vincent-Collins-Akritas bisection on intervals with endpoints
-over powers of two, and a merge of adjacent levels' intervals); positivity
-scans read signs from integer numerators.
+over powers of two, and a merge of adjacent levels' intervals); the same
+count and one end sign prove each sign at every lattice point (_lattice_sign).
 Floating point enters only in polynomial_roots, for the root values the
 zeros command prints: Durand-Kerner on doubles, then on fixed-point Gaussian
 integers on the exact integer numerator to a caller-chosen precision, with
@@ -157,7 +157,7 @@ def _check(
 
 def _positivity_check(name: str, ok: bool, witness: str, p: Params) -> CheckResult:
     """Positivity is proved only in the strict range; outside it (type II
-    little q-Jacobi with b <= 0) a failed scan is evidence, not a defect."""
+    little q-Jacobi with b <= 0) a failed proof is evidence, not a defect."""
     return _check(name, ok, witness, soft=not p.strict_range)
 
 
@@ -254,16 +254,16 @@ class OrthogonalityData:
 
     F = gs'(x) N(y) / den(x-1) has F(x+1) - F(x) = w(x) f(q^x), so
     sum_{x >= 0} w f = -N(1)/den(-1) once F -> 0.  Construction proves the
-    side conditions or raises: den(q^x) != 0 for integer x >= -1 (no sign
-    variation on (0, 1/q), den(1/q) != 0), and F -> 0: a' q^(k0 - l) < 1, l
-    and k0 the lowest degrees of den and N, so no pivot a' q^(k - l) - 1 is 0."""
+    side conditions or raises: den(q^x) != 0 for integer x >= -1 (by
+    _lattice_proof), and F -> 0: a' q^(k0 - l) < 1, l and k0 the lowest
+    degrees of den and N, so no pivot a' q^(k - l) - 1 is 0."""
 
     def __init__(self, d: IndexSet, p: Params, nmax: int):
         self.d, self.p = d, p
         self.polys = [level_poly_y(d, n, p) for n in range(nmax + 1)]
         den, self._c = deformed_measure(d, p)
         q, pu = p.q, p.shift(tilde=d.size)
-        if _descartes(den.num, 0, q.denominator, q.numerator) or not den.eval_pair(-1)[0]:
+        if not _lattice_proof([den], -1, definite=True)[0]:
             raise DenominatorZeroAtIntegerError(
                 "no proof that the denominator polynomial is nonzero at every x >= -1")
         lo, hi = den.min_deg, den.max_deg
@@ -383,6 +383,15 @@ def _descartes(a: Sequence[int], lo: int, hi: int, den: int) -> int:
     b = _taylor_shift([c * (hi - lo) ** i for i, c in enumerate(b)][::-1], 1)
     signs = [c > 0 for c in b if c]
     return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _lattice_sign(f: LaurentPoly, lo: int) -> tuple[int, int]:
+    """(count, sign): the sign variations of f's integer numerator on
+    (0, q^lo), from _descartes, and the sign of f at x = lo.  A count of 0
+    and a nonzero sign prove that f(q^x) has that sign at every integer
+    x >= lo, since y^val and f's denominator are positive for q > 0."""
+    end = f.q ** lo
+    return _descartes(f.num, 0, end.numerator, end.denominator), _sign(f.eval_int(lo))
 
 
 def _isolate(a: Sequence[int], lo: int, hi: int, k: int) -> list[list]:
@@ -631,53 +640,43 @@ def _zeros_summary(level, upper) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# positivity scans
+# positivity at every lattice point
 # ---------------------------------------------------------------------------
 
 
-def _quotient_sign(num: LaurentPoly, den: LaurentPoly, x: int) -> int:
-    """Sign of num/den at integer x, the product of the signs of the integer
-    numerators of the two values; raises where den(x) = 0, as DeformedPotentials."""
-    d = den.eval_pair(x)[0]
-    if not d:
-        raise DenominatorZeroAtIntegerError("denominator zero at x=%d" % x)
-    return _sign(num.eval_pair(x)[0]) * _sign(d)
+def _lattice_proof(factors: Sequence[LaurentPoly], lo: int, definite: bool = False
+                   ) -> tuple[bool, str]:
+    """(ok, witness): whether _lattice_sign proves the product of the factors
+    positive (nonzero, if definite) at every integer x >= lo."""
+    signs = [_lattice_sign(f, lo) for f in factors]
+    sign = math.prod(s for _, s in signs)
+    if not any(c for c, _ in signs) and sign and (definite or sign > 0):
+        return True, "%s for every x >= %d" % ("definite sign" if definite else "positive", lo)
+    return False, "no proof for x >= %d: sign variations %s, signs at x=%d %s" % (
+        lo, [c for c, _ in signs], lo, [s for _, s in signs])
 
 
-def positivity_scan(d: IndexSet, p: Params, xmax: int) -> list[CheckResult]:
-    """Exact sign scans of the denominator polynomial, the Casoratian, and
-    the deformed potentials over the integer window, each sign read from an
-    integer numerator (a value's denominator is positive, since q > 0).
+def positivity_scan(d: IndexSet, p: Params) -> list[CheckResult]:
+    """Signs at every lattice point, each proved by _lattice_sign: the
+    denominator polynomial is positive for x >= -1 (type II), the Casoratian
+    has one sign for x >= lo (-1 for type II, where Xi(x-1) enters the weight
+    at x = 0, else 0), B_D is positive for x >= 0 and D_D for x >= 1 (it
+    vanishes at x = 0); a potential's sign is its numerator's times its
+    denominator's.
 
     In the extended parameter range (type II little q-Jacobi with b <= 0) a
-    failed scan is reported as a warning, since positivity is only proved in
+    failed proof is reported as a warning, since positivity is only proved in
     the strict range.
     """
-    if xmax < 10:
-        raise InvalidParamsError("xmax must be >= 10")
-    checks: list[CheckResult] = []
     pots = deformed_potentials(d, p)
-    if p.ctype == CType.TYPE_II:
-        xi = denominator_poly_y(d, p)
-        bad = [x for x in range(-1, xmax + 1) if xi.eval_pair(x)[0] <= 0]
-        checks.append(_positivity_check(
-            "positivity_denominator", not bad,
-            "positive on [-1,%d]" % xmax if not bad else "sign failure at x=%s" % bad[:3], p))
-    # type II starts at x = -1: Xi(x-1) enters the weight at x = 0
     lo = -1 if p.ctype == CType.TYPE_II else 0
-    w = xi_casoratian(d, p)
-    signs = {_sign(w.eval_pair(x)[0]) for x in range(lo, xmax + 1)}
-    ok = len(signs) == 1 and 0 not in signs
-    checks.append(_positivity_check(
-        "positivity_casoratian_sign", ok,
-        "definite sign on [%d,%d]" % (lo, xmax) if ok else "signs %s" % sorted(signs), p))
-    # B_D on [0, xmax], then D_D on [1, xmax]: D_D vanishes at x = 0
-    for name, num, den, start in (("up", pots.b_num, pots.b_den, 0),
-                                  ("down", pots.d_num, pots.d_den, 1)):
-        bad = [x for x in range(start, xmax + 1) if _quotient_sign(num, den, x) <= 0]
-        checks.append(_positivity_check(
-            "positivity_potential_" + name, not bad,
-            "positive on [%d,%d]" % (start, xmax) if not bad else "failure at x=%s" % bad[:3], p))
+    rows = ([("denominator", -1, [denominator_poly_y(d, p)], False)]
+            if p.ctype == CType.TYPE_II else [])
+    rows += [("casoratian_sign", lo, [xi_casoratian(d, p)], True),
+             ("potential_up", 0, [pots.b_num, pots.b_den], False),
+             ("potential_down", 1, [pots.d_num, pots.d_den], False)]
+    checks = [_positivity_check("positivity_" + name, *_lattice_proof(factors, start, definite), p)
+              for name, start, factors, definite in rows]
     checks.append(_equal_check("positivity_down_at_origin", pots.d_value(0), Fraction(0)))
     return checks
 
@@ -968,17 +967,20 @@ def _virtual_checks(p: Params) -> list[CheckResult]:
     checks.append(_check("virtual_difference_equation", ok_diffeq, "v <= %d" % vtop))
     checks.append(_check("virtual_energy_two_routes", ok_energy and ok_neg,
                          "additive split holds; energies negative for v <= dmax"))
-    # positivity window of the virtual-state polynomials
+    # positivity of the virtual-state polynomials at every lattice point
     lo = -1 if p.ctype == CType.TYPE_II else 0
-    ok_pos = True
+    bad = []
     for v in range(min(p.dmax, 5) + 1):
         try:
             xi = virtual_poly_y(v, p)
         except InvalidParamsError:
             continue
-        ok_pos &= all(xi.eval_pair(x)[0] > 0 for x in range(lo, 61))
-    checks.append(_positivity_check("virtual_poly_positive", ok_pos,
-                                    "x in [%d, 60], v <= min(dmax,5)" % lo, p))
+        ok, witness = _lattice_proof([xi], lo)
+        if not ok:
+            bad.append("v=%d: %s" % (v, witness))
+    checks.append(_positivity_check(
+        "virtual_poly_positive", not bad,
+        bad[0] if bad else "positive for every x >= %d, v <= min(dmax,5)" % lo, p))
     # ground-state ratio identities
     ok_nu = all(
         groundstate_ratio(x, p) ** 2 * virtual_groundstate_sq(x, p)
@@ -1111,12 +1113,13 @@ def run_suite(
     """Run the scheduled battery and assemble a deterministic report.
 
     Checks run per selected suite; report order is fixed by check name.
-    Exact-identity failures and exceeded numeric tolerances mark the report
-    as failed; module errors surface as failed checks with witnesses.
-    Invalid options (an index above dmax, nmax < 0, eps <= 0, xmax < 10,
-    prec_bits < 128, an unknown suite) raise InvalidParamsError before any
-    check runs.  eps is checked but read by no check: the orthogonality
-    rows are exact certificates.
+    A failed check marks the report as failed, a warning does not; module
+    errors surface as failed checks with witnesses.  Invalid options (an
+    index above dmax, nmax < 0, eps <= 0, xmax < 10, prec_bits < 128, an
+    unknown suite) raise InvalidParamsError before any check runs.  eps,
+    xmax and prec_bits are checked but read by no check: the orthogonality
+    rows are exact certificates, positivity is proved at every lattice
+    point, and the zeros suite is exact.
     """
     if d.size > 0 and max(d.indices) > p.dmax:
         raise InvalidParamsError(
@@ -1150,7 +1153,7 @@ def run_suite(
         "reflection": (True, lambda: reflection_checks(p)),
         "ortho": (False, lambda: orthogonality_check(d, p, nmax)),
         "zeros": (False, lambda: _zeros_checks(d, p, min(nmax, 4))),
-        "positivity": (False, lambda: positivity_scan(d, p, xmax)),
+        "positivity": (False, lambda: positivity_scan(d, p)),
     }
     wanted = {_SUITE_ALIASES.get(s, s) for s in suites}
     checks: list[CheckResult] = []

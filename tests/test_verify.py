@@ -19,11 +19,15 @@ from littleq import (
     RawParams,
     RootFindingFailureError,
     deformed_measure,
+    deformed_potentials,
     deformed_norm_sq,
     deformed_weight,
+    denominator_poly_y,
     groundstate_sq,
     level_poly,
     level_poly_y,
+    virtual_poly_y,
+    xi_casoratian,
 )
 from littleq import verify
 from littleq.cli import main
@@ -801,20 +805,92 @@ def test_sweep_limit_counts_every_sweep():
 
 def test_positivity_strict_range(pj, pl):
     for p, d in ((pj, IndexSet.of(2)), (pl, IndexSet.of(1, 2))):
-        checks = positivity_scan(d, p, 60)
+        checks = positivity_scan(d, p)
         assert all(c.status == "pass" for c in checks)
 
 
 def test_positivity_extended_range_runs():
     p = Params(Family.LQ_JACOBI, Q, A, F(-1, 4), CType.TYPE_II, dmax=2)
-    checks = positivity_scan(IndexSet.of(2), p, 40)
-    # scans run and report; no hard failures expected at this point either
+    checks = positivity_scan(IndexSet.of(2), p)
+    # proofs run and report; no hard failures expected at this point either
     assert checks and all(c.status in ("pass", "warn") for c in checks)
 
 
-def test_positivity_rejects_small_window(pj):
-    with pytest.raises(InvalidParamsError):
-        positivity_scan(IndexSet.of(2), pj, 5)
+def _window_scan(factors, lo, definite=False):
+    """The windowed scan the lattice proofs replaced: whether the product of
+    the factors is positive (nonzero and of one sign, if definite) at every
+    x in [lo, 60], from exact values; a zero denominator counts as a zero."""
+    signs = {math.prod((v > 0) - (v < 0) for v in (f.eval_int(x) for f in factors))
+             for x in range(lo, 61)}
+    return 0 not in signs and (signs == {1} or definite and len(signs) == 1)
+
+
+@st.composite
+def positivity_points(draw):
+    """certificate_points, the b of a type II little q-Jacobi point made
+    negative (the extended range) in half the draws."""
+    p, d = draw(certificate_points())
+    if p.family == Family.LQ_JACOBI and p.ctype == CType.TYPE_II and draw(st.booleans()):
+        try:
+            p = Params(p.family, p.q, p.a, -p.b * draw(st.integers(1, 10 ** 4)), p.ctype, p.dmax)
+        except InvalidParamsError:
+            assume(False)
+    return p, d
+
+
+@given(positivity_points())
+@settings(max_examples=40, deadline=None)
+def test_lattice_proofs_agree_with_the_window_scan(point):
+    p, d = point
+    lo = -1 if p.ctype == CType.TYPE_II else 0
+    try:
+        pots = deformed_potentials(d, p)
+        want = {"positivity_casoratian_sign": _window_scan([xi_casoratian(d, p)], lo, True),
+                "positivity_potential_up": _window_scan([pots.b_num, pots.b_den], 0),
+                "positivity_potential_down": _window_scan([pots.d_num, pots.d_den], 1)}
+        if p.ctype == CType.TYPE_II:
+            want["positivity_denominator"] = _window_scan([denominator_poly_y(d, p)], -1)
+        xis = []
+        for v in range(min(p.dmax, 5) + 1):
+            try:
+                xis.append(virtual_poly_y(v, p))
+            except InvalidParamsError:
+                pass
+        want["virtual_poly_positive"] = all(_window_scan([xi], lo) for xi in xis)
+        got = {c.name: c.status == "pass"
+               for c in run_suite(d, p, suites=("positivity", "virtual")).checks}
+    except LittleQError:
+        assume(False)
+    # the virtual suite is skipped outside its range
+    assert {k: got[k] for k in want if k in got} == {k: want[k] for k in want if k in got}
+
+
+def test_positivity_holds_beyond_the_old_window(pj, monkeypatch):
+    # 3 2^69 y - 1 at q = 1/2 is positive for x <= 70 and negative from x = 71,
+    # so a scan of [lo, 60] passes it; the lattice proofs do not
+    late = LaurentPoly.var(pj.q).scale(3 * 2 ** 69) - 1
+    one = LaurentPoly.const(pj.q, 1)
+    assert _window_scan([late], -1) and late.eval_int(71) < 0
+    monkeypatch.setattr(verify, "denominator_poly_y", lambda d, p: late)
+    monkeypatch.setattr(verify, "xi_casoratian", lambda d, p: late)
+    monkeypatch.setattr(verify, "deformed_potentials", lambda d, p: DeformedPotentials(
+        b_num=late, b_den=one, d_num=one - LaurentPoly.var(pj.q), d_den=late))
+    monkeypatch.setattr(verify, "virtual_poly_y", lambda v, p: late)
+    rep = run_suite(IndexSet.of(2), pj, suites=("positivity", "virtual"))
+    got = {c.name: (c.status, c.witness) for c in rep.checks}
+    assert {k: v for k, v in got.items() if "positiv" in k} == {
+        "positivity_denominator": ("fail", "no proof for x >= -1: sign variations [1], "
+                                           "signs at x=-1 [1]"),
+        "positivity_casoratian_sign": ("fail", "no proof for x >= -1: sign variations [1], "
+                                               "signs at x=-1 [1]"),
+        "positivity_potential_up": ("fail", "no proof for x >= 0: sign variations [1, 0], "
+                                            "signs at x=0 [1, 1]"),
+        "positivity_potential_down": ("fail", "no proof for x >= 1: sign variations [0, 1], "
+                                              "signs at x=1 [1, 1]"),
+        "positivity_down_at_origin": ("pass", "0 == 0"),
+        "virtual_poly_positive": ("fail", "v=0: no proof for x >= -1: sign variations [1], "
+                                          "signs at x=-1 [1]"),
+    }
 
 
 def _negative_at_4_and_5(q):
@@ -824,7 +900,7 @@ def _negative_at_4_and_5(q):
     return (y.scale(11) - 1) * (y.scale(40) - 1)
 
 
-def test_positivity_scans_name_the_failing_lattice_points(pj, monkeypatch):
+def test_positivity_rows_give_their_counts_and_end_signs(pj, monkeypatch):
     bad, one = _negative_at_4_and_5(pj.q), LaurentPoly.const(pj.q, 1)
     down = (1 - LaurentPoly.var(pj.q)) * bad  # zero at x = 0, as D_D is
     monkeypatch.setattr(verify, "denominator_poly_y", lambda d, p: bad)
@@ -836,24 +912,31 @@ def test_positivity_scans_name_the_failing_lattice_points(pj, monkeypatch):
     rep = run_suite(IndexSet.of(2), pj, suites=("positivity", "virtual"))
     got = {c.name: (c.status, c.witness) for c in rep.checks}
     assert {k: v for k, v in got.items() if k.startswith("positivity")} == {
-        "positivity_denominator": ("fail", "sign failure at x=[4, 5]"),
-        "positivity_casoratian_sign": ("fail", "signs [-1, 1]"),
-        "positivity_potential_up": ("fail", "failure at x=[4, 5]"),
-        "positivity_potential_down": ("fail", "failure at x=[4, 5]"),
+        "positivity_denominator": ("fail", "no proof for x >= -1: sign variations [2], "
+                                           "signs at x=-1 [1]"),
+        "positivity_casoratian_sign": ("fail", "no proof for x >= -1: sign variations [2], "
+                                               "signs at x=-1 [1]"),
+        "positivity_potential_up": ("fail", "no proof for x >= 0: sign variations [0, 2], "
+                                            "signs at x=0 [-1, -1]"),
+        "positivity_potential_down": ("fail", "no proof for x >= 1: sign variations [2, 0], "
+                                              "signs at x=1 [-1, -1]"),
         "positivity_down_at_origin": ("pass", "0 == 0"),
     }
-    assert got["virtual_poly_positive"] == ("fail", "x in [-1, 60], v <= min(dmax,5)")
+    assert got["virtual_poly_positive"] == (
+        "fail", "v=0: no proof for x >= -1: sign variations [2], signs at x=-1 [1]")
 
 
 def test_positivity_reports_a_potential_denominator_zero_on_the_lattice(pj, monkeypatch):
+    # a zero of B_D's denominator at x = 3 leaves its factor no lattice sign
     one = LaurentPoly.const(pj.q, 1)
     zero_at_3 = LaurentPoly.var(pj.q).scale(8) - 1  # y = 1/8 at x = 3
     monkeypatch.setattr(verify, "deformed_potentials", lambda d, p: DeformedPotentials(
         b_num=one, b_den=zero_at_3, d_num=one, d_den=one))
     rep = run_suite(IndexSet.of(2), pj, suites=("positivity",))
-    assert [c.to_dict() for c in rep.checks] == [{
-        "name": "positivity_suite_error", "status": "fail",
-        "witness": "DenominatorZeroAtIntegerError: denominator zero at x=3"}]
+    got = {c.name: (c.status, c.witness) for c in rep.checks}
+    assert got["positivity_potential_up"] == (
+        "fail", "no proof for x >= 0: sign variations [0, 1], signs at x=0 [1, 1]")
+    assert "positivity_suite_error" not in got
 
 
 # ---------------------------------------------------------------------------
