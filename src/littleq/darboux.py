@@ -13,9 +13,9 @@ Both construction types share one Casoratian builder: the shift runs
 backward for type II and forward for type I, and the border carries the
 type-dependent ground-state-ratio quotient.  Every level at one
 (D, lambda) is its bordered Casoratian expanded along the border column,
-over one cached set of M + 1 cofactors (M x M minors) that takes M
-determinants: the unbordered Casoratian W, W shifted by one row, and the
-M - 1 minors in between.  No level runs a determinant.  Both types also
+over one cached set of M + 1 cofactors (M x M minors), all expanded by
+Cauchy-Binet from the integer minors of the virtual-state coefficients.
+Nothing here runs a determinant of polynomials.  Both types also
 share one deformed system, described by the level polynomials
 (level_poly_y) and the measure (deformed_measure); the potentials, the
 orthogonality weight, the norm factor and the residual checks are built
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable, Sequence
 
 from .base import (
@@ -51,7 +52,7 @@ from .exact import (
     InvalidParamsError,
     LaurentPoly,
     NonExactDivisionError,
-    det_laurent,
+    det_laurent,  # noqa: F401  (kept bound here: qbench's tracer wraps it in every namespace)
     qbinom2,
     qpoch,
 )
@@ -114,23 +115,61 @@ class IndexSet:
 def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly, ...]]:
     """(W, cofactors) of the bordered Casoratians of D at p.
 
-    Row j (0 <= j <= M) holds the virtual-state polynomials at x + s j, with
-    s = -1 (backward) for type II and s = +1 (forward) for type I.  With
+    Row j (0 <= j <= M) holds the virtual-state polynomials f_k at x + s j,
+    with s = -1 (backward) for type II and s = +1 (forward) for type I.  With
     minor_j the M x M determinant without row j, W = minor_M is the unbordered
-    Casoratian and cofactors[j] = (-1)^(M-j) minor_j.  Rows 1..M are rows
-    0..M-1 shifted by s, so minor_0 is W shifted by s, and W and the M - 1
-    middle minors are the only determinants.
+    Casoratian and cofactors[j] = (-1)^(M-j) minor_j.
+
+    Write f_k = y^lo sum_c N[k][c] y^c / den_k.  Row j of the Casoratian is
+    then the coefficient matrix times the powers x_c^j y^(lo + c), with
+    x_c = q^(s (lo + c)), so by Cauchy-Binet
+    minor_j = sum_S F_S V(x_S) e_(M-j)(x_S) y^(M lo + sum S) / prod den_k over
+    the M-column sets S: F_S is the integer minor of N on the columns S, V
+    the Vandermonde and e_k the elementary symmetric functions (deleting row
+    j of a Vandermonde leaves e_(M-j) V).  All M + 1 cofactors come from one
+    set of minors, with x_c over one common power of the base's denominator.
     """
     m = d.size
     if m == 0:  # the empty Casoratian is 1, no determinant
         return LaurentPoly.one(p.q), (LaurentPoly.one(p.q),)
     s = -1 if p.ctype == CType.TYPE_II else 1
     fs = [virtual_poly_y(v, p) for v in d.indices]
-    rows = [[f.shift(s * j) for f in fs] for j in range(m + 1)]
-    w = det_laurent(rows[:m])
-    middle = [det_laurent(rows[:j] + rows[j + 1:]) for j in range(1, m)]
-    minors = [w.shift(s), *middle, w]
-    return w, tuple(-c if (m - j) % 2 else c for j, c in enumerate(minors))
+    if m == 1:
+        return fs[0], (-fs[0].shift(s), fs[0])
+    lo = min(f.val for f in fs)
+    width = max(f.val + len(f.num) for f in fs) - lo
+    minors = {(): 1}  # F_S of the rows so far, by Laplace expansion along each new row
+    for k, f in enumerate(fs):
+        grown: dict[tuple[int, ...], int] = {}
+        for cols, minor in minors.items():
+            for c, a in enumerate(f.num, f.val - lo):
+                if a and c not in cols:
+                    key = tuple(sorted(cols + (c,)))
+                    sign = -1 if (k + sum(e < c for e in cols)) % 2 else 1
+                    grown[key] = grown.get(key, 0) + sign * a * minor
+        minors = {cols: minor for cols, minor in grown.items() if minor}
+    # q^(s c) = u^c v^(width-1-c) / v^(width-1) for 0 <= c < width
+    u, v = (p.q.numerator, p.q.denominator) if s > 0 else (p.q.denominator, p.q.numerator)
+    xs = [u ** c * v ** (width - 1 - c) for c in range(width)]
+    sums = [[0] * (m * width) for _ in range(m + 1)]
+    for cols, minor in minors.items():
+        x = [xs[c] for c in cols]
+        e = [1]  # e_0 .. e_M of x
+        for xc in x:
+            e = [a + xc * b for a, b in zip(e + [0], [0] + e)]
+        for i, xa in enumerate(x):
+            for xb in x[i + 1:]:
+                minor *= xb - xa
+        for j in range(m + 1):
+            sums[j][sum(cols)] += minor * e[m - j]
+    dens = prod(f.den for f in fs)
+    cofactors = []
+    for j, coeffs in enumerate(sums):
+        deg = qbinom2(m + 1) - j  # the degree of e_(M-j) V in the x_c
+        z = p.q ** (s * lo * deg) * (-1) ** (m - j)
+        cofactors.append(fs[0]._new(m * lo, [z.numerator * c for c in coeffs],
+                                    z.denominator * v ** ((width - 1) * deg) * dens))
+    return cofactors[m], tuple(cofactors)
 
 
 @lru_cache(maxsize=256)

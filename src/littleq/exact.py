@@ -295,7 +295,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.q, tuple(sorted(self.coeffs.items()))))
+        if self.val == 0 and len(self.num) <= 1:  # a constant hashes as its scalar
+            return hash(self.coeff(0))
+        return hash((self.q, self.val, self.num, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -539,7 +541,9 @@ class EtaPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.q, self.coeffs))
+        if len(self.num) <= 1:  # a constant hashes as its scalar
+            return hash(self.coeff(0))
+        return hash((self.q, self.num, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero:

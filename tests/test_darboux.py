@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import closed_forms
@@ -395,6 +396,48 @@ def test_border_expansion_matches_bordered_determinant(point, n):
         assert darboux._casoratian(d, p, n) == want
 
 
+def border_by_determinants(d, p):
+    """_border oracle: each of the M + 1 minors of the (M + 1) x M
+    Casoratian as its own determinant, cofactor j signed by (-1)^(M-j)."""
+    m, s = d.size, -1 if p.ctype == CType.TYPE_II else 1
+    fs = [darboux.virtual_poly_y(v, p) for v in d.indices]
+    rows = [[f.shift(s * j) for f in fs] for j in range(m + 1)]
+    minors = [det_laurent(rows[:j] + rows[j + 1:], q=p.q) for j in range(m + 1)]
+    return minors[m], tuple((-1) ** (m - j) * c for j, c in enumerate(minors))
+
+
+def _assert_border_matches_determinants(d, p, powers):
+    """Compare at p, with virtual-state polynomial v multiplied by
+    y^powers[v], so that the valuations differ and may be negative."""
+    virtual = darboux.virtual_poly_y
+
+    def shifted(v, p):
+        return LaurentPoly.monomial(p.q, powers[v]) * virtual(v, p)
+
+    with mock.patch.object(darboux, "virtual_poly_y", shifted):
+        assert darboux._border.__wrapped__(d, p) == border_by_determinants(d, p)
+
+
+@given(st.sampled_from(Family), st.sampled_from(CType),
+       st.one_of(st.sampled_from([(0, 2), (3, 1), (4, 0, 2, 1)]),
+                 st.lists(st.integers(0, 4), unique=True, max_size=4).map(tuple)),
+       st.integers(0, 10 ** 6), st.lists(st.integers(-1, 2), min_size=5, max_size=5))
+@example(Family.LQ_JACOBI, CType.TYPE_II, (0, 2), 1, [0] * 5)
+@example(Family.LQ_LAGUERRE, CType.TYPE_I, (3, 1), 2, [0] * 5)
+@example(Family.LQ_JACOBI, CType.TYPE_I, (4, 0, 2, 1), 3, [0, 1, -1, 2, 0])
+@settings(max_examples=40, deadline=None)
+def test_border_matches_determinants(family, ctype, indices, seed, powers):
+    strict = 0 not in indices and list(indices) == sorted(indices)
+    d = IndexSet(indices, strict=strict)
+    p = _random_valid_params(random.Random(seed), family, ctype, max(indices, default=0))
+    _assert_border_matches_determinants(d, p, powers)
+
+
+def test_border_matches_determinants_at_dmax_9():
+    p = _random_valid_params(random.Random(9), Family.LQ_JACOBI, CType.TYPE_II, 9)
+    _assert_border_matches_determinants(IndexSet.of(3, 5, 7, 9), p, [0] * 10)
+
+
 def _clear_darboux_caches():
     for value in vars(darboux).values():
         if hasattr(value, "cache_clear"):
@@ -405,35 +448,27 @@ DEEP_ARGV = ["--family", "lqJacobi", "--type", "2", "--q", "1/2", "--a", "1/3",
              "--b", "1/4096", "--indices", "1,3,5,7", "--nmax", "8"]
 
 
-def _det_sizes(monkeypatch, capsys, argv):
-    """Sizes of the determinants one command runs with cold caches."""
-    sizes = []
-
-    def counting_det(rows, **kw):
-        sizes.append(len(rows))
-        return det_laurent(rows, **kw)
-
+def _border_builds(capsys, argv):
+    """How many (D, p) border sets one command builds with cold caches."""
     _clear_darboux_caches()
-    monkeypatch.setattr(darboux, "det_laurent", counting_det)
     assert main(argv) == 0
     capsys.readouterr()
-    return sizes
+    return darboux._border.cache_info().misses
 
 
-def test_levels_share_one_set_of_minors(monkeypatch, capsys):
+def test_levels_share_one_set_of_minors(capsys):
     # construct at D={1,3,5,7}, nmax=8: the denominator and nine levels all
-    # come from W and the three middle 4 x 4 minors of one (D, p)
-    assert _det_sizes(monkeypatch, capsys, ["construct"] + DEEP_ARGV) == [4] * 4
+    # come from the one border set of (D, p)
+    assert _border_builds(capsys, ["construct"] + DEEP_ARGV) == 1
 
 
 @pytest.mark.parametrize("command", ["table", "zeros"])
-def test_table_and_zeros_share_the_same_minors(command, monkeypatch, capsys):
-    assert _det_sizes(monkeypatch, capsys, [command] + DEEP_ARGV) == [4] * 4
+def test_table_and_zeros_share_the_same_minors(command, capsys):
+    assert _border_builds(capsys, [command] + DEEP_ARGV) == 1
 
 
-def test_verify_runs_at_most_39_determinants(monkeypatch, capsys):
-    # eleven border sets, each of M determinants
-    assert len(_det_sizes(monkeypatch, capsys, ["verify"] + DEEP_ARGV)) <= 39
+def test_verify_builds_at_most_11_border_sets(capsys):
+    assert _border_builds(capsys, ["verify"] + DEEP_ARGV) <= 11
 
 
 def test_level_requests_leave_the_cached_minors_unchanged(pj):

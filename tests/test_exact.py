@@ -556,13 +556,24 @@ def test_eq_hash_repr_match_reference(qm):
     q, (a,) = qm
     p = LaurentPoly(q, a)
     ref = ref_clean(a)
-    assert hash(p) == hash((q, tuple(sorted(ref.items()))))
     body = " + ".join("%s*y^%d" % (c, d) if d else str(c) for d, c in sorted(ref.items()))
     assert repr(p) == ("LaurentPoly(%s)" % body if ref else "LaurentPoly(0)")
     other = LaurentPoly(q, dict(reversed(list(a.items()))))
     assert p == other and hash(p) == hash(other)
     assert (p == ref.get(0, 0)) == (set(ref) <= {0})
+    if set(ref) <= {0}:  # equal to a scalar, so hashed like it
+        assert hash(p) == hash(ref.get(0, 0))
     assert p != LaurentPoly(q, ref_add(ref, {5: F(1)}))
+
+
+def test_polys_equal_to_scalars_share_set_and_dict_entries():
+    for three in (LaurentPoly.const(Q, 3), EtaPoly(Q, [3])):
+        assert three == 3 and len({three, 3, F(3)}) == 1 and {3: "c"}[three] == "c"
+    for zero in (LaurentPoly.zero(Q), EtaPoly(Q, [])):
+        assert zero == 0 and len({zero, 0, F(0)}) == 1
+    assert {F(1, 2): "h"}[LaurentPoly.const(Q, F(1, 2))] == "h"
+    y = LaurentPoly.var(Q)
+    assert len({y, y + 0, y * 2, y.to_eta(), EtaPoly(Q, [1, -1])}) == 3
 
 
 @given(q_and_maps(2))
