@@ -33,6 +33,7 @@ from .darboux import (
     deformed_backward_check,
     deformed_eigencheck,
     deformed_forward_check,
+    deformed_identities,
     deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
@@ -41,6 +42,7 @@ from .darboux import (
     denominator_poly,
     denominator_poly_y,
     infinity_values,
+    level_op,
     level_poly,
     level_poly_y,
     lowest_matches_denominator,

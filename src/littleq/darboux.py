@@ -18,9 +18,10 @@ Cauchy-Binet from the integer minors of the virtual-state coefficients.
 Nothing here runs a determinant of polynomials.  Both types also
 share one deformed system, described by the level polynomials
 (level_poly_y) and the measure (deformed_measure); the potentials, the
-orthogonality weight, the norm factor and the residual checks are built
-from level 0, level n and den alone, and only lowest_matches_denominator
-reads the denominator at lambda + delta.  The type II construction is fully
+orthogonality weight and the norm factor are built from level 0, level n
+and den alone.  Every level is one operator applied to P_n (level_op), so
+deformed_identities proves the eigen and shift relations for every n, with
+no level at lambda + delta.  The type II construction is fully
 normalized (denominator value 1 at x = -1, eigenpolynomial value 1 at
 x = 0).  The type I construction is exposed at Casoratian level only,
 normalized single-index closed forms excepted.
@@ -274,12 +275,15 @@ def multi_indexed_poly_y(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     normalization constant.  Both divisions must be exact.
     """
     _check_type_ii(p)
-    m = d.size
     det = _casoratian(d, p, n)
     if det.is_zero:  # n < 0
         return det
-    cdn = (-1) ** m * p.q ** (qbinom2(m + 1)) * denominator_norm_const(d, p)
-    return _gauged(det, m + 1, cdn)
+    return _gauged(det, d.size + 1, _level_norm(d, p))
+
+
+def _level_norm(d: IndexSet, p: ParamsLike) -> Fraction:
+    """The normalization constant cdn of the type II levels."""
+    return (-1) ** d.size * p.q ** qbinom2(d.size + 1) * denominator_norm_const(d, p)
 
 
 def multi_indexed_poly(d: IndexSet, n: int, p: ParamsLike) -> EtaPoly:
@@ -334,14 +338,23 @@ def infinity_values(d: IndexSet, n: int, p: ParamsLike) -> tuple[Fraction, Fract
     """Closed-form limits at x = infinity of the denominator and level-n
     polynomials (products over the index set)."""
     _check_type_ii(p)
-    xi_inf = Fraction(1)
-    p_extra = Fraction(1)
-    for j, dj in enumerate(d.indices, start=1):
-        xi_inf *= xi_at_infinity(dj, p) / xi_at_infinity(j - 1, p)
-        p_extra *= (energy(n, p) - virtual_energy(dj, p)) / (-virtual_energy(j - 1, p))
+    xi_inf, energies = _infinity_factors(d, p)
+    e = energy(n, p)
+    p_extra = prod(((e - ed) / e0 for ed, e0 in energies), start=Fraction(1))
     return xi_inf, xi_inf * p_extra * eigen_at_infinity(n, p)
 
 
+@lru_cache(maxsize=256)
+def _infinity_factors(d: IndexSet, p: ParamsLike) -> tuple[Fraction, tuple]:
+    """The n-free parts of infinity_values: the denominator's limit and the
+    pairs (virtual_energy(d_j), -virtual_energy(j - 1))."""
+    pairs = list(enumerate(d.indices))
+    return (prod((xi_at_infinity(dj, p) / xi_at_infinity(j, p) for j, dj in pairs),
+                 start=Fraction(1)),
+            tuple((virtual_energy(dj, p), -virtual_energy(j, p)) for j, dj in pairs))
+
+
+@lru_cache(maxsize=256)
 def denominator_leading(d: IndexSet, p: ParamsLike) -> Fraction:
     """Closed-form leading eta-coefficient of the denominator polynomial."""
     _check_type_ii(p)
@@ -581,4 +594,73 @@ def deformed_norm_sq(d: IndexSet, n: int, p: ParamsLike) -> Fraction:
         out /= e - virtual_energy(dj, p)
     if p.family == Family.LQ_JACOBI and p.ctype == CType.TYPE_II:
         out *= qpoch(p.b * p.q ** (-d.size), p.q, d.size)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the deformed identities for every n, as difference operators
+# ---------------------------------------------------------------------------
+
+
+def _add(*ops: dict) -> dict:
+    """The sum of operators {k: c_k}, each f -> sum_k c_k f(x + k)."""
+    out: dict[int, LaurentPoly] = {}
+    for op in ops:
+        for k, c in op.items():
+            out[k] = out[k] + c if k in out else c
+    return out
+
+
+def _compose(a: dict, b: dict) -> dict:
+    """a o b: (a_i T^i) o (b_j T^j) = a_i b_j.shift(i) T^(i + j), T^k f = f.shift(k)."""
+    return _add(*({i + j: ai * bj.shift(i)} for i, ai in a.items() for j, bj in b.items()))
+
+
+def level_op(d: IndexSet, p: ParamsLike) -> dict[int, LaurentPoly]:
+    """The operator A with level_poly_y(d, n, p) = A[P_n] for every n: the
+    weighted cofactors at T^(s j) (_casoratian), for type II over the gauge
+    monomial and cdn; the identity for empty D, which reads no virtual state."""
+    if d.size == 0:
+        return {0: LaurentPoly.one(p.q)}
+    cs = _weighted_cofactors(d, p)
+    if p.ctype == CType.TYPE_I:
+        return dict(enumerate(cs))
+    inv = LaurentPoly.one(p.q).divide_exact(casoratian_gauge(d.size + 1, p.q))
+    inv = inv.scale(1 / _level_norm(d, p))
+    return {-j: c * inv for j, c in enumerate(cs)}
+
+
+def deformed_identities(d: IndexSet, p: ParamsLike) -> dict[str, dict[int, LaurentPoly]]:
+    """Residual operators of the deformed eigen equation ("eigen") and, for
+    type II, the shift relations ("forward", "backward"); each is zero iff
+    its relation holds at every n.  Proof: level n is A[P_n], A = level_op,
+    and H P_n = E_n P_n, F P_n = E_n P'_(n-1), Bk P'_(n-1) = P_n for every n
+    (hamiltonian_apply and the shifts; ' marks lambda + delta).  So the
+    residuals of deformed_eigencheck and the shift checks are R[P_n] or
+    R[P'_(n-1)], with R free of n:
+      eigen     L o A - K (A o H), L = B' den(x-1)^2 (l0(x+1) - l0 T)
+                + D den^2 (l0(x-1) - l0 T^-1), K = den den(x-1) l0;
+      forward   b0 (l0(x+1) - l0 T) o A - y den (A' o F);
+      backward  (B' den(x-1) y - D den (y/q) T^-1) o A' - b0 l0 (A o Bk),
+    B' = B(x; lambda + M tilde), b0 = B'(0).  R maps y^m to sum_k r_k q^(km)
+    y^m, the q^k are distinct and the P_n span the polynomials: R vanishes
+    at every n iff every r_k is zero."""
+    den, _ = deformed_measure(d, p)
+    l0, a, dd, b = level_poly_y(d, 0, p), level_op(d, p), potential_d(p), potential_b(p)
+    bu, den1 = potential_b(p.shift(tilde=d.size)), den.shift(-1)
+    u, v, k = bu * den1 ** 2, dd * den ** 2, -(den * den1 * l0)
+    lop = {0: u * l0.shift(1) + v * l0.shift(-1), 1: -(u * l0), -1: -(v * l0)}
+    out = {"eigen": _add(_compose(lop, a), _compose({j: k * c for j, c in a.items()},
+                                                    {0: b + dd, 1: -b, -1: -dd}))}
+    if p.ctype == CType.TYPE_I:
+        return out
+    a1, b0, y = level_op(d, p.shift(delta=1)), bu.eval_int(0), LaurentPoly.var(p.q)
+    f, yden, l0b = LaurentPoly.monomial(p.q, -1, b.eval_int(0)), -(y * den), l0.scale(-b0)
+    # F = f (1 - T), and H above is B (1 - T) + D (1 - T^-1)
+    out["forward"] = _add(_compose({0: l0.shift(1).scale(b0), 1: l0b}, a),
+                          _compose({j: yden * c for j, c in a1.items()}, {0: f, 1: -f}))
+    bk = y.scale(1 / b.eval_int(0))  # Bk = bk (B - D T^-1 / q)
+    out["backward"] = _add(_compose({0: bu * den1 * y, -1: (yden * dd).scale(1 / p.q)}, a1),
+                           _compose({j: l0b * c for j, c in a.items()},
+                                    {0: b * bk, -1: -(dd * bk).scale(1 / p.q)}))
     return out

@@ -285,9 +285,9 @@ class LaurentPoly:
     coeffs = property(coeff_dict)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return (self.q == other.q and self.val == other.val
-                    and self.den == other.den and self.num == other.num)
+        if isinstance(other, LaurentPoly):  # constants equal by value, whatever their q
+            return (self.val == other.val and self.den == other.den and self.num == other.num
+                    and (self.q == other.q or (self.val == 0 and len(self.num) <= 1)))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return not self.num
@@ -532,8 +532,9 @@ class EtaPoly:
         return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, EtaPoly):
-            return self.q == other.q and self.den == other.den and self.num == other.num
+        if isinstance(other, EtaPoly):  # constants equal by value, whatever their q
+            return (self.den == other.den and self.num == other.num
+                    and (self.q == other.q or len(self.num) <= 1))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return not self.num

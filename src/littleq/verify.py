@@ -51,9 +51,7 @@ from .base import (
 )
 from .darboux import (
     IndexSet,
-    deformed_eigencheck,
-    deformed_backward_check,
-    deformed_forward_check,
+    deformed_identities,
     deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
@@ -1038,7 +1036,7 @@ def _deformed_checks(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
     xinf_target, _ = infinity_values(d, 0, p)
     checks.append(_equal_check("deformed_denominator_infinity",
                                denominator_poly_y(d, p).at_infinity(), xinf_target))
-    ok_norm = ok_deg = ok_lead = ok_inf = ok_eig = ok_f = ok_b = True
+    ok_norm = ok_deg = ok_lead = ok_inf = True
     for n in range(nmax + 1):
         pn = multi_indexed_poly(d, n, p)
         ok_norm &= pn.eval_int(0) == 1
@@ -1046,18 +1044,16 @@ def _deformed_checks(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
         ok_lead &= pn.leading == multi_indexed_leading(d, n, p)
         _, pinf = infinity_values(d, n, p)
         ok_inf &= multi_indexed_poly_y(d, n, p).at_infinity() == pinf
-        ok_eig &= deformed_eigencheck(d, n, p).is_zero
-        ok_f &= deformed_forward_check(d, n, p).is_zero
-        if n >= 1:
-            ok_b &= deformed_backward_check(d, n, p).is_zero
     checks.append(_check("deformed_value_at_zero", ok_norm, "n <= %d" % nmax))
     checks.append(_check("deformed_degree_law", ok_deg, "degree = offset + n"))
     checks.append(_check("deformed_leading_coefficients", ok_lead, "n <= %d" % nmax))
     checks.append(_check("deformed_infinity_values", ok_inf, "two routes agree"))
-    checks.append(_check("deformed_eigen_equation", ok_eig, "zero residual, n <= %d" % nmax))
-    checks.append(_check("deformed_forward_shift", ok_f, "zero residual, n <= %d" % nmax))
-    checks.append(_check("deformed_backward_shift", ok_b,
-                         "zero residual, 1 <= n <= %d" % nmax))
+    ops = deformed_identities(d, p)
+    for name, key, witness in (("deformed_eigen_equation", "eigen", "every n"),
+                               ("deformed_forward_shift", "forward", "every n"),
+                               ("deformed_backward_shift", "backward", "every n >= 1")):
+        ok = all(c.is_zero for c in ops[key].values())
+        checks.append(_check(name, ok, "operator identity, " + witness))
     checks.append(_residual_check("deformed_lowest_matches_denominator",
                                   lowest_matches_denominator(d, p)))
     if d.size == 1:

@@ -314,12 +314,12 @@ def test_negative_b_equals_syntax():
 # sha256 of the full stdout; witness and bound strings are part of the pin
 GOLDEN_STDOUT = [
     (["verify", "--indices", "1,2", "--nmax", "3", "--seed", "3"],
-     "022d7ecd93e64da4fa40bcbda36f9f0d145e6b793cdfd3558f7fe547a422a290"),
+     "845c2babe65e0c425a98d680c777f9c035e1bc767fb968e17952c81b080d46b1"),
     (["verify", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "2"],
      "efd4b003895113c304129d5303877289dd86474b60d7619fe944cb47cd7086f9"),
     # base-only point: the virtual-range suites are skipped with warnings
     (["verify", "--indices", "", "--b", "3/4", "--nmax", "2"],
-     "3d8c92ba7163d3bc118b6c8b7e1efe28f173b2efd663fae5cbe902a6bad5ef5b"),
+     "d2e0d0cdd41431d7ed647865527577facfe823c6b6f623ca03114963284278d1"),
     (["table", "--indices", "1,2", "--nmax", "3"],
      "d798d7df4c12449103514cc6fa6726289d6ffef1bc23011b477650676f4e5b63"),
     (["zeros", "--indices", "1,2", "--nmax", "3"],
@@ -330,14 +330,14 @@ GOLDEN_STDOUT = [
      "2b3c4d9e0d71d7a38655914d0be35224e9ec3b92a9e3a105376035e49f417dc7"),
     (["verify", "--q", "3/5", "--a", "1/3", "--b", "1/50", "--indices", "1,2",
       "--nmax", "4"],
-     "7e773b2ef06e1a2e5ec5427fd852ab3a51616accb113d469ceb712dd3c3a08e6"),
+     "fe2cd8a81216de114b68de0e4bdc50dee91918b645d2bb393532dd49421e22cd"),
     (["construct", "--type", "1", "--q", "2/3", "--a", "1/20", "--b", "1/5",
       "--indices", "1,2", "--nmax", "3"],
      "ffc8c96c85bad01689c381097aadc808055b10881d80a654438c32158eb3ead5"),
     # the heaviest sweep point: ortho witness floats at a q whose denominator is 4
     (["verify", "--q", "1/4", "--a", "3/7", "--b", "11/832", "--indices", "2",
       "--nmax", "4"],
-     "4da927b7ef5910fba5756e5b6dc40f0de900046ff7493c76ef021f49e100c912"),
+     "de03429b94cad5686954d36d567bb84e8da3cbfe838947ca12c463a1bf07916b"),
     # type I table floats and type I little q-Laguerre verify
     (["table", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "3"],
      "086bd9b8678554dea98c82209aea323f3f9b720c913a154ba88a249d1cfdbbff"),

@@ -471,6 +471,136 @@ def test_verify_builds_at_most_11_border_sets(capsys):
     assert _border_builds(capsys, ["verify"] + DEEP_ARGV) <= 11
 
 
+# ---------------------------------------------------------------------------
+# the same relations for every n, as operator identities
+# ---------------------------------------------------------------------------
+
+DEEP_D = IndexSet.of(1, 3, 5, 7)
+DEEP_P = Params(Family.LQ_JACOBI, Q, A, F(1, 4096), CType.TYPE_II, dmax=7)
+TYPE1_D = IndexSet.of(2, 3, 4)
+TYPE1_P = Params(Family.LQ_JACOBI, Q, F(1, 64), F(1, 3), CType.TYPE_I, dmax=4)
+
+
+def _holds(op):
+    return all(c.is_zero for c in op.values())
+
+
+def _verdicts(d, p):
+    _clear_darboux_caches()
+    try:
+        return {key: _holds(op) for key, op in darboux.deformed_identities(d, p).items()}
+    finally:
+        _clear_darboux_caches()
+
+
+def _per_level_verdicts(d, p, nmax):
+    out = {"eigen": all(deformed_eigencheck(d, n, p).is_zero for n in range(nmax + 1))}
+    if p.ctype == CType.TYPE_II:
+        out["forward"] = all(deformed_forward_check(d, n, p).is_zero for n in range(nmax + 1))
+        out["backward"] = all(deformed_backward_check(d, n, p).is_zero
+                              for n in range(1, nmax + 1))
+    return out
+
+
+@given(deformed_points())
+@settings(max_examples=40, deadline=None)
+def test_operator_verdicts_match_per_level_verdicts(point):
+    d, p = point
+    a = darboux.level_op(d, p)
+    for n in range(7):  # A[P_n] is level n
+        pn = eigenpoly_y(n, p)
+        assert sum((c * pn.shift(k) for k, c in a.items()), LaurentPoly.zero(p.q)) \
+            == darboux.level_poly_y(d, n, p)
+    got = {key: _holds(op) for key, op in darboux.deformed_identities(d, p).items()}
+    assert got == _per_level_verdicts(d, p, 6)
+    assert all(got.values())
+
+
+@pytest.mark.parametrize("p", [
+    Params(Family.LQ_JACOBI, Q, A, 0, CType.TYPE_II),  # b = 0: out of the virtual range
+    Params(Family.LQ_LAGUERRE, Q, A, 0, CType.TYPE_II),
+    Params(Family.LQ_JACOBI, Q, F(2, 3), B, CType.TYPE_I),
+    Params(Family.LQ_LAGUERRE, Q, F(1, 10), 0, CType.TYPE_I),
+])
+def test_operator_identities_at_the_empty_set(p):
+    # no virtual state is read: A is the identity, and the identities are
+    # the base relations themselves
+    def unused(*args):
+        raise AssertionError("the empty set reads no virtual state")
+
+    d = IndexSet.of()
+    with mock.patch.object(darboux, "_weighted_cofactors", unused), \
+            mock.patch.object(darboux, "nu_ratio_poly", unused):
+        assert darboux.level_op(d, p) == {0: 1}
+        ops = darboux.deformed_identities(d, p)
+    assert sorted(ops) == (["eigen"] if p.ctype == CType.TYPE_I
+                           else ["backward", "eigen", "forward"])
+    assert all(_holds(op) for op in ops.values())
+
+
+def _patched_cofactors(at, change):
+    """_weighted_cofactors with change applied to the tuple at the point at."""
+    weighted = darboux._weighted_cofactors
+
+    def patched(d, p):
+        cs = weighted(d, p)
+        return change(cs) if p == at else cs
+
+    return mock.patch.object(darboux, "_weighted_cofactors", patched)
+
+
+def test_corruption_above_nmax_fails_only_the_operator_identities():
+    # add eps y^12 (1 - (1 + q^-s) T^s + q^-s T^2s) to A (s = -1): it kills
+    # 1 and y, so levels 0 and 1 keep their values and level 2 moves; y^12
+    # keeps the gauge division by y^10 a polynomial
+    q, eps = DEEP_P.q, F(1, 10 ** 6)
+    bump = [LaurentPoly.monomial(q, 12, eps * c) for c in (1, -(1 + q), q)]
+
+    def change(cs):
+        return tuple(c + bump[j] if j < 3 else c for j, c in enumerate(cs))
+
+    _clear_darboux_caches()
+    try:
+        want = [multi_indexed_poly_y(DEEP_D, n, DEEP_P) for n in range(3)]
+        _clear_darboux_caches()
+        with _patched_cofactors(DEEP_P, change):
+            got = [multi_indexed_poly_y(DEEP_D, n, DEEP_P) for n in range(3)]
+            assert got[:2] == want[:2] and got[2] != want[2]
+            assert all(_per_level_verdicts(DEEP_D, DEEP_P, 1).values())
+            assert not any(_per_level_verdicts(DEEP_D, DEEP_P, 2).values())
+            assert not any(_verdicts(DEEP_D, DEEP_P).values())
+    finally:
+        _clear_darboux_caches()
+    assert all(_verdicts(DEEP_D, DEEP_P).values())
+
+
+def test_type1_cofactor_scaled_fails_the_eigen_identity():
+    assert _verdicts(TYPE1_D, TYPE1_P) == {"eigen": True}
+    scaled = F(10 ** 6 + 1, 10 ** 6)
+    with _patched_cofactors(TYPE1_P, lambda cs: (cs[0], cs[1].scale(scaled)) + cs[2:]):
+        assert _verdicts(TYPE1_D, TYPE1_P) == {"eigen": False}
+
+
+def test_potential_at_one_tilde_step_too_few_fails_every_identity():
+    pu = DEEP_P.shift(tilde=DEEP_D.size)
+
+    def b_one_step_short(p):
+        return potential_b(p.shift(tilde=-1) if p == pu else p)
+
+    with mock.patch.object(darboux, "potential_b", b_one_step_short):
+        assert not any(_verdicts(DEEP_D, DEEP_P).values())
+
+
+def test_denominator_of_another_index_set_fails_every_identity():
+    measure = darboux.deformed_measure
+
+    def short_den(d, p):
+        return measure(IndexSet.of(1, 3, 5), p)
+
+    with mock.patch.object(darboux, "deformed_measure", short_den):
+        assert not any(_verdicts(DEEP_D, DEEP_P).values())
+
+
 def test_level_requests_leave_the_cached_minors_unchanged(pj):
     d = IndexSet.of(1, 2)
     _clear_darboux_caches()

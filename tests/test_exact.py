@@ -576,6 +576,21 @@ def test_polys_equal_to_scalars_share_set_and_dict_entries():
     assert len({y, y + 0, y * 2, y.to_eta(), EtaPoly(Q, [1, -1])}) == 3
 
 
+@pytest.mark.parametrize("make", [LaurentPoly.const, lambda q, c: EtaPoly(q, [c])])
+def test_constants_over_different_bases_are_one_set_entry(make):
+    # equality is transitive: a constant equals every constant and scalar of
+    # its value whatever its q, so a set's size does not depend on insertion order
+    a, b = make(F(1, 2), 3), make(F(1, 3), 3)
+    assert a == b == 3 and hash(a) == hash(b) == hash(3)
+    for order in itertools.permutations([a, 3, b, F(3)]):
+        assert len(set(order)) == 1
+    assert len({make(F(1, 2), 0), make(F(1, 3), 0), 0}) == 1
+    # a nonconstant polynomial still carries its base
+    assert LaurentPoly.var(F(1, 2)) != LaurentPoly.var(F(1, 3))
+    assert EtaPoly(F(1, 2), [1, 2]) != EtaPoly(F(1, 3), [1, 2])
+    assert len({LaurentPoly.var(F(1, 2)), LaurentPoly.var(F(1, 3))}) == 2
+
+
 @given(q_and_maps(2))
 def test_coeffs_is_a_dict_of_nonzero_fractions(qm):
     q, (a, b) = qm
