@@ -37,7 +37,6 @@ from .darboux import (
     deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
-    deformed_weight,
     denominator_leading,
     denominator_poly,
     denominator_poly_y,

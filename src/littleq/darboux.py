@@ -5,26 +5,26 @@ isospectral deformation is encoded in two determinants: the denominator
 polynomial (a normalized backward Casoratian of the virtual-state
 polynomials) and the multi-indexed eigenpolynomial (the same Casoratian
 bordered with a weighted eigenpolynomial column).  Everything in this module
-stays in the exact Laurent ring; divisions by the gauge monomials and the
-normalization constants are asserted exact, which turns polynomiality
-theorems into runtime checks.
+stays in the exact Laurent ring; each gauge division must leave a genuine
+polynomial in y, which turns polynomiality theorems into runtime checks.
 
-Both construction types share one Casoratian builder: the shift runs
-backward for type II and forward for type I, and the border carries the
-type-dependent ground-state-ratio quotient.  Every level at one
+Both construction types build every level through one operator, level_op:
+the shift runs backward for type II and forward for type I, and the border
+carries the type-dependent ground-state-ratio quotient.  Level n at one
 (D, lambda) is its bordered Casoratian expanded along the border column,
-over one cached set of M + 1 cofactors (M x M minors), all expanded by
-Cauchy-Binet from the integer minors of the virtual-state coefficients.
-Nothing here runs a determinant of polynomials.  Both types also
-share one deformed system, described by the level polynomials
-(level_poly_y) and the measure (deformed_measure); the potentials, the
-orthogonality weight and the norm factor are built from level 0, level n
-and den alone.  Every level is one operator applied to P_n (level_op), so
-deformed_identities proves the eigen and shift relations for every n, with
-no level at lambda + delta.  The type II construction is fully
-normalized (denominator value 1 at x = -1, eigenpolynomial value 1 at
-x = 0).  The type I construction is exposed at Casoratian level only,
-normalized single-index closed forms excepted.
+A[P_n] with A = sum_j c_j T^(s j) cached once per (D, lambda): c_j is
+cofactor j of _border (an M x M minor, all M + 1 expanded by Cauchy-Binet
+from the integer minors of the virtual-state coefficients) times its
+border quotient, for type II over the gauge monomial and cdn.  Nothing here
+runs a determinant of polynomials.  Both types also share one deformed
+system, described by the level polynomials (level_poly_y) and the measure
+(deformed_measure, the weight c gs(x; lambda + M tilde) / (den den(x-1)));
+the potentials and the norm factor are built from level 0, level n and den
+alone.  As every level is A[P_n], deformed_identities proves the eigen and
+shift relations for every n, with no level at lambda + delta.  The type II
+construction is fully normalized (denominator value 1 at x = -1,
+eigenpolynomial value 1 at x = 0).  The type I construction is exposed at
+Casoratian level only, normalized single-index closed forms excepted.
 """
 from __future__ import annotations
 
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .base import (
     CType,
@@ -129,6 +130,8 @@ def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly,
     the Vandermonde and e_k the elementary symmetric functions (deleting row
     j of a Vandermonde leaves e_(M-j) V).  All M + 1 cofactors come from one
     set of minors, with x_c over one common power of the base's denominator.
+    W is the denominator's Casoratian; level_op weights the cofactors into
+    the level operator, so no cached value here is rewritten.
     """
     m = d.size
     if m == 0:  # the empty Casoratian is 1, no determinant
@@ -173,32 +176,16 @@ def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly,
     return cofactors[m], tuple(cofactors)
 
 
-@lru_cache(maxsize=256)
-def _weighted_cofactors(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, ...]:
-    """The cofactors of _border, each weighted by its border quotient
-    nu_ratio_poly(j + 1, M, p).  A cache of its own, so that no cached value
-    is rewritten and W never needs nu_ratio_poly."""
-    m = d.size
-    return tuple(nu_ratio_poly(j + 1, m, p) * c for j, c in enumerate(_border(d, p)[1]))
-
-
 def _casoratian(d: IndexSet, p: ParamsLike, n: int) -> LaurentPoly:
-    """The Casoratian of D bordered at level n, expanded along its border.
-
-    Row j of the (M + 1) x (M + 1) matrix is that of _border plus the border
-    nu_ratio_poly(j + 1, M, p) * P_n(x + s j), so every level at (D, p) is
-    sum_j P_n(x + s j) weighted_cofactors[j]: M + 1 products in place of a
-    determinant.  It is zero for n < 0 and P_n itself for empty D; any other
-    zero result is degenerate.
+    """Level n of D at p as the operator level_op applied to P_n:
+    sum_k c_k P_n(x + k), the bordered Casoratian expanded along its border
+    (over the gauge monomial and cdn for type II).  It is zero for n < 0;
+    any other zero result is degenerate.
     """
     if n < 0:
         return LaurentPoly.zero(p.q)
-    if d.size == 0:
-        return eigenpoly_y(n, p)
     pn = eigenpoly_y(n, p)
-    s = -1 if p.ctype == CType.TYPE_II else 1
-    w = sum((pn.shift(s * j) * c for j, c in enumerate(_weighted_cofactors(d, p))),
-            LaurentPoly.zero(p.q))
+    w = sum((pn.shift(k) * c for k, c in level_op(d, p).items()), LaurentPoly.zero(p.q))
     if w.is_zero:
         raise DegenerateCasoratianError("bordered Casoratian is identically zero")
     return w
@@ -240,24 +227,16 @@ def denominator_norm_const(d: IndexSet, p: ParamsLike) -> Fraction:
     return out
 
 
-def _gauged(w: LaurentPoly, m: int, const: Fraction) -> LaurentPoly:
-    """A type II Casoratian w of size m over its gauge monomial and const.
-
-    The gauge division must be exact and leave a genuine polynomial in y.
-    """
-    out = w.divide_exact(casoratian_gauge(m, w.q))
-    if out.min_deg < 0:
-        raise NonExactDivisionError(
-            "Casoratian not divisible by its gauge monomial (degree defect)"
-        )
-    return out.scale(1 / const)
-
-
 @lru_cache(maxsize=256)
 def denominator_poly_y(d: IndexSet, p: ParamsLike) -> LaurentPoly:
     """Denominator polynomial in y: gauged, normalized Casoratian of D."""
     _check_type_ii(p)
-    return _gauged(xi_casoratian(d, p), d.size, denominator_norm_const(d, p))
+    out = xi_casoratian(d, p).divide_exact(casoratian_gauge(d.size, p.q))
+    if out.min_deg < 0:
+        raise NonExactDivisionError(
+            "Casoratian not divisible by its gauge monomial (degree defect)"
+        )
+    return out.scale(1 / denominator_norm_const(d, p))
 
 
 def denominator_poly(d: IndexSet, p: ParamsLike) -> EtaPoly:
@@ -271,19 +250,17 @@ def multi_indexed_poly_y(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
 
     Constructive definition: the bordered backward Casoratian (virtual-state
     polynomials at x, x-1, ..., x-M, border the ground-state-ratio quotient
-    times the level-n eigenpolynomial) divided by the gauge monomial and the
-    normalization constant.  Both divisions must be exact.
+    times the level-n eigenpolynomial) over the gauge monomial and the
+    normalization constant cdn, i.e. level_op applied to P_n.  The gauge
+    division must leave a genuine polynomial in y.
     """
     _check_type_ii(p)
-    det = _casoratian(d, p, n)
-    if det.is_zero:  # n < 0
-        return det
-    return _gauged(det, d.size + 1, _level_norm(d, p))
-
-
-def _level_norm(d: IndexSet, p: ParamsLike) -> Fraction:
-    """The normalization constant cdn of the type II levels."""
-    return (-1) ** d.size * p.q ** qbinom2(d.size + 1) * denominator_norm_const(d, p)
+    out = _casoratian(d, p, n)
+    if not out.is_zero and out.min_deg < 0:
+        raise NonExactDivisionError(
+            "Casoratian not divisible by its gauge monomial (degree defect)"
+        )
+    return out
 
 
 def multi_indexed_poly(d: IndexSet, n: int, p: ParamsLike) -> EtaPoly:
@@ -494,35 +471,6 @@ def deformed_measure(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, Fraction]
     return xi_casoratian(d, p).shift(1), p.q ** -qbinom2(m) * qpoch(p.b, p.q, m)
 
 
-def deformed_weight(d: IndexSet, p: ParamsLike) -> Callable[[int], Fraction]:
-    """The deformed orthogonality weight of either construction type,
-    x -> c groundstate_sq(x; lambda + M tilde) / (den(x) den(x-1)) for
-    integer x >= 0, with (den, c) from deformed_measure.
-
-    The exact ground state is grown once per lattice point by its ratio
-    a (1 - b q^x) / (1 - q^{x+1}) at lambda + M tilde (b = 0 for little
-    q-Laguerre).  A zero of den(x) den(x-1) raises
-    DenominatorZeroAtIntegerError.  For type II, w(x) / w(0) is the squared
-    deformed ground state.
-    """
-    den, c = deformed_measure(d, p)
-    pu = p.shift(tilde=d.size)
-    gs = [Fraction(1)]
-
-    def weight(x: int) -> Fraction:
-        if x < 0:
-            raise ValueError("defined for x >= 0")
-        while len(gs) <= x:
-            y = pu.q ** (len(gs) - 1)
-            gs.append(gs[-1] * pu.a * (1 - pu.b * y) / (1 - pu.q * y))
-        dd = den.eval_int(x) * den.eval_int(x - 1)
-        if dd == 0:
-            raise DenominatorZeroAtIntegerError("denominator polynomial zero at x=%d" % x)
-        return c * gs[x] / dd
-
-    return weight
-
-
 @dataclass(frozen=True)
 class DeformedPotentials:
     """Deformed hopping potentials as exact numerator/denominator pairs."""
@@ -616,18 +564,29 @@ def _compose(a: dict, b: dict) -> dict:
     return _add(*({i + j: ai * bj.shift(i)} for i, ai in a.items() for j, bj in b.items()))
 
 
-def level_op(d: IndexSet, p: ParamsLike) -> dict[int, LaurentPoly]:
-    """The operator A with level_poly_y(d, n, p) = A[P_n] for every n: the
-    weighted cofactors at T^(s j) (_casoratian), for type II over the gauge
-    monomial and cdn; the identity for empty D, which reads no virtual state."""
+@lru_cache(maxsize=256)
+def level_op(d: IndexSet, p: ParamsLike) -> Mapping[int, LaurentPoly]:
+    """The operator A with level_poly_y(d, n, p) = A[P_n] for every n, read-only.
+
+    Row j of the bordered Casoratian is that of _border plus the border
+    nu_ratio_poly(j + 1, M, p) P_n(x + s j), so expanding along the border
+    puts the weighted cofactor nu_ratio_poly(j + 1, M, p) cofactor_j at
+    T^(s j); for type II each is also over the gauge monomial of size M + 1
+    and cdn = (-1)^M q^C(M+1,2) denominator_norm_const.  The identity for
+    empty D, which reads no virtual state.  All-zero cofactors are degenerate,
+    decided before cdn, which is singular at such points.
+    """
     if d.size == 0:
-        return {0: LaurentPoly.one(p.q)}
-    cs = _weighted_cofactors(d, p)
-    if p.ctype == CType.TYPE_I:
-        return dict(enumerate(cs))
-    inv = LaurentPoly.one(p.q).divide_exact(casoratian_gauge(d.size + 1, p.q))
-    inv = inv.scale(1 / _level_norm(d, p))
-    return {-j: c * inv for j, c in enumerate(cs)}
+        return MappingProxyType({0: LaurentPoly.one(p.q)})
+    m, s = d.size, -1 if p.ctype == CType.TYPE_II else 1
+    cs = [nu_ratio_poly(j + 1, m, p) * c for j, c in enumerate(_border(d, p)[1])]
+    if all(c.is_zero for c in cs):
+        raise DegenerateCasoratianError("bordered Casoratian is identically zero")
+    if p.ctype == CType.TYPE_II:
+        cdn = (-1) ** m * p.q ** qbinom2(m + 1) * denominator_norm_const(d, p)
+        inv = LaurentPoly.one(p.q).divide_exact(casoratian_gauge(m + 1, p.q)).scale(1 / cdn)
+        cs = [c * inv for c in cs]
+    return MappingProxyType({s * j: c for j, c in enumerate(cs)})
 
 
 def deformed_identities(d: IndexSet, p: ParamsLike) -> dict[str, dict[int, LaurentPoly]]:

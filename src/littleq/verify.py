@@ -55,7 +55,6 @@ from .darboux import (
     deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
-    deformed_weight,
     denominator_leading,
     denominator_poly,
     denominator_poly_y,
@@ -772,17 +771,21 @@ def structural_checks(
         except LittleQError as exc:
             ok, wit = False, str(exc)
         checks.append(_check("structural_reduction", ok, wit))
-    # deformed ground-state product identity
+    # deformed ground-state product identity: w(x) l0(x)^2 / w(0) is the
+    # product of the hop ratios B_D(x-1) / D_D(x) iff, for every x >= 0,
+    # w(x+1) l0(x+1)^2 / (w(x) l0^2) = B_D(x) / D_D(x+1), with
+    # w(x+1) / w(x) = a' (1 - b' y) den(x-1) / ((1 - q y) den(x+1)) at
+    # lambda + M tilde; denominators cleared, one polynomial identity in y
     if p.ctype == CType.TYPE_II:
-        pots = deformed_potentials(d, p)
-        p0 = multi_indexed_poly(d, 0, p)
-        weight = deformed_weight(d, p)
-        w0 = weight(0)
-        hops = accumulate((pots.b_value(x - 1) / pots.d_value(x) for x in range(1, 21)), mul)
-        ok = all(weight(x) / w0 * p0.eval_int(x) ** 2 == h for x, h in enumerate(hops, 1))
-        checks.append(
-            _check("structural_groundstate_product", ok, "hop-ratio product matches on x <= 20")
-        )
+        den, _ = deformed_measure(d, p)
+        pots, l0, pu = deformed_potentials(d, p), level_poly_y(d, 0, p), p.shift(tilde=d.size)
+        lhs = LaurentPoly(q, {0: pu.a, 1: -pu.a * pu.b}) * den.shift(-1) * l0.shift(1) ** 2
+        rhs = LaurentPoly(q, {0: 1, 1: -q}) * den.shift(1) * l0 ** 2
+        ok = (lhs * pots.d_num.shift(1) * pots.b_den
+              - rhs * pots.b_num * pots.d_den.shift(1)).is_zero
+        checks.append(_check("structural_groundstate_product", ok,
+                             "hop ratio equals the weight ratio for every x >= 0" if ok
+                             else "hop ratio differs from the weight ratio"))
     # b -> 0 limit (little q-Jacobi only): linear coefficientwise convergence,
     # probed at b = 2^-k0, 2^-(k0+4), 2^-(k0+8) with the first probe at least
     # two halvings below b = q^(1+dmax), the pole nearest zero

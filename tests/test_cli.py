@@ -314,7 +314,7 @@ def test_negative_b_equals_syntax():
 # sha256 of the full stdout; witness and bound strings are part of the pin
 GOLDEN_STDOUT = [
     (["verify", "--indices", "1,2", "--nmax", "3", "--seed", "3"],
-     "845c2babe65e0c425a98d680c777f9c035e1bc767fb968e17952c81b080d46b1"),
+     "3ebee8b991a189fe6a8011fb097b8da0646e22970c33160d7385b08ad455a77b"),
     (["verify", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "2"],
      "efd4b003895113c304129d5303877289dd86474b60d7619fe944cb47cd7086f9"),
     # base-only point: the virtual-range suites are skipped with warnings
@@ -330,14 +330,14 @@ GOLDEN_STDOUT = [
      "2b3c4d9e0d71d7a38655914d0be35224e9ec3b92a9e3a105376035e49f417dc7"),
     (["verify", "--q", "3/5", "--a", "1/3", "--b", "1/50", "--indices", "1,2",
       "--nmax", "4"],
-     "fe2cd8a81216de114b68de0e4bdc50dee91918b645d2bb393532dd49421e22cd"),
+     "34ea3f2170aa7c46c1051875e770cbe5d9b26d384e991ef70676520f5d6d8c4d"),
     (["construct", "--type", "1", "--q", "2/3", "--a", "1/20", "--b", "1/5",
       "--indices", "1,2", "--nmax", "3"],
      "ffc8c96c85bad01689c381097aadc808055b10881d80a654438c32158eb3ead5"),
     # the heaviest sweep point: ortho witness floats at a q whose denominator is 4
     (["verify", "--q", "1/4", "--a", "3/7", "--b", "11/832", "--indices", "2",
       "--nmax", "4"],
-     "de03429b94cad5686954d36d567bb84e8da3cbfe838947ca12c463a1bf07916b"),
+     "953ff9639d4f93d2ef10dc470fbfcd6caeb10cc9d4bb01dcd597d37affdca0b7"),
     # type I table floats and type I little q-Laguerre verify
     (["table", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "3"],
      "086bd9b8678554dea98c82209aea323f3f9b720c913a154ba88a249d1cfdbbff"),

@@ -12,20 +12,19 @@ from littleq import darboux
 from littleq import (
     CType,
     DegenerateCasoratianError,
-    DenominatorZeroAtIntegerError,
     Family,
     IndexSet,
     InvalidParamsError,
     LaurentPoly,
     Params,
     RawParams,
+    casoratian_gauge,
     deformed_backward_check,
     deformed_eigencheck,
     deformed_forward_check,
     deformed_measure,
     deformed_norm_sq,
     deformed_potentials,
-    deformed_weight,
     denominator_leading,
     denominator_poly,
     denominator_poly_y,
@@ -326,11 +325,19 @@ def test_potentials_positive_and_boundary():
         assert all(pots.d_value(x) > 0 for x in range(1, 41))
 
 
+def measure_weight(d, p):
+    """The deformed weight x -> c gs(x; lambda + M tilde) / (den(x) den(x-1))
+    built from deformed_measure."""
+    den, c = deformed_measure(d, p)
+    pu = p.shift(tilde=d.size)
+    return lambda x: c * groundstate_sq(x, pu) / (den.eval_int(x) * den.eval_int(x - 1))
+
+
 def test_groundstate_product_route(pj):
     d = IndexSet.of(2)
     pots = deformed_potentials(d, pj)
     p0 = multi_indexed_poly(d, 0, pj)
-    weight = deformed_weight(d, pj)
+    weight = measure_weight(d, pj)
     acc = F(1)
     for x in range(1, 21):
         acc *= pots.b_value(x - 1) / pots.d_value(x)
@@ -387,13 +394,19 @@ def bordered_casoratian(d, p, n):
 @given(deformed_points(), st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_border_expansion_matches_bordered_determinant(point, n):
+    # level n is the bordered determinant, for type II over the gauge
+    # monomial and cdn = (-1)^M q^C(M+1,2) denominator_norm_const
     d, p = point
     want = bordered_casoratian(d, p, n)
     if want.is_zero:
         with pytest.raises(DegenerateCasoratianError):
-            darboux._casoratian(d, p, n)
-    else:
-        assert darboux._casoratian(d, p, n) == want
+            darboux.level_poly_y(d, n, p)
+        return
+    if p.ctype == CType.TYPE_II:
+        m = d.size
+        cdn = (-1) ** m * p.q ** (m * (m + 1) // 2) * darboux.denominator_norm_const(d, p)
+        want = want.divide_exact(casoratian_gauge(m + 1, p.q)).scale(1 / cdn)
+    assert darboux.level_poly_y(d, n, p) == want
 
 
 def border_by_determinants(d, p):
@@ -529,7 +542,8 @@ def test_operator_identities_at_the_empty_set(p):
         raise AssertionError("the empty set reads no virtual state")
 
     d = IndexSet.of()
-    with mock.patch.object(darboux, "_weighted_cofactors", unused), \
+    _clear_darboux_caches()
+    with mock.patch.object(darboux, "virtual_poly_y", unused), \
             mock.patch.object(darboux, "nu_ratio_poly", unused):
         assert darboux.level_op(d, p) == {0: 1}
         ops = darboux.deformed_identities(d, p)
@@ -539,25 +553,24 @@ def test_operator_identities_at_the_empty_set(p):
 
 
 def _patched_cofactors(at, change):
-    """_weighted_cofactors with change applied to the tuple at the point at."""
-    weighted = darboux._weighted_cofactors
+    """level_op with change applied to its {k: c_k} at the point at."""
+    level_op = darboux.level_op
 
     def patched(d, p):
-        cs = weighted(d, p)
-        return change(cs) if p == at else cs
+        a = level_op(d, p)
+        return change(dict(a)) if p == at else a
 
-    return mock.patch.object(darboux, "_weighted_cofactors", patched)
+    return mock.patch.object(darboux, "level_op", patched)
 
 
 def test_corruption_above_nmax_fails_only_the_operator_identities():
-    # add eps y^12 (1 - (1 + q^-s) T^s + q^-s T^2s) to A (s = -1): it kills
-    # 1 and y, so levels 0 and 1 keep their values and level 2 moves; y^12
-    # keeps the gauge division by y^10 a polynomial
+    # add eps y^2 (1 - (1 + q^-s) T^s + q^-s T^2s) to A (s = -1): it kills
+    # 1 and y, so levels 0 and 1 keep their values and level 2 moves
     q, eps = DEEP_P.q, F(1, 10 ** 6)
-    bump = [LaurentPoly.monomial(q, 12, eps * c) for c in (1, -(1 + q), q)]
+    bump = {-j: LaurentPoly.monomial(q, 2, eps * c) for j, c in enumerate((1, -(1 + q), q))}
 
-    def change(cs):
-        return tuple(c + bump[j] if j < 3 else c for j, c in enumerate(cs))
+    def change(a):
+        return {k: c + bump[k] if k in bump else c for k, c in a.items()}
 
     _clear_darboux_caches()
     try:
@@ -577,8 +590,17 @@ def test_corruption_above_nmax_fails_only_the_operator_identities():
 def test_type1_cofactor_scaled_fails_the_eigen_identity():
     assert _verdicts(TYPE1_D, TYPE1_P) == {"eigen": True}
     scaled = F(10 ** 6 + 1, 10 ** 6)
-    with _patched_cofactors(TYPE1_P, lambda cs: (cs[0], cs[1].scale(scaled)) + cs[2:]):
+    with _patched_cofactors(TYPE1_P, lambda a: {**a, 1: a[1].scale(scaled)}):
         assert _verdicts(TYPE1_D, TYPE1_P) == {"eigen": False}
+
+
+def test_level_op_is_shared_and_read_only():
+    a = darboux.level_op(DEEP_D, DEEP_P)
+    assert darboux.level_op(DEEP_D, DEEP_P) is a and a == dict(a)
+    with pytest.raises(TypeError):
+        a[0] = LaurentPoly.zero(Q)
+    with pytest.raises(TypeError):
+        del a[-1]
 
 
 def test_potential_at_one_tilde_step_too_few_fails_every_identity():
@@ -662,11 +684,11 @@ def test_type_i_measure_constant(point):
 def test_deformed_weight_matches_each_type(point):
     d, p = point
     try:
-        weight = deformed_weight(d, p)
+        weight = measure_weight(d, p)
     except DegenerateCasoratianError:  # a coincidence b = a q^m
         return
     m = d.size
-    xs = range(30, -1, -1)  # the ground state grows on demand, in any order
+    xs = range(31)
     if p.ctype == CType.TYPE_II:
         # w(x) / w(0) is the squared deformed ground state
         # Xi(0) gs(x; lambda + M tilde) / (Xi(x) Xi(x-1))
@@ -684,23 +706,12 @@ def test_deformed_weight_matches_each_type(point):
                 bp.eval_int(x + j) for j in range(m)), x
 
 
-def test_deformed_weight_guards_denominator_zeros(pj, monkeypatch):
-    # a denominator 1 - q^(2-x) vanishes at x = 2, so w(2) and w(3) are poles
-    den = LaurentPoly(Q, {0: 1, 1: -(Q ** -2)})
-    monkeypatch.setattr(darboux, "deformed_measure", lambda d, p: (den, F(1)))
-    weight = deformed_weight(IndexSet.of(), pj)
-    assert weight(1) == groundstate_sq(1, pj) / (den.eval_int(1) * den.eval_int(0))
-    for x in (2, 3):
-        with pytest.raises(DenominatorZeroAtIntegerError, match="zero at x=%d" % x):
-            weight(x)
-    with pytest.raises(ValueError):
-        weight(-1)
-
-
-def test_psi_empty_set_is_groundstate(pj):
-    weight = deformed_weight(IndexSet.of(), pj)
-    for x in range(8):
-        assert weight(x) == groundstate_sq(x, pj)
+def test_psi_empty_set_is_groundstate(pj, pl, pji):
+    # with D empty, den is 1 and c is 1 for either type: the weight is gs
+    for p in (pj, pl, pj.shift(tilde=2), pji):
+        assert deformed_measure(IndexSet.of(), p) == (LaurentPoly.one(p.q), 1)
+        weight = measure_weight(IndexSet.of(), p)
+        assert [weight(x) for x in range(8)] == [groundstate_sq(x, p) for x in range(8)]
 
 
 def test_norm_factor_examples(pj):

@@ -21,7 +21,6 @@ from littleq import (
     deformed_measure,
     deformed_potentials,
     deformed_norm_sq,
-    deformed_weight,
     denominator_poly_y,
     groundstate_sq,
     level_poly,
@@ -114,8 +113,12 @@ def test_certificate_telescopes_to_the_exact_partial_sums(dset, p):
     pp = data.polys
     rows = [pp[0] * pp[2], pp[1] * pp[1] - (pp[0] * pp[0]).scale(data.targets[1]),
             _absolute_row(data, data.absolute_ratio()[0])]
-    den, _ = deformed_measure(d, p)
-    weight, pu = deformed_weight(d, p), p.shift(tilde=d.size)
+    den, c = deformed_measure(d, p)
+    pu = p.shift(tilde=d.size)
+
+    def weight(x):
+        return c * groundstate_sq(x, pu) / (den.eval_int(x) * den.eval_int(x - 1))
+
     for f in rows:
         n = _plain_certificate(d, p, f)
         assert n is not None and sum(n.values()) == 0 and data.certify(f).ok
@@ -209,11 +212,13 @@ def test_orthogonality_data_is_freed_without_a_cyclic_collection(pj):
 
 
 def test_weight_ground_state_grown_by_ratio(pj, pl, pji):
-    # with D empty the weight is the ground state itself, for either type
-    xs = (7, 0, 3, 12, 12)
+    # gs(x + 1) / gs(x) = a (1 - b q^x) / (1 - q^(x+1)), the weight ratio
+    # that structural_groundstate_product and the certificates read
     for p in (pj, pl, pj.shift(tilde=2), pji):
-        weight = deformed_weight(IndexSet.of(), p)
-        assert [weight(x) for x in xs] == [groundstate_sq(x, p) for x in xs]
+        q, b = p.q, p.b if p.family == Family.LQ_JACOBI else 0
+        for x in range(12):
+            ratio = p.a * (1 - b * q ** x) / (1 - q ** (x + 1))
+            assert groundstate_sq(x + 1, p) == groundstate_sq(x, p) * ratio, x
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +956,39 @@ def test_structural_fragment(pj):
     assert "structural_reduction" in names
     assert "structural_blimit_linear" in names
     assert all(c.status == "pass" for c in checks)
+
+
+def _groundstate_row():
+    checks = structural_checks(DEEP_D, DEEP_P, 0, random.Random(0))
+    return next(c for c in checks if c.name == "structural_groundstate_product")
+
+
+def test_groundstate_product_row_is_one_identity_for_every_x(monkeypatch):
+    # B_D's numerator plus prod_(k < 20) (y - q^k) keeps B_D at x = 0..19,
+    # all that a scan of the hop products on x <= 20 reads
+    assert _groundstate_row().status == "pass"
+    potentials, measure, q = verify.deformed_potentials, verify.deformed_measure, DEEP_P.q
+    term = math.prod((LaurentPoly(q, {0: -q ** k, 1: 1}) for k in range(20)),
+                     start=LaurentPoly.one(q))
+    assert not term.is_zero and all(term.eval_int(x) == 0 for x in range(20))
+
+    def b_num_changed(change):
+        def patched(d, p):
+            pots = potentials(d, p)
+            return DeformedPotentials(change(pots.b_num), pots.b_den, pots.d_num, pots.d_den)
+        return patched
+
+    mutants = [
+        ("deformed_potentials", b_num_changed(lambda b: b + term)),
+        # den of {1,3,5} with the levels and potentials of {1,3,5,7}
+        ("deformed_measure", lambda d, p: measure(IndexSet.of(1, 3, 5), p)),
+        ("deformed_potentials", b_num_changed(lambda b: b.scale(1 + F(1, 10 ** 6)))),
+    ]
+    for name, mutant in mutants:
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, mutant)
+            row = _groundstate_row()
+        assert (row.status, row.witness) == ("fail", "hop ratio differs from the weight ratio")
 
 
 # type II little q-Jacobi points with q^(1+dmax) < 2^-8, where probes fixed at
