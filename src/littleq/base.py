@@ -9,10 +9,10 @@ forward/backward shift operators, all exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import (
     EtaPoly,
@@ -44,8 +44,7 @@ def tilde_delta(family: Family, ctype: CType) -> tuple[int, int]:
     return (1, -1) if family == Family.LQ_JACOBI else (1, 0)
 
 
-@dataclass(frozen=True)
-class RawParams:
+class RawParams(NamedTuple):
     """Parameter point (q, a, b) of one family and construction type, unvalidated.
 
     ``dmax`` is the largest virtual-state index the caller intends to use.
@@ -69,7 +68,6 @@ class RawParams:
                          self.b * q ** (tilde * sb + delta), self.ctype, self.dmax)
 
 
-@dataclass(frozen=True)
 class Params(RawParams):
     """Validated parameter point: the admissible range of a and b depends on
     ``dmax``.  For the type II little q-Jacobi system the extended range
@@ -77,21 +75,22 @@ class Params(RawParams):
     positive sub-range 0 < b.
     """
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", scalar(self.q))
-        object.__setattr__(self, "a", scalar(self.a))
-        object.__setattr__(self, "b", scalar(self.b))
-        q, a, b = self.q, self.a, self.b
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, family: Family, q: ScalarLike, a: ScalarLike, b: ScalarLike = 0,
+                ctype: CType = CType.TYPE_II, dmax: int = 0) -> "Params":
+        q, a, b = scalar(q), scalar(a), scalar(b)
         if not 0 < q < 1:
             raise InvalidParamsError("need 0 < q < 1, got q=%s" % q)
-        if self.dmax < 0:
+        if dmax < 0:
             raise InvalidParamsError("dmax must be >= 0")
-        deformed = self.dmax >= 1  # dmax = 0 is the undeformed system
-        if self.family == Family.LQ_LAGUERRE:
+        deformed = dmax >= 1  # dmax = 0 is the undeformed system
+        if family == Family.LQ_LAGUERRE:
             if b != 0:
                 raise InvalidParamsError("little q-Laguerre has no parameter b")
-            if self.ctype == CType.TYPE_I and deformed:
-                if not 0 < a < q ** (1 + self.dmax):
+            if ctype == CType.TYPE_I and deformed:
+                if not 0 < a < q ** (1 + dmax):
                     raise InvalidParamsError(
                         "type I little q-Laguerre needs 0 < a < q^(1+dmax)"
                     )
@@ -99,8 +98,8 @@ class Params(RawParams):
                 raise InvalidParamsError("little q-Laguerre needs 0 < a < 1")
         else:
             # the bound of the deformed range, stated as tested
-            bound, text = (q ** (1 + self.dmax), "q^(1+dmax)") if deformed else (1, "1")
-            if self.ctype == CType.TYPE_I:
+            bound, text = (q ** (1 + dmax), "q^(1+dmax)") if deformed else (1, "1")
+            if ctype == CType.TYPE_I:
                 if not 0 < a < bound:
                     raise InvalidParamsError(
                         "type I little q-Jacobi needs 0 < a < %s" % text
@@ -119,6 +118,7 @@ class Params(RawParams):
                     raise InvalidParamsError(
                         "b = 0 is the little q-Laguerre family; use it directly"
                     )
+        return super().__new__(cls, family, q, a, b, ctype, dmax)
 
     @property
     def strict_range(self) -> bool:

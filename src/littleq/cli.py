@@ -6,8 +6,9 @@ appears only in the zeros and table numeric columns, always at an explicit
 printed precision, so identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (including a
-parameter coincidence that makes a Casoratian vanish identically), 3 internal
-invariant breach (a division that theory says is exact was not).
+parameter coincidence: a Casoratian vanishing identically or, outside verify,
+a collapsed virtual-state degree), 3 internal invariant breach (a division
+that theory says is exact was not).
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .base import CType, Family, Params
 from .darboux import IndexSet, denominator_poly, level_poly
@@ -31,6 +32,7 @@ from .exact import (
     fmt_rational,
 )
 from .verify import SUITES, OrthogonalityData, polynomial_roots, run_suite
+from .virtual import degree_drop
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -56,8 +58,7 @@ def parse_indices(text: str) -> tuple[int, ...]:
         raise InvalidParamsError("cannot parse index list %r" % text) from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed invocation; parse -> print round-trips exactly."""
 
     command: str
@@ -107,6 +108,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="littleq",
         description="Multi-indexed little q-Jacobi / q-Laguerre polynomials, exactly.",
     )
+    shared = argparse.ArgumentParser(add_help=False)  # the options of every command
+    shared.add_argument("--family", choices=[f.value for f in Family],
+                        default=Family.LQ_JACOBI.value)
+    shared.add_argument("--type", dest="ctype", type=int, choices=(1, 2), default=2)
+    shared.add_argument("--q", default="1/2", help="base, exact rational in (0,1)")
+    shared.add_argument("--a", default="1/3", help="parameter a, exact rational")
+    shared.add_argument("--b", default="1/16",
+                        help="parameter b (ignored for little q-Laguerre)")
+    shared.add_argument("--indices", default="2",
+                        help="comma list of virtual-state indices, e.g. '1,3'; empty for none")
+    shared.add_argument("--nmax", type=int, default=4)
+    shared.add_argument("--eps", default="1e-24",
+                        help="positive exact decimal, accepted and checked; no check reads it")
+    shared.add_argument("--xmax", type=int, default=60)
+    shared.add_argument("--prec-bits", dest="prec_bits", type=int, default=256)
+    shared.add_argument("--out", choices=("json", "csv"), default=None,
+                        help="output format (default: json for construct/verify, csv otherwise)")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--suite", default="all", choices=("all",) + SUITES,
+                        help="verification subset; 'shifts' is an alias of 'deformed'")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("construct", "emit polynomial coefficient tables as JSON"),
@@ -114,26 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("zeros", "emit a CSV of the zeros of one polynomial"),
         ("table", "emit a CSV of squared-norm ratios"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--family", choices=[f.value for f in Family],
-                        default=Family.LQ_JACOBI.value)
-        sp.add_argument("--type", dest="ctype", type=int, choices=(1, 2), default=2)
-        sp.add_argument("--q", default="1/2", help="base, exact rational in (0,1)")
-        sp.add_argument("--a", default="1/3", help="parameter a, exact rational")
-        sp.add_argument("--b", default="1/16",
-                        help="parameter b (ignored for little q-Laguerre)")
-        sp.add_argument("--indices", default="2",
-                        help="comma list of virtual-state indices, e.g. '1,3'; empty for none")
-        sp.add_argument("--nmax", type=int, default=4)
-        sp.add_argument("--eps", default="1e-24",
-                        help="positive exact decimal, accepted and checked; no check reads it")
-        sp.add_argument("--xmax", type=int, default=60)
-        sp.add_argument("--prec-bits", dest="prec_bits", type=int, default=256)
-        sp.add_argument("--out", choices=("json", "csv"), default=None,
-                        help="output format (default: json for construct/verify, csv otherwise)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--suite", default="all", choices=("all",) + SUITES,
-                        help="verification subset; 'shifts' is an alias of 'deformed'")
+        sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 
@@ -290,6 +292,12 @@ def main(argv: list[str] | None = None) -> int:
             "table": cmd_table,
         }[cfg.command]
         text, code = handler(cfg)
+        # after the command, so that a Casoratian vanishing identically is named as
+        # such; verify reports a collapsed degree through its failed checks
+        v = None if cfg.command == "verify" else degree_drop(cfg.params())
+        if v is not None:
+            raise InvalidParamsError(
+                "parameter coincidence: b = a q^m collapses the degree of virtual state %d" % v)
     except InvalidParamsError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_INVALID

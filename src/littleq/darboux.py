@@ -28,12 +28,11 @@ Casoratian level only, normalized single-index closed forms excepted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .base import (
     CType,
@@ -68,8 +67,12 @@ from .virtual import (
 )
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class _IndexFields(NamedTuple):  # the fields; a NamedTuple body may not define __new__
+    indices: tuple[int, ...]
+    strict: bool = True
+
+
+class IndexSet(_IndexFields):
     """Multi-index D = {d_1, ..., d_M} of virtual-state degrees.
 
     Strict mode enforces 1 <= d_1 < d_2 < ... < d_M, the admissible input
@@ -77,20 +80,21 @@ class IndexSet:
     for the permutation-invariance and index-reduction identities only.
     """
 
-    indices: tuple[int, ...]
-    strict: bool = True
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(d) for d in self.indices))
-        if len(set(self.indices)) != len(self.indices):
+    def __new__(cls, indices: Sequence[int], strict: bool = True) -> "IndexSet":
+        indices = tuple(int(d) for d in indices)
+        if len(set(indices)) != len(indices):
             raise InvalidParamsError("repeated virtual-state index")
-        if self.strict:
-            if any(d < 1 for d in self.indices):
+        if strict:
+            if any(d < 1 for d in indices):
                 raise InvalidParamsError("strict index sets need d_j >= 1")
-            if list(self.indices) != sorted(self.indices):
+            if list(indices) != sorted(indices):
                 raise InvalidParamsError("strict index sets must be ascending")
-        elif any(d < 0 for d in self.indices):
+        elif any(d < 0 for d in indices):
             raise InvalidParamsError("virtual-state indices must be >= 0")
+        return super().__new__(cls, indices, strict)
 
     @classmethod
     def of(cls, *ds: int) -> "IndexSet":
@@ -471,8 +475,7 @@ def deformed_measure(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, Fraction]
     return xi_casoratian(d, p).shift(1), p.q ** -qbinom2(m) * qpoch(p.b, p.q, m)
 
 
-@dataclass(frozen=True)
-class DeformedPotentials:
+class DeformedPotentials(NamedTuple):
     """Deformed hopping potentials as exact numerator/denominator pairs."""
 
     b_num: LaurentPoly

@@ -11,9 +11,9 @@ polynomial rewriting used inside Casoratian columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .base import (
     CType,
@@ -34,8 +34,7 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
-class VirtualData:
+class VirtualData(NamedTuple):
     """Auxiliary potentials (regularized) and the additive energy constant."""
 
     bprime_new: LaurentPoly
@@ -155,6 +154,12 @@ def xi_leading(v: int, p: ParamsLike) -> Fraction:
         den = qpoch(b * q ** (-v - 1), q, v)
         return b ** v * q ** (-(v * (v + 1) // 2)) * num / den
     return (-a) ** v * q ** (v * v)
+
+
+def degree_drop(p: ParamsLike) -> int | None:
+    """The first v in 1..dmax whose virtual-state polynomial loses its leading
+    coefficient (a coincidence b = a q^m), else None."""
+    return next((v for v in range(1, p.dmax + 1) if xi_leading(v, p) == 0), None)
 
 
 def xi_series_value(v: int, p: ParamsLike, x: int) -> Fraction:

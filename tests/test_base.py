@@ -54,6 +54,52 @@ def test_params_ranges():
     assert not ext.strict_range
 
 
+J, L, I, II = Family.LQ_JACOBI, Family.LQ_LAGUERRE, CType.TYPE_I, CType.TYPE_II
+
+
+@pytest.mark.parametrize("fields,message", [
+    ((J, F(3, 2), A, B, II, 0), "need 0 < q < 1, got q=3/2"),
+    ((J, Q, A, B, II, -1), "dmax must be >= 0"),
+    ((L, Q, A, F(1, 7), II, 0), "little q-Laguerre has no parameter b"),
+    ((L, Q, A, 0, I, 2), "type I little q-Laguerre needs 0 < a < q^(1+dmax)"),
+    ((L, Q, F(3, 2), 0, II, 0), "little q-Laguerre needs 0 < a < 1"),
+    ((J, Q, A, B, I, 2), "type I little q-Jacobi needs 0 < a < q^(1+dmax)"),
+    ((J, Q, F(3, 2), B, I, 0), "type I little q-Jacobi needs 0 < a < 1"),
+    ((J, Q, F(1, 10), F(1), I, 2), "little q-Jacobi needs b < 1"),
+    ((J, Q, F(3, 2), B, II, 2), "little q-Jacobi needs 0 < a < 1"),
+    ((J, Q, A, F(1, 4), II, 2),
+     "type II little q-Jacobi needs b < q^(1+dmax) (extended range), got b=1/4"),
+    ((J, Q, A, 0, II, 1), "b = 0 is the little q-Laguerre family; use it directly"),
+])
+def test_params_error_messages(fields, message):
+    with pytest.raises(InvalidParamsError) as info:
+        Params(*fields)
+    assert str(info.value) == message
+
+
+def test_params_defaults_and_coercion():
+    for p in (Params(J, Q, A), Params(family=J, q="1/2", a=A),
+              RawParams(J, Q, A), RawParams(family=J, q=Q, a=A)):
+        assert (p.b, p.ctype, p.dmax) == (0, II, 0)
+        assert type(p.q) is type(p.b) is F
+    assert Params(J, 0.5, A, B, II, 2) == Params(J, Q, A, B, dmax=2)
+
+
+def test_params_are_immutable_values(pj):
+    raw = RawParams(*pj)
+    for p in (pj, raw):
+        with pytest.raises(AttributeError):
+            p.b = F(1, 32)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+    # records compare and hash by their fields; no cached function reads the class
+    assert pj == raw and hash(pj) == hash(raw)
+    assert hash(Params(J, Q, A, B, II, 2)) == hash(pj)
+    assert pj._replace(b=F(1, 32)).b == F(1, 32)
+    with pytest.raises(InvalidParamsError):
+        pj._replace(b=F(1, 4))  # _replace validates as the constructor does
+
+
 def test_shift_composition_additive(pj):
     s = pj.shift(tilde=2, delta=1).shift(tilde=-1, delta=3)
     t = pj.shift(tilde=1, delta=4)

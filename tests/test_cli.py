@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import closed_forms
 import littleq
-from littleq import verify
+from littleq import Family, IndexSet, verify
 from littleq.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -32,6 +32,7 @@ from littleq.cli import (
     parse_rational,
 )
 from littleq.exact import InvalidParamsError
+from littleq.virtual import degree_drop
 
 
 def make_cfg(argv):
@@ -76,6 +77,53 @@ def test_config_round_trip():
     assert (d2["q"], d2["a"], d2["b"]) == ("1/2", "1/3", "1/16")
     assert d2["nmax"] == 4 and d2["xmax"] == 60 and d2["prec_bits"] == 256
     assert d2["eps"] == "1/1000000000000000000000000"
+
+
+def test_run_config_is_an_immutable_value():
+    argv = ["verify", "--indices", "1,3", "--b", "1/64"]
+    cfg = make_cfg(argv)
+    with pytest.raises(AttributeError):
+        cfg.nmax = 5
+    assert cfg == make_cfg(argv) and hash(cfg) == hash(make_cfg(argv))
+    assert cfg.index_set() == IndexSet.of(1, 3) and cfg.params().dmax == 3
+
+
+def test_abbreviated_option_parses():
+    assert make_cfg(["verify", "--fam", "lqLaguerre"]).family == Family.LQ_LAGUERRE
+
+
+# help and usage text, recorded before the commands shared one parent parser;
+# the layout is that of Python 3.11's argparse at 80 columns
+argparse_layout = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                                     reason="argparse lays out help per Python version")
+
+
+@argparse_layout
+@pytest.mark.parametrize("argv,digest", [
+    (["--help"], "92faa41ce4b9d9302bb55d55b3e5265a2da0c5d6d154ad2ee7387111a138627b"),
+    (["verify", "--help"], "668e05e893a3a79c0bcbc6b3f42c3b6f91aa787f5c4b9ca10819f0d9bdc39179"),
+])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@argparse_layout
+def test_usage_error_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["construct", "--type", "3"]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "usage: littleq construct [-h] [--family {lqJacobi,lqLaguerre}] [--type {1,2}]\n"
+        "                         [--q Q] [--a A] [--b B] [--indices INDICES]\n"
+        "                         [--nmax NMAX] [--eps EPS] [--xmax XMAX]\n"
+        "                         [--prec-bits PREC_BITS] [--out {json,csv}]\n"
+        "                         [--seed SEED]\n"
+        "                         [--suite {all,base,virtual,deformed,shifts,structural,"
+        "reflection,ortho,zeros,positivity}]\n"
+        "littleq construct: error: argument --type: invalid choice: 3 (choose from 1, 2)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +329,30 @@ def coincidence_argv(draw):
             "--nmax", str(draw(st.integers(0, 2)))]
 
 
+B_IS_A_Q2 = ["--q", "1/2", "--a", "1/8", "--b", "1/32", "--indices", "1,2", "--nmax", "1"]
+
+
 @given(coincidence_argv())
 @example(["table", "--q", "1/4", "--a", "1/2", "--b", "1/2", "--indices=", "--nmax", "2"])
 @example(["verify", "--indices=", "--nmax", "0"])
-@example(["verify", "--indices", "1,2", "--a", "1/8", "--b", "1/32", "--nmax", "1"])
+@example(["verify", *B_IS_A_Q2])
+@example(["construct", *B_IS_A_Q2])
+@example(["table", *B_IS_A_Q2])
+@example(["zeros", *B_IS_A_Q2])
 @settings(max_examples=400, deadline=None)
 def test_coincidence_grids_exit_with_a_documented_code(argv):
     # anything main does not map to an exit code propagates and fails here
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_INVALID, EXIT_INTERNAL)
+    # a collapsed virtual-state degree (b = a q^m) fails verify and is invalid
+    # input for every other command
+    try:
+        drop = degree_drop(make_cfg(argv).params())
+    except InvalidParamsError:
+        drop = None
+    if drop is not None:
+        assert code == (EXIT_VERIFY_FAIL if argv[0] == "verify" else EXIT_INVALID)
 
 
 def test_main_rejects_unknown_flag(capsys):
@@ -565,6 +627,17 @@ def test_cli_import_leaves_numpy_out():
     src = os.path.dirname(os.path.dirname(littleq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_leaves_dataclasses_inspect_and_cmath_out():
+    # every command starts a fresh interpreter and pays for each module it imports;
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    src = os.path.dirname(os.path.dirname(littleq.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import littleq.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'cmath'} & set(sys.modules)))" % src)
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_commands_run_without_mpmath():

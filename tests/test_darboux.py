@@ -103,6 +103,26 @@ def test_empty_index_set():
     assert d.size == 0 and d.degree_offset == 0
 
 
+def test_index_set_is_an_immutable_value():
+    d = IndexSet([F(1), 3.0])
+    assert d.indices == (1, 3) and all(type(v) is int for v in d.indices)
+    assert (str(d), str(IndexSet.of())) == ("{1,3}", "{}")
+    assert d == IndexSet.of(1, 3) == IndexSet(indices=(1, 3), strict=True)
+    assert hash(d) == hash(IndexSet.of(1, 3)) and d != IndexSet.raw((1, 3))
+    with pytest.raises(AttributeError):
+        d.indices = (2,)
+    with pytest.raises(AttributeError):
+        d.extra = 1
+    with pytest.raises(InvalidParamsError, match="^strict index sets must be ascending$"):
+        d._replace(indices=(3, 1))  # _replace validates as the constructor does
+    for ds, strict, message in (((0, 1), True, "strict index sets need d_j >= 1"),
+                                ((2, 2), False, "repeated virtual-state index"),
+                                ((-1, 2), False, "virtual-state indices must be >= 0")):
+        with pytest.raises(InvalidParamsError) as info:
+            IndexSet(ds, strict)
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Casoratians
 # ---------------------------------------------------------------------------

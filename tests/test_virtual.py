@@ -32,6 +32,7 @@ from littleq import (
     xi_series_value,
 )
 from littleq.verify import _random_valid_params
+from littleq.virtual import degree_drop
 
 Q, A, B = F(1, 2), F(1, 3), F(1, 16)
 
@@ -132,6 +133,17 @@ def test_xi_leading_example(pj):
     assert expected == F(-1, 18)
     assert xi_leading(1, pj) == expected
     assert virtual_poly_y(1, pj).to_eta().leading == expected
+
+
+def test_degree_drop_names_the_first_collapsed_degree(pj, pl, pji, pli):
+    # b = a q^2 empties the leading coefficient of xi_1 alone
+    p = Params(Family.LQ_JACOBI, Q, F(1, 8), F(1, 32), CType.TYPE_II, dmax=3)
+    assert degree_drop(p) == 1
+    assert [xi_leading(v, p) == 0 for v in range(4)] == [False, True, False, False]
+    # b = a q^-4 at type I empties xi_2 first
+    assert degree_drop(Params(Family.LQ_JACOBI, F(2, 3), F(16, 135), F(3, 5),
+                              CType.TYPE_I, dmax=2)) == 2
+    assert [degree_drop(p) for p in (pj, pl, pji, pli)] == [None] * 4
 
 
 def test_xi_leading_and_infinity_match_polys(pj_deep, pl):
