@@ -40,7 +40,7 @@ print("\nvirtual-state polynomials (normalized to 1 at x = -1):")
 for v in range(5):
     xi = virtual_poly_y(v, p)
     assert xi.eval_int(-1) == 1
-    assert xi_diffeq_residual(v, p).is_zero
+    assert xi_diffeq_residual(v, p).is_zero  # H' xi = E' xi, H' = hop_op(B', D')
     print("  v=%d: energy %s = %s + alpha'" %
           (v, virtual_energy(v, p), virtual_energy_prime(v, p)))
     assert virtual_energy(v, p) < 0

@@ -15,11 +15,13 @@ from littleq import (
     deformed_forward_check,
     deformed_potentials,
     denominator_poly,
+    eigenpoly_y,
     infinity_values,
     lowest_matches_denominator,
     multi_indexed_poly,
     multi_indexed_poly_y,
-    typeII_single_poly,
+    op_apply,
+    typeII_single_op,
 )
 
 q, a, b = F(1, 2), F(1, 3), F(1, 16)
@@ -41,10 +43,12 @@ for d in (IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2)):
     # the lowest level is the denominator at shifted argument and parameters
     assert lowest_matches_denominator(d, p).is_zero
 
-# Single-index sets admit a closed form that bypasses the determinant.
+# Single-index sets admit a closed form that bypasses the determinant: every
+# level is one operator applied to P_n, and the two operators agree.
 d2 = IndexSet.of(2)
 for n in range(4):
-    assert (multi_indexed_poly_y(d2, n, p) - typeII_single_poly(2, n, p)).is_zero
+    pn = eigenpoly_y(n, p)
+    assert (multi_indexed_poly_y(d2, n, p) - op_apply(typeII_single_op(2, p), pn)).is_zero
 print("\nD={2}: determinant route equals the single-index closed form, n <= 3")
 
 print("coefficients of the D={2}, n=1 polynomial in eta:")

@@ -4,8 +4,8 @@ The little q-Laguerre system is the b = 0 member of the little q-Jacobi
 family; both live on x in {0, 1, 2, ...} with sinusoidal coordinate
 eta(x) = 1 - q^x and potentials that are Laurent polynomials in y = q^x.
 This module provides energies, potentials, eigenpolynomials, the squared
-ground state, norm ratios, the similarity-transformed Hamiltonian and the
-forward/backward shift operators, all exact.
+ground state, norm ratios, and the similarity-transformed Hamiltonian and
+the forward/backward shift operators as operator values, all exact.
 """
 from __future__ import annotations
 
@@ -247,28 +247,31 @@ def norm_ratio(n: int, p: ParamsLike) -> Fraction:
     return out
 
 
-def hamiltonian_apply(f: LaurentPoly, p: ParamsLike) -> LaurentPoly:
-    """Similarity-transformed Hamiltonian acting on a polynomial in y.
-
-    B(x) (f(x) - f(x+1)) + D(x) (f(x) - f(x-1)); eigenpolynomials satisfy
-    H f = energy(n) f with identically zero residual.
-    """
-    return potential_b(p) * (f - f.shift(1)) + potential_d(p) * (f - f.shift(-1))
+def hop_op(b: LaurentPoly, d: LaurentPoly) -> dict[int, LaurentPoly]:
+    """The hopping operator B (1 - T) + D (1 - T^-1) of up and down
+    potentials B and D: f -> B (f - f(x+1)) + D (f - f(x-1))."""
+    return {0: b + d, 1: -b, -1: -d}
 
 
-def forward_shift_apply(f: LaurentPoly, p: ParamsLike) -> LaurentPoly:
-    """Forward shift operator: maps level n at lambda to level n-1 at lambda+delta."""
-    b0 = potential_b(p).eval_int(0)
-    return LaurentPoly.monomial(p.q, -1, b0) * (f - f.shift(1))
+def hamiltonian_op(p: ParamsLike) -> dict[int, LaurentPoly]:
+    """Similarity-transformed Hamiltonian H = hop_op(B, D) on polynomials in
+    y; eigenpolynomials satisfy H P_n = energy(n) P_n with zero residual."""
+    return hop_op(potential_b(p), potential_d(p))
 
 
-def backward_shift_apply(f: LaurentPoly, p: ParamsLike) -> LaurentPoly:
-    """Backward shift operator: maps level n-1 at lambda+delta to level n at lambda."""
-    q = p.q
-    b0 = potential_b(p).eval_int(0)
-    y = LaurentPoly.var(q)
-    out = potential_b(p) * y * f - potential_d(p) * y * f.shift(-1).scale(1 / q)
-    return out / b0
+def forward_shift_op(p: ParamsLike) -> dict[int, LaurentPoly]:
+    """Forward shift F = B(0) y^-1 (1 - T): maps level n at lambda to
+    energy(n) times level n-1 at lambda+delta."""
+    f = LaurentPoly.monomial(p.q, -1, potential_b(p).eval_int(0))
+    return {0: f, 1: -f}
+
+
+def backward_shift_op(p: ParamsLike) -> dict[int, LaurentPoly]:
+    """Backward shift Bk = y (B - D T^-1 / q) / B(0): maps level n-1 at
+    lambda+delta to level n at lambda."""
+    b = potential_b(p)
+    y = LaurentPoly.monomial(p.q, 1, 1 / b.eval_int(0))
+    return {0: b * y, -1: -(potential_d(p) * y).scale(1 / p.q)}
 
 
 def casoratian_gauge(m: int, q: ScalarLike) -> LaurentPoly:

@@ -21,7 +21,9 @@ system, described by the level polynomials (level_poly_y) and the measure
 (deformed_measure, the weight c gs(x; lambda + M tilde) / (den den(x-1)));
 the potentials and the norm factor are built from level 0, level n and den
 alone.  As every level is A[P_n], deformed_identities proves the eigen and
-shift relations for every n, with no level at lambda + delta.  The type II
+shift relations for every n, with no level at lambda + delta, by composing
+A with the base's operator values hamiltonian_op, forward_shift_op and
+backward_shift_op (exact's op_compose).  The type II
 construction is fully normalized (denominator value 1 at x = -1,
 eigenpolynomial value 1 at x = 0).  The type I construction is exposed at
 Casoratian level only, normalized single-index closed forms excepted.
@@ -38,11 +40,14 @@ from .base import (
     CType,
     Family,
     ParamsLike,
+    backward_shift_op,
     casoratian_gauge,
     eigen_at_infinity,
     eigen_leading,
     eigenpoly_y,
     energy,
+    forward_shift_op,
+    hamiltonian_op,
     potential_b,
     potential_d,
 )
@@ -54,6 +59,9 @@ from .exact import (
     LaurentPoly,
     NonExactDivisionError,
     det_laurent,  # noqa: F401  (kept bound here: qbench's tracer wraps it in every namespace)
+    op_add,
+    op_apply,
+    op_compose,
     qbinom2,
     qpoch,
 )
@@ -142,8 +150,6 @@ def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly,
         return LaurentPoly.one(p.q), (LaurentPoly.one(p.q),)
     s = -1 if p.ctype == CType.TYPE_II else 1
     fs = [virtual_poly_y(v, p) for v in d.indices]
-    if m == 1:
-        return fs[0], (-fs[0].shift(s), fs[0])
     lo = min(f.val for f in fs)
     width = max(f.val + len(f.num) for f in fs) - lo
     minors = {(): 1}  # F_S of the rows so far, by Laplace expansion along each new row
@@ -181,15 +187,12 @@ def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly,
 
 
 def _casoratian(d: IndexSet, p: ParamsLike, n: int) -> LaurentPoly:
-    """Level n of D at p as the operator level_op applied to P_n:
-    sum_k c_k P_n(x + k), the bordered Casoratian expanded along its border
-    (over the gauge monomial and cdn for type II).  It is zero for n < 0;
-    any other zero result is degenerate.
-    """
+    """Level n of D at p, level_op applied to P_n: the bordered Casoratian
+    expanded along its border (over the gauge monomial and cdn for type II).
+    It is zero for n < 0; any other zero result is degenerate."""
     if n < 0:
         return LaurentPoly.zero(p.q)
-    pn = eigenpoly_y(n, p)
-    w = sum((pn.shift(k) * c for k, c in level_op(d, p).items()), LaurentPoly.zero(p.q))
+    w = op_apply(level_op(d, p), eigenpoly_y(n, p))
     if w.is_zero:
         raise DegenerateCasoratianError("bordered Casoratian is identically zero")
     return w
@@ -373,20 +376,14 @@ def multi_indexed_leading(d: IndexSet, n: int, p: ParamsLike) -> Fraction:
     return out
 
 
-def typeII_single_poly(dd: int, n: int, p: ParamsLike) -> LaurentPoly:
-    """Single-index type II closed form, bypassing the determinant engine.
-
-    q^{-x} [(1 - b q^{x-1}) xi_d(x-1) P_n(x) - (1 - q^x) xi_d(x) P_n(x-1)]
-    divided by (1 - b q^{-1}); an independent route for engine tests.
-    """
-    q, b = p.q, p.b
-    xi = virtual_poly_y(dd, p)
-    pn = eigenpoly_y(n, p)
-    one_m_bqy = LaurentPoly(q, {0: 1, 1: -b / q})
-    one_m_y = LaurentPoly(q, {0: 1, 1: -1})
-    inner = one_m_bqy * xi.shift(-1) * pn - one_m_y * xi * pn.shift(-1)
-    out = LaurentPoly.monomial(q, -1) * inner
-    return out.scale(1 / (1 - b / q))
+def typeII_single_op(dd: int, p: ParamsLike) -> dict[int, LaurentPoly]:
+    """Single-index type II closed form of level_op at D = {dd}, bypassing the
+    determinant engine: f -> q^{-x} [(1 - b q^{x-1}) xi_d(x-1) f
+    - (1 - q^x) xi_d(x) f(x-1)] / (1 - b q^{-1})."""
+    q, b, xi = p.q, p.b, virtual_poly_y(dd, p)
+    c = LaurentPoly.monomial(q, -1, 1 / (1 - b / q))
+    return {0: c * LaurentPoly(q, {0: 1, 1: -b / q}) * xi.shift(-1),
+            -1: -(c * LaurentPoly(q, {0: 1, 1: -1}) * xi)}
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +409,28 @@ def typeI_eigen_numerator(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     return _casoratian(d, p, n)
 
 
+def typeI_single_op(dd: int, p: ParamsLike) -> dict[int, LaurentPoly]:
+    """Single-index type I closed form of level_op at D = {dd}, bypassing
+    the determinant engine: f -> a q^{-1} xi_d(x) f(x+1) - xi_d(x+1) f."""
+    _check_type_i(p)
+    xi = virtual_poly_y(dd, p)
+    return {0: -xi.shift(1), 1: xi.scale(p.a / p.q)}
+
+
 def typeI_single_poly(dd: int, n: int, p: ParamsLike) -> LaurentPoly:
     """Normalized single-index type I polynomial from its closed form.
 
     (1-b) q^n / ((1 - a q^{n-d-1})(1 - b q^{n+d})) *
-    [xi_d(x+1) P_n(x) - a q^{-1} xi_d(x) P_n(x+1)].
+    [xi_d(x+1) P_n(x) - a q^{-1} xi_d(x) P_n(x+1)] (-typeI_single_op).
     Takes an unvalidated type I record, so it can also be evaluated at
     shifted points and at formally inverted q for the reflection identity.
     """
-    _check_type_i(p)
+    op, pn = typeI_single_op(dd, p), eigenpoly_y(n, p)
     q, a, b = p.q, p.a, p.b
-    xi = virtual_poly_y(dd, p)
-    pn = eigenpoly_y(n, p)
     den = (1 - a * q ** (n - dd - 1)) * (1 - b * q ** (n + dd))
     if den == 0:
         raise InvalidParamsError("degenerate normalization in closed form")
-    pref = (1 - b) * q ** n / den
-    inner = xi.shift(1) * pn - (xi * pn.shift(1)).scale(a / q)
-    return inner.scale(pref)
+    return op_apply(op, pn).scale(-(1 - b) * q ** n / den)
 
 
 # ---------------------------------------------------------------------------
@@ -553,20 +554,6 @@ def deformed_norm_sq(d: IndexSet, n: int, p: ParamsLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _add(*ops: dict) -> dict:
-    """The sum of operators {k: c_k}, each f -> sum_k c_k f(x + k)."""
-    out: dict[int, LaurentPoly] = {}
-    for op in ops:
-        for k, c in op.items():
-            out[k] = out[k] + c if k in out else c
-    return out
-
-
-def _compose(a: dict, b: dict) -> dict:
-    """a o b: (a_i T^i) o (b_j T^j) = a_i b_j.shift(i) T^(i + j), T^k f = f.shift(k)."""
-    return _add(*({i + j: ai * bj.shift(i)} for i, ai in a.items() for j, bj in b.items()))
-
-
 @lru_cache(maxsize=256)
 def level_op(d: IndexSet, p: ParamsLike) -> Mapping[int, LaurentPoly]:
     """The operator A with level_poly_y(d, n, p) = A[P_n] for every n, read-only.
@@ -596,33 +583,32 @@ def deformed_identities(d: IndexSet, p: ParamsLike) -> dict[str, dict[int, Laure
     """Residual operators of the deformed eigen equation ("eigen") and, for
     type II, the shift relations ("forward", "backward"); each is zero iff
     its relation holds at every n.  Proof: level n is A[P_n], A = level_op,
-    and H P_n = E_n P_n, F P_n = E_n P'_(n-1), Bk P'_(n-1) = P_n for every n
-    (hamiltonian_apply and the shifts; ' marks lambda + delta).  So the
-    residuals of deformed_eigencheck and the shift checks are R[P_n] or
-    R[P'_(n-1)], with R free of n:
-      eigen     L o A - K (A o H), L = B' den(x-1)^2 (l0(x+1) - l0 T)
+    and H P_n = E_n P_n, F P_n = E_n P'_(n-1), Bk P'_(n-1) = P_n for every n,
+    with H, F and Bk the operator values hamiltonian_op, forward_shift_op and
+    backward_shift_op at lambda, the ones the base rows check (' marks
+    lambda + delta).  So the residuals of deformed_eigencheck and the shift
+    checks are R[P_n] or R[P'_(n-1)], with R free of n:
+      eigen     L o A - K o A o H, L = B' den(x-1)^2 (l0(x+1) - l0 T)
                 + D den^2 (l0(x-1) - l0 T^-1), K = den den(x-1) l0;
-      forward   b0 (l0(x+1) - l0 T) o A - y den (A' o F);
-      backward  (B' den(x-1) y - D den (y/q) T^-1) o A' - b0 l0 (A o Bk),
-    B' = B(x; lambda + M tilde), b0 = B'(0).  R maps y^m to sum_k r_k q^(km)
-    y^m, the q^k are distinct and the P_n span the polynomials: R vanishes
-    at every n iff every r_k is zero."""
+      forward   b0 (l0(x+1) - l0 T) o A - y den o A' o F;
+      backward  (B' den(x-1) y - D den (y/q) T^-1) o A' - b0 l0 o A o Bk,
+    B' = B(x; lambda + M tilde), b0 = B'(0), a function g standing for the
+    operator {0: g}.  R maps y^m to sum_k r_k q^(km) y^m, the q^k are
+    distinct and the P_n span the polynomials: R vanishes at every n iff
+    every r_k is zero."""
     den, _ = deformed_measure(d, p)
-    l0, a, dd, b = level_poly_y(d, 0, p), level_op(d, p), potential_d(p), potential_b(p)
+    l0, a, dd = level_poly_y(d, 0, p), level_op(d, p), potential_d(p)
     bu, den1 = potential_b(p.shift(tilde=d.size)), den.shift(-1)
-    u, v, k = bu * den1 ** 2, dd * den ** 2, -(den * den1 * l0)
+    u, v = bu * den1 ** 2, dd * den ** 2
     lop = {0: u * l0.shift(1) + v * l0.shift(-1), 1: -(u * l0), -1: -(v * l0)}
-    out = {"eigen": _add(_compose(lop, a), _compose({j: k * c for j, c in a.items()},
-                                                    {0: b + dd, 1: -b, -1: -dd}))}
+    out = {"eigen": op_add(op_compose(lop, a),
+                           op_compose({0: -(den * den1 * l0)}, a, hamiltonian_op(p)))}
     if p.ctype == CType.TYPE_I:
         return out
     a1, b0, y = level_op(d, p.shift(delta=1)), bu.eval_int(0), LaurentPoly.var(p.q)
-    f, yden, l0b = LaurentPoly.monomial(p.q, -1, b.eval_int(0)), -(y * den), l0.scale(-b0)
-    # F = f (1 - T), and H above is B (1 - T) + D (1 - T^-1)
-    out["forward"] = _add(_compose({0: l0.shift(1).scale(b0), 1: l0b}, a),
-                          _compose({j: yden * c for j, c in a1.items()}, {0: f, 1: -f}))
-    bk = y.scale(1 / b.eval_int(0))  # Bk = bk (B - D T^-1 / q)
-    out["backward"] = _add(_compose({0: bu * den1 * y, -1: (yden * dd).scale(1 / p.q)}, a1),
-                           _compose({j: l0b * c for j, c in a.items()},
-                                    {0: b * bk, -1: -(dd * bk).scale(1 / p.q)}))
+    yden, l0b = -(y * den), l0.scale(-b0)
+    out["forward"] = op_add(op_compose({0: l0.shift(1).scale(b0), 1: l0b}, a),
+                            op_compose({0: yden}, a1, forward_shift_op(p)))
+    out["backward"] = op_add(op_compose({0: bu * den1 * y, -1: (yden * dd).scale(1 / p.q)}, a1),
+                             op_compose({0: l0b}, a, backward_shift_op(p)))
     return out

@@ -15,7 +15,8 @@ eta^0 (last entry nonzero).  This form is unique, so equality is equality of
 storage, and multiplication, addition, shifts (q = r/t), evaluation, exact
 division and the change to eta all run on integers; Fractions appear only at
 the public boundary (``coeff``, ``coeff_dict``/``coeffs``, ``eval_int``,
-``eval_eta``).
+``eval_eta``).  A difference operator is a mapping {k: LaurentPoly c_k}
+acting as f -> sum_k c_k f(x + k).
 """
 from __future__ import annotations
 
@@ -561,6 +562,28 @@ class EtaPoly:
     def eval_int(self, x: int) -> Fraction:
         """Exact value at integer lattice point x, i.e. at eta = 1 - q^x."""
         return self.eval_eta(1 - self.q ** x)
+
+
+def op_apply(op: Mapping[int, LaurentPoly], f: LaurentPoly) -> LaurentPoly:
+    """op[f] = sum_k c_k f(x + k)."""
+    return sum((f.shift(k) * c for k, c in op.items()), LaurentPoly.zero(f.q))
+
+
+def op_add(*ops: Mapping[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+    """The sum of operators."""
+    out: dict[int, LaurentPoly] = {}
+    for op in ops:
+        for k, c in op.items():
+            out[k] = out[k] + c if k in out else c
+    return out
+
+
+def op_compose(*ops: Mapping[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+    """a o b o ... (b acts first): (a_i T^i) o (b_j T^j) = a_i b_j(x + i) T^(i + j)."""
+    out = dict(ops[0])
+    for b in ops[1:]:
+        out = op_add(*({i + j: ai * bj.shift(i)} for i, ai in out.items() for j, bj in b.items()))
+    return out
 
 
 def det_laurent(

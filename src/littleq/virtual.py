@@ -23,11 +23,13 @@ from .base import (
     eigen_leading,
     eigenpoly_y,
     groundstate_sq,
+    hop_op,
     twist,
 )
 from .exact import (
     InvalidParamsError,
     LaurentPoly,
+    op_apply,
     qhyper_terminating,
     qhyper_terms,
     qpoch,
@@ -186,15 +188,10 @@ def xi_series_value(v: int, p: ParamsLike, x: int) -> Fraction:
 
 
 def xi_diffeq_residual(v: int, p: ParamsLike) -> LaurentPoly:
-    """Residual of the auxiliary difference equation; identically zero when it holds."""
-    vd = virtual_data(p)
-    xi = virtual_poly_y(v, p)
-    ev = virtual_energy_prime(v, p)
-    return (
-        vd.bprime_new * (xi - xi.shift(1))
-        + vd.dprime_new * (xi - xi.shift(-1))
-        - xi.scale(ev)
-    )
+    """Residual of the auxiliary difference equation H' xi = E' xi, with the
+    auxiliary Hamiltonian H' = hop_op(B', D'); identically zero when it holds."""
+    vd, xi = virtual_data(p), virtual_poly_y(v, p)
+    return op_apply(hop_op(vd.bprime_new, vd.dprime_new), xi) - xi.scale(virtual_energy_prime(v, p))
 
 
 def groundstate_ratio(x: int, p: ParamsLike) -> Fraction:

@@ -24,13 +24,14 @@ from littleq import (
     denominator_poly_y,
     eigenpoly_y,
     energy,
-    hamiltonian_apply,
+    hamiltonian_op,
     infinity_values,
     level_poly,
     lowest_matches_denominator,
     multi_indexed_leading,
     multi_indexed_poly,
     multi_indexed_poly_y,
+    op_apply,
     tilde_delta,
     typeI_single_poly,
     xi_casoratian,
@@ -104,7 +105,7 @@ def test_criterion_02_eigen_identities():
                    CType.TYPE_II, dmax=2)
         for n in range(9):
             f = eigenpoly_y(n, p)
-            ok &= (hamiltonian_apply(f, p) - f.scale(energy(n, p))).is_zero
+            ok &= (op_apply(hamiltonian_op(p), f) - f.scale(energy(n, p))).is_zero
     for d, p in battery_points():
         for n in range(6):
             ok &= deformed_eigencheck(d, n, p).is_zero

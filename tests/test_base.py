@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,17 +11,20 @@ from littleq import (
     LaurentPoly,
     Params,
     RawParams,
-    backward_shift_apply,
+    backward_shift_op,
     casoratian_gauge,
     eigen_at_infinity,
     eigen_leading,
     eigenpoly,
     eigenpoly_y,
     energy,
-    forward_shift_apply,
+    forward_shift_op,
     groundstate_sq,
-    hamiltonian_apply,
+    hamiltonian_op,
     norm_ratio,
+    op_add,
+    op_apply,
+    op_compose,
     potential_b,
     potential_d,
 )
@@ -184,7 +188,7 @@ def test_eigen_equation_exact(pj, pl):
     for p in (pj, pl):
         for n in range(9):
             f = eigenpoly_y(n, p)
-            r = hamiltonian_apply(f, p) - f.scale(energy(n, p))
+            r = op_apply(hamiltonian_op(p), f) - f.scale(energy(n, p))
             assert r.is_zero, (p.family, n)
 
 
@@ -195,7 +199,7 @@ def test_eigen_equation_random_params():
             p = _random_valid_params(rng, family, CType.TYPE_II, dmax=2)
             for n in range(5):
                 f = eigenpoly_y(n, p)
-                assert (hamiltonian_apply(f, p) - f.scale(energy(n, p))).is_zero
+                assert (op_apply(hamiltonian_op(p), f) - f.scale(energy(n, p))).is_zero
 
 
 def test_series_oracle(pj, pl):
@@ -226,14 +230,15 @@ def test_laguerre_is_b_zero_specialization(pj, pl):
 def test_forward_backward_relations(pj, pl):
     for p in (pj, pl):
         up = p.shift(delta=1)
-        assert forward_shift_apply(eigenpoly_y(0, p), p).is_zero
+        fwd, bkw = forward_shift_op(p), backward_shift_op(p)
+        assert op_apply(fwd, eigenpoly_y(0, p)).is_zero
         for n in range(9):
             f = eigenpoly_y(n, p)
-            lhs = forward_shift_apply(f, p)
+            lhs = op_apply(fwd, f)
             rhs = eigenpoly_y(n - 1, up).scale(energy(n, p))
             assert (lhs - rhs).is_zero, n
             if n >= 1:
-                back = backward_shift_apply(eigenpoly_y(n - 1, up), p)
+                back = op_apply(bkw, eigenpoly_y(n - 1, up))
                 assert (back - f).is_zero, n
 
 
@@ -241,8 +246,19 @@ def test_backward_after_forward_is_hamiltonian(pj, pl):
     rng = random.Random(5)
     f = LaurentPoly(Q, {i: F(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(6)})
     for p in (pj, pl):
-        composed = backward_shift_apply(forward_shift_apply(f, p), p)
-        assert (composed - hamiltonian_apply(f, p)).is_zero
+        composed = op_apply(backward_shift_op(p), op_apply(forward_shift_op(p), f))
+        assert (composed - op_apply(hamiltonian_op(p), f)).is_zero
+
+
+def test_backward_after_forward_is_hamiltonian_as_operators():
+    # Bk o F = H as an identity of operators, hence for every polynomial at once
+    rng = random.Random(29)
+    for family, ctype, dmax in itertools.product(Family, CType, range(3)):
+        p = _random_valid_params(rng, family, ctype, dmax)
+        h = hamiltonian_op(p)
+        diff = op_add(op_compose(backward_shift_op(p), forward_shift_op(p)),
+                      {k: -c for k, c in h.items()})
+        assert sorted(diff) == [-1, 0, 1] and all(c.is_zero for c in diff.values())
 
 
 # ---------------------------------------------------------------------------

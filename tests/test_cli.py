@@ -330,6 +330,10 @@ def coincidence_argv(draw):
 
 
 B_IS_A_Q2 = ["--q", "1/2", "--a", "1/8", "--b", "1/32", "--indices", "1,2", "--nmax", "1"]
+# b = q^3 at dmax 1 and b = q^2 at D = {}: valid points whose probes past dmax
+# meet a pole, so every command exits 0
+POLES_PAST_DMAX = [["--q", "1/2", "--a", "1/3", "--b", "1/8", "--indices", "1", "--nmax", "2"],
+                   ["--q", "1/2", "--a", "1/3", "--b", "1/4", "--indices=", "--nmax", "2"]]
 
 
 @given(coincidence_argv())
@@ -339,12 +343,22 @@ B_IS_A_Q2 = ["--q", "1/2", "--a", "1/8", "--b", "1/32", "--indices", "1,2", "--n
 @example(["construct", *B_IS_A_Q2])
 @example(["table", *B_IS_A_Q2])
 @example(["zeros", *B_IS_A_Q2])
+@example(["construct", *POLES_PAST_DMAX[0]])
+@example(["verify", *POLES_PAST_DMAX[0]])
+@example(["table", *POLES_PAST_DMAX[0]])
+@example(["zeros", *POLES_PAST_DMAX[0]])
+@example(["construct", *POLES_PAST_DMAX[1]])
+@example(["verify", *POLES_PAST_DMAX[1]])
+@example(["table", *POLES_PAST_DMAX[1]])
+@example(["zeros", *POLES_PAST_DMAX[1]])
 @settings(max_examples=400, deadline=None)
 def test_coincidence_grids_exit_with_a_documented_code(argv):
     # anything main does not map to an exit code propagates and fails here
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_INVALID, EXIT_INTERNAL)
+    if argv[1:] in POLES_PAST_DMAX:
+        assert code == EXIT_OK
     # a collapsed virtual-state degree (b = a q^m) fails verify and is invalid
     # input for every other command
     try:

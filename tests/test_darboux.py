@@ -40,14 +40,16 @@ from littleq import (
     potential_d,
     tilde_delta,
     typeI_eigen_numerator,
+    op_apply,
+    typeI_single_op,
     typeI_single_poly,
-    typeII_single_poly,
+    typeII_single_op,
     virtual_data,
     virtual_poly_y,
     xi_casoratian,
 )
 from littleq.cli import main
-from littleq.verify import _random_valid_params
+from littleq.verify import _random_valid_params, _same_op
 from littleq.virtual import nu_ratio_poly
 
 Q, A, B = F(1, 2), F(1, 3), F(1, 16)
@@ -283,7 +285,7 @@ def test_single_index_closed_form_all_levels(pj, pl):
         for dd in (1, 2):
             for n in range(5):
                 lhs = multi_indexed_poly_y(IndexSet.of(dd), n, p)
-                assert (lhs - typeII_single_poly(dd, n, p)).is_zero
+                assert (lhs - op_apply(typeII_single_op(dd, p), eigenpoly_y(n, p))).is_zero
 
 
 def test_lowest_matches_denominator():
@@ -612,6 +614,52 @@ def test_type1_cofactor_scaled_fails_the_eigen_identity():
     scaled = F(10 ** 6 + 1, 10 ** 6)
     with _patched_cofactors(TYPE1_P, lambda a: {**a, 1: a[1].scale(scaled)}):
         assert _verdicts(TYPE1_D, TYPE1_P) == {"eigen": False}
+
+
+def closed_form_level(dd, n, p, scale=1):
+    """Level n of the normalized single-index closed form, written out from
+    xi_d (times scale) and P_n."""
+    q, a, b = p.q, p.a, p.b
+    xi, pn = virtual_poly_y(dd, p).scale(scale), eigenpoly_y(n, p)
+    if p.ctype == CType.TYPE_I:
+        den = (1 - a * q ** (n - dd - 1)) * (1 - b * q ** (n + dd))
+        return (xi.shift(1) * pn - (xi * pn.shift(1)).scale(a / q)).scale((1 - b) * q ** n / den)
+    inner = (LaurentPoly(q, {0: 1, 1: -b / q}) * xi.shift(-1) * pn
+             - LaurentPoly(q, {0: 1, 1: -1}) * xi * pn.shift(-1))
+    return (LaurentPoly.monomial(q, -1) * inner).scale(1 / (1 - b / q))
+
+
+def _proportional(f, g):
+    return (f.scale(g.coeff(g.max_deg)) - g.scale(f.coeff(f.max_deg))).is_zero
+
+
+@st.composite
+def single_index_points(draw):
+    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(CType))
+    dd = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return dd, _random_valid_params(rng, family, ctype, dd)
+
+
+@given(single_index_points(), st.sampled_from([F(1), F(10 ** 6 + 1, 10 ** 6)]))
+@settings(max_examples=40, deadline=None)
+def test_single_index_operator_verdict_matches_per_level_verdict(point, scale):
+    # the closed-form row compares level_op with the closed-form operator
+    # once; per level, for n <= 6, type II levels equal the closed form, and
+    # type I raw numerators are proportional to it and it is 1 at x = 0
+    dd, p = point
+    d = IndexSet.of(dd)
+    if p.ctype == CType.TYPE_II:
+        closed = typeII_single_op(dd, p)
+        per_level = all(multi_indexed_poly_y(d, n, p) == closed_form_level(dd, n, p, scale)
+                        for n in range(7))
+    else:
+        closed = typeI_single_op(dd, p)
+        clos = [closed_form_level(dd, n, p, scale) for n in range(7)]
+        per_level = all(_proportional(typeI_eigen_numerator(d, n, p), c) and c.eval_int(0) == 1
+                        for n, c in enumerate(clos))
+    by_op = _same_op(darboux.level_op(d, p), {k: c.scale(scale) for k, c in closed.items()})
+    assert by_op == per_level == (scale == 1)
 
 
 def test_level_op_is_shared_and_read_only():

@@ -28,7 +28,7 @@ from littleq import (
     virtual_poly_y,
     xi_casoratian,
 )
-from littleq import verify
+from littleq import base, darboux, verify
 from littleq.cli import main
 from littleq.darboux import DeformedPotentials
 from littleq.dyadic import nstr
@@ -1023,6 +1023,78 @@ def test_blimit_ratios_are_decided_exactly(inv_sq):
     assert verify._blimit_linear([inside[0], F(1, 16)])
     assert not verify._blimit_linear([inside[1], F(1, 16)])
     assert not verify._blimit_linear([-F(1, 16)])
+
+
+EPS_SCALE = F(10 ** 6 + 1, 10 ** 6)
+
+
+def _statuses(d, p, suites):
+    return {c.name: c.status for c in run_suite(d, p, nmax=3, suites=suites, seed=0).checks}
+
+
+@pytest.mark.parametrize("p", [
+    Params(Family.LQ_JACOBI, Q, A, B, CType.TYPE_II, dmax=2),
+    Params(Family.LQ_LAGUERRE, Q, A, 0, CType.TYPE_II, dmax=2),
+])
+def test_hamiltonian_scaled_fails_the_base_and_deformed_eigen_rows(p, monkeypatch):
+    # the base rows and deformed_identities apply one H: B scaled inside
+    # hamiltonian_op fails both eigen rows and leaves the shift rows alone
+    d, suites = IndexSet.of(1, 2), ("base", "deformed")
+    assert set(_statuses(d, p, suites).values()) == {"pass"}
+    hop_op = base.hop_op
+    monkeypatch.setattr(base, "hop_op", lambda b, dd: hop_op(b.scale(EPS_SCALE), dd))
+    got = _statuses(d, p, suites)
+    assert {name for name, status in got.items() if status != "pass"} == {
+        "base_eigen_equation", "base_eigen_random_params", "deformed_eigen_equation"}
+    assert got["base_eigen_equation"] == got["deformed_eigen_equation"] == "fail"
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_closed_form_xi_scaled_fails_the_single_index_row(family, monkeypatch):
+    p = Params(family, Q, A, B if family == Family.LQ_JACOBI else 0, CType.TYPE_II, dmax=2)
+    single, xi = darboux.typeII_single_op, darboux.virtual_poly_y
+
+    def scaled_single(dd, p):
+        with monkeypatch.context() as m:
+            m.setattr(darboux, "virtual_poly_y", lambda v, p: xi(v, p).scale(EPS_SCALE))
+            return single(dd, p)
+
+    row = "deformed_single_index_closed_form"
+    assert _statuses(IndexSet.of(2), p, ("deformed",))[row] == "pass"
+    monkeypatch.setattr(verify, "typeII_single_op", scaled_single)
+    got = _statuses(IndexSet.of(2), p, ("deformed",))
+    assert got[row] == "fail"
+    assert all(status == "pass" for name, status in got.items() if name != row)
+
+
+# b = q^3 at dmax 1 and b = q^2 at dmax 0: valid points where the reflection
+# rows (D = {2}) and the ratio rows (m <= 2) probe a pole past dmax
+POLES_PAST_DMAX = [
+    (Params(Family.LQ_JACOBI, Q, A, F(1, 8), CType.TYPE_II, dmax=1), IndexSet.of(1)),
+    (Params(Family.LQ_JACOBI, Q, A, F(1, 4), CType.TYPE_II, dmax=0), IndexSet.of()),
+]
+
+
+@pytest.mark.parametrize("p, d", POLES_PAST_DMAX)
+def test_a_pole_past_dmax_warns_and_names_the_pole(p, d):
+    rep = run_suite(d, p, nmax=2, seed=0)
+    assert rep.overall == "pass"
+    warns = {c.name: c.witness for c in rep.checks if c.status == "warn"}
+    assert {"reflection_n0_matches", "reflection_n1_matches"} <= set(warns)
+    assert all(("b = %s is a pole" % p.b) in w for w in warns.values())
+    if p.dmax == 0:
+        assert "past dmax=0" in warns["virtual_ratio_poly_two_routes"]
+
+
+@pytest.mark.parametrize("p, d", POLES_PAST_DMAX)
+def test_a_mismatch_beside_a_pole_past_dmax_still_fails(p, d, monkeypatch):
+    # one of reflection n = 0, 1 hits the pole, the other now mismatches
+    monkeypatch.setattr(verify, "multi_indexed_poly_y", lambda d, n, p: LaurentPoly.zero(p.q))
+    monkeypatch.setattr(verify, "groundstate_ratio", lambda x, p: F(1))
+    status = _statuses(d, p, ("virtual", "reflection"))
+    assert status["virtual_ratio_poly_two_routes"] == "fail"
+    assert sorted(status[name] for name in ("reflection_n0_matches", "reflection_n1_matches")
+                  ) == ["fail", "warn"]
 
 
 def test_reflection_fragment(pj, pl):
