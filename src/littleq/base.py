@@ -59,6 +59,12 @@ class RawParams(NamedTuple):
     ctype: CType = CType.TYPE_II
     dmax: int = 0
 
+    def __hash__(self) -> int:
+        # every cache lookup hashes the point; Fraction.__hash__ runs in Python
+        q, a, b = self.q, self.a, self.b
+        return hash((self.family, q.numerator, q.denominator, a.numerator, a.denominator,
+                     b.numerator, b.denominator, self.ctype, self.dmax))
+
     def shift(self, tilde: int = 0, delta: int = 0) -> "RawParams":
         """The point displaced by ``tilde`` auxiliary-direction and ``delta``
         shape-invariance shifts; composition is additive."""

@@ -31,7 +31,7 @@ from .exact import (
     NonExactDivisionError,
     fmt_rational,
 )
-from .verify import SUITES, OrthogonalityData, polynomial_roots, run_suite
+from .verify import SUITES, orthogonality_data, polynomial_roots, run_suite
 from .virtual import degree_drop
 
 EXIT_OK = 0
@@ -253,7 +253,7 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     d = cfg.index_set()
     if cfg.eps <= 0:  # checked as for verify, although no row reads it
         raise InvalidParamsError("eps must be positive")
-    data = OrthogonalityData(d, p, cfg.nmax)
+    data = orthogonality_data(d, p, cfg.nmax)
     dps = 30
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -206,7 +207,7 @@ class Certificate(NamedTuple):
 
 
 def _certificate_functionals(a_poly: LaurentPoly, b_poly: LaurentPoly, width: int
-                             ) -> list[list[int]]:
+                             ) -> tuple[tuple[int, ...], ...]:
     """The E + 1 integer functionals on the coefficients of f, over a window
     of width degrees, that all vanish exactly when A N(qy) - B N(y) =
     c (1 - qy) f has a Laurent solution N (the first E: the top residuals of
@@ -240,8 +241,8 @@ def _certificate_functionals(a_poly: LaurentPoly, b_poly: LaurentPoly, width: in
         psi = z + [-scale if i == j else 0 for i in range(e)]
         phi = [t * psi[i] - r * psi[i + 1] for i in range(width)]
         g = math.gcd(*phi) or 1
-        functionals.append([v // g for v in phi])
-    return functionals
+        functionals.append(tuple(v // g for v in phi))
+    return tuple(functionals)
 
 
 class OrthogonalityData:
@@ -257,11 +258,13 @@ class OrthogonalityData:
     sum_{x >= 0} w f = -N(1)/den(-1) once F -> 0.  Construction proves the
     side conditions or raises: den(q^x) != 0 for integer x >= -1 (by
     _lattice_proof), and F -> 0: a' q^(k0 - l) < 1, l and k0 the lowest
-    degrees of den and N, so no pivot a' q^(k - l) - 1 is 0."""
+    degrees of den and N, so no pivot a' q^(k - l) - 1 is 0.  Its data are
+    tuples and it decides each pair certificate once, so that
+    orthogonality_data can share one instance per point."""
 
     def __init__(self, d: IndexSet, p: Params, nmax: int):
         self.d, self.p = d, p
-        self.polys = [level_poly_y(d, n, p) for n in range(nmax + 1)]
+        self.polys = tuple(level_poly_y(d, n, p) for n in range(nmax + 1))
         den, self._c = deformed_measure(d, p)
         q, pu = p.q, p.shift(tilde=d.size)
         if not _lattice_proof([den], -1, definite=True)[0]:
@@ -281,12 +284,13 @@ class OrthogonalityData:
         # is prod_j 1/(E_n - E~_j) times a factor free of n, and E_0 = 0
         virtual = [virtual_energy(dj, p) for dj in d.indices]
         at0 = math.prod(-v for v in virtual)
-        self.targets = [math.prod(energy(n, p) - v for v in virtual) / (at0 * norm_ratio(n, p))
-                        for n in range(nmax + 1)]
+        self.targets = tuple(math.prod(energy(n, p) - v for v in virtual)
+                             / (at0 * norm_ratio(n, p)) for n in range(nmax + 1))
         self._phi = _certificate_functionals(
             (den.shift(-1) * (1 - y.scale(pu.b))).scale(pu.a * q ** (j0 - lo)),
             den * (1 - y.scale(q)), j1 - j0 + 1)
         self._square0 = self._product(0, 0)
+        self._certificates: dict[tuple[int, int], Certificate] = {}
 
     def certify(self, f: LaurentPoly) -> Certificate:
         """The certificate of sum_{x >= 0} w f = 0, for f in the window."""
@@ -315,9 +319,12 @@ class OrthogonalityData:
 
     def pair_sum(self, n: int, m: int) -> Certificate:
         """The certificate of S_nm = 0 for n != m, of S_nn = t_n S_00 for n = m."""
-        if n != m:
-            return Certificate.of(self._product(n, m)[0])
-        return self._minus(self._product(n, n), self.targets[n])
+        cert = self._certificates.get((n, m))
+        if cert is None:
+            cert = self._certificates[n, m] = (
+                Certificate.of(self._product(n, m)[0]) if n != m
+                else self._minus(self._product(n, n), self.targets[n]))
+        return cert
 
     def absolute_ratio(self) -> tuple[Fraction, Certificate]:
         """(T, the certificate of S_00 = T S''_00), S''_00 the undeformed S_00
@@ -337,11 +344,19 @@ class OrthogonalityData:
         return target, self._minus(self._values(ref.val, ref.num, ref.den), by)
 
 
+@lru_cache(maxsize=16)  # small: an entry holds E + 1 functionals of long integers
+def orthogonality_data(d: IndexSet, p: Params, nmax: int) -> OrthogonalityData:
+    """The one shared, read-only OrthogonalityData of (D, p, nmax), so that
+    verify and table at a point build it and decide its certificates once.
+    A construction that raises is not cached."""
+    return OrthogonalityData(d, p, nmax)
+
+
 def orthogonality_check(d: IndexSet, p: Params, nmax: int) -> list[CheckResult]:
     """Orthogonality fragment: one certificate per off-diagonal pair, per
     diagonal ratio S_nn/S_00 and for S_00 over an undeformed sum."""
     try:
-        data = OrthogonalityData(d, p, nmax)
+        data = orthogonality_data(d, p, nmax)
     except LittleQError as exc:
         return [_check("ortho_setup", False, "%s: %s" % (type(exc).__name__, exc))]
     checks = [_check("ortho_offdiag_n%d_m%d" % (n, m), c.ok, "S_nm = 0: " + c.witness)
@@ -933,12 +948,16 @@ def _virtual_checks(p: Params) -> list[CheckResult]:
             "alpha' = %s" % vd.alpha_prime,
         )
     )
-    vtop = max(p.dmax, 2)
+    vtop, pole = max(p.dmax, 2), None
     ok_deg = ok_norm = ok_diffeq = ok_energy = ok_neg = True
     for v in range(vtop + 1):
         try:
             xi = virtual_poly_y(v, p)
-        except InvalidParamsError:
+        except InvalidParamsError as exc:
+            if v <= p.dmax:
+                raise
+            # a pole past dmax is no defect; a mismatch at another v still fails
+            pole = pole or "b = %s is a pole of v=%d, past dmax=%d: %s" % (p.b, v, p.dmax, exc)
             continue
         ok_deg &= xi.to_eta().degree == v
         if p.ctype == CType.TYPE_II:
@@ -949,19 +968,16 @@ def _virtual_checks(p: Params) -> list[CheckResult]:
         ok_energy &= virtual_energy(v, p) == virtual_energy_prime(v, p) + vd.alpha_prime
         if v <= p.dmax:
             ok_neg &= virtual_energy(v, p) < 0
-    checks.append(_check("virtual_poly_degree_norm", ok_deg and ok_norm, "v <= %d" % vtop))
-    checks.append(_check("virtual_difference_equation", ok_diffeq, "v <= %d" % vtop))
+    for name, ok in (("virtual_poly_degree_norm", ok_deg and ok_norm),
+                     ("virtual_difference_equation", ok_diffeq)):
+        checks.append(_check(name, ok and not pole, pole or "v <= %d" % vtop, soft=ok))
     checks.append(_check("virtual_energy_two_routes", ok_energy and ok_neg,
                          "additive split holds; energies negative for v <= dmax"))
     # positivity of the virtual-state polynomials at every lattice point
     lo = -1 if p.ctype == CType.TYPE_II else 0
     bad = []
     for v in range(min(p.dmax, 5) + 1):
-        try:
-            xi = virtual_poly_y(v, p)
-        except InvalidParamsError:
-            continue
-        ok, witness = _lattice_proof([xi], lo)
+        ok, witness = _lattice_proof([virtual_poly_y(v, p)], lo)
         if not ok:
             bad.append("v=%d: %s" % (v, witness))
     checks.append(_positivity_check(

@@ -104,6 +104,21 @@ def test_params_are_immutable_values(pj):
         pj._replace(b=F(1, 4))  # _replace validates as the constructor does
 
 
+def test_equal_points_hash_equal(pj):
+    # the hash reads the integers of q, a and b, so a validated point, its
+    # raw record, a shifted-back point and int fields all hash as they compare
+    lag = Params(L, Q, A)
+    pairs = [
+        (pj, RawParams(*pj)),
+        (pj, pj.shift(tilde=2, delta=1).shift(tilde=-2, delta=-1)),
+        (lag, RawParams(L, Q, A, 0, 2, 0)),  # an int ctype
+        (RawParams(J, Q, 1, 0), RawParams(J, Q, F(1), F(0))),
+        (RawParams(J, F(3, 1), F(-2), F(4, 2)), RawParams(J, 3, -2, 2)),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+
+
 def test_shift_composition_additive(pj):
     s = pj.shift(tilde=2, delta=1).shift(tilde=-1, delta=3)
     t = pj.shift(tilde=1, delta=4)

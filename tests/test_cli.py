@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import closed_forms
+from caches import clear_littleq_caches
 import littleq
 from littleq import Family, IndexSet, verify
 from littleq.cli import (
@@ -516,6 +517,24 @@ def test_workload_sums_build_no_exact_term(capsys, monkeypatch, command, point):
     assert capsys.readouterr().out
     assert len(certificates) == (44 if command == "verify" else 9)
     assert {(c.ok, c.truncation_x) for c in certificates} == {(True, -1)}
+
+
+@pytest.mark.parametrize("point", sorted(WORKLOAD_POINTS))
+def test_table_and_verify_share_one_certificate_system(capsys, point):
+    # table prints the same bytes with cold caches and after verify, and
+    # verify reports the same before and after table; the second pass builds
+    # the certificate system of the point once
+    def out(command):
+        assert main([command, *WORKLOAD_POINTS[point]]) == EXIT_OK
+        return capsys.readouterr().out
+
+    clear_littleq_caches()
+    cold_table = out("table")
+    clear_littleq_caches()
+    first_verify, warm_table, second_verify = out("verify"), out("table"), out("verify")
+    assert warm_table == cold_table and second_verify == first_verify
+    info = verify.orthogonality_data.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_absolute_s00_is_a_ratio_row_near_q_one(capsys):

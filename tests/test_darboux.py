@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import closed_forms
+from caches import clear_littleq_caches
 from littleq import darboux
 from littleq import (
     CType,
@@ -473,19 +474,13 @@ def test_border_matches_determinants_at_dmax_9():
     _assert_border_matches_determinants(IndexSet.of(3, 5, 7, 9), p, [0] * 10)
 
 
-def _clear_darboux_caches():
-    for value in vars(darboux).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
 DEEP_ARGV = ["--family", "lqJacobi", "--type", "2", "--q", "1/2", "--a", "1/3",
              "--b", "1/4096", "--indices", "1,3,5,7", "--nmax", "8"]
 
 
 def _border_builds(capsys, argv):
     """How many (D, p) border sets one command builds with cold caches."""
-    _clear_darboux_caches()
+    clear_littleq_caches()
     assert main(argv) == 0
     capsys.readouterr()
     return darboux._border.cache_info().misses
@@ -521,11 +516,11 @@ def _holds(op):
 
 
 def _verdicts(d, p):
-    _clear_darboux_caches()
+    clear_littleq_caches()
     try:
         return {key: _holds(op) for key, op in darboux.deformed_identities(d, p).items()}
     finally:
-        _clear_darboux_caches()
+        clear_littleq_caches()
 
 
 def _per_level_verdicts(d, p, nmax):
@@ -564,7 +559,7 @@ def test_operator_identities_at_the_empty_set(p):
         raise AssertionError("the empty set reads no virtual state")
 
     d = IndexSet.of()
-    _clear_darboux_caches()
+    clear_littleq_caches()
     with mock.patch.object(darboux, "virtual_poly_y", unused), \
             mock.patch.object(darboux, "nu_ratio_poly", unused):
         assert darboux.level_op(d, p) == {0: 1}
@@ -594,10 +589,10 @@ def test_corruption_above_nmax_fails_only_the_operator_identities():
     def change(a):
         return {k: c + bump[k] if k in bump else c for k, c in a.items()}
 
-    _clear_darboux_caches()
+    clear_littleq_caches()
     try:
         want = [multi_indexed_poly_y(DEEP_D, n, DEEP_P) for n in range(3)]
-        _clear_darboux_caches()
+        clear_littleq_caches()
         with _patched_cofactors(DEEP_P, change):
             got = [multi_indexed_poly_y(DEEP_D, n, DEEP_P) for n in range(3)]
             assert got[:2] == want[:2] and got[2] != want[2]
@@ -605,7 +600,7 @@ def test_corruption_above_nmax_fails_only_the_operator_identities():
             assert not any(_per_level_verdicts(DEEP_D, DEEP_P, 2).values())
             assert not any(_verdicts(DEEP_D, DEEP_P).values())
     finally:
-        _clear_darboux_caches()
+        clear_littleq_caches()
     assert all(_verdicts(DEEP_D, DEEP_P).values())
 
 
@@ -693,7 +688,7 @@ def test_denominator_of_another_index_set_fails_every_identity():
 
 def test_level_requests_leave_the_cached_minors_unchanged(pj):
     d = IndexSet.of(1, 2)
-    _clear_darboux_caches()
+    clear_littleq_caches()
     denominator_poly_y(d, pj)
     border = darboux._border(d, pj)
     before = [c.coeff_dict() for c in (border[0], *border[1])]
@@ -706,7 +701,7 @@ def test_level_requests_leave_the_cached_minors_unchanged(pj):
 def test_denominator_never_needs_the_border(pj, monkeypatch):
     d = IndexSet.of(1, 2)
     want_xi, want_level = denominator_poly_y(d, pj), multi_indexed_poly_y(d, 2, pj)
-    _clear_darboux_caches()
+    clear_littleq_caches()
 
     def broken(j, m, p):
         raise InvalidParamsError("border ratio unavailable")

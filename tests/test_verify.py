@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from caches import clear_littleq_caches
 from littleq import (
     CType,
     EtaPoly,
@@ -63,6 +64,8 @@ def zeros_report(d, n, p):
 
 DEEP_D, DEEP_P = IndexSet.of(1, 3, 5, 7), Params(Family.LQ_JACOBI, Q, A, F(1, 4096),
                                                   CType.TYPE_II, dmax=7)
+TYPE1_D, TYPE1_P = IndexSet.of(2, 3, 4), Params(Family.LQ_JACOBI, Q, F(1, 64), F(1, 3),
+                                                CType.TYPE_I, dmax=4)
 
 
 def _plain_certificate(d, p, f):
@@ -186,7 +189,9 @@ def test_a_certificate_needs_every_residual_to_vanish(pj):
 
 def test_side_conditions_name_the_failed_proof(pj, monkeypatch):
     # the sum identity needs den(q^x) != 0 for x >= -1 and F -> 0; a point
-    # without either proof gives one failed ortho_setup that names it
+    # without either proof gives one failed ortho_setup that names it; the
+    # shared data of (D, pj) must not come from an earlier test's cache
+    clear_littleq_caches()
     grows = RawParams(Family.LQ_LAGUERRE, Q, F(3), F(0), CType.TYPE_II)  # a^x / (q;q)_x grows
     [check] = orthogonality_check(IndexSet.of(), grows, 2)
     assert (check.name, check.status, check.witness) == (
@@ -209,6 +214,39 @@ def test_orthogonality_data_is_freed_without_a_cyclic_collection(pj):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("d, p", [(DEEP_D, DEEP_P), (TYPE1_D, TYPE1_P)], ids=["deep", "type1"])
+def test_shared_certificates_match_a_fresh_construction(d, p):
+    shared = verify.orthogonality_data(d, p, 8)
+    orthogonality_check(d, p, 8)  # decides every pair the rows read
+    assert verify.orthogonality_data(d, p, 8) is shared
+    assert all(type(v) is tuple for v in (shared.polys, shared.targets, shared._phi))
+    fresh = OrthogonalityData(d, p, 8)
+    for n in range(9):
+        for m in range(n, 9):
+            assert shared.pair_sum(n, m) == fresh.pair_sum(n, m)
+            assert shared.pair_sum(n, m) is shared.pair_sum(n, m)
+
+
+def test_shared_data_cache_is_bounded():
+    cache = verify.orthogonality_data
+    cache.cache_clear()
+    maxsize = cache.cache_info().maxsize
+    for k in range(maxsize + 8):
+        cache(IndexSet.of(), Params(Family.LQ_LAGUERRE, Q, F(1, k + 2)), 0)
+    assert cache.cache_info().currsize == maxsize
+
+
+def test_a_failed_construction_is_not_cached(pj, monkeypatch):
+    # a second verify at an ortho_setup failure point reports it again
+    clear_littleq_caches()
+    monkeypatch.setattr(verify, "_descartes", lambda *args: 2)
+    for _ in range(2):
+        checks = run_suite(IndexSet.of(2), pj, nmax=2, suites=("ortho",)).checks
+        assert [(c.name, c.status) for c in checks] == [("ortho_setup", "fail")]
+    info = verify.orthogonality_data.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
 def test_weight_ground_state_grown_by_ratio(pj, pl, pji):
@@ -1082,6 +1120,8 @@ def test_a_pole_past_dmax_warns_and_names_the_pole(p, d):
     warns = {c.name: c.witness for c in rep.checks if c.status == "warn"}
     assert {"reflection_n0_matches", "reflection_n1_matches"} <= set(warns)
     assert all(("b = %s is a pole" % p.b) in w for w in warns.values())
+    for name in ("virtual_poly_degree_norm", "virtual_difference_equation"):
+        assert ("past dmax=%d" % p.dmax) in warns[name]
     if p.dmax == 0:
         assert "past dmax=0" in warns["virtual_ratio_poly_two_routes"]
 
@@ -1091,10 +1131,32 @@ def test_a_mismatch_beside_a_pole_past_dmax_still_fails(p, d, monkeypatch):
     # one of reflection n = 0, 1 hits the pole, the other now mismatches
     monkeypatch.setattr(verify, "multi_indexed_poly_y", lambda d, n, p: LaurentPoly.zero(p.q))
     monkeypatch.setattr(verify, "groundstate_ratio", lambda x, p: F(1))
+    # every virtual state that exists loses its normalization and its equation
+    xi, residual = verify.virtual_poly_y, verify.xi_diffeq_residual
+    monkeypatch.setattr(verify, "virtual_poly_y", lambda v, p: xi(v, p).scale(2))
+    monkeypatch.setattr(verify, "xi_diffeq_residual", lambda v, p: residual(v, p) + 1)
     status = _statuses(d, p, ("virtual", "reflection"))
     assert status["virtual_ratio_poly_two_routes"] == "fail"
+    assert status["virtual_poly_degree_norm"] == status["virtual_difference_equation"] == "fail"
     assert sorted(status[name] for name in ("reflection_n0_matches", "reflection_n1_matches")
                   ) == ["fail", "warn"]
+
+
+@pytest.mark.parametrize("p", [p for p, d in POLES_PAST_DMAX] + [
+    Params(Family.LQ_LAGUERRE, Q, A, 0, CType.TYPE_II, dmax=1),
+    Params(Family.LQ_JACOBI, Q, F(1, 10), B, CType.TYPE_I, dmax=2),
+])
+def test_a_pole_at_dmax_is_a_virtual_suite_error(p, monkeypatch):
+    # also where no other virtual row reads xi_dmax unguarded
+    xi = verify.virtual_poly_y
+
+    def pole_at_dmax(v, p):
+        if v == p.dmax:
+            raise InvalidParamsError("b = q^j pole at v=%d" % v)
+        return xi(v, p)
+
+    monkeypatch.setattr(verify, "virtual_poly_y", pole_at_dmax)
+    assert _statuses(IndexSet.of(), p, ("virtual",)) == {"virtual_suite_error": "fail"}
 
 
 def test_reflection_fragment(pj, pl):
