@@ -5,6 +5,10 @@ Rationals cross the boundary as exact "num/den" strings; floating point
 appears only in the zeros and table numeric columns, always at an explicit
 printed precision, so identical configurations produce byte-identical output.
 
+A command followed only by exact long options with valid values is parsed from
+the OPTIONS table without building argparse's parser (about 5 ms of a cold
+command); help, usage, abbreviations and every error still come from argparse.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid input (including a
 parameter coincidence: a Casoratian vanishing identically or, outside verify,
 a collapsed virtual-state degree), 3 internal invariant breach (a division
@@ -103,40 +107,79 @@ class RunConfig(NamedTuple):
         return IndexSet(self.indices)
 
 
+COMMANDS = (
+    ("construct", "emit polynomial coefficient tables as JSON"),
+    ("verify", "run the verification suite and emit a JSON report"),
+    ("zeros", "emit a CSV of the zeros of one polynomial"),
+    ("table", "emit a CSV of squared-norm ratios"),
+)
+
+# the options of every command as (flag, add_argument keywords), read by both
+# build_parser and parse_direct: each flag's type, choices and default live here
+OPTIONS = (
+    ("--family", {"choices": [f.value for f in Family], "default": Family.LQ_JACOBI.value}),
+    ("--type", {"dest": "ctype", "type": int, "choices": (1, 2), "default": 2}),
+    ("--q", {"default": "1/2", "help": "base, exact rational in (0,1)"}),
+    ("--a", {"default": "1/3", "help": "parameter a, exact rational"}),
+    ("--b", {"default": "1/16", "help": "parameter b (ignored for little q-Laguerre)"}),
+    ("--indices", {"default": "2",
+                   "help": "comma list of virtual-state indices, e.g. '1,3'; empty for none"}),
+    ("--nmax", {"type": int, "default": 4}),
+    ("--eps", {"default": "1e-24",
+               "help": "positive exact decimal, accepted and checked; no check reads it"}),
+    ("--xmax", {"type": int, "default": 60}),
+    ("--prec-bits", {"dest": "prec_bits", "type": int, "default": 256}),
+    ("--out", {"choices": ("json", "csv"), "default": None,
+               "help": "output format (default: json for construct/verify, csv otherwise)"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--suite", {"default": "all", "choices": ("all",) + SUITES,
+                 "help": "verification subset; 'shifts' is an alias of 'deformed'"}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="littleq",
         description="Multi-indexed little q-Jacobi / q-Laguerre polynomials, exactly.",
     )
     shared = argparse.ArgumentParser(add_help=False)  # the options of every command
-    shared.add_argument("--family", choices=[f.value for f in Family],
-                        default=Family.LQ_JACOBI.value)
-    shared.add_argument("--type", dest="ctype", type=int, choices=(1, 2), default=2)
-    shared.add_argument("--q", default="1/2", help="base, exact rational in (0,1)")
-    shared.add_argument("--a", default="1/3", help="parameter a, exact rational")
-    shared.add_argument("--b", default="1/16",
-                        help="parameter b (ignored for little q-Laguerre)")
-    shared.add_argument("--indices", default="2",
-                        help="comma list of virtual-state indices, e.g. '1,3'; empty for none")
-    shared.add_argument("--nmax", type=int, default=4)
-    shared.add_argument("--eps", default="1e-24",
-                        help="positive exact decimal, accepted and checked; no check reads it")
-    shared.add_argument("--xmax", type=int, default=60)
-    shared.add_argument("--prec-bits", dest="prec_bits", type=int, default=256)
-    shared.add_argument("--out", choices=("json", "csv"), default=None,
-                        help="output format (default: json for construct/verify, csv otherwise)")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--suite", default="all", choices=("all",) + SUITES,
-                        help="verification subset; 'shifts' is an alias of 'deformed'")
+    for flag, keywords in OPTIONS:
+        shared.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("construct", "emit polynomial coefficient tables as JSON"),
-        ("verify", "run the verification suite and emit a JSON report"),
-        ("zeros", "emit a CSV of the zeros of one polynomial"),
-        ("table", "emit a CSV of squared-norm ratios"),
-    ):
+    for name, help_text in COMMANDS:
         sub.add_parser(name, help=help_text, parents=[shared])
     return parser
+
+
+def parse_direct(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace build_parser().parse_args(argv) returns, when argv is a
+    command name followed only by exact long options of OPTIONS, each with a
+    valid value given as '--opt value' (the value not starting with '-') or as
+    '--opt=value'; None for any other argv, which argparse alone decides."""
+    if not argv or argv[0] not in dict(COMMANDS):
+        return None
+    options = {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords)
+               for flag, keywords in OPTIONS}
+    args = argparse.Namespace(
+        command=argv[0], **{dest: keywords.get("default") for dest, keywords in options.values()})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "-")  # a missing value is declined like '-…'
+            if value.startswith("-"):
+                return None
+        if flag not in options:
+            return None
+        dest, keywords = options[flag]
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        setattr(args, dest, value)
+    return args
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -267,16 +310,19 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     return buf.getvalue(), code
 
 
-_PARSER: argparse.ArgumentParser | None = None  # built by the first main()
+_PARSER: argparse.ArgumentParser | None = None  # built when parse_direct first declines
 
 
 def main(argv: list[str] | None = None) -> int:
     global _PARSER
-    _PARSER = _PARSER or build_parser()
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_direct(argv)
+    if args is None:
+        _PARSER = _PARSER or build_parser()
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
         cfg = config_from_args(args)
         native = {"construct": "json", "verify": "json",

@@ -17,11 +17,14 @@ import closed_forms
 from caches import clear_littleq_caches
 import littleq
 from littleq import Family, IndexSet, verify
+from littleq import cli
 from littleq.cli import (
+    COMMANDS,
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    OPTIONS,
     build_parser,
     cmd_construct,
     cmd_table,
@@ -29,6 +32,7 @@ from littleq.cli import (
     cmd_zeros,
     config_from_args,
     main,
+    parse_direct,
     parse_indices,
     parse_rational,
 )
@@ -91,6 +95,118 @@ def test_run_config_is_an_immutable_value():
 
 def test_abbreviated_option_parses():
     assert make_cfg(["verify", "--fam", "lqLaguerre"]).family == Family.LQ_LAGUERRE
+
+
+def _option_value(flag):
+    keywords = dict(OPTIONS)[flag]
+    if "choices" in keywords:
+        return st.sampled_from([str(c) for c in keywords["choices"]])
+    if keywords.get("type") is int:
+        return st.integers(-10 ** 6, 10 ** 6).map(str)
+    return st.one_of(st.sampled_from(("", "1/2", "-1/4", "1,3", "1e-24", "a=b")), st.text())
+
+
+@st.composite
+def direct_argv(draw):
+    """A command, then options of OPTIONS in random order, repeats allowed,
+    each as '--opt value' or '--opt=value', with a valid value."""
+    argv, separate_dash = [draw(st.sampled_from([name for name, _ in COMMANDS]))], False
+    for flag in draw(st.lists(st.sampled_from([flag for flag, _ in OPTIONS]), max_size=16)):
+        value = draw(_option_value(flag))
+        if draw(st.booleans()):
+            argv.append("%s=%s" % (flag, value))
+        else:
+            argv += [flag, value]
+            separate_dash |= value.startswith("-")
+    return argv, separate_dash
+
+
+@given(direct_argv())
+@example((["verify", "--indices=", "--b=-1/4", "--nmax=-1"], False))
+@example((["construct", "--q", "1/3", "--q=2/5", "--type", "1", "--type=2"], False))
+@example((["table", "--prec-bits", "64", "--suite=shifts", "--out", "csv"], False))
+@example((["zeros", "--indices", "", "--eps", "1e-150"], False))
+@settings(max_examples=400, deadline=None)
+def test_direct_parse_agrees_with_argparse(drawn):
+    argv, separate_dash = drawn
+    args = parse_direct(argv)
+    # argparse reads a separate value starting with '-' as an option or a
+    # negative number; the direct parse leaves every such argv to it
+    assert (args is None) == separate_dash
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    ([], EXIT_INVALID, "error: the following arguments are required: command"),
+    (["construct", "-h"], EXIT_OK, ""),
+    (["verify", "--help"], EXIT_OK, ""),
+    (["frobnicate"], EXIT_INVALID, "argument command: invalid choice: 'frobnicate'"),
+    (["construct", "--fam", "lqLaguerre", "--nmax", "1"], EXIT_OK, ""),
+    (["construct", "--fam=lqLaguerre", "--nmax", "1"], EXIT_OK, ""),
+    (["construct", "--bogus", "1"], EXIT_INVALID, "unrecognized arguments: --bogus 1"),
+    (["construct", "stray"], EXIT_INVALID, "unrecognized arguments: stray"),
+    (["construct", "--q", "1/2", "stray", "--nmax", "1"], EXIT_INVALID,
+     "unrecognized arguments: stray"),
+    (["construct", "--q"], EXIT_INVALID, "argument --q: expected one argument"),
+    (["construct", "--q", "--nmax", "1"], EXIT_INVALID, "argument --q: expected one argument"),
+    (["construct", "--nmax", "-1"], EXIT_INVALID, "invalid input: nmax must be >= 0"),
+    (["construct", "--b", "-1/4"], EXIT_INVALID, "argument --b: expected one argument"),
+    (["construct", "--nmax", "two"], EXIT_INVALID, "argument --nmax: invalid int value: 'two'"),
+    (["construct", "--type=3"], EXIT_INVALID, "argument --type: invalid choice: 3"),
+    (["construct", "--family", "lqHahn"], EXIT_INVALID,
+     "argument --family: invalid choice: 'lqHahn'"),
+    (["construct", "--", "--nmax", "1"], EXIT_INVALID, "unrecognized arguments"),
+])
+def test_declined_argv_is_decided_by_argparse(monkeypatch, argv, code, err):
+    assert parse_direct(argv) is None
+    got = _run_main(argv)
+    assert got[0] == code and err in got[2]
+    # main before the direct parse: argparse decides every argv
+    monkeypatch.setattr(cli, "parse_direct", lambda argv: None)
+    assert _run_main(argv) == got
+
+
+TYPE1_POINT = ["--family", "lqJacobi", "--type", "1", "--q", "1/2", "--a", "1/64", "--b", "1/3",
+               "--indices", "2,3,4", "--nmax", "8"]
+
+
+def test_cold_command_builds_no_parser():
+    # argparse's parser build costs a cold command about 5 ms, its gettext
+    # calls included, which import locale
+    src = os.path.dirname(os.path.dirname(littleq.__file__))
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "import argparse, contextlib, io\n"
+            "def init(self, *args, **kwargs): raise AssertionError('parser built')\n"
+            "argparse.ArgumentParser.__init__ = init\n"
+            "from littleq.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(%r)\n"
+            "print(code, 'locale' in sys.modules)" % (src, ["construct", *TYPE1_POINT]))
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "0 False\n", "")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["table", "--indices", "1,2", "--nmax", "2"], EXIT_OK),
+    (["--help"], EXIT_OK),
+])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv, code):
+    # the console script calls main() with no argument
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["littleq", *argv])
+    assert main() == code
+    assert capsys.readouterr() == expected
 
 
 # help and usage text, recorded before the commands shared one parent parser;
