@@ -23,6 +23,7 @@ from .exact import (
     qhyper_terminating,
     qhyper_terms,
     qpoch,
+    qpoch_pair,
     scalar,
 )
 
@@ -163,24 +164,49 @@ def potential_d(p: ParamsLike) -> LaurentPoly:
     return LaurentPoly(p.q, {-1: 1, 0: -1})
 
 
+def eigen_series(p: ParamsLike) -> tuple[list[dict], list[dict], dict]:
+    """The 2phi1 of eigenpoly_y as (upper, lower, argument), each parameter a
+    Laurent polynomial {e: c} = sum c u^e in u = q^n: upper q^-n = u^-1 and
+    ab q^(n-1) = (ab/q) u (b = 0 for little q-Laguerre), lower a, argument q
+    (times y).
+
+    eigenpoly_y evaluates them at u = q^n, and verify reads the term ratio
+    t_(k+1)/t_k from them as a rational function of (u, v) = (q^n, q^k), so
+    its every-n proofs cover the polynomial built here.
+    """
+    q = p.q
+    ab = p.a * p.b if p.family == Family.LQ_JACOBI else 0
+    return [{-1: 1}, {1: ab / q}], [{0: p.a}], {0: q}
+
+
 def eigenpoly_y(n: int, p: ParamsLike) -> LaurentPoly:
     """Eigenpolynomial of level n in the variable y = q^x (zero for n < 0).
 
-    The terminating series 2phi1(q^{-n}, ab q^{n-1}; a; q; q y) (b = 0 for
-    little q-Laguerre), whose term k is the coefficient of y^k; normalized
-    to value 1 at x = 0.  Cached on (n, family, q, a, b), the values it reads.
+    The terminating series 2phi1(q^{-n}, ab q^{n-1}; a; q; q y) of
+    eigen_series, whose term k is the coefficient of y^k; normalized to value
+    1 at x = 0.  Cached on n, the family and the integers of q, a and b, the
+    values it reads (hashing Fractions costs more than building the key).
     """
-    return _eigenpoly_y(n, p.family, p.q, p.a, p.b)
+    q, a, b = p.q, p.a, p.b
+    return _eigenpoly_y(n, p.family, q.numerator, q.denominator, a.numerator, a.denominator,
+                        b.numerator, b.denominator)
 
 
 @lru_cache(maxsize=256)
-def _eigenpoly_y(n: int, family: Family, q: Fraction, a: Fraction, b: Fraction) -> LaurentPoly:
+def _eigenpoly_y(n: int, family: Family, qn: int, qd: int, an: int, ad: int, bn: int,
+                 bd: int) -> LaurentPoly:
+    q = Fraction(qn, qd)
     if n < 0:
         return LaurentPoly.zero(q)
-    ab = a * b if family == Family.LQ_JACOBI else 0
-    terms = qhyper_terms([q ** (-n), ab * q ** (n - 1)], [a], q, q, n)
-    cn = eigen_at_infinity(n, RawParams(family, q, a, b))
-    return LaurentPoly(q, {k: cn * c for k, c in enumerate(terms)})
+    p = RawParams(family, q, Fraction(an, ad), Fraction(bn, bd))
+    upper, lower, z = eigen_series(p)
+
+    def at(f: dict[int, ScalarLike]) -> Fraction:  # at u = q^n
+        vals = [c * q ** (e * n) if e else c for e, c in f.items()]
+        return vals[0] if len(vals) == 1 else sum(vals, Fraction(0))
+
+    terms = qhyper_terms(list(map(at, upper)), list(map(at, lower)), q, at(z), n)
+    return LaurentPoly(q, dict(enumerate(terms))).scale(eigen_at_infinity(n, p))
 
 
 def eigenpoly(n: int, p: ParamsLike) -> EtaPoly:
@@ -189,17 +215,21 @@ def eigenpoly(n: int, p: ParamsLike) -> EtaPoly:
 
 
 def eigen_at_infinity(n: int, p: ParamsLike) -> Fraction:
-    """Value of the level-n eigenpolynomial at x = infinity."""
-    q, a = p.q, p.a
+    """Value of the level-n eigenpolynomial at x = infinity,
+    (-a)^-n q^-C(n,2) (a;q)_n / (b;q)_n (no b for little q-Laguerre), reduced
+    once from integers."""
     if n < 0:
         return Fraction(0)
-    out = (-a) ** (-n) * q ** (-qbinom2(n)) * qpoch(a, q, n)
+    q, a = p.q, p.a
+    num, den = qpoch_pair(a, q, n)
+    num *= (-a.denominator) ** n * q.denominator ** qbinom2(n)
+    den *= a.numerator ** n * q.numerator ** qbinom2(n)
     if p.family == Family.LQ_JACOBI:
-        den = qpoch(p.b, q, n)
-        if den == 0:
+        bnum, bden = qpoch_pair(p.b, q, n)
+        if bnum == 0:
             raise InvalidParamsError("Pochhammer denominator (b;q)_%d vanished" % n)
-        out /= den
-    return out
+        num, den = num * bden, den * bnum
+    return Fraction(num, den)
 
 
 def eigen_leading(n: int, p: ParamsLike) -> Fraction:
@@ -261,7 +291,10 @@ def hop_op(b: LaurentPoly, d: LaurentPoly) -> dict[int, LaurentPoly]:
 
 def hamiltonian_op(p: ParamsLike) -> dict[int, LaurentPoly]:
     """Similarity-transformed Hamiltonian H = hop_op(B, D) on polynomials in
-    y; eigenpolynomials satisfy H P_n = energy(n) P_n with zero residual."""
+    y.  It maps y^k to E(v) y^k + beta(v) y^(k-1) with v = q^k, and
+    eigenpolynomials satisfy H P_n = energy(n) P_n for every n: verify reads
+    E and beta from this operator value and decides the term-ratio identity
+    of eigen_series in (q^n, q^k)."""
     return hop_op(potential_b(p), potential_d(p))
 
 

@@ -288,7 +288,8 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):  # constants equal by value, whatever their q
             return (self.val == other.val and self.den == other.den and self.num == other.num
-                    and (self.q == other.q or (self.val == 0 and len(self.num) <= 1)))
+                    and (self.q is other.q or self.q == other.q
+                         or (self.val == 0 and len(self.num) <= 1)))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return not self.num
@@ -310,7 +311,7 @@ class LaurentPoly:
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "LaurentPoly") -> None:
-        if self.q != other.q:
+        if self.q is not other.q and self.q != other.q:  # most operands share one q
             raise ValueError("mixed base q: %s vs %s" % (self.q, other.q))
 
     def __add__(self, other):

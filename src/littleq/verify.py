@@ -36,6 +36,7 @@ from .base import (
     backward_shift_op,
     eigen_at_infinity,
     eigen_leading,
+    eigen_series,
     eigen_series_value,
     eigenpoly,
     eigenpoly_y,
@@ -79,10 +80,11 @@ from .exact import (
     LittleQError,
     NonConvergenceError,
     RootFindingFailureError,
+    ScalarLike,
     fmt_rational,
     horner,
     op_add,
-    op_apply,
+    op_compose,
     qpoch,
 )
 from .virtual import (
@@ -888,29 +890,176 @@ def reflection_checks(p: Params) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
+# the base relations for every n
+# ---------------------------------------------------------------------------
+# A Laurent polynomial in (u, v) = (q^n, q^k) is a dict {(i, j): coefficient
+# of u^i v^j}.  The base relations are decided for every n as identities
+# between products of such factors, expanded exactly in integers.
+
+
+def _uv_equal(lhs: Sequence[dict], rhs: Sequence[dict]) -> bool:
+    """Whether the products of two lists of factors are equal, each product
+    expanded as integer coefficients over a denominator."""
+    sides = []
+    for factors in (lhs, rhs):
+        out, den = {(0, 0): 1}, 1
+        for f in factors:
+            fd = math.lcm(*(c.denominator for c in f.values()))
+            den *= fd
+            acc: dict = {}
+            for (k, l), e in f.items():
+                e = e.numerator * (fd // e.denominator)
+                for (i, j), c in out.items():
+                    acc[i + k, j + l] = acc.get((i + k, j + l), 0) + c * e
+            out = acc
+        sides.append((out, den))
+    (a, da), (b, db) = sides
+    return all(a.get(key, 0) * db == b.get(key, 0) * da for key in a.keys() | b.keys())
+
+
+def _uv_at(f: dict, q: Fraction, eu: int, ev: int, keep_v: bool = True) -> dict:
+    """f(q^eu u, q^ev v), or f(q^eu u, q^ev) when not keep_v."""
+    out: dict = {}
+    for (i, j), c in f.items():
+        key, m = (i, j if keep_v else 0), eu * i + ev * j
+        out[key] = out.get(key, 0) + (c * q ** m if m else c)
+    return out
+
+
+def _symbol(op: dict[int, LaurentPoly]) -> dict[int, dict]:
+    """{d: f_d}: op maps y^k to sum_d f_d(v) y^(k+d), v = q^k."""
+    out: dict = {}
+    for s, c in op.items():
+        for d, coeff in c.coeff_dict().items():
+            out.setdefault(d, {})[0, s] = coeff
+    return out
+
+
+def _term_ratio(p: RawParams) -> tuple[list[dict], list[dict]]:
+    """The factors of N and of D, with t_(k+1)/t_k = N/D at (u, v) for the
+    terms of eigen_series(p), as qhyper_terms builds them from r upper
+    parameters U_i, s lower L_j and argument z: N = z (-v)^(s+1-r)
+    prod (1 - U_i v) and D = (1 - q v) prod (1 - L_j v)."""
+    upper, lower, z = eigen_series(p)
+
+    def one_minus_v(f: dict[int, ScalarLike]) -> dict:
+        return {(0, 0): Fraction(1), **{(e, 1): -c for e, c in f.items()}}
+
+    sp = len(lower) + 1 - len(upper)
+    sign = {(e, sp): c * (-1) ** (sp % 2) for e, c in z.items()}
+    return ([sign, *map(one_minus_v, upper)],
+            [{(0, 0): Fraction(1), (0, 1): -p.q}, *map(one_minus_v, lower)])
+
+
+def _energy_in_u(p: RawParams) -> dict:
+    """energy(n, p) as a Laurent polynomial E(u).  By energy's closed form
+    (q^-n - 1)(1 - ab q^(n-1)), u E(u) is a polynomial of degree <= 2 in u,
+    so its values at n = 0, 1, 2 decide it (Newton's form)."""
+    (u0, y0), (u1, y1), (u2, y2) = ((p.q ** n, p.q ** n * energy(n, p)) for n in range(3))
+    d1 = (y1 - y0) / (u1 - u0)
+    d2 = ((y2 - y1) / (u2 - u1) - d1) / (u2 - u0)
+    return {(-1, 0): y0 - d1 * u0 + d2 * u0 * u1, (0, 0): d1 - d2 * (u0 + u1), (1, 0): d2}
+
+
+def _eigen_every_n(op: dict[int, LaurentPoly], ratio: tuple[list[dict], list[dict]],
+                   energies: dict, q: Fraction) -> bool:
+    """Whether op P_n = E_n P_n for every n, where c_(k+1)/c_k = ratio and
+    E_n = energies(q^n); the proof is in _base_checks."""
+    sym = _symbol(op)
+    ehat, beta = sym.pop(0, {}), sym.pop(-1, {})
+    ehat_u = {(j, 0): c for (_, j), c in ehat.items()}
+    if sym or sum(beta.values()) or not _uv_equal([ehat_u], [energies]):
+        return False
+    diff = dict(ehat_u)
+    for key, c in ehat.items():
+        diff[key] = diff.get(key, 0) - c
+    num, den = ratio
+    return _uv_equal([*num, _uv_at(beta, q, 0, 1)], [diff, *den])
+
+
+def _forward_every_n(fwd: dict[int, LaurentPoly], ratio: tuple[list[dict], list[dict]],
+                     ratio_up: tuple[list[dict], list[dict]], energies: dict,
+                     kappa: Fraction, q: Fraction) -> bool:
+    """Whether F P_n = E_n P'_(n-1) for every n, where P' has the ratio
+    ratio_up and c_0(P_n) = kappa c_0(P'_(n-1)); the proof is in _base_checks."""
+    sym = _symbol(fwd)
+    phi = sym.pop(-1, {})
+    if sym or sum(phi.values()):
+        return False
+    num, den = ratio
+    num1, den1 = ([_uv_at(f, q, -1, -1) for f in fs] for fs in ratio_up)
+    step = _uv_equal([*num, _uv_at(phi, q, 0, 1), *den1], [*num1, phi, *den])
+    # at v = 1: kappa phi(q) N(u, 1) = E(u) D(u, 1)
+    lhs = [{(0, 0): kappa}, _uv_at(phi, q, 0, 1, False), *(_uv_at(f, q, 0, 0, False) for f in num)]
+    return step and _uv_equal(lhs, [energies, *(_uv_at(f, q, 0, 0, False) for f in den)])
+
+
+# ---------------------------------------------------------------------------
 # the orchestrated suite
 # ---------------------------------------------------------------------------
 
 
 def _base_checks(p: Params, nmax: int, rng: random.Random) -> list[CheckResult]:
-    ntop, p_up = max(nmax, 8), p.shift(delta=1)
-    ok_eig = ok_deg = ok_norm = ok_lead = ok_inf = ok_f = ok_b = True
-    h, fwd, bkw = hamiltonian_op(p), forward_shift_op(p), backward_shift_op(p)
+    """The base rows.  The eigen, forward, backward and random rows hold for
+    every n, by identities of Laurent polynomials in (u, v) = (q^n, q^k)
+    expanded exactly.
+
+    P_n = eigenpoly_y(n) = sum_k c_k y^k, c_0 = C_n = eigen_at_infinity(n),
+    and c_(k+1)/c_k = N/D at (q^n, q^k), the term ratio of eigen_series
+    (_term_ratio).  The side conditions 0 < a < 1 and ab < 1, checked
+    exactly, keep the factors 1 - q^(k+1) and 1 - a q^k of D nonzero at
+    lambda and at lambda + delta, and E_n = (q^-n - 1)(1 - ab q^(n-1))
+    nonzero for n >= 1.  E(u) is energy in u (_energy_in_u).
+
+    - Eigen (_eigen_every_n).  H maps y^k to E^(v) y^k + beta(v) y^(k-1)
+      (read from hamiltonian_op, no other offset), so the y^k coefficient of
+      H P_n - E_n P_n is c_k (E^(q^k) - E_n) + c_(k+1) beta(q^(k+1)).  It
+      vanishes at k = -1 by beta(1) = 0, at k = n by E^ = E, and for
+      0 <= k < n by N(u, v) beta(q v) = (E(u) - E(v)) D(u, v).
+    - Forward (_forward_every_n).  F maps y^k to phi(v) y^(k-1), phi(1) = 0,
+      so F P_n = E_n P'_(n-1) (P' at lambda + delta, ratio N'/D') reads
+      c_(k+1) phi(q^(k+1)) = E_n c'_k for 0 <= k < n.  At k = 0 this is
+      kappa N(u, 1) phi(q) = E(u) D(u, 1) with kappa = C_n/C'_(n-1), which
+      is -(1 - a)/(q B(0)) for every n >= 1 by eigen_at_infinity's closed
+      form and (z;q)_n = (1 - z)(zq;q)_(n-1); it is read from the built
+      levels and must agree for 1 <= n <= max(nmax, 8).  Each next k
+      follows from N(u, v) phi(q v) D'(u/q, v/q) = N'(u/q, v/q) phi(v) D(u, v).
+    - Backward.  K = Bk o F (op_compose) has K P_n = E_n P_n by the eigen
+      proof, so E_n Bk P'_(n-1) = Bk F P_n = E_n P_n, and E_n != 0 gives
+      Bk P'_(n-1) = P_n for n >= 1.
+    - Random: the eigen proof at 3 random points.
+    """
+    ntop, p_up, q = max(nmax, 8), p.shift(delta=1), p.q
+    ok_deg = ok_norm = ok_lead = ok_inf = True
+    kappas = []
     for n in range(ntop + 1):
-        f, e, g = eigenpoly_y(n, p), eigenpoly(n, p), eigenpoly_y(n - 1, p_up)
-        ok_eig &= (op_apply(h, f) - f.scale(energy(n, p))).is_zero
+        f, e = eigenpoly_y(n, p), eigenpoly(n, p)
         ok_deg &= e.degree == n
         ok_norm &= e.eval_int(0) == 1
         ok_lead &= e.is_zero or e.leading == eigen_leading(n, p)
+        # consistency only: _eigenpoly_y sets this coefficient to the same value
         ok_inf &= f.at_infinity() == eigen_at_infinity(n, p)
-        ok_f &= (op_apply(fwd, f) - g.scale(energy(n, p))).is_zero
-        ok_b &= n == 0 or (op_apply(bkw, g) - f).is_zero
+        if n:
+            kappas.append(f.coeff(0) / eigen_at_infinity(n - 1, p_up))
+
+    def side(pt: Params) -> bool:
+        return 0 < pt.a < 1 and pt.a * pt.b < 1
+
+    ratio, energies = _term_ratio(p), _energy_in_u(p)
+    fwd = forward_shift_op(p)
+    ok_eig = side(p) and _eigen_every_n(hamiltonian_op(p), ratio, energies, q)
+    ok_f = side(p) and len(set(kappas)) == 1 and _forward_every_n(
+        fwd, ratio, _term_ratio(p_up), energies, kappas[0], q)
+    ok_b = ok_f and _eigen_every_n(op_compose(backward_shift_op(p), fwd), ratio, energies, q)
     checks = [
-        _check("base_eigen_equation", ok_eig, "zero residual for n <= %d" % ntop),
+        _check("base_eigen_equation", ok_eig,
+               "every n: term-ratio identity in (u, v) = (q^n, q^k)"),
         _check("base_degree_norm_leading_infinity",
                ok_deg and ok_norm and ok_lead and ok_inf, "n <= %d" % ntop),
-        _check("base_forward_shift", ok_f, "n <= %d" % ntop),
-        _check("base_backward_shift", ok_b, "n <= %d" % ntop),
+        _check("base_forward_shift", ok_f,
+               "every n: term-ratio step in (u, v) = (q^n, q^k) and its k = 0 case"),
+        _check("base_backward_shift", ok_b,
+               "every n >= 1: forward shift and Bk F P_n = E_n P_n"),
     ]
     ok_series = all(
         eigenpoly_y(n, p).eval_int(x) == eigen_series_value(n, p, x)
@@ -919,16 +1068,13 @@ def _base_checks(p: Params, nmax: int, rng: random.Random) -> list[CheckResult]:
     )
     checks.append(_check("base_series_oracle", ok_series,
                          "alternative hypergeometric route, n,x <= 4"))
-    # random-parameter eigen identity
     ok_rand = True
     for _ in range(3):
         pr = _random_valid_params(rng, p.family, p.ctype, p.dmax)
-        h = hamiltonian_op(pr)
-        for n in range(4):
-            f = eigenpoly_y(n, pr)
-            ok_rand &= (op_apply(h, f) - f.scale(energy(n, pr))).is_zero
+        ok_rand &= side(pr) and _eigen_every_n(
+            hamiltonian_op(pr), _term_ratio(pr), _energy_in_u(pr), pr.q)
     checks.append(_check("base_eigen_random_params", ok_rand,
-                         "3 random parameter points, n <= 3"))
+                         "3 random parameter points, every n"))
     return checks
 
 

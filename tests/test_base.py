@@ -188,6 +188,13 @@ def test_eigenpoly_cache_keys_on_the_values_it_reads(pj):
     info = base._eigenpoly_y.cache_info()
     assert (info.currsize, info.misses, info.maxsize) == (1, 1, 256)
     assert eigenpoly_y(3, pj.shift(tilde=1)) is not polys[0]
+    # the key holds the integers of q, a and b, so int and Fraction fields of
+    # equal points share an entry too
+    for twins in ([Params(J, Q, A, -1, II, 2), RawParams(J, Q, A, -1), RawParams(J, Q, A, F(-1))],
+                  [Params(L, Q, A), RawParams(L, Q, A, 0), RawParams(L, Q, A, F(0), I, 3)]):
+        polys = [eigenpoly_y(3, p) for p in twins]
+        assert all(f is polys[0] for f in polys)
+    assert base._eigenpoly_y.cache_info().currsize == 4
 
 
 def test_eigenpoly_negative_level_is_zero(pj):

@@ -507,12 +507,12 @@ def test_negative_b_equals_syntax():
 # sha256 of the full stdout; witness and bound strings are part of the pin
 GOLDEN_STDOUT = [
     (["verify", "--indices", "1,2", "--nmax", "3", "--seed", "3"],
-     "3ebee8b991a189fe6a8011fb097b8da0646e22970c33160d7385b08ad455a77b"),
+     "1ca6b4407edff46bb47bc0d8e813027bb8558da38a90b48bddc664842e9fef6c"),
     (["verify", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "2"],
-     "efd4b003895113c304129d5303877289dd86474b60d7619fe944cb47cd7086f9"),
+     "0c310a65811a3b2cbc02dafc2d4e485d71d05e41d59d0fc3f27c6065c8314d67"),
     # base-only point: the virtual-range suites are skipped with warnings
     (["verify", "--indices", "", "--b", "3/4", "--nmax", "2"],
-     "d2e0d0cdd41431d7ed647865527577facfe823c6b6f623ca03114963284278d1"),
+     "d8e2ce1596cb862daae2997e1b0d977c92901dcfc81e5a01b60d6433aa8cf239"),
     (["table", "--indices", "1,2", "--nmax", "3"],
      "d798d7df4c12449103514cc6fa6726289d6ffef1bc23011b477650676f4e5b63"),
     (["zeros", "--indices", "1,2", "--nmax", "3"],
@@ -523,14 +523,14 @@ GOLDEN_STDOUT = [
      "2b3c4d9e0d71d7a38655914d0be35224e9ec3b92a9e3a105376035e49f417dc7"),
     (["verify", "--q", "3/5", "--a", "1/3", "--b", "1/50", "--indices", "1,2",
       "--nmax", "4"],
-     "34ea3f2170aa7c46c1051875e770cbe5d9b26d384e991ef70676520f5d6d8c4d"),
+     "42de4e9a9ab19bed80d86a0f7219dd931faaff092ccd4db75762c968d4a7a0a1"),
     (["construct", "--type", "1", "--q", "2/3", "--a", "1/20", "--b", "1/5",
       "--indices", "1,2", "--nmax", "3"],
      "ffc8c96c85bad01689c381097aadc808055b10881d80a654438c32158eb3ead5"),
     # the heaviest sweep point: ortho witness floats at a q whose denominator is 4
     (["verify", "--q", "1/4", "--a", "3/7", "--b", "11/832", "--indices", "2",
       "--nmax", "4"],
-     "953ff9639d4f93d2ef10dc470fbfcd6caeb10cc9d4bb01dcd597d37affdca0b7"),
+     "673ade5364fd6832acef153a4b3f51fb4d948f4161da51f49da4d5f708fab1f2"),
     # type I table floats and type I little q-Laguerre verify
     (["table", "--type", "1", "--a", "1/12", "--indices", "1,2", "--nmax", "3"],
      "086bd9b8678554dea98c82209aea323f3f9b720c913a154ba88a249d1cfdbbff"),
@@ -539,7 +539,7 @@ GOLDEN_STDOUT = [
      "5babcbf0607002eb4e9f6ff648c9b05cb132c70e1c1ef75cf61cbd14351771a8"),
     (["verify", "--family", "lqLaguerre", "--type", "1", "--a", "1/40",
       "--indices", "1,2", "--nmax", "3"],
-     "cd2becbf36ac3660a082a853cfba3f2fa969e95bf209454c1594b0d33ff1890b"),
+     "a137190d0c4ab6edcf07c0cbdf7f2e6abda921add140a0086bc0d956c8d6c4a9"),
 ]
 
 

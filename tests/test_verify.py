@@ -33,7 +33,7 @@ from littleq import base, darboux, verify
 from littleq.cli import main
 from littleq.darboux import DeformedPotentials
 from littleq.dyadic import nstr
-from littleq.exact import LaurentPoly, LittleQError
+from littleq.exact import LaurentPoly, LittleQError, op_apply, op_compose
 from littleq.verify import (
     OrthogonalityData,
     Root,
@@ -1085,6 +1085,120 @@ def test_hamiltonian_scaled_fails_the_base_and_deformed_eigen_rows(p, monkeypatc
     assert {name for name, status in got.items() if status != "pass"} == {
         "base_eigen_equation", "base_eigen_random_params", "deformed_eigen_equation"}
     assert got["base_eigen_equation"] == got["deformed_eigen_equation"] == "fail"
+
+
+@st.composite
+def base_points(draw):
+    family, ctype = draw(st.sampled_from(Family)), draw(st.sampled_from(CType))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return _random_valid_params(rng, family, ctype, draw(st.integers(0, 3)))
+
+
+def _at_uv(factors, u, v):
+    """A product of factors {(i, j): c} at the point (u, v)."""
+    return math.prod(sum(c * u ** i * v ** j for (i, j), c in f.items()) for f in factors)
+
+
+@given(base_points())
+@settings(max_examples=30, deadline=None)
+def test_base_rows_agree_with_the_per_level_residuals(p):
+    # the oracle the every-n base rows replaced: H, F and Bk applied level by
+    # level, n <= 8; and the coefficient ratio those rows read from eigen_series
+    up, q = p.shift(delta=1), p.q
+    h, fwd, bkw = base.hamiltonian_op(p), base.forward_shift_op(p), base.backward_shift_op(p)
+    num, den = verify._term_ratio(p)
+    for n in range(9):
+        f, g, e = base.eigenpoly_y(n, p), base.eigenpoly_y(n - 1, up), base.energy(n, p)
+        assert (op_apply(h, f) - f.scale(e)).is_zero
+        assert (op_apply(fwd, f) - g.scale(e)).is_zero
+        assert n == 0 or (op_apply(bkw, g) - f).is_zero
+        assert f.min_deg == 0 and f.max_deg == n
+        for k in range(n):
+            u, v = q ** n, q ** k
+            assert f.coeff(k + 1) / f.coeff(k) == _at_uv(num, u, v) / _at_uv(den, u, v)
+    assert {c.name: c.status for c in verify._base_checks(p, 3, random.Random(0))
+            if c.name != "base_eigen_random_params"} == dict.fromkeys(
+        ["base_eigen_equation", "base_degree_norm_leading_infinity", "base_forward_shift",
+         "base_backward_shift", "base_series_oracle"], "pass")
+
+
+def _energy_ab_scaled(n, p):
+    return ENERGY(n, RawParams(*p)._replace(b=p.b * EPS_SCALE))
+
+
+def _series_ab_bumped(p):
+    # ab (1 + eps prod_{j <= 8} (u - q^j)): the same polynomials for n <= 8
+    upper, lower, z = SERIES(p)
+    u, bump = LaurentPoly.var(p.q), LaurentPoly.one(p.q)
+    for j in range(9):
+        bump = bump * (u - p.q ** j)
+    ab = LaurentPoly(p.q, upper[1]) * (1 + bump.scale(EPS_SCALE - 1))
+    return [upper[0], ab.coeff_dict()], lower, z
+
+
+def _infinity_rescaled(n, p):
+    return INFINITY(n, p) * (1 + n * (EPS_SCALE - 1))
+
+
+def _infinity_rescaled_from_2(n, p):
+    # C_1 / C'_0 stays right; C_n / C'_(n-1) moves from n = 2 on
+    return INFINITY(n, p) * (1 + n * (n - 1) * (EPS_SCALE - 1))
+
+
+def _forward_stretched(p):
+    # F o (1 + eps (q - T)): phi(v) gains the factor 1 + eps (q - v), which is
+    # 1 at v = q, so only the step from k to k + 1 sees it
+    eps, q = EPS_SCALE - 1, p.q
+    return op_compose(FORWARD(p), {0: LaurentPoly.const(q, 1 + eps * q),
+                                   1: LaurentPoly.const(q, -eps)})
+
+
+def _backward_scaled(p):
+    return {k: c.scale(EPS_SCALE) for k, c in BACKWARD(p).items()}
+
+
+ENERGY, SERIES, INFINITY = base.energy, base.eigen_series, base.eigen_at_infinity
+FORWARD, BACKWARD = base.forward_shift_op, base.backward_shift_op
+SHIFT_ROWS = {"base_forward_shift", "base_backward_shift"}
+NORM_ROWS = {"base_degree_norm_leading_infinity", "base_series_oracle"}
+EVERY_N_ROWS = {"base_eigen_equation", "base_forward_shift", "base_backward_shift",
+                "base_eigen_random_params"}
+
+
+@pytest.mark.parametrize("name,mutant,families,failed", [
+    # energy's ab scaled: the eigen rows, and the shift rows that read E_n
+    ("energy", _energy_ab_scaled, [Family.LQ_JACOBI], EVERY_N_ROWS),
+    # wrong only above n = 8, where no level is built
+    ("eigen_series", _series_ab_bumped, [Family.LQ_JACOBI], EVERY_N_ROWS),
+    # the normalization of P_n changes with n: at the base case, or only in
+    # C_n / C'_(n-1) for n >= 2
+    ("eigen_at_infinity", _infinity_rescaled, list(Family), SHIFT_ROWS | NORM_ROWS),
+    ("eigen_at_infinity", _infinity_rescaled_from_2, list(Family), SHIFT_ROWS | NORM_ROWS),
+    ("forward_shift_op", _forward_stretched, list(Family), SHIFT_ROWS),
+    ("backward_shift_op", _backward_scaled, list(Family), {"base_backward_shift"}),
+])
+@pytest.mark.parametrize("ctype", list(CType))
+def test_mutants_fail_the_base_rows(name, mutant, families, failed, ctype, monkeypatch):
+    for family in families:
+        p = Params(family, Q, A if ctype == CType.TYPE_II else F(1, 10),
+                   B if family == Family.LQ_JACOBI else 0, ctype, dmax=2)
+        with monkeypatch.context() as m:
+            for module in (base, verify):
+                m.setattr(module, name, mutant)
+            clear_littleq_caches()
+            got = _statuses(IndexSet.of(1, 2), p, ("base",))
+        clear_littleq_caches()
+        assert {row for row, status in got.items() if status != "pass"} == failed
+        assert set(_statuses(IndexSet.of(1, 2), p, ("base",)).values()) == {"pass"}
+
+
+def test_every_n_rows_need_the_side_conditions():
+    # ab = 3/2: every level is built and has its degree, but ab < 1 fails,
+    # so the every-n proofs do not apply and their rows say so
+    p = RawParams(Family.LQ_JACOBI, Q, A, F(9, 2), CType.TYPE_II, dmax=2)
+    got = {c.name: c.status for c in verify._base_checks(p, 3, random.Random(0))}
+    assert {name for name, status in got.items() if status != "pass"} == EVERY_N_ROWS - {
+        "base_eigen_random_params"}
 
 
 @pytest.mark.parametrize("family", list(Family))
