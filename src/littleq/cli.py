@@ -107,13 +107,6 @@ class RunConfig(NamedTuple):
         return IndexSet(self.indices)
 
 
-COMMANDS = (
-    ("construct", "emit polynomial coefficient tables as JSON"),
-    ("verify", "run the verification suite and emit a JSON report"),
-    ("zeros", "emit a CSV of the zeros of one polynomial"),
-    ("table", "emit a CSV of squared-norm ratios"),
-)
-
 # the options of every command as (flag, add_argument keywords), read by both
 # build_parser and parse_direct: each flag's type, choices and default live here
 OPTIONS = (
@@ -146,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, keywords in OPTIONS:
         shared.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in COMMANDS:
+    for name, (help_text, _, _) in COMMANDS.items():
         sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
@@ -156,7 +149,7 @@ def parse_direct(argv: list[str]) -> argparse.Namespace | None:
     command name followed only by exact long options of OPTIONS, each with a
     valid value given as '--opt value' (the value not starting with '-') or as
     '--opt=value'; None for any other argv, which argparse alone decides."""
-    if not argv or argv[0] not in dict(COMMANDS):
+    if not argv or argv[0] not in COMMANDS:
         return None
     options = {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords)
                for flag, keywords in OPTIONS}
@@ -185,7 +178,6 @@ def parse_direct(argv: list[str]) -> argparse.Namespace | None:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.nmax < 0:
         raise InvalidParamsError("nmax must be >= 0")
-    default_out = "json" if args.command in ("construct", "verify") else "csv"
     return RunConfig(
         command=args.command,
         family=Family(args.family),
@@ -198,36 +190,31 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         eps=parse_rational(args.eps),
         xmax=args.xmax,
         prec_bits=args.prec_bits,
-        output=args.out or default_out,
+        output=args.out or COMMANDS[args.command][1],
         seed=args.seed,
         suite=args.suite,
     )
 
 
-def _coeff_pairs(poly: EtaPoly) -> list[list[str]]:
-    return [
-        [str(c.numerator), str(c.denominator)]
-        for c in (poly.coeffs if not poly.is_zero else (Fraction(0),))
-    ]
+def _poly_entry(poly: EtaPoly, d: IndexSet, x: int, **head) -> dict:
+    """The JSON entry of one polynomial: head, then its eta coefficients as
+    [num, den] strings, ell_D, and its leading coefficient and values at x and
+    at infinity (y -> 0 is eta -> 1) as exact rationals."""
+    return {
+        **head,
+        "basis": "eta",
+        "coeffs": [[str(c.numerator), str(c.denominator)]
+                   for c in (poly.coeffs if not poly.is_zero else (Fraction(0),))],
+        "ell_D": d.degree_offset,
+        "leading": fmt_rational(poly.leading),
+        "value_at_" + ("0" if x == 0 else "minus1"): fmt_rational(poly.eval_int(x)),
+        "value_at_inf": fmt_rational(poly.eval_eta(1)),
+    }
 
 
 def cmd_construct(cfg: RunConfig) -> tuple[str, int]:
     p = cfg.params()
     d = cfg.index_set()
-    polys = []
-    for n in range(cfg.nmax + 1):
-        poly = level_poly(d, n, p)
-        polys.append(
-            {
-                "n": n,
-                "basis": "eta",
-                "coeffs": _coeff_pairs(poly),
-                "ell_D": d.degree_offset,
-                "leading": fmt_rational(poly.leading),
-                "value_at_0": fmt_rational(poly.eval_int(0)),
-                "value_at_inf": fmt_rational(poly.eval_eta(1)),  # y -> 0 is eta -> 1
-            }
-        )
     obj = {
         "family": cfg.family.value,
         "type": int(cfg.ctype),
@@ -236,18 +223,10 @@ def cmd_construct(cfg: RunConfig) -> tuple[str, int]:
         "b": fmt_rational(p.b),
         "D": list(d.indices),
         "normalized": cfg.ctype == CType.TYPE_II,
-        "polynomials": polys,
+        "polynomials": [_poly_entry(level_poly(d, n, p), d, 0, n=n) for n in range(cfg.nmax + 1)],
     }
     if cfg.ctype == CType.TYPE_II:
-        xi = denominator_poly(d, p)
-        obj["denominator"] = {
-            "basis": "eta",
-            "coeffs": _coeff_pairs(xi),
-            "ell_D": d.degree_offset,
-            "leading": fmt_rational(xi.leading),
-            "value_at_minus1": fmt_rational(xi.eval_int(-1)),
-            "value_at_inf": fmt_rational(xi.eval_eta(1)),
-        }
+        obj["denominator"] = _poly_entry(denominator_poly(d, p), d, -1)
     return json.dumps(obj, indent=2) + "\n", EXIT_OK
 
 
@@ -269,10 +248,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     return json.dumps(obj, indent=2) + "\n", code
 
 
-def _dps(prec_bits: int) -> int:
-    return max(15, int(prec_bits * 0.30103))
-
-
 def _ratio_str(v: Fraction, dps: int) -> str:
     return nstr_ratio(v, 128, dps)
 
@@ -282,7 +257,7 @@ def cmd_zeros(cfg: RunConfig) -> tuple[str, int]:
     d = cfg.index_set()
     n = cfg.nmax
     roots = polynomial_roots(d, n, p, cfg.prec_bits)
-    dps = _dps(cfg.prec_bits)
+    dps = max(15, int(cfg.prec_bits * 0.30103))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "real", "imag", "physical", "precision_dps"])
@@ -310,6 +285,14 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     return buf.getvalue(), code
 
 
+# each command's help text, the one output format it prints and its handler
+COMMANDS = {
+    "construct": ("emit polynomial coefficient tables as JSON", "json", cmd_construct),
+    "verify": ("run the verification suite and emit a JSON report", "json", cmd_verify),
+    "zeros": ("emit a CSV of the zeros of one polynomial", "csv", cmd_zeros),
+    "table": ("emit a CSV of squared-norm ratios", "csv", cmd_table),
+}
+
 _PARSER: argparse.ArgumentParser | None = None  # built when parse_direct first declines
 
 
@@ -325,18 +308,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
         cfg = config_from_args(args)
-        native = {"construct": "json", "verify": "json",
-                  "zeros": "csv", "table": "csv"}[cfg.command]
+        _, native, handler = COMMANDS[cfg.command]
         if cfg.output != native:
-            raise InvalidParamsError(
-                "%s emits %s output only" % (cfg.command, native)
-            )
-        handler = {
-            "construct": cmd_construct,
-            "verify": cmd_verify,
-            "zeros": cmd_zeros,
-            "table": cmd_table,
-        }[cfg.command]
+            raise InvalidParamsError("%s emits %s output only" % (cfg.command, native))
         text, code = handler(cfg)
         # after the command, so that a Casoratian vanishing identically is named as
         # such; verify reports a collapsed degree through its failed checks

@@ -126,13 +126,13 @@ class IndexSet(_IndexFields):
 
 
 @lru_cache(maxsize=256)
-def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly, ...]]:
-    """(W, cofactors) of the bordered Casoratians of D at p.
+def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, ...]:
+    """The M + 1 cofactors of the bordered Casoratians of D at p, W last.
 
     Row j (0 <= j <= M) holds the virtual-state polynomials f_k at x + s j,
     with s = -1 (backward) for type II and s = +1 (forward) for type I.  With
-    minor_j the M x M determinant without row j, W = minor_M is the unbordered
-    Casoratian and cofactors[j] = (-1)^(M-j) minor_j.
+    minor_j the M x M determinant without row j, cofactors[j] = (-1)^(M-j) minor_j
+    and W = cofactors[M] = minor_M is the unbordered Casoratian.
 
     Write f_k = y^lo sum_c N[k][c] y^c / den_k.  Row j of the Casoratian is
     then the coefficient matrix times the powers x_c^j y^(lo + c), with
@@ -147,7 +147,7 @@ def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly,
     """
     m = d.size
     if m == 0:  # the empty Casoratian is 1, no determinant
-        return LaurentPoly.one(p.q), (LaurentPoly.one(p.q),)
+        return (LaurentPoly.one(p.q),)
     s = -1 if p.ctype == CType.TYPE_II else 1
     fs = [virtual_poly_y(v, p) for v in d.indices]
     lo = min(f.val for f in fs)
@@ -183,7 +183,7 @@ def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, tuple[LaurentPoly,
         z = p.q ** (s * lo * deg) * (-1) ** (m - j)
         cofactors.append(fs[0]._new(m * lo, [z.numerator * c for c in coeffs],
                                     z.denominator * v ** ((width - 1) * deg) * dens))
-    return cofactors[m], tuple(cofactors)
+    return tuple(cofactors)
 
 
 def _casoratian(d: IndexSet, p: ParamsLike, n: int) -> LaurentPoly:
@@ -201,10 +201,16 @@ def _casoratian(d: IndexSet, p: ParamsLike, n: int) -> LaurentPoly:
 def xi_casoratian(d: IndexSet, p: ParamsLike) -> LaurentPoly:
     """Raw Casoratian of the virtual-state polynomials of D: backward for
     type II, forward for type I; the minor W of _border."""
-    w = _border(d, p)[0]
+    w = _border(d, p)[-1]
     if w.is_zero:
         raise DegenerateCasoratianError("virtual-state Casoratian is identically zero")
     return w
+
+
+def _check_type(p: ParamsLike, ctype: CType) -> None:
+    if p.ctype != ctype:  # "I" * 2 is "II"
+        raise InvalidParamsError(
+            "this operation is defined for the type %s construction" % ("I" * ctype))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +218,12 @@ def xi_casoratian(d: IndexSet, p: ParamsLike) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def _check_type_ii(p: ParamsLike) -> None:
-    if p.ctype != CType.TYPE_II:
-        raise InvalidParamsError("this operation is defined for the type II construction")
+def _polynomial_in_y(out: LaurentPoly) -> LaurentPoly:
+    """out, after checking that the gauge division left a polynomial in y."""
+    if not out.is_zero and out.min_deg < 0:
+        raise NonExactDivisionError(
+            "Casoratian not divisible by its gauge monomial (degree defect)")
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -237,13 +246,9 @@ def denominator_norm_const(d: IndexSet, p: ParamsLike) -> Fraction:
 @lru_cache(maxsize=256)
 def denominator_poly_y(d: IndexSet, p: ParamsLike) -> LaurentPoly:
     """Denominator polynomial in y: gauged, normalized Casoratian of D."""
-    _check_type_ii(p)
+    _check_type(p, CType.TYPE_II)
     out = xi_casoratian(d, p).divide_exact(casoratian_gauge(d.size, p.q))
-    if out.min_deg < 0:
-        raise NonExactDivisionError(
-            "Casoratian not divisible by its gauge monomial (degree defect)"
-        )
-    return out.scale(1 / denominator_norm_const(d, p))
+    return _polynomial_in_y(out).scale(1 / denominator_norm_const(d, p))
 
 
 def denominator_poly(d: IndexSet, p: ParamsLike) -> EtaPoly:
@@ -261,13 +266,8 @@ def multi_indexed_poly_y(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     normalization constant cdn, i.e. level_op applied to P_n.  The gauge
     division must leave a genuine polynomial in y.
     """
-    _check_type_ii(p)
-    out = _casoratian(d, p, n)
-    if not out.is_zero and out.min_deg < 0:
-        raise NonExactDivisionError(
-            "Casoratian not divisible by its gauge monomial (degree defect)"
-        )
-    return out
+    _check_type(p, CType.TYPE_II)
+    return _polynomial_in_y(_casoratian(d, p, n))
 
 
 def multi_indexed_poly(d: IndexSet, n: int, p: ParamsLike) -> EtaPoly:
@@ -278,7 +278,7 @@ def multi_indexed_poly(d: IndexSet, n: int, p: ParamsLike) -> EtaPoly:
 def lowest_matches_denominator(d: IndexSet, p: ParamsLike) -> EtaPoly:
     """Residual of: level-0 multi-indexed polynomial at lambda equals the
     denominator polynomial at x-1, lambda+delta.  Zero iff the identity holds."""
-    _check_type_ii(p)
+    _check_type(p, CType.TYPE_II)
     lhs = multi_indexed_poly_y(d, 0, p)
     rhs = denominator_poly_y(d, p.shift(delta=1)).shift(-1)
     return (lhs - rhs).to_eta()
@@ -290,7 +290,7 @@ def deformed_forward_check(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     B(0; lambda + M tilde) [l0(x+1) f - l0 f(x+1)] - E_n y den g, with l0, f
     and den as in deformed_eigencheck and g level n-1 at lambda+delta; the
     zero polynomial iff the relation holds."""
-    _check_type_ii(p)
+    _check_type(p, CType.TYPE_II)
     if n < 0:
         raise ValueError("need n >= 0")
     den, _ = deformed_measure(d, p)
@@ -307,7 +307,7 @@ def deformed_backward_check(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     at lambda.  Returns B(x; lambda + M tilde) den(x-1) y g - D(x) den (y g)(x-1)
     - B(0; lambda + M tilde) l0 f, with l0, f, den and g as in
     deformed_forward_check; the zero polynomial iff the relation holds (n >= 1)."""
-    _check_type_ii(p)
+    _check_type(p, CType.TYPE_II)
     if n < 1:
         raise ValueError("need n >= 1")
     den, _ = deformed_measure(d, p)
@@ -321,7 +321,7 @@ def deformed_backward_check(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
 def infinity_values(d: IndexSet, n: int, p: ParamsLike) -> tuple[Fraction, Fraction]:
     """Closed-form limits at x = infinity of the denominator and level-n
     polynomials (products over the index set)."""
-    _check_type_ii(p)
+    _check_type(p, CType.TYPE_II)
     xi_inf, energies = _infinity_factors(d, p)
     e = energy(n, p)
     p_extra = prod(((e - ed) / e0 for ed, e0 in energies), start=Fraction(1))
@@ -341,7 +341,7 @@ def _infinity_factors(d: IndexSet, p: ParamsLike) -> tuple[Fraction, tuple]:
 @lru_cache(maxsize=256)
 def denominator_leading(d: IndexSet, p: ParamsLike) -> Fraction:
     """Closed-form leading eta-coefficient of the denominator polynomial."""
-    _check_type_ii(p)
+    _check_type(p, CType.TYPE_II)
     q = p.q
     out = Fraction(1)
     for j, dj in enumerate(d.indices, start=1):
@@ -366,7 +366,7 @@ def denominator_leading(d: IndexSet, p: ParamsLike) -> Fraction:
 
 def multi_indexed_leading(d: IndexSet, n: int, p: ParamsLike) -> Fraction:
     """Closed-form leading eta-coefficient of the level-n polynomial."""
-    _check_type_ii(p)
+    _check_type(p, CType.TYPE_II)
     q = p.q
     out = denominator_leading(d, p) * eigen_leading(n, p) * q ** (-n * d.size)
     if p.family == Family.LQ_JACOBI:
@@ -391,11 +391,6 @@ def typeII_single_op(dd: int, p: ParamsLike) -> dict[int, LaurentPoly]:
 # ---------------------------------------------------------------------------
 
 
-def _check_type_i(p: ParamsLike) -> None:
-    if p.ctype != CType.TYPE_I:
-        raise InvalidParamsError("this operation is defined for the type I construction")
-
-
 @lru_cache(maxsize=256)
 def typeI_eigen_numerator(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     """Bordered forward Casoratian with the ground-state ratio factored out.
@@ -405,14 +400,14 @@ def typeI_eigen_numerator(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     eigenpolynomial at x+j-1.  This is the type I eigenvector numerator up to
     positive prefactors; no normalization is applied.
     """
-    _check_type_i(p)
+    _check_type(p, CType.TYPE_I)
     return _casoratian(d, p, n)
 
 
 def typeI_single_op(dd: int, p: ParamsLike) -> dict[int, LaurentPoly]:
     """Single-index type I closed form of level_op at D = {dd}, bypassing
     the determinant engine: f -> a q^{-1} xi_d(x) f(x+1) - xi_d(x+1) f."""
-    _check_type_i(p)
+    _check_type(p, CType.TYPE_I)
     xi = virtual_poly_y(dd, p)
     return {0: -xi.shift(1), 1: xi.scale(p.a / p.q)}
 
@@ -569,7 +564,7 @@ def level_op(d: IndexSet, p: ParamsLike) -> Mapping[int, LaurentPoly]:
     if d.size == 0:
         return MappingProxyType({0: LaurentPoly.one(p.q)})
     m, s = d.size, -1 if p.ctype == CType.TYPE_II else 1
-    cs = [nu_ratio_poly(j + 1, m, p) * c for j, c in enumerate(_border(d, p)[1])]
+    cs = [nu_ratio_poly(j + 1, m, p) * c for j, c in enumerate(_border(d, p))]
     if all(c.is_zero for c in cs):
         raise DegenerateCasoratianError("bordered Casoratian is identically zero")
     if p.ctype == CType.TYPE_II:

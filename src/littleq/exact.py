@@ -387,15 +387,6 @@ class LaurentPoly:
         n, d = c.numerator, c.denominator
         return self._new(self.val, [v * n for v in self.num], self.den * d)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self.scale(Fraction(1, 1) / scalar(other))
-        if isinstance(other, LaurentPoly):
-            return self.divide_exact(other)
-        return NotImplemented
-
     # -- the operations that make y mean q^x ---------------------------
     def _ratio(self, x: int) -> tuple[int, int]:
         """q^x as a pair of integers (R, T) with q^x = R/T."""

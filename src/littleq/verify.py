@@ -1095,6 +1095,7 @@ def _virtual_checks(p: Params) -> list[CheckResult]:
         )
     )
     vtop, pole = max(p.dmax, 2), None
+    lo = -1 if p.ctype == CType.TYPE_II else 0  # the lattice start, where each xi_v is 1
     ok_deg = ok_norm = ok_diffeq = ok_energy = ok_neg = True
     for v in range(vtop + 1):
         try:
@@ -1106,10 +1107,7 @@ def _virtual_checks(p: Params) -> list[CheckResult]:
             pole = pole or "b = %s is a pole of v=%d, past dmax=%d: %s" % (p.b, v, p.dmax, exc)
             continue
         ok_deg &= xi.to_eta().degree == v
-        if p.ctype == CType.TYPE_II:
-            ok_norm &= xi.eval_int(-1) == 1
-        else:
-            ok_norm &= xi.eval_int(0) == 1
+        ok_norm &= xi.eval_int(lo) == 1
         ok_diffeq &= xi_diffeq_residual(v, p).is_zero
         ok_energy &= virtual_energy(v, p) == virtual_energy_prime(v, p) + vd.alpha_prime
         if v <= p.dmax:
@@ -1120,7 +1118,6 @@ def _virtual_checks(p: Params) -> list[CheckResult]:
     checks.append(_check("virtual_energy_two_routes", ok_energy and ok_neg,
                          "additive split holds; energies negative for v <= dmax"))
     # positivity of the virtual-state polynomials at every lattice point
-    lo = -1 if p.ctype == CType.TYPE_II else 0
     bad = []
     for v in range(min(p.dmax, 5) + 1):
         ok, witness = _lattice_proof([virtual_poly_y(v, p)], lo)

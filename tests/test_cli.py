@@ -110,7 +110,7 @@ def _option_value(flag):
 def direct_argv(draw):
     """A command, then options of OPTIONS in random order, repeats allowed,
     each as '--opt value' or '--opt=value', with a valid value."""
-    argv, separate_dash = [draw(st.sampled_from([name for name, _ in COMMANDS]))], False
+    argv, separate_dash = [draw(st.sampled_from(list(COMMANDS)))], False
     for flag in draw(st.lists(st.sampled_from([flag for flag, _ in OPTIONS]), max_size=16)):
         value = draw(_option_value(flag))
         if draw(st.booleans()):
@@ -496,6 +496,22 @@ def test_main_rejects_format_mismatch(capsys):
     capsys.readouterr()
     assert main(["zeros", "--out", "json"]) == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_prints_the_one_format_of_its_row(command):
+    argv = [command, "--indices", "1", "--nmax", "1"]
+    native = COMMANDS[command][1]
+    code, out, err = _run_main(argv)
+    assert code == EXIT_OK and err == ""
+    if native == "json":
+        json.loads(out)
+    else:
+        assert len(next(csv.reader(io.StringIO(out)))) > 1
+    assert _run_main(argv + ["--out", native]) == (code, out, err)
+    other = "csv" if native == "json" else "json"
+    assert _run_main(argv + ["--out", other]) == (
+        EXIT_INVALID, "", "invalid input: %s emits %s output only\n" % (command, native))
 
 
 def test_negative_b_equals_syntax():

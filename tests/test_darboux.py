@@ -17,6 +17,7 @@ from littleq import (
     IndexSet,
     InvalidParamsError,
     LaurentPoly,
+    NonExactDivisionError,
     Params,
     RawParams,
     casoratian_gauge,
@@ -49,7 +50,7 @@ from littleq import (
     virtual_poly_y,
     xi_casoratian,
 )
-from littleq.cli import main
+from littleq.cli import EXIT_INTERNAL, main
 from littleq.verify import _random_valid_params, _same_op
 from littleq.virtual import nu_ratio_poly
 
@@ -295,6 +296,59 @@ def test_lowest_matches_denominator():
     assert lowest_matches_denominator(IndexSet.of(), jac(B, 2)).is_zero
 
 
+TYPE_II_ONLY = {
+    "denominator_poly_y": lambda d, p: denominator_poly_y(d, p),
+    "multi_indexed_poly_y": lambda d, p: multi_indexed_poly_y(d, 1, p),
+    "lowest_matches_denominator": lambda d, p: lowest_matches_denominator(d, p),
+    "infinity_values": lambda d, p: infinity_values(d, 1, p),
+    "denominator_leading": lambda d, p: denominator_leading(d, p),
+    "multi_indexed_leading": lambda d, p: multi_indexed_leading(d, 1, p),
+    "deformed_forward_check": lambda d, p: deformed_forward_check(d, 1, p),
+    "deformed_backward_check": lambda d, p: deformed_backward_check(d, 1, p),
+}
+TYPE_I_ONLY = {
+    "typeI_eigen_numerator": lambda d, p: typeI_eigen_numerator(d, 1, p),
+    "typeI_single_op": lambda d, p: typeI_single_op(d.indices[0], p),
+}
+
+
+@pytest.mark.parametrize("name", TYPE_II_ONLY)
+def test_type_ii_functions_refuse_a_type_i_point(name, pji, pli):
+    for p in (pji, pli):
+        with pytest.raises(InvalidParamsError) as exc:
+            TYPE_II_ONLY[name](IndexSet.of(1, 2), p)
+        assert str(exc.value) == "this operation is defined for the type II construction"
+
+
+@pytest.mark.parametrize("name", TYPE_I_ONLY)
+def test_type_i_functions_refuse_a_type_ii_point(name, pj, pl):
+    for p in (pj, pl):
+        with pytest.raises(InvalidParamsError) as exc:
+            TYPE_I_ONLY[name](IndexSet.of(1, 2), p)
+        assert str(exc.value) == "this operation is defined for the type I construction"
+
+
+def test_negative_powers_after_the_gauge_division_are_an_internal_breach(pj, capsys):
+    # a gauge monomial with an extra y^5 leaves y^-5 .. in every quotient
+    gauge = darboux.casoratian_gauge
+    d = IndexSet.of(1, 2)
+    clear_littleq_caches()
+    try:
+        with mock.patch.object(darboux, "casoratian_gauge",
+                               lambda m, q: gauge(m, q) * LaurentPoly.monomial(q, 5)):
+            for build, args in ((denominator_poly_y, (d, pj)), (multi_indexed_poly_y, (d, 1, pj))):
+                with pytest.raises(NonExactDivisionError) as exc:
+                    build(*args)
+                assert str(exc.value) == (
+                    "Casoratian not divisible by its gauge monomial (degree defect)")
+            clear_littleq_caches()
+            assert main(["construct", "--indices", "1,2"]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal invariant breach: ")
+    finally:
+        clear_littleq_caches()
+
+
 # ---------------------------------------------------------------------------
 # eigen equations and shape invariance
 # ---------------------------------------------------------------------------
@@ -439,7 +493,7 @@ def border_by_determinants(d, p):
     fs = [darboux.virtual_poly_y(v, p) for v in d.indices]
     rows = [[f.shift(s * j) for f in fs] for j in range(m + 1)]
     minors = [det_laurent(rows[:j] + rows[j + 1:], q=p.q) for j in range(m + 1)]
-    return minors[m], tuple((-1) ** (m - j) * c for j, c in enumerate(minors))
+    return tuple((-1) ** (m - j) * c for j, c in enumerate(minors))
 
 
 def _assert_border_matches_determinants(d, p, powers):
@@ -691,11 +745,11 @@ def test_level_requests_leave_the_cached_minors_unchanged(pj):
     clear_littleq_caches()
     denominator_poly_y(d, pj)
     border = darboux._border(d, pj)
-    before = [c.coeff_dict() for c in (border[0], *border[1])]
+    before = [c.coeff_dict() for c in border]
     for n in range(4):
         multi_indexed_poly_y(d, n, pj)
     assert darboux._border(d, pj) is border
-    assert [c.coeff_dict() for c in (border[0], *border[1])] == before
+    assert [c.coeff_dict() for c in border] == before
 
 
 def test_denominator_never_needs_the_border(pj, monkeypatch):
