@@ -15,8 +15,11 @@ carries the type-dependent ground-state-ratio quotient.  Level n at one
 A[P_n] with A = sum_j c_j T^(s j) cached once per (D, lambda): c_j is
 cofactor j of _border (an M x M minor, all M + 1 expanded by Cauchy-Binet
 from the integer minors of the virtual-state coefficients) times its
-border quotient, for type II over the gauge monomial and cdn.  Nothing here
-runs a determinant of polynomials.  Both types also share one deformed
+border quotient, for type II over the gauge monomial and cdn.  By linearity
+level n is sum_k p_(n,k) A[y^k] for P_n = sum_k p_(n,k) y^k, summed in one
+integer pass from the images A[y^k] = y^k sum_j c_j q^(s j k), which a
+bounded cache (_level_image) keeps per (D, lambda, k).  Nothing here runs a
+determinant of polynomials.  Both types also share one deformed
 system, described by the level polynomials (level_poly_y) and the measure
 (deformed_measure, the weight c gs(x; lambda + M tilde) / (den den(x-1)));
 the potentials and the norm factor are built from level 0, level n and den
@@ -58,6 +61,7 @@ from .exact import (
     InvalidParamsError,
     LaurentPoly,
     NonExactDivisionError,
+    _lincomb,
     det_laurent,  # noqa: F401  (kept bound here: qbench's tracer wraps it in every namespace)
     op_add,
     op_apply,
@@ -188,11 +192,14 @@ def _border(d: IndexSet, p: ParamsLike) -> tuple[LaurentPoly, ...]:
 
 def _casoratian(d: IndexSet, p: ParamsLike, n: int) -> LaurentPoly:
     """Level n of D at p, level_op applied to P_n: the bordered Casoratian
-    expanded along its border (over the gauge monomial and cdn for type II).
-    It is zero for n < 0; any other zero result is degenerate."""
+    expanded along its border (over the gauge monomial and cdn for type II),
+    sum_k p_(n,k) A[y^k] from the cached images of _level_image.  It is zero
+    for n < 0; any other zero result is degenerate."""
     if n < 0:
         return LaurentPoly.zero(p.q)
-    w = op_apply(level_op(d, p), eigenpoly_y(n, p))
+    f = eigenpoly_y(n, p)
+    val, num, den = _lincomb([(c, *_level_image(d, p, k)) for k, c in enumerate(f.num, f.val) if c])
+    w = f._new(val, num, den * f.den)
     if w.is_zero:
         raise DegenerateCasoratianError("bordered Casoratian is identically zero")
     return w
@@ -233,13 +240,12 @@ def denominator_norm_const(d: IndexSet, p: ParamsLike) -> Fraction:
     if m == 0:
         return Fraction(1)
     vd = virtual_data(p)
+    es = [virtual_energy(v, p) for v in d.indices]
     out = 1 / casoratian_gauge(m, p.q).eval_int(-1)
     for j in range(1, m + 1):
         dpj = vd.dprime_new.eval_int(-j)
-        for k in range(j + 1, m + 1):
-            ej = virtual_energy(d.indices[j - 1], p)
-            ek = virtual_energy(d.indices[k - 1], p)
-            out *= (ej - ek) / dpj
+        for ek in es[j:]:
+            out *= (es[j - 1] - ek) / dpj
     return out
 
 
@@ -493,6 +499,7 @@ def _quotient_at(num: LaurentPoly, den: LaurentPoly, x: int) -> Fraction:
     return num.eval_int(x) / dx
 
 
+@lru_cache(maxsize=256)
 def deformed_potentials(d: IndexSet, p: ParamsLike) -> DeformedPotentials:
     """Deformed potentials of either construction type, from den of
     deformed_measure and the level-0 polynomial l0:
@@ -567,11 +574,28 @@ def level_op(d: IndexSet, p: ParamsLike) -> Mapping[int, LaurentPoly]:
     cs = [nu_ratio_poly(j + 1, m, p) * c for j, c in enumerate(_border(d, p))]
     if all(c.is_zero for c in cs):
         raise DegenerateCasoratianError("bordered Casoratian is identically zero")
-    if p.ctype == CType.TYPE_II:
+    if p.ctype == CType.TYPE_II:  # over the gauge monomial g y^e and cdn
         cdn = (-1) ** m * p.q ** qbinom2(m + 1) * denominator_norm_const(d, p)
-        inv = LaurentPoly.one(p.q).divide_exact(casoratian_gauge(m + 1, p.q)).scale(1 / cdn)
-        cs = [c * inv for c in cs]
+        gauge = casoratian_gauge(m + 1, p.q)
+        z = 1 / (cdn * gauge.coeff(gauge.val))
+        cs = [c._new(c.val - gauge.val, [a * z.numerator for a in c.num], c.den * z.denominator)
+              for c in cs]
     return MappingProxyType({s * j: c for j, c in enumerate(cs)})
+
+
+@lru_cache(maxsize=256)
+def _level_image(d: IndexSet, p: ParamsLike, k: int) -> tuple[int, tuple[int, ...], int]:
+    """A[y^k] = y^k sum_j c_j q^(j k) for A = level_op(d, p) = {j: c_j}, as
+    the unnormalized triple (val, num, den).  Zero cofactors are dropped, and
+    with q = r/t each q^(j k) is r^((j - lo) k) t^((hi - j) k) / (r^(-lo k)
+    t^(hi k)) for lo <= 0 <= hi bounding the keys: no exponent is negative,
+    which would give a float."""
+    a = {j: c for j, c in level_op(d, p).items() if c.num}
+    lo, hi = min([0, *a]), max([0, *a])
+    r, t = p.q.numerator, p.q.denominator
+    val, num, den = _lincomb([(r ** ((j - lo) * k) * t ** ((hi - j) * k), c.val + k, c.num, c.den)
+                              for j, c in a.items()])
+    return val, tuple(num), den * r ** (-lo * k) * t ** (hi * k)
 
 
 def deformed_identities(d: IndexSet, p: ParamsLike) -> dict[str, dict[int, LaurentPoly]]:

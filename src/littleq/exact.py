@@ -185,6 +185,30 @@ def qhyper_terminating(
     return sum(qhyper_terms(upper, lower, q, z, nterms), Fraction(0))
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1 if a and b else 0)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
+def _lincomb(terms: Sequence[tuple[int, int, Sequence[int], int]]) -> tuple[int, list[int], int]:
+    """sum_t c y^v num / den over the terms (c, v, num, den) with integer c,
+    num and den, as y^val * out / lcm of the den: the triple (val, out, lcm),
+    unnormalized.  There must be at least one term."""
+    den = lcm(*(t[3] for t in terms))
+    lo = min(t[1] for t in terms)
+    out = [0] * (max(v + len(num) for _, v, num, _ in terms) - lo)
+    for c, v, num, d in terms:
+        c *= den // d
+        for i, a in enumerate(num, v - lo):
+            out[i] += c * a
+    return lo, out, den
+
+
 class LaurentPoly:
     """Laurent polynomial in y = q^x with rational coefficients.
 
@@ -358,15 +382,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            return LaurentPoly.zero(self.q)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        return self._new(self.val + other.val, out, self.den * other.den)
+        return self._new(self.val + other.val, _convolve(self.num, other.num),
+                         self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -574,7 +591,14 @@ def op_compose(*ops: Mapping[int, LaurentPoly]) -> dict[int, LaurentPoly]:
     """a o b o ... (b acts first): (a_i T^i) o (b_j T^j) = a_i b_j(x + i) T^(i + j)."""
     out = dict(ops[0])
     for b in ops[1:]:
-        out = op_add(*({i + j: ai * bj.shift(i)} for i, ai in out.items() for j, bj in b.items()))
+        terms: dict[int, list] = {}  # the products a_i b_j(x + i) at each key i + j
+        for i, ai in out.items():
+            for j, bj in b.items():
+                ai._check(bj)
+                bj = bj.shift(i)
+                terms.setdefault(i + j, []).append(
+                    (1, ai.val + bj.val, _convolve(ai.num, bj.num), ai.den * bj.den))
+        out = {k: ai._new(*_lincomb(t)) for k, t in terms.items()}  # any a_i, for its q
     return out
 
 

@@ -286,8 +286,9 @@ class OrthogonalityData:
         # is prod_j 1/(E_n - E~_j) times a factor free of n, and E_0 = 0
         virtual = [virtual_energy(dj, p) for dj in d.indices]
         at0 = math.prod(-v for v in virtual)
-        self.targets = tuple(math.prod(energy(n, p) - v for v in virtual)
-                             / (at0 * norm_ratio(n, p)) for n in range(nmax + 1))
+        energies = [energy(n, p) for n in range(nmax + 1)]
+        self.targets = tuple(math.prod(e - v for v in virtual) / (at0 * norm_ratio(n, p))
+                             for n, e in enumerate(energies))
         self._phi = _certificate_functionals(
             (den.shift(-1) * (1 - y.scale(pu.b))).scale(pu.a * q ** (j0 - lo)),
             den * (1 - y.scale(q)), j1 - j0 + 1)

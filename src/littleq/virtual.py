@@ -33,6 +33,7 @@ from .exact import (
     qhyper_terminating,
     qhyper_terms,
     qpoch,
+    qpoch_pair,
 )
 
 
@@ -231,15 +232,18 @@ def nu_ratio_poly(j: int, m: int, p: ParamsLike) -> LaurentPoly:
     q = p.q
     if p.ctype == CType.TYPE_I:
         return LaurentPoly.const(q, (p.a / q) ** (j - 1))
-    out = LaurentPoly.one(q)
-    for i in range(j - 1):
-        out *= LaurentPoly(q, {0: 1, 1: -(q ** (2 - j + i))})
+    # the factors 1 - z y as pairs (zn, zd): z = q^-e for 0 <= e <= j - 2
+    # and, for little q-Jacobi, z = b q^-e for j <= e <= m (q = r/t)
+    r, t = q.numerator, q.denominator
+    zs = [(t ** e, r ** e) for e in range(j - 1)]
+    num, den = [1], 1
     if p.family == Family.LQ_JACOBI:
         b = _require_b(p)
-        for i in range(m - j + 1):
-            out *= LaurentPoly(q, {0: 1, 1: -b * q ** (i - m)})
-        denom = qpoch(b * q ** (-m), q, m)
-        if denom == 0:
+        zs += [(b.numerator * t ** e, b.denominator * r ** e) for e in range(j, m + 1)]
+        den, num[0] = qpoch_pair(b * q ** (-m), q, m)  # over (b q^-m; q)_m
+        if den == 0:
             raise InvalidParamsError("ground-state ratio normalization vanished")
-        out = out.scale(1 / denom)
-    return out
+    for zn, zd in zs:  # times (zd - zn y) / zd
+        num = [zd * c - zn * c1 for c, c1 in zip(num + [0], [0] + num)]
+        den *= zd
+    return LaurentPoly.one(q)._new(0, num, den)

@@ -52,7 +52,8 @@ from littleq import (
 )
 from littleq.cli import EXIT_INTERNAL, main
 from littleq.verify import _random_valid_params, _same_op
-from littleq.virtual import nu_ratio_poly
+from littleq.exact import LittleQError, qpoch
+from littleq.virtual import nu_ratio_poly, virtual_energy
 
 Q, A, B = F(1, 2), F(1, 3), F(1, 16)
 
@@ -621,6 +622,94 @@ def test_operator_identities_at_the_empty_set(p):
     assert sorted(ops) == (["eigen"] if p.ctype == CType.TYPE_I
                            else ["backward", "eigen", "forward"])
     assert all(_holds(op) for op in ops.values())
+
+
+IMAGE_SETS = [IndexSet.of(), IndexSet.of(1), IndexSet.of(2), IndexSet.of(1, 2),
+              IndexSet.of(2, 3, 4)]
+
+
+def _assert_level_matches_operator(d, p, n):
+    """Level n from the cached images of level_op equals level_op applied to
+    P_n, op_apply's route, or both routes raise the same error."""
+    try:
+        want = op_apply(darboux.level_op(d, p), eigenpoly_y(n, p))
+    except (LittleQError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            darboux._casoratian(d, p, n)
+        return
+    if want.is_zero:
+        with pytest.raises(DegenerateCasoratianError):
+            darboux._casoratian(d, p, n)
+    else:
+        assert darboux._casoratian(d, p, n) == want
+
+
+@given(st.sampled_from(Family), st.sampled_from(CType), st.sampled_from(IMAGE_SETS),
+       st.integers(0, 10 ** 6), st.integers(0, 8),
+       st.sampled_from([{}, {"delta": 1}, {"tilde": 1}, {"tilde": -1}]))
+@settings(max_examples=60, deadline=None)
+def test_levels_from_images_equal_the_operator_route(family, ctype, d, seed, n, shift):
+    # valid points and the shifted RawParams points the structural rows build
+    p = _random_valid_params(random.Random(seed), family, ctype, max(d.indices, default=0))
+    _assert_level_matches_operator(d, p.shift(**shift) if shift else p, n)
+
+
+@pytest.mark.parametrize("d, p, move", [
+    (TYPE1_D, TYPE1_P, 1),  # keys 0..3 moved to 1..4: the smallest key is positive
+    (DEEP_D, DEEP_P, -1),  # keys -4..0 moved to -5..-1: the largest key is negative
+])
+def test_levels_from_images_keep_integer_weights_for_any_keys(d, p, move):
+    level_op = darboux.level_op
+
+    def moved(dd, pp):
+        return {k + move: c for k, c in level_op(dd, pp).items()}
+
+    clear_littleq_caches()
+    try:
+        with mock.patch.object(darboux, "level_op", moved):
+            for n in range(9):
+                _assert_level_matches_operator(d, p, n)
+                assert darboux._casoratian(d, p, n).den > 0  # an int, not a float
+    finally:
+        clear_littleq_caches()
+
+
+def nu_ratio_by_fractions(j, m, p):
+    """nu_ratio_poly oracle: the product of the factors 1 - z y as Fraction
+    polynomials, over (b q^-m; q)_m for little q-Jacobi."""
+    q = p.q
+    if p.ctype == CType.TYPE_I:
+        return LaurentPoly.const(q, (p.a / q) ** (j - 1))
+    out = LaurentPoly.one(q)
+    for i in range(j - 1):
+        out *= LaurentPoly(q, {0: 1, 1: -(q ** (2 - j + i))})
+    if p.family == Family.LQ_JACOBI:
+        for i in range(m - j + 1):
+            out *= LaurentPoly(q, {0: 1, 1: -p.b * q ** (i - m)})
+        out = out.scale(1 / qpoch(p.b * q ** (-m), q, m))
+    return out
+
+
+def norm_const_by_fractions(d, p):
+    """denominator_norm_const oracle: one Fraction step per pair j < k."""
+    m = d.size
+    out = 1 / casoratian_gauge(m, p.q).eval_int(-1)
+    for j in range(1, m + 1):
+        dpj = virtual_data(p).dprime_new.eval_int(-j)
+        for k in range(j + 1, m + 1):
+            out *= (virtual_energy(d.indices[j - 1], p) - virtual_energy(d.indices[k - 1], p)) / dpj
+    return out
+
+
+@given(st.sampled_from(Family), st.sampled_from(CType), st.sampled_from(IMAGE_SETS),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_level_op_inputs_match_their_fraction_formulas(family, ctype, d, seed):
+    p = _random_valid_params(random.Random(seed), family, ctype, max(d.indices, default=0))
+    m = d.size
+    for j in range(1, m + 2):
+        assert nu_ratio_poly(j, m, p) == nu_ratio_by_fractions(j, m, p)
+    assert darboux.denominator_norm_const(d, p) == norm_const_by_fractions(d, p)
 
 
 def _patched_cofactors(at, change):
