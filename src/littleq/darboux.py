@@ -530,12 +530,10 @@ def deformed_eigencheck(d: IndexSet, n: int, p: ParamsLike) -> LaurentPoly:
     identically zero iff the eigen-identity holds.
     """
     den, _ = deformed_measure(d, p)
-    l0, f = level_poly_y(d, 0, p), level_poly_y(d, n, p)
-    term1 = potential_b(p.shift(tilde=d.size)) * den.shift(-1) ** 2 * (
-        l0.shift(1) * f - l0 * f.shift(1)
-    )
-    term2 = potential_d(p) * den ** 2 * (l0.shift(-1) * f - l0 * f.shift(-1))
-    rhs = (den * den.shift(-1) * l0 * f).scale(energy(n, p))
+    l0, f, den1 = level_poly_y(d, 0, p), level_poly_y(d, n, p), den.shift(-1)
+    term1 = potential_b(p.shift(tilde=d.size)) * (den1 * den1) * (l0.shift(1) * f - l0 * f.shift(1))
+    term2 = potential_d(p) * (den * den) * (l0.shift(-1) * f - l0 * f.shift(-1))
+    rhs = (den * den1 * l0 * f).scale(energy(n, p))
     return term1 + term2 - rhs
 
 
@@ -618,7 +616,7 @@ def deformed_identities(d: IndexSet, p: ParamsLike) -> dict[str, dict[int, Laure
     den, _ = deformed_measure(d, p)
     l0, a, dd = level_poly_y(d, 0, p), level_op(d, p), potential_d(p)
     bu, den1 = potential_b(p.shift(tilde=d.size)), den.shift(-1)
-    u, v = bu * den1 ** 2, dd * den ** 2
+    u, v = bu * (den1 * den1), dd * (den * den)
     lop = {0: u * l0.shift(1) + v * l0.shift(-1), 1: -(u * l0), -1: -(v * l0)}
     out = {"eigen": op_add(op_compose(lop, a),
                            op_compose({0: -(den * den1 * l0)}, a, hamiltonian_op(p)))}

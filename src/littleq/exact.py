@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int]
 
 
@@ -386,18 +385,6 @@ class LaurentPoly:
                          self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = LaurentPoly.one(self.q)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def scale(self, c: ScalarLike) -> "LaurentPoly":
         c = scalar(c)

@@ -38,6 +38,7 @@ from littleq.verify import (
     OrthogonalityData,
     Root,
     _random_valid_params,
+    _same_op,
     orthogonality_check,
     polynomial_roots,
     positivity_scan,
@@ -994,6 +995,18 @@ def test_structural_fragment(pj):
     assert "structural_reduction" in names
     assert "structural_blimit_linear" in names
     assert all(c.status == "pass" for c in checks)
+
+
+def test_same_op_reads_a_zero_coefficient_as_an_absent_key():
+    y, one, zero = LaurentPoly.var(Q), LaurentPoly.one(Q), LaurentPoly.zero(Q)
+    a = {0: y, 1: one}
+    assert _same_op(a, {-1: zero, 0: y, 1: one}) and _same_op({**a, 2: zero}, a)
+    assert _same_op({}, {3: zero})
+    # a nonzero entry missing on either side, or moved to another key
+    assert not _same_op(a, {0: y}) and not _same_op({0: y}, a)
+    assert not _same_op(a, {0: y, 2: one})
+    assert not _same_op(a, {k: c.scale(2) for k, c in a.items()})
+    assert not _same_op(a, {0: y, 1: one.scale(F(1, 3))})
 
 
 def _groundstate_row():
