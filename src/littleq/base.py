@@ -248,7 +248,9 @@ def eigen_series_value(n: int, p: ParamsLike, x: int) -> Fraction:
 
     Uses the alternative hypergeometric representation (3phi1 for little
     q-Jacobi, 2phi0 for little q-Laguerre) whose argument involves q^{-x};
-    serves as a cross-check oracle for eigenpoly_y.
+    serves as a cross-check oracle for eigenpoly_y.  It is of degree <= n in
+    y = q^x, so agreement at x = 0..n proves every x >= 0: term k carries
+    (q^{-x}; q)_k (q y / a)^k = (q/a)^k prod_{j<k} (y - q^j).
     """
     if x < 0:
         raise ValueError("series oracle defined for integer x >= 0")

@@ -114,7 +114,7 @@ def horner(num: Sequence[int], r: int, t: int) -> tuple[int, int]:
 
 
 def qhyper_terms(
-    upper: Sequence[ScalarLike],
+    upper: Sequence[ScalarLike | tuple[ScalarLike, ScalarLike]],
     lower: Sequence[ScalarLike],
     q: ScalarLike,
     z: ScalarLike,
@@ -123,33 +123,38 @@ def qhyper_terms(
     """Terms k = 0..K of the terminating basic hypergeometric series r\\phi_s.
 
     Term k is (upper;q)_k / ((lower;q)_k (q;q)_k) z^k [(-1)^k q^{C(k,2)}]^{s+1-r},
-    so with z = c*y it is the coefficient of y^k.  The terms stop before the
-    first k at which an upper factor vanishes, else at K = nterms, where the
-    series must have terminated (ValueError otherwise); a vanishing lower
-    factor before that raises InvalidParamsError.  With q = r/t each term
-    ratio is one unreduced integer pair, reduced once into its term.
+    so with z = c*y it is the coefficient of y^k.  An upper pair (c, u) has
+    the factor c - u q^(k-1) for 1 - u q^(k-1), so (u/c; q)_k c^k, finite at
+    c = 0.  The terms stop before the first k at which an upper factor
+    vanishes, else at K = nterms, where the series must have terminated
+    (ValueError otherwise); a vanishing lower factor before that raises
+    InvalidParamsError.  With q = r/t each term ratio is one unreduced
+    integer pair, reduced once into its term.
     """
     if nterms < 0:
         raise ValueError("nterms must be >= 0")
-    ups = [scalar(u) for u in upper]
     lows = [scalar(l) for l in lower]
     q, z = scalar(q), scalar(z)
     r, t = q.numerator, q.denominator
-    sign_pow = len(lows) + 1 - len(ups)
+    sign_pow = len(lows) + 1 - len(upper)
     # the ratio's powers of t^(k-1) cancel between the upper, lower, (q;q)
-    # and sign factors, which leaves these k-independent parts
+    # and sign factors, which leaves these k-independent parts; an upper
+    # factor c - u q^(k-1) (c = 1 for a plain u) is (cu tk - uc rk) / (c.den u.den tk)
     num0 = t * z.numerator
     den0 = z.denominator
-    for u in ups:
-        den0 *= u.denominator
+    ups = []
+    for u in upper:
+        c, u = map(scalar, u) if isinstance(u, tuple) else (1, scalar(u))
+        den0 *= c.denominator * u.denominator
+        ups.append((c.numerator * u.denominator, u.numerator * c.denominator))
     for l in lows:
         num0 *= l.denominator
     terms = [Fraction(1)]
     rk, tk = 1, 1  # q^{k-1} = rk/tk while building term k
     for k in range(1, nterms + 1):
         num = 1
-        for u in ups:
-            num *= u.denominator * tk - u.numerator * rk
+        for cu, uc in ups:
+            num *= cu * tk - uc * rk
         if num == 0:
             return terms
         num *= num0
@@ -167,7 +172,7 @@ def qhyper_terms(
         rk *= r
         tk *= t
     # termination must have happened by now
-    if z == 0 or not terms[-1] or any(u.denominator * tk == u.numerator * rk for u in ups):
+    if z == 0 or not terms[-1] or any(cu * tk == uc * rk for cu, uc in ups):
         return terms
     raise ValueError("series did not terminate within %d terms" % nterms)
 

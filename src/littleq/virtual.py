@@ -45,14 +45,6 @@ class VirtualData(NamedTuple):
     alpha_prime: Fraction
 
 
-def _require_b(p: ParamsLike) -> Fraction:
-    if p.family == Family.LQ_JACOBI and p.b == 0:
-        raise InvalidParamsError(
-            "b = 0 is singular here; use the little q-Laguerre family"
-        )
-    return p.b
-
-
 @lru_cache(maxsize=256)
 def virtual_data(p: ParamsLike) -> VirtualData:
     """Auxiliary potentials satisfying the two factorization identities.
@@ -113,20 +105,20 @@ def virtual_poly_y(v: int, p: ParamsLike) -> LaurentPoly:
     """Virtual-state polynomial of degree v as a Laurent polynomial in y.
 
     Type II polynomials are normalized to value 1 at x = -1: xi_at_infinity
-    times their own terminating series, 2phi1(q^{-v}, (a/b) q^{v+1}; a; q;
-    b y) for little q-Jacobi and 1phi1(q^{-v}; a; q; a q^{v+1} y) for little
-    q-Laguerre, whose term k is the coefficient of y^k.  Type I polynomials
-    are the eigenpolynomials at twisted parameters, so they carry the eigen
-    normalization: value 1 at x = 0.
+    times their own terminating series, whose term k is the coefficient of
+    y^k: 2phi1(q^{-v}, (a/b) q^{v+1}; a; q; b y) for little q-Jacobi, built
+    polynomial in b as ((a/b) q^{v+1}; q)_k b^k = prod_{j<k} (b - a q^{v+1+j}),
+    and 1phi1(q^{-v}; a; q; a q^{v+1} y), its b = 0 value, for little
+    q-Laguerre.  Type I polynomials are the eigenpolynomials at twisted
+    parameters, so they carry the eigen normalization: value 1 at x = 0.
     """
     if v < 0:
         raise ValueError("virtual index must be >= 0")
     q, a = p.q, p.a
     if p.ctype == CType.TYPE_I:
         return eigenpoly_y(v, twist(p))
-    b = _require_b(p)
     if p.family == Family.LQ_JACOBI:
-        terms = qhyper_terms([q ** (-v), (a / b) * q ** (v + 1)], [a], q, b, v)
+        terms = qhyper_terms([q ** (-v), (p.b, a * q ** (v + 1))], [a], q, 1, v)
     else:
         terms = qhyper_terms([q ** (-v)], [a], q, a * q ** (v + 1), v)
     lead = xi_at_infinity(v, p)
@@ -139,11 +131,15 @@ def xi_at_infinity(v: int, p: ParamsLike) -> Fraction:
     if p.ctype == CType.TYPE_I:
         return eigen_at_infinity(v, twist(p))
     if p.family == Family.LQ_JACOBI:
-        den = qpoch(p.b * q ** (-v - 1), q, v)
-        if den == 0:
-            raise InvalidParamsError("b = q^j pole at v=%d; enlarge dmax or move b" % v)
-        return qpoch(a, q, v) / den
+        return qpoch(a, q, v) / _pole_den(v, p)
     return qpoch(a, q, v)
+
+
+def _pole_den(v: int, p: ParamsLike) -> Fraction:
+    """(b q^{-v-1}; q)_v, the type II little q-Jacobi divisor of degree v."""
+    if den := qpoch(p.b * p.q ** (-v - 1), p.q, v):
+        return den
+    raise InvalidParamsError("b = q^j pole at v=%d; enlarge dmax or move b" % v)
 
 
 def xi_leading(v: int, p: ParamsLike) -> Fraction:
@@ -152,10 +148,9 @@ def xi_leading(v: int, p: ParamsLike) -> Fraction:
     if p.ctype == CType.TYPE_I:
         return eigen_leading(v, twist(p))
     if p.family == Family.LQ_JACOBI:
-        b = _require_b(p)
-        num = qpoch((a / b) * q ** (v + 1), q, v)
-        den = qpoch(b * q ** (-v - 1), q, v)
-        return b ** v * q ** (-(v * (v + 1) // 2)) * num / den
+        # b^v ((a/b) q^{v+1}; q)_v q^{-C(v+1,2)}, written polynomial in b
+        num = qpoch(p.b / a * q ** (-v - 1), 1 / q, v)
+        return (-a) ** v * q ** (v * v) * num / _pole_den(v, p)
     return (-a) ** v * q ** (v * v)
 
 
@@ -170,13 +165,16 @@ def xi_series_value(v: int, p: ParamsLike, x: int) -> Fraction:
 
     Every term of this form is manifestly positive in the strict range, which
     is what makes the positivity of the virtual states provable; here it is
-    used as a two-route oracle against the 2phi1 construction.
+    used as a two-route oracle against the 2phi1 construction.  It is of
+    degree <= v in y = q^x, so agreement at x = 0..v proves every x >= 0:
+    (q^{x+1}; q)_v cancels the lower (q^{-v-x}; q)_k, none 0 for x >= 0, and
+    leaves term k as c_k prod_{i=1..v-k} (1 - q^i y) prod_{j<k} (-q^{v-j} y).
     """
     if p.ctype != CType.TYPE_II or p.family != Family.LQ_JACOBI:
         raise ValueError("series rewriting applies to type II little q-Jacobi")
     if x < 0:
         raise ValueError("oracle defined for integer x >= 0")
-    q, a, b = p.q, p.a, _require_b(p)
+    q, a, b = p.q, p.a, p.b
     pref = xi_at_infinity(v, p) * qpoch(q ** (x + 1), q, v)
     s = qhyper_terminating(
         [q ** (-v), b * q ** (-v - 1), Fraction(0)],
@@ -238,7 +236,7 @@ def nu_ratio_poly(j: int, m: int, p: ParamsLike) -> LaurentPoly:
     zs = [(t ** e, r ** e) for e in range(j - 1)]
     num, den = [1], 1
     if p.family == Family.LQ_JACOBI:
-        b = _require_b(p)
+        b = p.b
         zs += [(b.numerator * t ** e, b.denominator * r ** e) for e in range(j, m + 1)]
         den, num[0] = qpoch_pair(b * q ** (-m), q, m)  # over (b q^-m; q)_m
         if den == 0:

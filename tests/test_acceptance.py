@@ -220,23 +220,10 @@ def test_criterion_08_structural_identities():
 
 
 def test_criterion_09_blimit_linear():
-    lag = Params(Family.LQ_LAGUERRE, Q, A, 0, CType.TYPE_II, dmax=2)
-    d = IndexSet.of(1, 2)
-    devs = {}
-    for k in (10, 14, 18):
-        pj_k = Params(Family.LQ_JACOBI, Q, A, F(1, 2 ** k), CType.TYPE_II, dmax=2)
-        dev = F(0)
-        for n in range(3):
-            pja = multi_indexed_poly(d, n, pj_k)
-            pla = multi_indexed_poly(d, n, lag)
-            top = max(pja.degree, pla.degree)
-            dev = max(dev,
-                      max(abs(pja.coeff(i) - pla.coeff(i)) for i in range(top + 1)))
-        devs[k] = dev
-    ratios = [float(devs[14] / devs[10]), float(devs[18] / devs[14])]
-    ok = all(2 ** -4.5 <= r <= 2 ** -3.5 for r in ratios)
-    report(9, "blimit_linear_convergence", ok,
-           "ratios %.4f, %.4f in [2^-4.5, 2^-3.5]" % tuple(ratios))
+    devs = closed_forms.blimit_deviations(IndexSet.of(1, 2), Q, A, 2, 2)
+    ratios = [devs[14] / devs[10], devs[18] / devs[14]]
+    report(9, "blimit_linear_convergence", closed_forms.blimit_linear(ratios),
+           "ratios %.4f, %.4f in [2^-4.5, 2^-3.5]" % tuple(map(float, ratios)))
 
 
 def test_criterion_10_positivity_scans():

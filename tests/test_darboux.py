@@ -971,21 +971,10 @@ def test_index_zero_reduction():
 
 
 def test_blimit_linear_convergence():
-    d = IndexSet.of(1, 2)
-    pl2 = lag(2)
-    devs = {}
-    for k in (10, 14, 18):
-        pj_k = jac(F(1, 2 ** k), 2)
-        dev = F(0)
-        for n in range(3):
-            pja = multi_indexed_poly(d, n, pj_k)
-            pla = multi_indexed_poly(d, n, pl2)
-            top = max(pja.degree, pla.degree)
-            dev = max(dev, max(abs(pja.coeff(i) - pla.coeff(i)) for i in range(top + 1)))
-        devs[k] = dev
-    for lo, hi in ((10, 14), (14, 18)):
-        ratio = float(devs[hi] / devs[lo])
-        assert 2 ** -4.5 <= ratio <= 2 ** -3.5, ratio
+    devs = closed_forms.blimit_deviations(IndexSet.of(1, 2), Q, A, 2, 2)
+    assert sorted(devs) == [10, 14, 18]
+    ratios = [devs[14] / devs[10], devs[18] / devs[14]]
+    assert closed_forms.blimit_linear(ratios), [float(r) for r in ratios]
     # linear bound with the constant estimated at k = 10
     const = devs[10] * 2 ** 10
     for k in (14, 18):

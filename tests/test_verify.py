@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import closed_forms
 from caches import clear_littleq_caches
 from littleq import (
     CType,
@@ -29,11 +30,11 @@ from littleq import (
     virtual_poly_y,
     xi_casoratian,
 )
-from littleq import base, darboux, verify
+from littleq import base, darboux, verify, virtual
 from littleq.cli import main
 from littleq.darboux import DeformedPotentials
 from littleq.dyadic import nstr
-from littleq.exact import LaurentPoly, LittleQError, op_apply, op_compose
+from littleq.exact import LaurentPoly, LittleQError, op_apply, op_compose, qhyper_terms
 from littleq.verify import (
     OrthogonalityData,
     Root,
@@ -1071,9 +1072,80 @@ def test_blimit_ratios_are_decided_exactly(inv_sq):
     assert below * below < F(1, inv_sq) < above * above and (above - below) / below < 1e-20
     assert float(below) == float(above)
     inside = [below, above] if inv_sq == 128 else [above, below]
-    assert verify._blimit_linear([inside[0], F(1, 16)])
-    assert not verify._blimit_linear([inside[1], F(1, 16)])
-    assert not verify._blimit_linear([-F(1, 16)])
+    assert closed_forms.blimit_linear([inside[0], F(1, 16)])
+    assert not closed_forms.blimit_linear([inside[1], F(1, 16)])
+    assert not closed_forms.blimit_linear([-F(1, 16)])
+
+
+@pytest.mark.parametrize("p, d", [(DEEP_P, DEEP_D), *(
+    (Params(Family.LQ_JACOBI, q, a, b, CType.TYPE_II, dmax=dd), IndexSet.of(dd))
+    for q, a, b, dd in BLIMIT_NEAR_POLE[:2])])
+def test_the_exact_blimit_row_and_the_rate_oracle_agree(p, d):
+    checks = {c.name: c for c in structural_checks(d, p, 2, random.Random(0))}
+    assert checks["structural_blimit_linear"].status == "pass"
+    devs = list(closed_forms.blimit_deviations(d, p.q, p.a, p.dmax, 2).values())
+    assert closed_forms.blimit_linear([devs[1] / devs[0], devs[2] / devs[1]])
+
+
+def _laguerre_scaled(fn):
+    """fn with its little q-Laguerre values scaled by EPS_SCALE."""
+    def mutant(v, p):
+        out = fn(v, p)
+        if p.family != Family.LQ_LAGUERRE:
+            return out
+        return out.scale(EPS_SCALE) if isinstance(out, LaurentPoly) else out * EPS_SCALE
+    return mutant
+
+
+@pytest.mark.parametrize("name", ["virtual_energy", "virtual_poly_y"])
+def test_a_scaled_laguerre_branch_fails_the_blimit_row(name, monkeypatch):
+    # the little q-Jacobi point never reads the little q-Laguerre branch, so
+    # only the b -> 0 row sees it, through level_op at the Laguerre point
+    assert _statuses(DEEP_D, DEEP_P, ("structural",))["structural_blimit_linear"] == "pass"
+    with monkeypatch.context() as m:
+        m.setattr(darboux, name, _laguerre_scaled(getattr(darboux, name)))
+        clear_littleq_caches()
+        got = _statuses(DEEP_D, DEEP_P, ("structural",))
+    clear_littleq_caches()
+    assert {row for row, status in got.items() if status != "pass"} == {
+        "structural_blimit_linear"}
+
+
+def _term_scaled(k):
+    """qhyper_terminating with term k scaled by EPS_SCALE: one changed
+    coefficient of a series route."""
+    def mutant(upper, lower, q, z, nterms):
+        terms = qhyper_terms(upper, lower, q, z, nterms)
+        return sum((t * EPS_SCALE if i == k else t for i, t in enumerate(terms)), F(0))
+    return mutant
+
+
+# term k of the 3phi1 vanishes for x < k, so k = 4 changes the n = 4 route at
+# x = 4 only: the last of the n + 1 sample points
+@pytest.mark.parametrize("module,suite,row", [(virtual, "virtual", "virtual_series_rewriting"),
+                                              (base, "base", "base_series_oracle")])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_one_changed_series_coefficient_fails_its_row(module, suite, row, k, monkeypatch):
+    assert _statuses(DEEP_D, DEEP_P, (suite,))[row] == "pass"
+    monkeypatch.setattr(module, "qhyper_terminating", _term_scaled(k))
+    got = _statuses(DEEP_D, DEEP_P, (suite,))
+    assert {name for name, status in got.items() if status != "pass"} == {row}
+
+
+def test_a_deep_verify_builds_nine_level_operators_and_15_series_values(monkeypatch):
+    # cold run_suite at the deep point builds level_op at D at lambda and at
+    # lambda + delta; the permuted D, D + {0} at lambda and {d - 1} at
+    # lambda + tilde; D at b = 0 and at the little q-Laguerre point (the
+    # b -> 0 limit); {1} at lambda - tilde (type I/II relation); and {2} at
+    # lambda (reflection).  The three b probes of the rate oracle made it 11
+    calls = []
+    series = verify.xi_series_value
+    monkeypatch.setattr(verify, "xi_series_value",
+                        lambda v, p, x: calls.append((v, x)) or series(v, p, x))
+    clear_littleq_caches()
+    run_suite(DEEP_D, DEEP_P, nmax=8)
+    assert darboux.level_op.cache_info().misses == 9
+    assert len(calls) == sum(v + 1 for v in range(min(DEEP_P.dmax, 4) + 1)) == 15
 
 
 EPS_SCALE = F(10 ** 6 + 1, 10 ** 6)

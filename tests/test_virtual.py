@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from littleq import (
     CType,
@@ -277,6 +279,67 @@ def test_upper_factor_vanishing_before_a_lower_one_still_raises():
             fn(v, p)
     with pytest.raises(InvalidParamsError):
         typeI_single_poly(2, 6, pi)
+
+
+# the type II little q-Jacobi virtual state in its old (a/b) form,
+# 2phi1(q^-v, (a/b) q^(v+1); a; q; b y) (_virtual_loop), and xi_leading as
+# b^v q^-C(v+1,2) ((a/b) q^(v+1); q)_v / (b q^(-v-1); q)_v: oracles for the
+# forms polynomial in b, which alone reach b = 0
+def _old_xi_leading(v, p):
+    q, a, b = p.q, p.a, p.b
+    return (b ** v * q ** (-(v * (v + 1) // 2)) * qpoch((a / b) * q ** (v + 1), q, v)
+            / qpoch(b * q ** (-v - 1), q, v))
+
+
+@st.composite
+def jacobi_ii_points(draw):
+    """Type II little q-Jacobi RawParams with b != 0: b free, or within
+    10^-6 relative of (or at) a q^m, where a degree drops, or q^j, a pole."""
+    q = F(draw(st.integers(1, 9)), 10)
+    a = F(draw(st.integers(1, 29)), 30)
+    near = draw(st.sampled_from([None, "a q^m", "q^j"]))
+    if near is None:
+        b = F(draw(st.integers(-60, 60).filter(bool)), draw(st.integers(1, 70)))
+    else:
+        e = draw(st.integers(1, 8))
+        b = (a if near == "a q^m" else 1) * q ** e
+        b *= 1 + F(draw(st.sampled_from([-1, 0, 1])), 10 ** 6)
+    return RawParams(Family.LQ_JACOBI, q, a, b, CType.TYPE_II, 7)
+
+
+@given(jacobi_ii_points())
+@example(RawParams(Family.LQ_JACOBI, Q, F(1, 8), F(1, 32), CType.TYPE_II, 7))  # b = a q^2
+@example(RawParams(Family.LQ_JACOBI, Q, A, F(1, 16), CType.TYPE_II, 7))  # b = q^4
+@settings(max_examples=60, deadline=None)
+def test_virtual_forms_polynomial_in_b_equal_the_a_over_b_forms(p):
+    for v in range(8):
+        got = _outcome(virtual_poly_y, v, p)
+        assert got == _outcome(_virtual_loop, v, p), (p, v)
+        if isinstance(got, str):  # a b = q^j pole refuses xi_leading too
+            with pytest.raises(InvalidParamsError):
+                xi_leading(v, p)
+        else:
+            assert xi_leading(v, p) == _old_xi_leading(v, p), (p, v)
+
+
+@given(st.integers(1, 9), st.integers(1, 29))
+@settings(max_examples=30, deadline=None)
+def test_virtual_forms_at_b_zero_are_the_laguerre_ones(qn, an):
+    q, a = F(qn, 10), F(an, 30)
+    r0 = RawParams(Family.LQ_JACOBI, q, a, F(0), CType.TYPE_II, 7)
+    lag = RawParams(Family.LQ_LAGUERRE, q, a, F(0), CType.TYPE_II, 7)
+    for v in range(8):
+        assert virtual_poly_y(v, r0) == virtual_poly_y(v, lag)
+        assert xi_leading(v, r0) == xi_leading(v, lag)
+
+
+@pytest.mark.parametrize("a", [F(1), Q ** -1, Q ** -3])
+def test_a_vanishing_lower_factor_still_raises_at_and_off_b_zero(a):
+    # a = q^-j empties (a; q)_(j+1), a divisor of term j + 1
+    for b in (F(0), B):
+        p = RawParams(Family.LQ_JACOBI, Q, a, b, CType.TYPE_II, 7)
+        with pytest.raises(InvalidParamsError):
+            virtual_poly_y(7, p)
 
 
 # ---------------------------------------------------------------------------
