@@ -390,7 +390,9 @@ def _descartes(a: Sequence[int], lo: int, hi: int, den: int) -> int:
     exact.
     """
     deg = len(a) - 1
-    b = _taylor_shift([c * den ** (deg - i) for i, c in enumerate(a)], lo)
+    b = [c * den ** (deg - i) for i, c in enumerate(a)]
+    if lo:  # a shift by 0 is the identity
+        b = _taylor_shift(b, lo)
     b = _taylor_shift([c * (hi - lo) ** i for i, c in enumerate(b)][::-1], 1)
     signs = [c > 0 for c in b if c]
     return sum(s != t for s, t in zip(signs, signs[1:]))
@@ -556,9 +558,12 @@ def _durand_kerner(a: Sequence[int], start, prec_bits: int) -> tuple[list[list[i
     guard = 64 + bits(1/rho), rho a Cauchy lower bound on the nonzero |root|.
     Sweeps from start (else (0.4+0.9i)^j) over 2^kw, kw = min(k, 2 good +
     guard) never falling, 2^-good the last largest correction (20 from start,
-    else 0); a sweep that does not raise good sends the next to k.  At k it
-    stops once every correction is below tol = 2^(1 - prec_bits), after at
-    most 200 sweeps in all (else RootFindingFailureError), then polyroots'
+    else 0).  Once 2 good >= prec_bits + 8, one quadratic step meets the
+    stopping test, so the next sweep runs at k.  A sweep that does not raise
+    good sends the next to k only if good > 0: while the corrections are
+    still >= 1 it is the start, not the precision, that stalls the loop.  At
+    k it stops once every correction is below tol = 2^(1 - prec_bits), after
+    at most 200 sweeps in all (else RootFindingFailureError), then polyroots'
     cleanup at tol and its (|im|, re) order.  Returns (roots, k)."""
     low = next(abs(c) for c in a if c)
     guard = 64 + ((low + max(map(abs, a))) // low).bit_length()
@@ -572,7 +577,8 @@ def _durand_kerner(a: Sequence[int], start, prec_bits: int) -> tuple[list[list[i
         if kw == k and big < tol * tol:
             break
         was, good = good, kw - (big.bit_length() + 1) // 2
-        up = k if good <= was else min(k, 2 * good + guard)
+        to_k = good > 0 and (good <= was or 2 * good >= prec_bits + 8)
+        up = k if to_k else min(k, 2 * good + guard)
         if up > kw:
             roots = [[x << up - kw for x in r] for r in roots]
             kw, monic = up, [(c << up) // a[-1] for c in reversed(a)]
@@ -599,11 +605,14 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
 
     _durand_kerner finds them on the exact integer numerator from the doubles
     start of _float_roots, its sweeps at a working precision that follows the
-    last correction and ends at full precision; each part is rounded once to
-    prec_bits bits.
+    last correction, moving to full precision once one more quadratic step
+    meets its stopping test; each part is rounded once to prec_bits bits.
     Returns a list of (root: Root, physical: bool) sorted by real part.
     Each root must pass |P(r)| <= 2^(8 - prec_bits) * sum |c_i| rho^i on the
-    same integers (rho <= |r|), or RootFindingFailureError is raised.  The physical
+    same integers (rho <= |r|), or RootFindingFailureError is raised; the
+    Horner step of a real root skips the imaginary products, and bit lengths
+    decide the test whenever they prove |P(r)| below the bound, so the
+    squares are formed only near it.  The physical
     flags come from the exact isolation of the zeros in [0, 1): each
     isolating interval flags the root of least imaginary part among those
     whose real part lies in it (an exact zero, the nearest root), and an
@@ -620,9 +629,15 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
         u, v = (int(x * (1 << s)) for x in r)
         rho, pr, pi, bound = math.isqrt(u * u + v * v), 0, 0, 0
         for j, c in enumerate(reversed(poly.num)):  # both sides times 2^(s deg)
-            pr, pi = pr * u - pi * v + (c << j * s), pr * v + pi * u
+            if v:
+                pr, pi = pr * u - pi * v + (c << j * s), pr * v + pi * u
+            else:
+                pr = pr * u + (c << j * s)
             bound = bound * rho + (abs(c) << j * s)
-        if (pr * pr + pi * pi) << 2 * (prec_bits - 8) > bound * bound:
+        # pr^2 + pi^2 < 2^(2 bits + 1) and bound^2 >= 2^(2 bits(bound) - 2)
+        small = 2 * max(pr.bit_length(), pi.bit_length()) + 2 * prec_bits - 15 <= (
+            2 * bound.bit_length() - 2)
+        if not small and (pr * pr + pi * pi) << 2 * (prec_bits - 8) > bound * bound:
             raise RootFindingFailureError(
                 "root residual above tolerance at (%s, %s)" % (nstr(r.real, 15), nstr(r.imag, 15)))
     physical: list[int] = []

@@ -33,7 +33,7 @@ from littleq import (
 from littleq import base, darboux, verify, virtual
 from littleq.cli import main
 from littleq.darboux import DeformedPotentials
-from littleq.dyadic import nstr
+from littleq.dyadic import nstr, round_bits
 from littleq.exact import LaurentPoly, LittleQError, op_apply, op_compose, qhyper_terms
 from littleq.verify import (
     OrthogonalityData,
@@ -522,6 +522,21 @@ def test_isolation_gives_one_interval_per_physical_root(roots, outside, quadrati
             assert _isolates(iv, r)
 
 
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=9).filter(lambda a: a[-1]),
+       st.sampled_from((0, 0, 1, 5, 2 ** 40)), st.integers(1, 2 ** 70), st.integers(1, 2 ** 70))
+@settings(max_examples=60, deadline=None)
+def test_descartes_matches_the_explicit_shift(a, lo, width, den):
+    # the count on (lo/den, hi/den) against its definition with the Taylor
+    # shift by lo always done, which is the identity at lo = 0
+    deg, hi = len(a) - 1, lo + width
+    scaled = [c * den ** (deg - i) for i, c in enumerate(a)]
+    b = verify._taylor_shift(scaled, lo)
+    assert lo or b == scaled
+    b = verify._taylor_shift([c * width ** i for i, c in enumerate(b)][::-1], 1)
+    signs = [c > 0 for c in b if c]
+    assert verify._descartes(a, lo, hi, den) == sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 @st.composite
 def interlacing_cases(draw):
     """Roots of a level and of the next: physical roots dealt out in turn,
@@ -731,6 +746,57 @@ def test_root_off_the_polynomial_exits_1_with_its_value(monkeypatch, capsys):
         "error: root residual above tolerance at (1.00000000000000, 0.0)\n")
 
 
+def _residual_fails(poly, z, k, prec_bits):
+    """The backward-error test of polynomial_roots as the full squared
+    comparison, for the root z = [re, im] over 2^k rounded as it rounds it."""
+    r = Root(*(round_bits(F(c, 1 << k), prec_bits) for c in z))
+    s = max(r.real.denominator, r.imag.denominator).bit_length() - 1
+    u, v = (int(x * (1 << s)) for x in r)
+    rho, pr, pi, bound = math.isqrt(u * u + v * v), 0, 0, 0
+    for j, c in enumerate(reversed(poly.num)):
+        pr, pi = pr * u - pi * v + (c << j * s), pr * v + pi * u
+        bound = bound * rho + (abs(c) << j * s)
+    return (pr * pr + pi * pi) << 2 * (prec_bits - 8) > bound * bound
+
+
+@given(zero_points(), st.integers(0, 6), st.sampled_from(("real", "complex")),
+       st.integers(0, 99), st.sampled_from((0.25, 1, 3)))
+@settings(max_examples=40, deadline=None)
+def test_residual_verdict_is_the_full_comparisons(point, n, kind, pick, log2_ratio):
+    # one root moved along the real axis so that |P| lands near 2^-log2_ratio
+    # and 2^log2_ratio times the tolerance: polynomial_roots raises exactly
+    # when the full squared comparison fails for some root
+    p, d = point
+    try:
+        polynomial_roots(d, n, p)
+    except LittleQError:
+        assume(False)
+    poly = level_poly(d, n, p)
+    found, k = verify._durand_kerner(poly.num, verify._float_roots(poly), 256)
+    which = [i for i, (_, im) in enumerate(found) if (im == 0) == (kind == "real")]
+    assume(which)
+    i = which[pick % len(which)]
+    with mpmath.workprec(2 * k):
+        r = mpmath.mpc(*(mpmath.ldexp(x, -k) for x in found[i]))
+        slope = abs(mpmath.polyval([j * c for j, c in enumerate(poly.num)][:0:-1], r))
+        tol = mpmath.ldexp(sum(abs(c) * abs(r) ** j for j, c in enumerate(poly.num)), 8 - 256)
+        steps = [int(mpmath.ldexp(mpmath.mpf(2) ** (e * log2_ratio) * tol / slope, k))
+                 for e in (-1, 1)]
+    for step in steps:
+        moved = [list(z) for z in found]
+        moved[i][0] += step
+        fails = any(_residual_fails(poly, z, k, 256) for z in moved)
+        if log2_ratio >= 1:  # the move lands on the side it aims at
+            assert fails == (step == steps[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_durand_kerner", lambda a, start, prec_bits: (moved, k))
+            if fails:
+                with pytest.raises(RootFindingFailureError, match="root residual above tolerance"):
+                    polynomial_roots(d, n, p)
+            else:
+                assert len(polynomial_roots(d, n, p)) == poly.degree
+
+
 def _fixed_scale_durand_kerner(a, start, prec_bits):
     """The reference loop: _durand_kerner with every sweep at the full scale
     k, then the same stopping test, cleanup and order."""
@@ -811,28 +877,31 @@ def _sweeps(a, start, prec_bits):
             return log, exc
 
 
-def _assert_schedule(log, k, start):
+def _assert_schedule(log, k, start, prec_bits=256):
     kws = [kw for kw, _ in log]
     assert kws == sorted(kws) and kws[-1] == k and len(log) <= 200
     goods = [20 if start else 0] + [good for _, good in log]
-    stalls = [i for i in range(1, len(log)) if goods[i] <= goods[i - 1]]
-    assert all(kws[i] == k for i in stalls)  # the sweep after a stall runs at k
-    return stalls
+    for i in range(1, len(log)):
+        if goods[i] <= goods[i - 1]:  # a stall: only one with good > 0 sends the next to k
+            assert kws[i] == (k if goods[i] > 0 else kws[i - 1])
+        elif 2 * goods[i] >= prec_bits + 8:  # one quadratic step from the stopping test
+            assert kws[i] == k
 
 
 @WORKLOAD_POINTS
 def test_working_precision_rises_to_k_and_stays(dset, p):
-    stalls = 0
     for n in range(9):
         poly = level_poly(IndexSet.of(*dset), n, p)
         for s in (verify._float_roots(poly), None):
             log, k = _sweeps(poly.num, s, 256)
-            stalls += len(_assert_schedule(log, k, s))
-            if s and n == 8:
-                # from the doubles start, only the last of 6 sweeps runs at k
-                assert [kw == k for kw, _ in log] == [False] * 5 + [True]
-    # mpmath's start is far off: its first sweep stalls, and the rest run at k
-    assert stalls >= 9
+            _assert_schedule(log, k, s)
+            at_k = [kw == k for kw, _ in log]
+            if s:  # from the doubles start, only the last sweep runs at k
+                assert at_k == [False] * (3 if n < 7 else 4) + [True]
+            else:  # mpmath's first sweep stalls with corrections >= 1, and kw stays
+                assert log[0][1] <= 0 and log[1][0] == log[0][0] < k
+                if n == 8:
+                    assert sum(at_k) <= {(1, 3, 5, 7): 8, (2, 3, 4): 13}[dset]
 
 
 def test_sweep_limit_counts_every_sweep():
@@ -840,7 +909,11 @@ def test_sweep_limit_counts_every_sweep():
     a = _product((0, 1), (-1, 3 * 2 ** 300), (-(2 ** 302), 3), *CLOSE_PAIR, (1, 0, 1))
     log, err = _sweeps(a, None, 512)
     assert isinstance(err, RootFindingFailureError) and len(log) == 200
-    assert log[0][0] < log[1][0] == log[-1][0]  # one sweep below k, then a stall
+    kws = [kw for kw, _ in log]
+    # four sweeps at the guard bits (corrections >= 1 keep kw), 187 each
+    # higher than the last, then 9 at k = 2 * 512 + guard
+    assert kws == sorted(kws) and len(set(kws)) == 189
+    assert kws.count(kws[0]) == 4 and kws.count(2 * 512 + kws[0]) == 9
 
 
 # ---------------------------------------------------------------------------
