@@ -113,6 +113,19 @@ def horner(num: Sequence[int], r: int, t: int) -> tuple[int, int]:
     return acc, tp
 
 
+def _one_minus(num: Sequence[int]) -> list[int]:
+    """The integer coefficients of f(1 - t), lowest degree first, for f(t) =
+    sum_i num[i] t^i, by Horner in 1 - t: it maps y = 1 - eta to eta and back."""
+    res = [num[-1]]
+    for c in num[-2::-1]:
+        nxt = res + [0]
+        for i in range(len(res)):
+            nxt[i + 1] -= res[i]
+        nxt[0] += c
+        res = nxt
+    return res
+
+
 def qhyper_terms(
     upper: Sequence[ScalarLike | tuple[ScalarLike, ScalarLike]],
     lower: Sequence[ScalarLike],
@@ -476,16 +489,8 @@ class LaurentPoly:
             return EtaPoly(self.q, ())
         if self.val < 0:
             raise NegativePowersError("cannot express negative powers of y in eta")
-        # integer Horner in (1 - eta) over the coefficients of y^0 .. y^max_deg;
         # the change of basis is unimodular, so the content stays coprime to den
-        ys = [0] * self.val + list(self.num)
-        res = [ys[-1]]
-        for c in ys[-2::-1]:
-            nxt = res + [0]
-            for i in range(len(res)):
-                nxt[i + 1] -= res[i]
-            nxt[0] += c
-            res = nxt
+        res = _one_minus([0] * self.val + list(self.num))
         out = EtaPoly.__new__(EtaPoly)
         out.q, out.num, out.den = self.q, tuple(res), self.den
         return out

@@ -83,6 +83,7 @@ from .exact import (
     RootFindingFailureError,
     ScalarLike,
     _convolve,
+    _one_minus,
     fmt_rational,
     horner,
     op_compose,
@@ -407,19 +408,21 @@ def _lattice_sign(f: LaurentPoly, lo: int) -> tuple[int, int]:
     return _descartes(f.num, 0, end.numerator, end.denominator), _sign(f.eval_int(lo))
 
 
-def _isolate(a: Sequence[int], lo: int, hi: int, k: int) -> list[list]:
+def _isolate(t: Sequence[int], lo: int, k: int) -> list[list]:
     """Vincent-Collins-Akritas bisection: isolating intervals [lo, hi, k,
-    below], meaning [lo/2^k, hi/2^k], of the zeros of the squarefree
-    polynomial a in the open interval (lo/2^k, hi/2^k), in increasing order.
-    lo == hi marks an exact zero, otherwise the one zero lies strictly inside
-    and hi - lo = 1; below, the sign of a just above lo, is None until
-    _bisect first needs it."""
-    count = _descartes(a, lo, hi, 1 << k)
+    below], meaning [lo/2^k, hi/2^k], in increasing order, of the zeros of
+    the squarefree a in (lo/2^k, (lo + 1)/2^k), from its transform
+    t(x) = 2^(k deg) a((lo + x)/2^k).  The halves inherit t: 2^deg t(x/2)
+    and its shift by 1, whose constant term is 0 iff the midpoint is a zero.
+    lo == hi marks an exact zero, else the one zero lies strictly inside;
+    below, the sign of a just above lo, is None until _bisect first needs it."""
+    count = _descartes(t, 0, 1, 1)
     if count < 2:
-        return [[lo, hi, k, None]] * count
-    mid, k = lo + hi, k + 1
-    exact = [] if horner(a, mid, 1 << k)[0] else [[mid, mid, k, None]]
-    return _isolate(a, 2 * lo, mid, k) + exact + _isolate(a, mid, 2 * hi, k)
+        return [[lo, lo + 1, k, None]] * count
+    left = [c << len(t) - 1 - i for i, c in enumerate(t)]
+    right, mid, k = _taylor_shift(left, 1), 2 * lo + 1, k + 1
+    exact = [] if right[0] else [[mid, mid, k, None]]
+    return _isolate(left, 2 * lo, k) + exact + _isolate(right, mid, k)
 
 
 def _bisect(a: Sequence[int], iv: list) -> None:
@@ -473,7 +476,7 @@ def _level_zeros(poly: EtaPoly, n: int) -> tuple[list[int], list[list]]:
             "level %d: no proof that its zeros are simple (P and P' share a "
             "factor modulo 2^61 - 1)" % n
         )
-    return a, ([[0, 0, 0, None]] if a[0] == 0 else []) + _isolate(a, 0, 1, 0)
+    return a, ([[0, 0, 0, None]] if a[0] == 0 else []) + _isolate(a, 0, 0)
 
 
 def _interlaced(level, upper) -> bool:
@@ -506,14 +509,16 @@ def _interlaced(level, upper) -> bool:
 
 def _float_roots(poly: EtaPoly) -> list[complex] | None:
     """Durand-Kerner on doubles for the roots of poly, as the start of the
-    high-precision iteration: from mpmath's own start until the largest
-    correction over max(1, |root|) is below 1e-6 and stops halving (at most
-    100 steps).  None when a monic coefficient (int / int, rounded once)
-    overflows a double or a root comes out non-finite."""
+    high-precision iteration, run in y = 1 - eta (where the physical zeros,
+    crowding toward eta = 1, differ in magnitude) and returned in eta: from
+    mpmath's own start until the largest correction over max(1, |y|) is
+    below 1e-6 and stops halving (at most 100 steps).  None when a monic
+    coefficient (int / int, rounded once) overflows a double or a root comes
+    out non-finite."""
     roots = [(0.4 + 0.9j) ** k for k in range(poly.degree)]
-    prev = math.inf
+    prev, b = math.inf, _one_minus(poly.num)
     try:
-        monic = [c / poly.num[-1] for c in reversed(poly.num)]
+        monic = [c / b[-1] for c in reversed(b)]
         for _ in range(100):
             big = 0.0
             for i, z in enumerate(roots):
@@ -530,7 +535,8 @@ def _float_roots(poly: EtaPoly) -> list[complex] | None:
             prev = big
     except (OverflowError, ZeroDivisionError):
         return None
-    return roots if all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots) else None
+    finite = all(math.isfinite(x) for z in roots for x in (z.real, z.imag))
+    return [1 - z for z in roots] if finite else None
 
 
 def _dk_sweep(roots: list[list[int]], monic: Sequence[int], k: int) -> int:
@@ -593,6 +599,39 @@ def _durand_kerner(a: Sequence[int], start, prec_bits: int) -> tuple[list[list[i
     return roots, k
 
 
+def _residual_exact(a: Sequence[int], u: int, v: int, s: int, prec_bits: int) -> bool:
+    """|a(r)| <= 2^(8 - prec_bits) sum |a_i| rho^i for r = (u + iv) / 2^s and
+    rho = isqrt(u^2 + v^2) / 2^s <= |r|, decided exactly on both sides times
+    2^(s deg); from bit lengths away from the bound, squaring only near it."""
+    rho, pr, pi, bound = math.isqrt(u * u + v * v), 0, 0, 0
+    for j, c in enumerate(reversed(a)):
+        if v:
+            pr, pi = pr * u - pi * v + (c << j * s), pr * v + pi * u
+        else:  # a real root skips the imaginary products
+            pr = pr * u + (c << j * s)
+        bound = bound * rho + (abs(c) << j * s)
+    # pr^2 + pi^2 < 2^(2 bits + 1) and bound^2 >= 2^(2 bits(bound) - 2)
+    return 2 * max(pr.bit_length(), pi.bit_length()) + 2 * prec_bits - 15 <= (
+        2 * bound.bit_length() - 2) or (pr * pr + pi * pi) << 2 * (prec_bits - 8) <= bound * bound
+
+
+def _residual_small(a: Sequence[int], r: Root, prec_bits: int) -> bool:
+    """The test of _residual_exact for the root r, first in fixed point over
+    2^f, f = s + 32: Horner with floors errs by at most sqrt(2) sum_{j<deg}
+    |r|^j <= err = 2 len(a) ((rho >> s) + 1)^deg units, and floors alone
+    bound sum |a_i| rho^i from below.  Where that proves no pass,
+    _residual_exact decides, so the verdict is the same."""
+    s = max(r.real.denominator, r.imag.denominator).bit_length() - 1
+    u, v = (int(x * (1 << s)) for x in r)
+    rho, f, xr, xi, low = math.isqrt(u * u + v * v), s + 32, 0, 0, 0
+    for c in reversed(a):
+        xr, xi = ((xr * u - xi * v) >> s) + (c << f), (xr * v + xi * u) >> s
+        low = ((low * rho) >> s) + (abs(c) << f)
+    err = 2 * len(a) * ((rho >> s) + 1) ** (len(a) - 1)
+    return (math.isqrt(xr * xr + xi * xi) + 1 + err) << prec_bits - 8 <= low or (
+        _residual_exact(a, u, v, s, prec_bits))
+
+
 class Root(NamedTuple):
     """A root in eta with exact dyadic real and imaginary parts."""
 
@@ -608,15 +647,13 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     last correction, moving to full precision once one more quadratic step
     meets its stopping test; each part is rounded once to prec_bits bits.
     Returns a list of (root: Root, physical: bool) sorted by real part.
-    Each root must pass |P(r)| <= 2^(8 - prec_bits) * sum |c_i| rho^i on the
-    same integers (rho <= |r|), or RootFindingFailureError is raised; the
-    Horner step of a real root skips the imaginary products, and bit lengths
-    decide the test whenever they prove |P(r)| below the bound, so the
-    squares are formed only near it.  The physical
-    flags come from the exact isolation of the zeros in [0, 1): each
-    isolating interval flags the root of least imaginary part among those
-    whose real part lies in it (an exact zero, the nearest root), and an
-    interval with no root of its own raises RootFindingFailureError.
+    Each root must pass |P(r)| <= 2^(8 - prec_bits) * sum |c_i| rho^i
+    (rho <= |r|), decided in fixed point or else exactly (_residual_small),
+    or RootFindingFailureError is raised.  The physical flags come from the
+    exact isolation of the zeros in [0, 1): each isolating interval flags
+    the root of least imaginary part among those whose real part lies in it
+    (an exact zero, the nearest root), and an interval with no root of its
+    own raises RootFindingFailureError.
     """
     if prec_bits < 128:
         raise InvalidParamsError("prec_bits must be >= 128")
@@ -624,20 +661,8 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     zeros = _level_zeros(poly, n)[1]
     found, k = _durand_kerner(poly.num, _float_roots(poly), prec_bits)
     roots = [Root(*(round_bits(Fraction(c, 1 << k), prec_bits) for c in z)) for z in found]
-    for r in roots:  # exactly, on r = (u + iv) / 2^s and rho = isqrt(u^2 + v^2) / 2^s
-        s = max(r.real.denominator, r.imag.denominator).bit_length() - 1
-        u, v = (int(x * (1 << s)) for x in r)
-        rho, pr, pi, bound = math.isqrt(u * u + v * v), 0, 0, 0
-        for j, c in enumerate(reversed(poly.num)):  # both sides times 2^(s deg)
-            if v:
-                pr, pi = pr * u - pi * v + (c << j * s), pr * v + pi * u
-            else:
-                pr = pr * u + (c << j * s)
-            bound = bound * rho + (abs(c) << j * s)
-        # pr^2 + pi^2 < 2^(2 bits + 1) and bound^2 >= 2^(2 bits(bound) - 2)
-        small = 2 * max(pr.bit_length(), pi.bit_length()) + 2 * prec_bits - 15 <= (
-            2 * bound.bit_length() - 2)
-        if not small and (pr * pr + pi * pi) << 2 * (prec_bits - 8) > bound * bound:
+    for r in roots:
+        if not _residual_small(poly.num, r, prec_bits):
             raise RootFindingFailureError(
                 "root residual above tolerance at (%s, %s)" % (nstr(r.real, 15), nstr(r.imag, 15)))
     physical: list[int] = []

@@ -1,8 +1,10 @@
 import gc
+import json
 import math
 import random
 import weakref
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -31,10 +33,11 @@ from littleq import (
     xi_casoratian,
 )
 from littleq import base, darboux, verify, virtual
-from littleq.cli import main
+from littleq.cli import build_parser, config_from_args, main
 from littleq.darboux import DeformedPotentials
 from littleq.dyadic import nstr, round_bits
-from littleq.exact import LaurentPoly, LittleQError, op_apply, op_compose, qhyper_terms
+from littleq.exact import (
+    LaurentPoly, LittleQError, _one_minus, horner, op_apply, op_compose, qhyper_terms)
 from littleq.verify import (
     OrthogonalityData,
     Root,
@@ -537,6 +540,47 @@ def test_descartes_matches_the_explicit_shift(a, lo, width, den):
     assert verify._descartes(a, lo, hi, den) == sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _isolate_from_scratch(a, lo, hi, k):
+    """The reference bisection: _isolate with each count by _descartes on a
+    itself, over (lo/2^k, hi/2^k), and each midpoint by Horner on a."""
+    count = verify._descartes(a, lo, hi, 1 << k)
+    if count < 2:
+        return [[lo, hi, k, None]] * count
+    mid, k = lo + hi, k + 1
+    exact = [] if horner(a, mid, 1 << k)[0] else [[mid, mid, k, None]]
+    return _isolate_from_scratch(a, 2 * lo, mid, k) + exact + _isolate_from_scratch(a, mid, 2 * hi, k)
+
+
+# 2x - 1, 4x - 3, x and the close pair 1/2, 1/2 + 2^-61 (CLOSE_PAIR below)
+_FACTORS = ((-1, 2), (-3, 4), (0, 1), (-(2 ** 60) - 1, 2 ** 61))
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=9).filter(lambda a: a[-1]),
+       st.lists(st.sampled_from(_FACTORS), max_size=4, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_inherited_isolation_matches_the_reference(a, factors):
+    # squarefree integer polynomials of degree <= 12, with dyadic zeros, a zero at 0 and a
+    # close pair: the same intervals, in the same order, as counting on a each time
+    a = _product(a, *factors)
+    assume(len(a) > 1 and verify._coprime(a, [i * c for i, c in enumerate(a)][1:]))
+    assert verify._isolate(a, 0, 0) == _isolate_from_scratch(a, 0, 1, 0)
+
+
+def _sweep_pool_points():
+    refs = json.loads((Path(__file__).resolve().parent.parent / "qbench" / "refs.json").read_text())
+    for argv in (argv for cell in refs["sweep_pool"].values() for argv in cell):
+        cfg = config_from_args(build_parser().parse_args(["zeros"] + argv))
+        yield cfg.index_set(), cfg.params()
+
+
+def test_inherited_isolation_matches_the_reference_on_workload_levels():
+    points = [(DEEP_D, DEEP_P), (TYPE1_D, TYPE1_P)] + list(_sweep_pool_points())
+    for d, p in points:
+        for n in range(6):
+            a, intervals = verify._level_zeros(level_poly(d, n, p), n)
+            assert intervals[a[0] == 0:] == _isolate_from_scratch(a, 0, 1, 0)
+
+
 @st.composite
 def interlacing_cases(draw):
     """Roots of a level and of the next: physical roots dealt out in turn,
@@ -648,6 +692,42 @@ def test_float_start_gives_up_on_overflow():
     assert verify._float_roots(EtaPoly(Q, (10 ** 300, 3, 1))) is None
     roots = sorted(verify._float_roots(EtaPoly(Q, (2 * 10 ** 20, -3 * 10 ** 20, 10 ** 20))), key=abs)
     assert max(abs(roots[0] - 1), abs(roots[1] - 2)) < 1e-12
+
+
+def _eta_float_roots(poly):
+    """The reference start: the loop of _float_roots run on poly's own
+    coefficients in eta, unflipped."""
+    roots = [(0.4 + 0.9j) ** k for k in range(poly.degree)]
+    prev = math.inf
+    monic = [c / poly.num[-1] for c in reversed(poly.num)]
+    for _ in range(100):
+        big = 0.0
+        for i, z in enumerate(roots):
+            acc = 0j
+            for c in monic:
+                acc = acc * z + c
+            for j, w in enumerate(roots):
+                if j != i:
+                    acc /= z - w
+            roots[i] = z - acc
+            big = max(big, abs(acc) / max(1.0, abs(z)))
+        if big < 1e-6 and big >= prev / 2:
+            break
+        prev = big
+    return roots
+
+
+@pytest.mark.parametrize("d, p", [(DEEP_D, DEEP_P), (TYPE1_D, TYPE1_P)], ids=["deep", "type1"])
+def test_float_start_in_y_needs_no_more_sweeps_than_in_eta(d, p):
+    # the physical zeros crowd toward eta = 1, where the eta start places them
+    # only to about 2^-25; in y = 1 - eta they are 2^-1 .. 2^-8
+    for n in range(9):
+        poly = level_poly(d, n, p)
+        start = verify._float_roots(poly)
+        assert start is not None and _one_minus(_one_minus(poly.num)) == list(poly.num)
+        y_sweeps, eta_sweeps = (len(_sweeps(poly.num, s, 256)[0])
+                                for s in (start, _eta_float_roots(poly)))
+        assert y_sweeps <= eta_sweeps
 
 
 def _product(*factors):
@@ -797,6 +877,71 @@ def test_residual_verdict_is_the_full_comparisons(point, n, kind, pick, log2_rat
                 assert len(polynomial_roots(d, n, p)) == poly.degree
 
 
+def _counted_exact_residuals(mp):
+    """Patches verify._residual_exact to count its calls in the returned list."""
+    calls, exact = [], verify._residual_exact
+    mp.setattr(verify, "_residual_exact", lambda *args: calls.append(args) or exact(*args))
+    return calls
+
+
+@given(zero_points(), st.integers(0, 6), st.sampled_from(("real", "complex")),
+       st.integers(0, 99), st.sampled_from((2 ** -40, 0.25, 1, 3)))
+@settings(max_examples=40, deadline=None)
+def test_fixed_point_residual_never_passes_a_rejected_root(point, n, kind, pick, log2_ratio):
+    # one root moved so that |P| lands near 2^-log2_ratio and 2^log2_ratio
+    # times the tolerance, as in test_residual_verdict_is_the_full_comparisons:
+    # a pass in fixed point alone (the exact fallback refusing) implies a pass
+    # of the full squared comparison
+    p, d = point
+    poly = level_poly(d, n, p)
+    try:
+        found, k = verify._durand_kerner(poly.num, verify._float_roots(poly), 256)
+    except LittleQError:
+        assume(False)
+    which = [i for i, (_, im) in enumerate(found) if (im == 0) == (kind == "real")]
+    assume(which)
+    i = which[pick % len(which)]
+    with mpmath.workprec(2 * k):
+        r = mpmath.mpc(*(mpmath.ldexp(x, -k) for x in found[i]))
+        slope = abs(mpmath.polyval([j * c for j, c in enumerate(poly.num)][:0:-1], r))
+        tol = mpmath.ldexp(sum(abs(c) * abs(r) ** j for j, c in enumerate(poly.num)), 8 - 256)
+        steps = [int(mpmath.ldexp(mpmath.mpf(2) ** (e * log2_ratio) * tol / slope, k))
+                 for e in (-1, 1)]
+    for step in steps:
+        z = [found[i][0] + step, found[i][1]]
+        root = Root(*(round_bits(F(c, 1 << k), 256) for c in z))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_residual_exact", lambda *args: False)
+            fixed = verify._residual_small(poly.num, root, 256)
+        assert not fixed or not _residual_fails(poly, z, k, 256)
+
+
+@pytest.mark.parametrize("prec_bits", [128, 256])
+def test_root_just_inside_the_tolerance_reaches_the_exact_test(prec_bits, pj, monkeypatch):
+    # eta - 1 at r = 1 + 2^-s, s = prec_bits - 9: 2^(prec_bits - 8) |r - 1| =
+    # 2 <= 2 + 2^-s, the tolerance, with no room for the fixed-point error;
+    # one step further out, r = 1 + 2^(1 - s), is refused
+    monkeypatch.setattr(verify, "level_poly", lambda d, n, p: EtaPoly(Q, (-1, 1)))
+    s = prec_bits - 9
+    calls = _counted_exact_residuals(monkeypatch)
+    for e, ok in ((0, True), (1, False)):
+        monkeypatch.setattr(verify, "_durand_kerner", lambda a, start, prec: (
+            [[(1 << s) + (1 << e), 0]], s))
+        if ok:
+            assert [r.real for r, _ in polynomial_roots(IndexSet.of(1), 1, pj, prec_bits)] == [
+                1 + F(1, 1 << s)]
+        else:
+            with pytest.raises(RootFindingFailureError, match="root residual above tolerance"):
+                polynomial_roots(IndexSet.of(1), 1, pj, prec_bits)
+    assert len(calls) == 2
+
+
+def test_fixed_point_residual_decides_every_deep_root(monkeypatch):
+    # level 8 of deep: 18 roots, zeros within 1e-18 of each other, no exact fallback
+    calls = _counted_exact_residuals(monkeypatch)
+    assert len(polynomial_roots(DEEP_D, 8, DEEP_P)) == 18 and calls == []
+
+
 def _fixed_scale_durand_kerner(a, start, prec_bits):
     """The reference loop: _durand_kerner with every sweep at the full scale
     k, then the same stopping test, cleanup and order."""
@@ -897,7 +1042,7 @@ def test_working_precision_rises_to_k_and_stays(dset, p):
             _assert_schedule(log, k, s)
             at_k = [kw == k for kw, _ in log]
             if s:  # from the doubles start, only the last sweep runs at k
-                assert at_k == [False] * (3 if n < 7 else 4) + [True]
+                assert at_k == [False] * 3 + [True]
             else:  # mpmath's first sweep stalls with corrections >= 1, and kw stays
                 assert log[0][1] <= 0 and log[1][0] == log[0][0] < k
                 if n == 8:
