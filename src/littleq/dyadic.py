@@ -35,14 +35,23 @@ def _round(n: int, d: int, prec: int, mode: int = 0, e: int = 0) -> tuple[int, i
     return q >> z, e - t + x + z
 
 
+def _round_signed(n: int, d: int, prec: int, e: int = 0) -> tuple[int, int]:
+    """n/d * 2^e, for d > 0, to prec bits as _round rounds it, keeping the
+    sign of n: (man, exp) with man odd, or (0, 0) for n = 0."""
+    if not n:
+        return 0, 0
+    m, e = _round(abs(n), d, prec, 0, e)
+    return (m if n > 0 else -m), e
+
+
+def _fraction(man: int, exp: int) -> Fraction:
+    """man * 2^exp."""
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
 def round_bits(x: Fraction, prec: int) -> Fraction:
     """x rounded to prec significant bits, to nearest with ties to even."""
-    n = x.numerator
-    if not n:
-        return x
-    m, e = _round(abs(n), x.denominator, prec)
-    m = m if n > 0 else -m
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+    return _fraction(*_round_signed(x.numerator, x.denominator, prec))
 
 
 def _pow10(n: int, prec: int, mode: int) -> tuple[int, int]:

@@ -14,9 +14,10 @@ signs with Vincent-Collins-Akritas bisection on intervals with endpoints
 over powers of two, and a merge of adjacent levels' intervals); the same
 count and one end sign prove each sign at every lattice point (_lattice_sign).
 Floating point enters only in polynomial_roots, for the root values the
-zeros command prints: Durand-Kerner on doubles, then on fixed-point Gaussian
-integers on the exact integer numerator to a caller-chosen precision, with
-an exact backward-error test on the same integers.
+zeros command prints: Aberth-Ehrlich on doubles, then Durand-Kerner on
+fixed-point Gaussian integers on the exact integer numerator to a
+caller-chosen precision, with an exact backward-error test on the same
+integers.
 """
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ from .darboux import (
     typeII_single_op,
     xi_casoratian,
 )
-from .dyadic import nstr, round_bits
+from .dyadic import _fraction, _round_signed, nstr
 from .exact import (
     DenominatorZeroAtIntegerError,
     EtaPoly,
@@ -507,29 +508,47 @@ def _interlaced(level, upper) -> bool:
     return True
 
 
+def _aberth_sweep(roots: list[complex], monic: Sequence[float], low: int) -> float:
+    """One Aberth-Ehrlich sweep, in place, on roots[low:] of monic (highest
+    degree first): z -= p / (p' - p sum_(w != z) 1 / (z - w)).  Returns the
+    largest correction over max(1, |z|)."""
+    big = 0.0
+    for i in range(low, len(roots)):
+        z, p, dp = roots[i], 0j, 0j
+        for c in monic:
+            p, dp = p * z + c, dp * z + p
+        step = p / (dp - p * sum([1 / (z - w) for w in roots[:i] + roots[i + 1:]]))
+        roots[i] = z - step
+        big = max(big, abs(step) / max(1.0, abs(z)))
+    return big
+
+
 def _float_roots(poly: EtaPoly) -> list[complex] | None:
-    """Durand-Kerner on doubles for the roots of poly, as the start of the
+    """Aberth-Ehrlich on doubles for the roots of poly, as the start of the
     high-precision iteration, run in y = 1 - eta (where the physical zeros,
-    crowding toward eta = 1, differ in magnitude) and returned in eta: from
-    mpmath's own start until the largest correction over max(1, |y|) is
-    below 1e-6 and stops halving (at most 100 steps).  None when a monic
-    coefficient (int / int, rounded once) overflows a double or a root comes
-    out non-finite."""
-    roots = [(0.4 + 0.9j) ** k for k in range(poly.degree)]
-    prev, b = math.inf, _one_minus(poly.num)
+    crowding toward eta = 1, differ in magnitude) and returned in eta.  The
+    start lies on the Newton polygon of |b_i|, b(y) = poly(1 - y): each edge
+    (i0, i1) of its upper hull places i1 - i0 points evenly on the circle of
+    radius (|b_i0| / |b_i1|)^(1 / (i1 - i0)), turned by 2 pi i0 / deg + 0.4
+    (Bini 1996); a zero at y = 0 starts and stays at 0j.  It stops once the
+    largest correction over max(1, |y|) is below 1e-6 and stops halving (at
+    most 100 sweeps).  None when a monic coefficient (int / int, rounded
+    once) overflows a double or a root comes out non-finite."""
+    prev, b, hull = math.inf, _one_minus(poly.num), []
+    for pt in ((i, math.log(abs(c))) for i, c in enumerate(b) if c):
+        while len(hull) > 1 and (hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1]) >= (
+                hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0]):
+            hull.pop()  # hull[-1] lies on or below the chord from hull[-2] to pt
+        hull.append(pt)
+    roots = [0j] * hull[0][0]
     try:
         monic = [c / b[-1] for c in reversed(b)]
+        for (i0, l0), (i1, l1) in zip(hull, hull[1:]):
+            r = math.exp((l0 - l1) / (i1 - i0))
+            roots += [r * complex(math.cos(t), math.sin(t)) for t in (
+                2 * math.pi * (j / (i1 - i0) + i0 / poly.degree) + 0.4 for j in range(i1 - i0))]
         for _ in range(100):
-            big = 0.0
-            for i, z in enumerate(roots):
-                acc = 0j
-                for c in monic:
-                    acc = acc * z + c
-                for j, w in enumerate(roots):
-                    if j != i:
-                        acc /= z - w
-                roots[i] = z - acc
-                big = max(big, abs(acc) / max(1.0, abs(z)))
+            big = _aberth_sweep(roots, monic, hull[0][0])
             if big < 1e-6 and big >= prev / 2:
                 break
             prev = big
@@ -615,14 +634,12 @@ def _residual_exact(a: Sequence[int], u: int, v: int, s: int, prec_bits: int) ->
         2 * bound.bit_length() - 2) or (pr * pr + pi * pi) << 2 * (prec_bits - 8) <= bound * bound
 
 
-def _residual_small(a: Sequence[int], r: Root, prec_bits: int) -> bool:
-    """The test of _residual_exact for the root r, first in fixed point over
-    2^f, f = s + 32: Horner with floors errs by at most sqrt(2) sum_{j<deg}
-    |r|^j <= err = 2 len(a) ((rho >> s) + 1)^deg units, and floors alone
-    bound sum |a_i| rho^i from below.  Where that proves no pass,
-    _residual_exact decides, so the verdict is the same."""
-    s = max(r.real.denominator, r.imag.denominator).bit_length() - 1
-    u, v = (int(x * (1 << s)) for x in r)
+def _residual_small(a: Sequence[int], u: int, v: int, s: int, prec_bits: int) -> bool:
+    """The test of _residual_exact for r = (u + iv) / 2^s, first in fixed
+    point over 2^f, f = s + 32: Horner with floors errs by at most sqrt(2)
+    sum_{j<deg} |r|^j <= err = 2 len(a) ((rho >> s) + 1)^deg units, and
+    floors alone bound sum |a_i| rho^i from below.  Where that proves no
+    pass, _residual_exact decides, so the verdict is the same."""
     rho, f, xr, xi, low = math.isqrt(u * u + v * v), s + 32, 0, 0, 0
     for c in reversed(a):
         xr, xi = ((xr * u - xi * v) >> s) + (c << f), (xr * v + xi * u) >> s
@@ -642,10 +659,11 @@ class Root(NamedTuple):
 def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     """Roots in eta of the level-n polynomial, to 2^-prec_bits * max(1, |root|).
 
-    _durand_kerner finds them on the exact integer numerator from the doubles
-    start of _float_roots, its sweeps at a working precision that follows the
-    last correction, moving to full precision once one more quadratic step
-    meets its stopping test; each part is rounded once to prec_bits bits.
+    _durand_kerner finds them on the exact integer numerator from the
+    Aberth-Ehrlich doubles start of _float_roots, its sweeps at a working
+    precision that follows the last correction, moving to full precision
+    once one more quadratic step meets its stopping test; each part is
+    rounded once to prec_bits bits, as an integer mantissa and exponent.
     Returns a list of (root: Root, physical: bool) sorted by real part.
     Each root must pass |P(r)| <= 2^(8 - prec_bits) * sum |c_i| rho^i
     (rho <= |r|), decided in fixed point or else exactly (_residual_small),
@@ -653,32 +671,41 @@ def polynomial_roots(d: IndexSet, n: int, p: Params, prec_bits: int = 256):
     exact isolation of the zeros in [0, 1): each isolating interval flags
     the root of least imaginary part among those whose real part lies in it
     (an exact zero, the nearest root), and an interval with no root of its
-    own raises RootFindingFailureError.
+    own raises RootFindingFailureError.  The test, the matching and the
+    order run on the integers, over one common power of two for the
+    matching and the order; only the output is built as Fractions.
     """
     if prec_bits < 128:
         raise InvalidParamsError("prec_bits must be >= 128")
     poly = level_poly(d, n, p)
     zeros = _level_zeros(poly, n)[1]
     found, k = _durand_kerner(poly.num, _float_roots(poly), prec_bits)
-    roots = [Root(*(round_bits(Fraction(c, 1 << k), prec_bits) for c in z)) for z in found]
-    for r in roots:
-        if not _residual_small(poly.num, r, prec_bits):
-            raise RootFindingFailureError(
-                "root residual above tolerance at (%s, %s)" % (nstr(r.real, 15), nstr(r.imag, 15)))
+    parts = [[_round_signed(c, 1, prec_bits, -k) for c in z] for z in found]
+    fixed = []  # (u, v, s): the root (u + iv) / 2^s
+    for part in parts:
+        (mr, er), (mi, ei) = part
+        s = max(0, -er, -ei)
+        fixed.append((mr << er + s, mi << ei + s, s))
+        if not _residual_small(poly.num, *fixed[-1], prec_bits):
+            raise RootFindingFailureError("root residual above tolerance at (%s, %s)" % tuple(
+                nstr(_fraction(*x), 15) for x in part))
+    top = max([0] + [s for *_, s in fixed] + [iv[2] for iv in zeros])  # all over 2^top
+    pts = [(u << top - s, v << top - s) for u, v, s in fixed]
     physical: list[int] = []
-    for iv in zeros:
-        lo, hi = (Fraction(x, 1 << iv[2]) for x in iv[:2])
+    for lo, hi, kz, _ in zeros:
+        lo, hi = lo << top - kz, hi << top - kz
         if lo == hi:
-            near = [((r.real - lo) ** 2 + r.imag ** 2, i) for i, r in enumerate(roots)]
+            near = [((u - lo) ** 2 + v * v, i) for i, (u, v) in enumerate(pts)]
         else:
-            near = [(abs(r.imag), i) for i, r in enumerate(roots) if lo < r.real < hi]
+            near = [(abs(v), i) for i, (u, v) in enumerate(pts) if lo < u < hi]
         if not near or min(near)[1] in physical:
             raise RootFindingFailureError(
                 "no computed root of its own in the isolating interval [%s, %s]"
-                % (lo, hi)
+                % (Fraction(lo, 1 << top), Fraction(hi, 1 << top))
             )
         physical.append(min(near)[1])
-    return sorted(((r, i in physical) for i, r in enumerate(roots)), key=lambda t: t[0])
+    return [(Root(*(_fraction(*x) for x in parts[i])), i in physical)
+            for i in sorted(range(len(pts)), key=pts.__getitem__)]
 
 
 def _zeros_summary(level, upper) -> dict:

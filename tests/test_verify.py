@@ -688,19 +688,23 @@ def test_float_start_leaves_roots_unchanged(point, n):
 
 def test_float_start_gives_up_on_overflow():
     assert verify._float_roots(EtaPoly(Q, (10 ** 400, 3, 1))) is None
-    # zeros near +-1e150 i: the float iteration runs into nan
-    assert verify._float_roots(EtaPoly(Q, (10 ** 300, 3, 1))) is None
+    # zeros -1.5 +- 1e150 i, whose squares are still doubles: the Newton
+    # polygon starts them on their circle
+    roots = sorted(verify._float_roots(EtaPoly(Q, (10 ** 300, 3, 1))), key=lambda z: z.imag)
+    assert all(abs(z - w) < 1e-12 * abs(w) for z, w in zip(roots, (-1.5 - 1e150j, -1.5 + 1e150j)))
     roots = sorted(verify._float_roots(EtaPoly(Q, (2 * 10 ** 20, -3 * 10 ** 20, 10 ** 20))), key=abs)
     assert max(abs(roots[0] - 1), abs(roots[1] - 2)) < 1e-12
 
 
-def _eta_float_roots(poly):
-    """The reference start: the loop of _float_roots run on poly's own
-    coefficients in eta, unflipped."""
-    roots = [(0.4 + 0.9j) ** k for k in range(poly.degree)]
+def _dk_doubles(num):
+    """The doubles loop _float_roots ran before its Aberth-Ehrlich start:
+    Durand-Kerner on the coefficients num (lowest degree first) from
+    (0.4 + 0.9i)^j until the largest correction over max(1, |z|) is below
+    1e-6 and stops halving (at most 100 sweeps).  Returns (roots, sweeps)."""
+    roots = [(0.4 + 0.9j) ** k for k in range(len(num) - 1)]
     prev = math.inf
-    monic = [c / poly.num[-1] for c in reversed(poly.num)]
-    for _ in range(100):
+    monic = [c / num[-1] for c in reversed(num)]
+    for sweeps in range(1, 101):
         big = 0.0
         for i, z in enumerate(roots):
             acc = 0j
@@ -714,7 +718,37 @@ def _eta_float_roots(poly):
         if big < 1e-6 and big >= prev / 2:
             break
         prev = big
-    return roots
+    return roots, sweeps
+
+
+def _eta_float_roots(poly):
+    """The reference start: the Durand-Kerner loop run on poly's own
+    coefficients in eta, unflipped."""
+    return _dk_doubles(poly.num)[0]
+
+
+def _dk_float_roots(poly):
+    """The reference start the Newton polygon replaced: the Durand-Kerner
+    loop in y = 1 - eta, returned in eta, and the sweeps it ran."""
+    roots, sweeps = _dk_doubles(_one_minus(poly.num))
+    return [1 - z for z in roots], sweeps
+
+
+def _aberth_sweeps(poly):
+    """_float_roots(poly) and the number of Aberth-Ehrlich sweeps it ran."""
+    calls, sweep = [], verify._aberth_sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_aberth_sweep", lambda *args: calls.append(args) or sweep(*args))
+        return verify._float_roots(poly), len(calls)
+
+
+@pytest.mark.parametrize("d, p", [(DEEP_D, DEEP_P), (TYPE1_D, TYPE1_P)], ids=["deep", "type1"])
+def test_newton_polygon_start_needs_no_more_doubles_sweeps_than_durand_kerner(d, p):
+    # level 8: 9 Aberth sweeps against 29 (deep) and 24 (type1)
+    for n in range(9):
+        poly = level_poly(d, n, p)
+        start, sweeps = _aberth_sweeps(poly)
+        assert start is not None and sweeps <= _dk_float_roots(poly)[1]
 
 
 @pytest.mark.parametrize("d, p", [(DEEP_D, DEEP_P), (TYPE1_D, TYPE1_P)], ids=["deep", "type1"])
@@ -912,7 +946,7 @@ def test_fixed_point_residual_never_passes_a_rejected_root(point, n, kind, pick,
         root = Root(*(round_bits(F(c, 1 << k), 256) for c in z))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_residual_exact", lambda *args: False)
-            fixed = verify._residual_small(poly.num, root, 256)
+            fixed = verify._residual_small(poly.num, *_fixed(root), 256)
         assert not fixed or not _residual_fails(poly, z, k, 256)
 
 
@@ -1059,6 +1093,97 @@ def test_sweep_limit_counts_every_sweep():
     # higher than the last, then 9 at k = 2 * 512 + guard
     assert kws == sorted(kws) and len(set(kws)) == 189
     assert kws.count(kws[0]) == 4 and kws.count(2 * 512 + kws[0]) == 9
+
+
+def _fixed(r):
+    """(u, v, s) with the Root r = (u + iv) / 2^s, s as small as it can be,
+    read from its Fractions."""
+    s = max(r.real.denominator, r.imag.denominator).bit_length() - 1
+    return (*(int(x * (1 << s)) for x in r), s)
+
+
+def _fraction_finish(a, zeros, found, k, prec_bits):
+    """The finish polynomial_roots ran on Fractions, as the oracle of its
+    dyadic one: each part of found over 2^k rounded by round_bits into a
+    Root, the residual test on u, v, s read from the Fractions, and the
+    physical matching on the isolating intervals as Fractions."""
+    roots = [Root(*(round_bits(F(c, 1 << k), prec_bits) for c in z)) for z in found]
+    for r in roots:
+        if not verify._residual_small(a, *_fixed(r), prec_bits):
+            raise RootFindingFailureError(
+                "root residual above tolerance at (%s, %s)" % (nstr(r.real, 15), nstr(r.imag, 15)))
+    physical = []
+    for iv in zeros:
+        lo, hi = (F(x, 1 << iv[2]) for x in iv[:2])
+        if lo == hi:
+            near = [((r.real - lo) ** 2 + r.imag ** 2, i) for i, r in enumerate(roots)]
+        else:
+            near = [(abs(r.imag), i) for i, r in enumerate(roots) if lo < r.real < hi]
+        if not near or min(near)[1] in physical:
+            raise RootFindingFailureError(
+                "no computed root of its own in the isolating interval [%s, %s]" % (lo, hi))
+        physical.append(min(near)[1])
+    return sorted(((r, i in physical) for i, r in enumerate(roots)), key=lambda t: t[0])
+
+
+def _assert_finishes_agree(d, n, p, alter):
+    """polynomial_roots and _fraction_finish, on the same Durand-Kerner
+    output after alter(found, k), give the same roots and flags or the same
+    error."""
+    runs, durand_kerner = [], verify._durand_kerner
+
+    def altered(a, start, prec_bits):
+        found, k = durand_kerner(a, start, prec_bits)
+        if found:
+            alter(found, k)
+        runs.append(([list(z) for z in found], k))
+        return found, k
+
+    def oracle():
+        poly = level_poly(d, n, p)
+        return _fraction_finish(poly.num, verify._level_zeros(poly, n)[1], *runs[0], 256)
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_durand_kerner", altered)
+        for finish in (lambda: polynomial_roots(d, n, p), oracle):
+            try:
+                outcomes.append(finish())
+            except LittleQError as exc:
+                outcomes.append((type(exc), str(exc)))
+            if not runs:  # refused before root finding
+                return
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], list):
+        assert all(type(x) is F for r, _ in outcomes[0] for x in r)
+
+
+def _alteration(kind, i, j, e):
+    """alter(found, k): root j set to a copy of root i ("copy"), root i's real
+    part moved by 2^(k - e) ("move"), or nothing ("none")."""
+    def alter(found, k):
+        zi, zj = found[i % len(found)], found[j % len(found)]
+        if kind == "copy":
+            zj[:] = zi
+        elif kind == "move":
+            zi[0] += 1 << max(k - e, 0)
+    return alter
+
+
+@WORKLOAD_POINTS
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("kind", ["none", "copy"])
+def test_dyadic_finish_matches_the_fraction_finish_on_the_workloads(dset, p, n, kind):
+    # "copy" puts the last root over the first, a physical zero at most levels
+    _assert_finishes_agree(IndexSet.of(*dset), n, p, _alteration(kind, -1, 0, 0))
+
+
+@given(zero_points(), st.integers(0, 6), st.sampled_from(("none", "copy", "move")),
+       st.integers(0, 99), st.integers(0, 99), st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_dyadic_finish_matches_the_fraction_finish(point, n, kind, i, j, e):
+    p, d = point
+    _assert_finishes_agree(d, n, p, _alteration(kind, i, j, e))
 
 
 # ---------------------------------------------------------------------------
